@@ -13,18 +13,22 @@
 //!    a swallowed warning.
 //! 3. **Corruption quarantine** — [`quarantine_if_corrupt`] checks an
 //!    existing artifact before a run would overwrite it; invalid JSON
-//!    is moved aside to `<file>.corrupt-<n>` and reported, never
+//!    is moved aside to `<file>.corrupt-<n>` ([`quarantine`], the one
+//!    quarantine every durable store shares) and reported, never
 //!    silently clobbered.
 //!
 //! The JSON builders (`sweep_json`, `smp_json`, `pressure_json`,
-//! `policy_json`) live
-//! here rather than in the binary so the resume-equivalence tests can
-//! assert byte-identical artifacts without shelling out.
+//! `policy_json`) live here rather than in the binary so the
+//! resume-equivalence tests can assert byte-identical artifacts without
+//! shelling out. They build [`Json`] values and write them in the
+//! [`Json::pretty`] layout; fields that vary with the wall clock or the
+//! cache temperature sit under a `timing` key.
 
 use crate::experiments::policy::PolicyReport;
-use crate::experiments::pressure::PressureReport;
+use crate::experiments::pressure::{FailedCell, PressureReport};
 use crate::experiments::smp::SmpRow;
 use crate::runner::CellMetric;
+use crate::serve::json::{self, obj, rounded, Json};
 use colt_os_mem::faults::FaultConfig;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,179 +50,9 @@ pub(crate) fn unique_tmp(path: &Path) -> PathBuf {
     ))
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-        .replace('\t', "\\t")
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON well-formedness scanner (the offline build has no
-// serde). Validates structure only — enough to catch truncation,
-// torn writes, and garbage, which is what crash safety needs.
-// ---------------------------------------------------------------------
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit()
-                || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(|_| ())
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        while let Some(b) = self.peek() {
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    self.pos += 1; // escaped char (good enough for \uXXXX too)
-                }
-                _ => {}
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("bad array at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("bad object at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-/// Checks that `text` is one well-formed JSON value (plus trailing
-/// whitespace). Structure only; no data model is built.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut s = Scanner { bytes: text.as_bytes(), pos: 0 };
-    s.value()?;
-    s.skip_ws();
-    if s.pos != s.bytes.len() {
-        return Err(format!("trailing bytes after JSON value at byte {}", s.pos));
-    }
-    Ok(())
-}
-
-/// First free `<path>.corrupt-<n>` sibling.
+/// First free `<path>.corrupt-<n>` sibling: where every durable store
+/// (artifacts, the journal, preparation snapshots, the serve cache)
+/// puts what it refuses to trust.
 pub(crate) fn quarantine_path(path: &Path) -> PathBuf {
     let mut n = 1;
     loop {
@@ -230,6 +64,18 @@ pub(crate) fn quarantine_path(path: &Path) -> PathBuf {
     }
 }
 
+/// Moves the corrupt file `path` aside to its [`quarantine_path`] —
+/// evidence is preserved, nothing corrupt is trusted or silently
+/// deleted — and returns where it went. The corruption confirms any
+/// injected read flip pending on `path`; a failed rename is accounted
+/// to `layer`.
+pub(crate) fn quarantine(layer: &'static str, path: &Path) -> io::Result<PathBuf> {
+    let _ = crate::io_faults::confirm_flip(path);
+    let dest = quarantine_path(path);
+    crate::vfs::acct(layer, crate::vfs::active().rename(path, &dest))?;
+    Ok(dest)
+}
+
 /// If `path` exists but does not parse as JSON, moves it to
 /// `<path>.corrupt-<n>` and returns the quarantine path. A healthy or
 /// absent file returns `Ok(None)`.
@@ -237,21 +83,17 @@ pub fn quarantine_if_corrupt(path: &Path) -> io::Result<Option<PathBuf>> {
     if !path.exists() {
         return Ok(None);
     }
-    let fs = crate::vfs::active();
-    let text = match fs.read(path) {
+    let text = match crate::vfs::active().read(path) {
         Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
         Err(e) => {
             let _ = crate::io_faults::account("artifact", &e);
             String::new() // unreadable == corrupt
         }
     };
-    if validate_json(&text).is_ok() {
+    if json::parse(&text).is_ok() {
         return Ok(None);
     }
-    let _ = crate::io_faults::confirm_flip(path);
-    let dest = quarantine_path(path);
-    crate::vfs::acct("artifact", fs.rename(path, &dest))?;
-    Ok(Some(dest))
+    quarantine("artifact", path).map(Some)
 }
 
 /// Every `*.corrupt-<n>` quarantine file under `dir`, recursively, in
@@ -330,8 +172,8 @@ const WRITE_ATTEMPTS: u32 = 3;
 /// Returns the display path. A persistent failure — including an
 /// unparseable read-back — is an error the caller must surface as a
 /// nonzero exit.
-pub fn atomic_write_json(path: &Path, json: &str) -> io::Result<String> {
-    validate_json(json).map_err(|e| {
+pub fn atomic_write_json(path: &Path, text: &str) -> io::Result<String> {
+    json::parse(text).map_err(|e| {
         io::Error::new(io::ErrorKind::InvalidData, format!("refusing to write invalid JSON: {e}"))
     })?;
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
@@ -340,7 +182,7 @@ pub fn atomic_write_json(path: &Path, json: &str) -> io::Result<String> {
         if attempt > 0 {
             std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
         }
-        match atomic_write_attempt(path, dir, json) {
+        match atomic_write_attempt(path, dir, text) {
             Ok(()) => return Ok(path.display().to_string()),
             Err(e) => last = Some(e),
         }
@@ -351,14 +193,14 @@ pub fn atomic_write_json(path: &Path, json: &str) -> io::Result<String> {
 /// One attempt of the atomic-write protocol. Every `Vfs` error is
 /// accounted here, at the site that first observes it (see
 /// `io_faults::account`).
-fn atomic_write_attempt(path: &Path, dir: &Path, json: &str) -> io::Result<()> {
+fn atomic_write_attempt(path: &Path, dir: &Path, text: &str) -> io::Result<()> {
     use crate::vfs::acct;
     let fs = crate::vfs::active();
     acct("artifact", fs.create_dir_all(dir))?;
     let tmp = unique_tmp(path);
     let written = (|| {
         let mut f = acct("artifact", fs.create(&tmp))?;
-        acct("artifact", f.write_all(json.as_bytes()))?;
+        acct("artifact", f.write_all(text.as_bytes()))?;
         acct("artifact", f.flush())?;
         acct("artifact", f.sync_data())?;
         acct("artifact", fs.rename(&tmp, path))
@@ -386,13 +228,13 @@ fn atomic_write_attempt(path: &Path, dir: &Path, json: &str) -> io::Result<()> {
     // write, a lying disk, a flipped bit).
     let back_bytes = acct("artifact", fs.read(path))?;
     let back = String::from_utf8_lossy(&back_bytes);
-    if back != json && crate::io_faults::confirm_flip(path) {
+    if back != text && crate::io_faults::confirm_flip(path) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("read-back of {} differs from the bytes written", path.display()),
         ));
     }
-    validate_json(&back).map_err(|e| {
+    json::parse(&back).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("read-back of {} is not valid JSON: {e}", path.display()),
@@ -402,7 +244,7 @@ fn atomic_write_attempt(path: &Path, dir: &Path, json: &str) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// BENCH_*.json builders (hand-rolled: the offline build has no serde).
+// BENCH_*.json builders.
 // ---------------------------------------------------------------------
 
 /// Sum of every cell's preparation and simulation wall-clock — what one
@@ -427,11 +269,12 @@ pub fn prep_amortized_refs_per_sec(metrics: &[CellMetric]) -> f64 {
     refs as f64 / sim.max(1e-9)
 }
 
-/// Machine-readable sweep throughput report (`BENCH_sweep.json`). The
-/// timing fields are wall-clock measurements: on a resumed run,
-/// replayed cells carry their original (journaled, bit-exact) timings
-/// while re-run cells time anew, so everything except timing is
-/// reproducible byte-for-byte.
+/// Machine-readable sweep throughput report (`BENCH_sweep.json`).
+/// Everything that varies with the wall clock or the cache temperature
+/// sits under `timing` — at top level and in each cell — so the rest is
+/// reproducible byte-for-byte. On a resumed run, replayed cells carry
+/// their original (journaled, bit-exact) timings while re-run cells time
+/// anew.
 ///
 /// `speedup_vs_1_thread_estimate` compares the sum of per-cell
 /// (prep + sim) wall-clock against the sweep's wall time — an honest
@@ -448,86 +291,70 @@ pub fn sweep_json(
     let total_refs: u64 = metrics.iter().map(|m| m.refs).sum();
     let serial = serial_seconds_estimate(metrics);
     let prep_total: f64 = metrics.iter().map(|m| m.prep_seconds).sum();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"wall_seconds\": {wall_seconds:.6},\n"));
-    out.push_str(&format!("  \"total_refs\": {total_refs},\n"));
-    out.push_str(&format!(
-        "  \"aggregate_refs_per_sec\": {:.1},\n",
-        total_refs as f64 / wall_seconds.max(1e-9)
-    ));
-    out.push_str(&format!(
-        "  \"prep_amortized_refs_per_sec\": {:.1},\n",
-        prep_amortized_refs_per_sec(metrics)
-    ));
-    out.push_str(&format!("  \"prep_seconds_total\": {prep_total:.6},\n"));
-    out.push_str(&format!("  \"prep_cache_hits\": {},\n", cache.hits()));
-    out.push_str(&format!("  \"prep_cache_misses\": {},\n", cache.misses));
-    out.push_str(&format!(
-        "  \"prep_cache_evictions\": {},\n",
-        cache.mem_evictions
-    ));
-    out.push_str(&format!(
-        "  \"snapshot_seconds\": {:.6},\n",
-        cache.snapshot_seconds
-    ));
-    out.push_str(&format!("  \"serial_seconds_estimate\": {serial:.6},\n"));
-    out.push_str(&format!(
-        "  \"speedup_vs_1_thread_estimate\": {:.3},\n",
-        serial / wall_seconds.max(1e-9)
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"benchmark\": \"{}\", \"scenario\": \"{}\", \
-             \"refs\": {}, \"prep_seconds\": {:.6}, \"sim_seconds\": {:.6}, \
-             \"refs_per_sec\": {:.1}}}{}\n",
-            json_escape(&m.label),
-            json_escape(&m.benchmark),
-            json_escape(&m.scenario),
-            m.refs,
-            m.prep_seconds,
-            m.sim_seconds,
-            m.refs as f64 / (m.prep_seconds + m.sim_seconds).max(1e-9),
-            if i + 1 == metrics.len() { "" } else { "," }
-        ));
+    let cells: Vec<Json> = metrics
+        .iter()
+        .map(|m| {
+            obj! {
+                "label" => &m.label,
+                "benchmark" => &m.benchmark,
+                "scenario" => &m.scenario,
+                "refs" => m.refs,
+                "timing" => obj! {
+                    "prep_seconds" => rounded(m.prep_seconds, 6),
+                    "sim_seconds" => rounded(m.sim_seconds, 6),
+                    "refs_per_sec" => rounded(
+                        m.refs as f64 / (m.prep_seconds + m.sim_seconds).max(1e-9),
+                        1,
+                    ),
+                },
+            }
+        })
+        .collect();
+    obj! {
+        "jobs" => jobs,
+        "total_refs" => total_refs,
+        "timing" => obj! {
+            "wall_seconds" => rounded(wall_seconds, 6),
+            "aggregate_refs_per_sec" => rounded(total_refs as f64 / wall_seconds.max(1e-9), 1),
+            "prep_amortized_refs_per_sec" => rounded(prep_amortized_refs_per_sec(metrics), 1),
+            "prep_seconds_total" => rounded(prep_total, 6),
+            "prep_cache_hits" => cache.hits(),
+            "prep_cache_misses" => cache.misses,
+            "prep_cache_evictions" => cache.mem_evictions,
+            "snapshot_seconds" => rounded(cache.snapshot_seconds, 6),
+            "serial_seconds_estimate" => rounded(serial, 6),
+            "speedup_vs_1_thread_estimate" => rounded(serial / wall_seconds.max(1e-9), 3),
+        },
+        "cells" => cells,
     }
-    out.push_str("  ]\n}\n");
-    out
+    .pretty()
 }
 
 /// Machine-readable SMP report (`BENCH_smp.json`): one record per
 /// (mix, mode, cores) row of the `smp_*` experiments. Fully
 /// deterministic — a resumed run reproduces it byte-for-byte.
 pub fn smp_json(rows: &[SmpRow], cores_flag: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"cores_flag\": {cores_flag},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"mix\": \"{}\", \"mode\": \"{}\", \
-             \"cores\": {}, \"accesses\": {}, \"l1_misses\": {}, \"walks\": {}, \
-             \"full_flushes\": {}, \"flushes_avoided\": {}, \"ipis_sent\": {}, \
-             \"ipis_received\": {}, \"remote_invalidations\": {}, \
-             \"ipi_cycles\": {}}}{}\n",
-            json_escape(r.experiment),
-            json_escape(&r.mix),
-            json_escape(r.mode),
-            r.cores,
-            r.accesses,
-            r.l1_misses,
-            r.walks,
-            r.full_flushes,
-            r.flushes_avoided,
-            r.ipis_sent,
-            r.ipis_received,
-            r.remote_invalidations,
-            r.ipi_cycles,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "experiment" => r.experiment,
+                "mix" => &r.mix,
+                "mode" => r.mode,
+                "cores" => r.cores,
+                "accesses" => r.accesses,
+                "l1_misses" => r.l1_misses,
+                "walks" => r.walks,
+                "full_flushes" => r.full_flushes,
+                "flushes_avoided" => r.flushes_avoided,
+                "ipis_sent" => r.ipis_sent,
+                "ipis_received" => r.ipis_received,
+                "remote_invalidations" => r.remote_invalidations,
+                "ipi_cycles" => r.ipi_cycles,
+            }
+        })
+        .collect();
+    obj! { "cores_flag" => cores_flag, "rows" => rows }.pretty()
 }
 
 /// Machine-readable pressure report (`BENCH_pressure.json`): every cell
@@ -539,131 +366,147 @@ pub fn pressure_json(
     cfg: FaultConfig,
     cores_flag: usize,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"fault_rate\": {}, \"fault_window\": {}, \"fault_seed\": {},\n",
-        cfg.rate, cfg.window, cfg.seed
-    ));
-    out.push_str(&format!("  \"cores_flag\": {cores_flag},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"config\": \"{}\", \"rate\": {}, \
-             \"accesses\": {}, \"l1_misses\": {}, \"walks\": {}, \"walk_cycles\": {}, \
-             \"faults_injected\": {}, \"thp_fallbacks\": {}, \
-             \"thp_deferred_retries\": {}, \"compact_deferred\": {}, \
-             \"oom_kills\": {}}}{}\n",
-            json_escape(&r.benchmark),
-            json_escape(&r.config),
-            r.rate,
-            r.accesses,
-            r.l1_misses,
-            r.walks,
-            r.walk_cycles,
-            r.kernel.faults_injected,
-            r.kernel.thp_fallbacks,
-            r.kernel.thp_deferred_retries,
-            r.kernel.compact_deferred,
-            r.kernel.oom_kills,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
+    let rows: Vec<Json> = report
+        .rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "benchmark" => &r.benchmark,
+                "config" => &r.config,
+                "rate" => r.rate,
+                "accesses" => r.accesses,
+                "l1_misses" => r.l1_misses,
+                "walks" => r.walks,
+                "walk_cycles" => r.walk_cycles,
+                "faults_injected" => r.kernel.faults_injected,
+                "thp_fallbacks" => r.kernel.thp_fallbacks,
+                "thp_deferred_retries" => r.kernel.thp_deferred_retries,
+                "compact_deferred" => r.kernel.compact_deferred,
+                "oom_kills" => r.kernel.oom_kills,
+            }
+        })
+        .collect();
+    let smp_rows: Vec<Json> = report
+        .smp_rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "rate" => r.rate,
+                "cores" => r.cores,
+                "accesses" => r.accesses,
+                "walks" => r.walks,
+                "ipis_sent" => r.ipis_sent,
+                "faults_injected" => r.kernel.faults_injected,
+                "thp_fallbacks" => r.kernel.thp_fallbacks,
+                "oom_kills" => r.kernel.oom_kills,
+            }
+        })
+        .collect();
+    obj! {
+        "fault_rate" => cfg.rate,
+        "fault_window" => cfg.window,
+        "fault_seed" => cfg.seed,
+        "cores_flag" => cores_flag,
+        "rows" => rows,
+        "smp_rows" => smp_rows,
+        "failures" => failures_json(&report.failures),
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"smp_rows\": [\n");
-    for (i, r) in report.smp_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rate\": {}, \"cores\": {}, \"accesses\": {}, \"walks\": {}, \
-             \"ipis_sent\": {}, \"faults_injected\": {}, \"thp_fallbacks\": {}, \
-             \"oom_kills\": {}}}{}\n",
-            r.rate,
-            r.cores,
-            r.accesses,
-            r.walks,
-            r.ipis_sent,
-            r.kernel.faults_injected,
-            r.kernel.thp_fallbacks,
-            r.kernel.oom_kills,
-            if i + 1 == report.smp_rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    push_failures(&mut out, &report.failures);
-    out
+    .pretty()
 }
 
-/// Appends the shared `"failures"` tail (inline `[]` on a clean run —
-/// verify.sh greps for exactly that) and closes the object.
-fn push_failures(out: &mut String, failures: &[crate::experiments::pressure::FailedCell]) {
-    if failures.is_empty() {
-        out.push_str("  \"failures\": []\n}\n");
-        return;
-    }
-    out.push_str("  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"cause\": \"{}\", \"attempts\": {}}}{}\n",
-            json_escape(&f.label),
-            json_escape(&f.payload),
-            f.attempts,
-            if i + 1 == failures.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+/// The shared `"failures"` list (`[]` on a clean run — verify.sh greps
+/// for exactly that).
+fn failures_json(failures: &[FailedCell]) -> Vec<Json> {
+    failures
+        .iter()
+        .map(|f| {
+            obj! {
+                "label" => &f.label,
+                "cause" => &f.payload,
+                "attempts" => u64::from(f.attempts),
+            }
+        })
+        .collect()
 }
 
 /// Machine-readable policy report (`BENCH_policy.json`): per-policy
 /// summaries first (the verify.sh gate greps these), then every cell
 /// row, then the failure list. Fully deterministic.
 pub fn policy_json(report: &PolicyReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"summaries\": [\n");
-    for (i, s) in report.summaries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"avg_contiguity\": {}, \"colt_all_elim\": {}, \
-             \"decisions\": {}, \"huge_grants\": {}, \"huge_denies\": {}, \
-             \"collapses\": {}, \"compactions\": {}}}{}\n",
-            json_escape(&s.policy),
-            s.avg_contiguity,
-            s.colt_all_elim,
-            s.decisions,
-            s.huge_grants,
-            s.huge_denies,
-            s.collapses,
-            s.compactions,
-            if i + 1 == report.summaries.len() { "" } else { "," }
-        ));
+    let summaries: Vec<Json> = report
+        .summaries
+        .iter()
+        .map(|s| {
+            obj! {
+                "policy" => &s.policy,
+                "avg_contiguity" => s.avg_contiguity,
+                "colt_all_elim" => s.colt_all_elim,
+                "decisions" => s.decisions,
+                "huge_grants" => s.huge_grants,
+                "huge_denies" => s.huge_denies,
+                "collapses" => s.collapses,
+                "compactions" => s.compactions,
+            }
+        })
+        .collect();
+    let rows: Vec<Json> = report
+        .rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "policy" => &r.policy,
+                "benchmark" => &r.benchmark,
+                "config" => &r.config,
+                "accesses" => r.accesses,
+                "l1_misses" => r.l1_misses,
+                "walks" => r.walks,
+                "walk_cycles" => r.walk_cycles,
+                "avg_contiguity" => r.avg_contiguity,
+                "policy_decisions" => r.kernel.policy_decisions,
+                "policy_huge_grants" => r.kernel.policy_huge_grants,
+                "policy_huge_denies" => r.kernel.policy_huge_denies,
+                "policy_collapses_triggered" => r.kernel.policy_collapses_triggered,
+                "policy_compactions_requested" => r.kernel.policy_compactions_requested,
+                "thp_allocs" => r.kernel.thp_allocs,
+                "thp_fallbacks" => r.kernel.thp_fallbacks,
+            }
+        })
+        .collect();
+    obj! {
+        "summaries" => summaries,
+        "rows" => rows,
+        "failures" => failures_json(&report.failures),
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"benchmark\": \"{}\", \"config\": \"{}\", \
-             \"accesses\": {}, \"l1_misses\": {}, \"walks\": {}, \"walk_cycles\": {}, \
-             \"avg_contiguity\": {}, \"policy_decisions\": {}, \
-             \"policy_huge_grants\": {}, \"policy_huge_denies\": {}, \
-             \"policy_collapses_triggered\": {}, \"policy_compactions_requested\": {}, \
-             \"thp_allocs\": {}, \"thp_fallbacks\": {}}}{}\n",
-            json_escape(&r.policy),
-            json_escape(&r.benchmark),
-            json_escape(&r.config),
-            r.accesses,
-            r.l1_misses,
-            r.walks,
-            r.walk_cycles,
-            r.avg_contiguity,
-            r.kernel.policy_decisions,
-            r.kernel.policy_huge_grants,
-            r.kernel.policy_huge_denies,
-            r.kernel.policy_collapses_triggered,
-            r.kernel.policy_compactions_requested,
-            r.kernel.thp_allocs,
-            r.kernel.thp_fallbacks,
-            if i + 1 == report.rows.len() { "" } else { "," }
-        ));
+    .pretty()
+}
+
+/// One harness verdict (`repro chaos-serve`, `repro torture`): a name,
+/// a pass/fail, and the evidence line that explains the call either way.
+pub struct Verdict {
+    /// The artifact key the verdict is written under.
+    pub name: &'static str,
+    /// Whether the gate held.
+    pub pass: bool,
+    /// Why, either way.
+    pub evidence: String,
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let call = if self.pass { "PASS" } else { "FAIL" };
+        write!(f, "{call} {} — {}", self.name, self.evidence)
     }
-    out.push_str("  ],\n");
-    push_failures(&mut out, &report.failures);
-    out
+}
+
+/// Appends each verdict to an artifact object as `"<name>": pass` and
+/// `"<name>_evidence": "..."`, then `"all_ok"` over all of them.
+pub fn push_verdicts(doc: &mut Json, verdicts: &[Verdict]) {
+    let Json::Obj(members) = doc else { panic!("verdicts extend a JSON object") };
+    for v in verdicts {
+        members.push((v.name.to_string(), v.pass.into()));
+        members.push((format!("{}_evidence", v.name), v.evidence.as_str().into()));
+    }
+    members.push(("all_ok".to_string(), verdicts.iter().all(|v| v.pass).into()));
 }
 
 #[cfg(test)]
@@ -699,28 +542,43 @@ mod tests {
             mem_evictions: 1,
             snapshot_seconds: 0.125,
         };
-        let json = sweep_json(&metrics, 8, 0.5, &cache);
-        validate_json(&json).expect("sweep report is valid JSON");
-        assert!(json.contains("\"prep_cache_hits\": 4"), "{json}");
-        assert!(json.contains("\"prep_cache_misses\": 2"), "{json}");
-        assert!(json.contains("\"prep_cache_evictions\": 1"), "{json}");
-        assert!(json.contains("\"snapshot_seconds\": 0.125000"), "{json}");
-        assert!(json.contains("\"prep_seconds_total\": 0.600000"), "{json}");
+        let text = sweep_json(&metrics, 8, 0.5, &cache);
+        let doc = json::parse(&text).expect("sweep report is valid JSON");
+        let timing = doc.get("timing").expect("a top-level timing object");
+        let num = |key: &str| timing.get(key).and_then(Json::as_f64);
+        assert_eq!(num("prep_cache_hits"), Some(4.0), "{text}");
+        assert_eq!(num("prep_cache_misses"), Some(2.0), "{text}");
+        assert_eq!(num("prep_cache_evictions"), Some(1.0), "{text}");
+        assert_eq!(num("snapshot_seconds"), Some(0.125), "{text}");
+        assert_eq!(num("prep_seconds_total"), Some(0.6), "{text}");
         // 1000 refs / 0.25 sim seconds; the zero-ref cell is excluded.
-        assert!(json.contains("\"prep_amortized_refs_per_sec\": 4000.0"), "{json}");
+        assert_eq!(num("prep_amortized_refs_per_sec"), Some(4000.0), "{text}");
         // (0.5 + 0.25 + 0.1 + 42.0) / 0.5 wall.
-        assert!(json.contains("\"speedup_vs_1_thread_estimate\": 85.700"), "{json}");
+        assert_eq!(num("speedup_vs_1_thread_estimate"), Some(85.7), "{text}");
+        // The verify.sh gates grep `"key": value` pairs.
+        assert!(text.contains("\"aggregate_refs_per_sec\": 2000,"), "{text}");
+        // Nothing outside `timing` moves with the clock or the cache.
+        assert_eq!(doc.get("total_refs").and_then(Json::as_u64), Some(1000));
+        let Some(Json::Arr(cells)) = doc.get("cells") else { panic!("cells array: {text}") };
+        assert_eq!(cells[0].get("refs").and_then(Json::as_u64), Some(1000));
+        assert_eq!(
+            cells[1].get("timing").and_then(|t| t.get("sim_seconds")),
+            Some(&Json::Num(42.0))
+        );
     }
 
+    /// Artifacts are validated by the one JSON parser: real shapes pass,
+    /// torn and garbled ones do not.
     #[test]
     fn validator_accepts_real_shapes_and_rejects_corruption() {
-        assert!(validate_json("{}").is_ok());
-        assert!(validate_json("{\"a\": [1, -2.5e3, \"x\\\"y\"], \"b\": null}\n").is_ok());
-        assert!(validate_json("").is_err());
-        assert!(validate_json("{\"a\": 1").is_err(), "truncated object");
-        assert!(validate_json("{\"a\": 1}garbage").is_err(), "trailing bytes");
-        assert!(validate_json("{\"a\": 01x}").is_err(), "bad number");
-        assert!(validate_json("{\"a\": \"unterminated}").is_err());
+        assert!(json::parse("{}").is_ok());
+        assert!(json::parse("{\"a\": [1, -2.5e3, \"x\\\"y\"], \"b\": null}\n").is_ok());
+        assert!(json::parse("").is_err());
+        assert!(json::parse("{\"a\": 1").is_err(), "truncated object");
+        assert!(json::parse("{\"a\": 1}garbage").is_err(), "trailing bytes");
+        assert!(json::parse("{\"a\": 01x}").is_err(), "bad number");
+        assert!(json::parse("{\"a\": \"unterminated}").is_err());
+        assert!(json::parse("{\"a\": \"raw\u{1}control\"}").is_err());
     }
 
     #[test]
@@ -744,6 +602,7 @@ mod tests {
 
     #[test]
     fn atomic_write_roundtrips_and_quarantine_moves_corruption_aside() {
+        let _guard = crate::io_faults::ledger_test_guard();
         let dir = std::env::temp_dir()
             .join(format!("colt-artifact-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -772,6 +631,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_never_clobber_each_other_or_litter_tmp_files() {
+        let _guard = crate::io_faults::ledger_test_guard();
         let dir = std::env::temp_dir()
             .join(format!("colt-artifact-race-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -800,7 +660,7 @@ mod tests {
             payloads.iter().any(|p| *p == final_text),
             "final file must be one complete payload, got: {final_text:?}"
         );
-        validate_json(&final_text).unwrap();
+        json::parse(&final_text).unwrap();
         // And every tmp file was renamed or cleaned up.
         let litter: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -822,6 +682,7 @@ mod tests {
 
     #[test]
     fn invalid_payload_is_refused_before_touching_the_file() {
+        let _guard = crate::io_faults::ledger_test_guard();
         let dir = std::env::temp_dir()
             .join(format!("colt-artifact-refuse-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -74,7 +74,7 @@ use colt_core::journal::Journal;
 use colt_core::report::Table;
 use colt_core::runner::{self, CellMetric};
 use colt_core::snapshot_cache;
-use colt_os_mem::faults::FaultConfig;
+use colt_os_mem::faults::{self, FaultConfig};
 use colt_os_mem::policy::PolicyKind;
 use std::path::Path;
 use std::process::ExitCode;
@@ -203,18 +203,19 @@ fn report_quarantined() {
 /// accounted, plus the flip-detection tallies. The two columns matching
 /// is the storage analogue of the chaos soak's conservation checks.
 fn print_io_fault_ledger(faulty: &colt_core::vfs::FaultyVfs) {
+    use colt_core::io_faults::{self, IoFaultKind};
     let counts = faulty.counts();
-    let ledger = colt_core::io_faults::ledger();
+    let ledger = io_faults::ledger();
     eprintln!(
         "io-faults ledger: {} injected ({} errors, {} bit flips, {} lying fsyncs), \
          {} accounted",
         counts.total(),
-        counts.errors(),
-        counts.bit_flips,
-        counts.sync_lies,
-        ledger.accounted.errors(),
+        io_faults::errors(&counts),
+        counts.get(IoFaultKind::BitFlip),
+        counts.get(IoFaultKind::SyncLie),
+        io_faults::errors(&ledger.accounted),
     );
-    for (name, injected, accounted) in counts.rows(&ledger.accounted) {
+    for (name, injected, accounted) in io_faults::error_rows(&counts, &ledger.accounted) {
         if injected > 0 || accounted > 0 {
             eprintln!("io-faults:   {name}: injected {injected}, accounted {accounted}");
         }
@@ -222,7 +223,7 @@ fn print_io_fault_ledger(faulty: &colt_core::vfs::FaultyVfs) {
     eprintln!(
         "io-faults:   bit flips: injected {}, detected {}, pending {}; renames \
          left unsynced: {}",
-        counts.bit_flips,
+        counts.get(IoFaultKind::BitFlip),
         ledger.flips_detected,
         ledger.flips_pending,
         faulty.renames_dropped(),
@@ -325,7 +326,7 @@ fn main() -> ExitCode {
             }
             "--faults" => {
                 let spec = args.next().unwrap_or_else(|| usage());
-                match FaultConfig::parse(&spec) {
+                match FaultConfig::parse(&spec, faults::DEFAULT_RATE) {
                     Ok(fc) => opts.faults = Some(fc),
                     Err(e) => {
                         eprintln!("--faults {spec}: {e}");
@@ -335,7 +336,7 @@ fn main() -> ExitCode {
             }
             "--io-faults" => {
                 let spec = args.next().unwrap_or_else(|| usage());
-                match FaultConfig::parse(&spec) {
+                match FaultConfig::parse(&spec, faults::DEFAULT_RATE) {
                     Ok(fc) => io_faults = Some(fc),
                     Err(e) => {
                         eprintln!("--io-faults {spec}: {e}");
@@ -478,17 +479,17 @@ fn main() -> ExitCode {
                 if resume && !csv {
                     println!(
                         "resume({exp}): {} cell(s) replayed from {}, {} to re-run \
-                         ({} failed, {} flag-mismatched, {} corrupt, {} wrong-version)",
+                         ({} failed, {} flag-mismatched, {} corrupt, {} other-schema)",
                         r.replayed,
                         journal.path().display(),
                         r.failed_records
                             + r.fingerprint_mismatches
                             + r.corrupt_lines
-                            + r.version_skipped,
+                            + r.schema_skipped,
                         r.failed_records,
                         r.fingerprint_mismatches,
                         r.corrupt_lines,
-                        r.version_skipped,
+                        r.schema_skipped,
                     );
                 }
                 opts.journal = Some(Arc::new(journal));

@@ -25,9 +25,12 @@
 //! rate=R,window=W,seed=S` plus the client jitter seed), so a failure
 //! replays. See DESIGN.md §15 and EXPERIMENTS.md.
 
-use crate::artifact;
-use crate::serve::{self, chaos::ChaosConfig, json, ServeConfig};
+use crate::artifact::{self, Verdict};
+use crate::serve::chaos::{self, ChaosFault};
+use crate::serve::json::{self, obj, rounded};
+use crate::serve::{self, ServeConfig};
 use crate::serve_bench::{self, BenchConfig, RobustClient, Tally};
+use colt_os_mem::faults::FaultConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
@@ -37,7 +40,7 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct ChaosServeConfig {
     /// The fault plan the server draws from.
-    pub chaos: ChaosConfig,
+    pub chaos: FaultConfig,
     /// Client connections, one thread each.
     pub conns: usize,
     /// Translate requests per connection.
@@ -63,7 +66,7 @@ pub struct ChaosServeConfig {
 impl Default for ChaosServeConfig {
     fn default() -> Self {
         Self {
-            chaos: ChaosConfig { rate: 0.15, ..ChaosConfig::default() },
+            chaos: FaultConfig { rate: 0.15, ..FaultConfig::default() },
             conns: 4,
             requests: 24,
             accesses: 2_000,
@@ -76,14 +79,6 @@ impl Default for ChaosServeConfig {
             quiet: false,
         }
     }
-}
-
-/// One soak verdict: a name, a pass/fail, and the evidence line that
-/// explains the call either way.
-struct Verdict {
-    name: &'static str,
-    pass: bool,
-    evidence: String,
 }
 
 /// Numbers parsed back out of the `serve_bench` payload (the client's
@@ -155,15 +150,15 @@ fn warm_restart_check(
         cfg.chaos.seed ^ 0x3A57_FA57,
         &tally,
     );
-    let line = format!(
-        "{{\"op\": \"sweep\", \"experiment\": \"{}\", \"accesses\": {}, \
-         \"bench\": \"{}\"}}",
-        artifact::json_escape(&cfg.sweep),
-        cfg.sweep_accesses,
-        artifact::json_escape(&cfg.bench)
-    );
+    let line = obj! {
+        "op" => "sweep",
+        "experiment" => &cfg.sweep,
+        "accesses" => cfg.sweep_accesses,
+        "bench" => &cfg.bench,
+    }
+    .line();
     let response = client.request(&line)?;
-    if client.request("{\"op\": \"shutdown\"}").is_err() {
+    if client.request(&serve_bench::shutdown_line()).is_err() {
         // No chaos on this server, so only an infra failure lands
         // here; the direct trigger keeps wait() from hanging on it.
         server.trigger_shutdown();
@@ -213,67 +208,39 @@ fn chaos_json(
     wall_seconds: f64,
     verdicts: &[Verdict],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"colt-bench-chaos/v1\",\n");
-    out.push_str(&format!(
-        "  \"chaos_rate\": {},\n  \"chaos_window\": {},\n  \"chaos_seed\": {},\n",
-        cfg.chaos.rate, cfg.chaos.window, cfg.chaos.seed
-    ));
-    out.push_str(&format!(
-        "  \"conns\": {},\n  \"requests_per_conn\": {},\n  \
-         \"wall_seconds\": {wall_seconds:.6},\n",
-        cfg.conns, cfg.requests
-    ));
-    out.push_str(&format!(
-        "  \"faults_injected\": {},\n  \"torn_frames\": {},\n  \
-         \"resets\": {},\n  \"stalls\": {},\n  \"accept_hiccups\": {},\n",
-        summary.chaos.total(),
-        summary.chaos.torn_frames,
-        summary.chaos.resets,
-        summary.chaos.stalls,
-        summary.chaos.accept_hiccups
-    ));
-    out.push_str(&format!(
-        "  \"transport_errors\": {},\n  \"retries\": {},\n  \
-         \"recovered\": {},\n  \"breaker_opens\": {},\n  \
-         \"idem_replays\": {},\n  \"ok_requests\": {},\n  \
-         \"rejections\": {},\n",
-        ledger.transport_errors + extra_transport_errors,
-        ledger.retries,
-        ledger.recovered,
-        ledger.breaker_opens,
-        ledger.idem_replays,
-        ledger.ok,
-        ledger.rejections
-    ));
-    out.push_str(&format!(
-        "  \"rejected_shed\": {},\n  \"rejected_deadline\": {},\n  \
-         \"server_idem_hits\": {},\n  \"panics\": {},\n  \
-         \"failed_cells\": {},\n  \"persisted_sweeps\": {},\n",
-        summary.rejected_shed,
-        summary.rejected_deadline,
-        summary.idem_hits,
-        summary.panics,
-        summary.failed_cells,
-        summary.persisted
-    ));
-    out.push_str(&format!(
-        "  \"p50_latency_ms\": {:.3},\n  \"p99_latency_ms\": {:.3},\n  \
-         \"requests_per_sec\": {:.3},\n",
-        ledger.p50_latency_ms, ledger.p99_latency_ms, ledger.requests_per_sec
-    ));
-    let mut all_ok = true;
-    for v in verdicts {
-        all_ok &= v.pass;
-        out.push_str(&format!(
-            "  \"{}\": {},\n  \"{}_evidence\": \"{}\",\n",
-            v.name,
-            v.pass,
-            v.name,
-            artifact::json_escape(&v.evidence)
-        ));
-    }
-    out.push_str(&format!("  \"all_ok\": {all_ok}\n}}"));
-    out
+    let chaos = &summary.chaos;
+    let mut doc = obj! {
+        "schema" => "colt-bench-chaos/v1",
+        "chaos_rate" => cfg.chaos.rate,
+        "chaos_window" => cfg.chaos.window,
+        "chaos_seed" => cfg.chaos.seed,
+        "conns" => cfg.conns,
+        "requests_per_conn" => cfg.requests,
+        "wall_seconds" => rounded(wall_seconds, 6),
+        "faults_injected" => chaos.total(),
+        "torn_frames" => chaos.get(ChaosFault::TornFrame),
+        "resets" => chaos.get(ChaosFault::Reset),
+        "stalls" => chaos.get(ChaosFault::Stall),
+        "accept_hiccups" => chaos.get(ChaosFault::AcceptHiccup),
+        "transport_errors" => ledger.transport_errors + extra_transport_errors,
+        "retries" => ledger.retries,
+        "recovered" => ledger.recovered,
+        "breaker_opens" => ledger.breaker_opens,
+        "idem_replays" => ledger.idem_replays,
+        "ok_requests" => ledger.ok,
+        "rejections" => ledger.rejections,
+        "rejected_shed" => summary.rejected_shed,
+        "rejected_deadline" => summary.rejected_deadline,
+        "server_idem_hits" => summary.idem_hits,
+        "panics" => summary.panics,
+        "failed_cells" => summary.failed_cells,
+        "persisted_sweeps" => summary.persisted,
+        "p50_latency_ms" => rounded(ledger.p50_latency_ms, 3),
+        "p99_latency_ms" => rounded(ledger.p99_latency_ms, 3),
+        "requests_per_sec" => rounded(ledger.requests_per_sec, 3),
+    };
+    artifact::push_verdicts(&mut doc, verdicts);
+    doc.pretty()
 }
 
 /// Runs the soak end to end and writes the artifact. Returns the
@@ -359,7 +326,7 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
         cfg.chaos.seed ^ 0xD0_5EED,
         &shutdown_tally,
     );
-    let shutdown_ack = shutdown_client.request("{\"op\": \"shutdown\"}");
+    let shutdown_ack = shutdown_client.request(&serve_bench::shutdown_line());
     if shutdown_ack.is_err() {
         // The plan ate every polite attempt (possible at extreme
         // rates: an accept hiccup drops the connection before the
@@ -378,16 +345,17 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
     } else {
         ClientLedger::default()
     };
+    let chaos = summary.chaos;
+    let torn = chaos.get(ChaosFault::TornFrame);
+    let resets = chaos.get(ChaosFault::Reset);
+    let stalls = chaos.get(ChaosFault::Stall);
+    let hiccups = chaos.get(ChaosFault::AcceptHiccup);
     if !cfg.quiet {
         println!(
-            "chaos-serve: drain {} — {} fault(s) injected ({} torn, {} \
-             reset, {} stalled, {} accept), {} transport error(s) retried",
+            "chaos-serve: drain {} — {} fault(s) injected ({torn} torn, {resets} \
+             reset, {stalls} stalled, {hiccups} accept), {} transport error(s) retried",
             if summary.drained_clean { "clean" } else { "TIMED OUT" },
-            summary.chaos.total(),
-            summary.chaos.torn_frames,
-            summary.chaos.resets,
-            summary.chaos.stalls,
-            summary.chaos.accept_hiccups,
+            chaos.total(),
             ledger.transport_errors + extra_transport_errors,
         );
     }
@@ -407,9 +375,7 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
     )?;
     let warm = warm_restart_check(cfg, &cache_dir, &direct);
 
-    let disruptive = summary.chaos.torn_frames
-        + summary.chaos.resets
-        + summary.chaos.accept_hiccups;
+    let disruptive = torn + resets + hiccups;
     let seen = ledger.transport_errors + extra_transport_errors;
     let verdicts = vec![
         Verdict {
@@ -422,17 +388,11 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
         },
         Verdict {
             name: "faults_accounted",
-            pass: seen == disruptive && summary.chaos.total() > 0,
+            pass: seen == disruptive && chaos.total() > 0,
             evidence: format!(
-                "{} disruptive fault(s) injected ({} torn + {} reset + {} \
-                 accept), {} transport error(s) observed client-side; {} \
-                 stall(s) injected latency only",
-                disruptive,
-                summary.chaos.torn_frames,
-                summary.chaos.resets,
-                summary.chaos.accept_hiccups,
-                seen,
-                summary.chaos.stalls
+                "{disruptive} disruptive fault(s) injected ({torn} torn + {resets} \
+                 reset + {hiccups} accept), {seen} transport error(s) observed \
+                 client-side; {stalls} stall(s) injected latency only"
             ),
         },
         Verdict {
@@ -477,12 +437,7 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
     let all_ok = verdicts.iter().all(|v| v.pass);
     if !cfg.quiet {
         for v in &verdicts {
-            println!(
-                "chaos-serve: {} {} — {}",
-                if v.pass { "PASS" } else { "FAIL" },
-                v.name,
-                v.evidence
-            );
+            println!("chaos-serve: {v}");
         }
     }
     Ok((payload, all_ok))
@@ -521,7 +476,7 @@ pub fn cli(args: &[String]) -> ExitCode {
         let result: Result<(), String> = match arg {
             "--chaos" => value
                 .ok_or_else(|| "--chaos needs a spec".to_string())
-                .and_then(|v| ChaosConfig::parse(v))
+                .and_then(|v| FaultConfig::parse(v, chaos::DEFAULT_RATE))
                 .map(|c| cfg.chaos = c),
             "--conns" => parse_u64(arg, value).map(|n| cfg.conns = n.max(1) as usize),
             "--requests" => parse_u64(arg, value).map(|n| cfg.requests = n.max(1)),

@@ -641,24 +641,21 @@ fn apply_shootdowns(
     running: Asid,
     tlb: &mut TlbHierarchy,
     walker: &mut PageWalker,
-    delivery: &mut Option<FaultPlan>,
+    delivery: &mut Option<FaultPlan<DeliveryFault>>,
     out: &mut Vec<Violation>,
 ) {
     for ev in kernel.take_shootdowns() {
         if ev.asid != running {
             continue;
         }
-        let fate = delivery
-            .as_mut()
-            .map_or(DeliveryFault::Deliver, FaultPlan::delivery_fault);
-        let rounds = match fate {
-            DeliveryFault::Drop => {
+        let rounds = match delivery.as_mut().and_then(FaultPlan::delivery_fault) {
+            Some(DeliveryFault::Drop) => {
                 tlb.flush();
                 walker.flush();
                 continue;
             }
-            DeliveryFault::Deliver => 1,
-            DeliveryFault::Duplicate => 2,
+            None => 1,
+            Some(DeliveryFault::Duplicate) => 2,
         };
         for _ in 0..rounds {
             tlb.invalidate(ev.vpn);
@@ -690,7 +687,7 @@ pub fn replay_with_faults(
     faults: Option<FaultConfig>,
 ) -> CaseOutcome {
     let kernel_config = KernelConfig { faults, ..kernel_config };
-    let mut delivery = faults.map(FaultPlan::delivery);
+    let mut delivery = faults.map(FaultPlan::<DeliveryFault>::new);
     let mut kernel = Kernel::new(kernel_config);
     kernel.enable_shootdown_log();
     let asids = [kernel.spawn(), kernel.spawn()];

@@ -33,13 +33,14 @@
 //! Everything is deterministic under `--io-faults seed=S`: the same
 //! schedule injects the same faults at the same decision points.
 
-use crate::artifact;
+use crate::artifact::{self, Verdict};
 use crate::experiments::{pressure, ExperimentOptions};
-use crate::io_faults::{self, IoFaultCounts, LedgerSnapshot};
+use crate::io_faults::{self, IoFaultCounts, IoFaultKind, LedgerSnapshot};
 use crate::journal::Journal;
+use crate::serve::json::{obj, rounded};
 use crate::snapshot_cache;
 use crate::vfs::{self, FaultyVfs};
-use colt_os_mem::faults::FaultConfig;
+use colt_os_mem::faults::{self, FaultConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -87,14 +88,6 @@ impl Default for TortureConfig {
     }
 }
 
-/// One torture verdict: a name, a pass/fail, and the evidence line
-/// that explains the call either way.
-struct Verdict {
-    name: &'static str,
-    pass: bool,
-    evidence: String,
-}
-
 /// Everything a single seed × cut cycle observed.
 #[derive(Default)]
 struct CycleOutcome {
@@ -123,10 +116,7 @@ fn cache_payload() -> Vec<(String, String)> {
         .map(|i| {
             (
                 format!("torture-key-{i}"),
-                format!(
-                    "{{\"cell\": {i}, \"payload\": \"{}\"}}",
-                    "colt".repeat(i + 1)
-                ),
+                obj! { "cell" => i, "payload" => "colt".repeat(i + 1) }.line(),
             )
         })
         .collect()
@@ -309,18 +299,18 @@ fn judge(cycles: &[(String, CycleOutcome)], ref_json: &str) -> Vec<Verdict> {
     let (mut injected_total, mut accounted_total) = (0, 0);
     for (label, c) in cycles {
         injected_total += c.injected.total();
-        accounted_total += c.ledger.accounted.errors();
-        for (kind, injected, accounted) in c.injected.rows(&c.ledger.accounted) {
+        accounted_total += io_faults::errors(&c.ledger.accounted);
+        for (kind, injected, accounted) in io_faults::error_rows(&c.injected, &c.ledger.accounted) {
             if injected != accounted {
                 ledger_bad.push(format!(
                     "{label}: {kind} injected {injected} != accounted {accounted}"
                 ));
             }
         }
-        if c.injected.bit_flips != c.ledger.flips_detected + c.ledger.flips_pending {
+        let flips = c.injected.get(IoFaultKind::BitFlip);
+        if flips != c.ledger.flips_detected + c.ledger.flips_pending {
             ledger_bad.push(format!(
-                "{label}: {} flip(s) injected, {} recorded",
-                c.injected.bit_flips,
+                "{label}: {flips} flip(s) injected, {} recorded",
                 c.ledger.flips_detected + c.ledger.flips_pending
             ));
         }
@@ -396,46 +386,27 @@ fn torture_json(
     verdicts: &[Verdict],
     wall_seconds: f64,
 ) -> String {
-    let injected: u64 = cycles.iter().map(|(_, c)| c.injected.total()).sum();
-    let accounted: u64 = cycles.iter().map(|(_, c)| c.ledger.accounted.errors()).sum();
-    let flips: u64 = cycles.iter().map(|(_, c)| c.ledger.flips_detected).sum();
-    let dropped: u64 = cycles.iter().map(|(_, c)| c.renames_dropped).sum();
-    let swept: u64 = cycles.iter().map(|(_, c)| c.tmp_swept).sum();
-    let quarantined: u64 =
-        cycles.iter().map(|(_, c)| c.quarantined_files + c.warm_quarantined).sum();
-    let mut out = String::from("{\n  \"schema\": \"colt-torture/v1\",\n");
-    out.push_str(&format!(
-        "  \"seeds\": {},\n  \"base_seed\": {},\n  \"cuts\": {},\n  \
-         \"rate\": {},\n  \"window\": {},\n  \"accesses\": {},\n  \
-         \"bench\": \"{}\",\n  \"cycles\": {},\n  \"wall_seconds\": {:.3},\n",
-        cfg.seeds,
-        cfg.base_seed,
-        cfg.cuts,
-        cfg.rate,
-        cfg.window,
-        cfg.accesses,
-        artifact::json_escape(&cfg.bench),
-        cycles.len(),
-        wall_seconds
-    ));
-    out.push_str(&format!(
-        "  \"io_faults_injected\": {injected},\n  \"io_faults_accounted\": {accounted},\n  \
-         \"bit_flips_detected\": {flips},\n  \"renames_dropped\": {dropped},\n  \
-         \"tmp_files_swept\": {swept},\n  \"files_quarantined\": {quarantined},\n"
-    ));
-    let mut all_ok = true;
-    for v in verdicts {
-        all_ok &= v.pass;
-        out.push_str(&format!(
-            "  \"{}\": {},\n  \"{}_evidence\": \"{}\",\n",
-            v.name,
-            v.pass,
-            v.name,
-            artifact::json_escape(&v.evidence)
-        ));
-    }
-    out.push_str(&format!("  \"all_ok\": {all_ok}\n}}"));
-    out
+    let sum = |f: fn(&CycleOutcome) -> u64| -> u64 { cycles.iter().map(|(_, c)| f(c)).sum() };
+    let mut doc = obj! {
+        "schema" => "colt-torture/v1",
+        "seeds" => cfg.seeds,
+        "base_seed" => cfg.base_seed,
+        "cuts" => cfg.cuts,
+        "rate" => cfg.rate,
+        "window" => cfg.window,
+        "accesses" => cfg.accesses,
+        "bench" => &cfg.bench,
+        "cycles" => cycles.len(),
+        "wall_seconds" => rounded(wall_seconds, 3),
+        "io_faults_injected" => sum(|c| c.injected.total()),
+        "io_faults_accounted" => sum(|c| io_faults::errors(&c.ledger.accounted)),
+        "bit_flips_detected" => sum(|c| c.ledger.flips_detected),
+        "renames_dropped" => sum(|c| c.renames_dropped),
+        "tmp_files_swept" => sum(|c| c.tmp_swept),
+        "files_quarantined" => sum(|c| c.quarantined_files + c.warm_quarantined),
+    };
+    artifact::push_verdicts(&mut doc, verdicts);
+    doc.pretty()
 }
 
 /// Runs the torture sweep end to end and writes the artifact. Returns
@@ -496,7 +467,7 @@ pub fn run(cfg: &TortureConfig) -> Result<(String, bool), String> {
                     "torture: {label}: {} fault(s) injected, {} accounted, {} flip(s) \
                      detected, {} rename(s) dropped at the cut{}",
                     outcome.injected.total(),
-                    outcome.ledger.accounted.errors(),
+                    io_faults::errors(&outcome.ledger.accounted),
                     outcome.ledger.flips_detected,
                     outcome.renames_dropped,
                     if outcome.panicked { " [PANICKED]" } else { "" }
@@ -530,12 +501,7 @@ pub fn run(cfg: &TortureConfig) -> Result<(String, bool), String> {
     let all_ok = verdicts.iter().all(|v| v.pass);
     if !cfg.quiet {
         for v in &verdicts {
-            println!(
-                "torture: {} {} — {}",
-                if v.pass { "PASS" } else { "FAIL" },
-                v.name,
-                v.evidence
-            );
+            println!("torture: {v}");
         }
     }
     Ok((payload, all_ok))
@@ -582,7 +548,7 @@ pub fn cli(args: &[String]) -> ExitCode {
                 .map(|v| cfg.bench = v.clone()),
             "--io-faults" => value
                 .ok_or_else(|| "--io-faults needs a spec".to_string())
-                .and_then(|v| FaultConfig::parse(v))
+                .and_then(|v| FaultConfig::parse(v, faults::DEFAULT_RATE))
                 .map(|f| {
                     cfg.rate = f.rate;
                     cfg.window = f.window;
@@ -655,7 +621,7 @@ mod tests {
         };
         let (payload, all_ok) = run(&cfg).expect("torture infrastructure");
         assert!(all_ok, "verdicts failed:\n{payload}");
-        crate::artifact::validate_json(&payload).unwrap();
+        crate::serve::json::parse(&payload).unwrap();
         assert!(payload.contains("\"io_faults_injected\""));
         let _ = std::fs::remove_dir_all(cfg.out.parent().unwrap());
     }

@@ -1,16 +1,14 @@
-//! Seeded storage fault injection: the decision plan and the global
-//! fault ledger.
+//! Seeded storage fault injection: the storage stream of the shared
+//! plan, and the global fault ledger.
 //!
-//! This is the storage leg of the chaos program (memory pressure in
-//! `colt_os_mem::faults`, network faults in `serve::chaos`): an
-//! [`IoFaultPlan`] is a one-draw-per-decision seeded stream consulted by
+//! An [`IoFaultPlan`] is the shared seeded plan of `colt_os_mem::faults`
+//! over the storage kinds ([`IoFaultKind`]), consulted by
 //! [`crate::vfs::FaultyVfs`] at every failure-prone storage operation —
 //! writes (ENOSPC, short/torn writes), reads (EIO, bit flips), fsyncs
-//! (failed and *lying*), and renames. Every decision consumes exactly one
-//! base draw whether or not it fires, so a plan replays identically for a
-//! given config; fault-kind selection and flip positions use extra draws
-//! only when a decision fires, the same discipline as
-//! `FaultPlan::delivery_fault`.
+//! (failed and *lying*), and renames ([`StorageStream`]). Like every
+//! stream it replays identically for a given config: one base draw per
+//! decision, extra draws (kind, flip position, torn length) only on a
+//! hit.
 //!
 //! The module also owns the process-global **ledger** the torture
 //! harness audits: every injected error carries a `colt-io-fault[...]`
@@ -28,9 +26,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use colt_os_mem::faults::FaultConfig;
-use colt_prng::rngs::SmallRng;
-use colt_prng::{Rng, SeedableRng};
+use colt_os_mem::faults::{Counts, FaultKind, FaultPlan};
 
 /// Marker prefix carried in the message of every injected [`io::Error`];
 /// [`classify`] recognises it, so accounting never counts a *real*
@@ -99,200 +95,112 @@ pub fn classify(e: &io::Error) -> Option<IoFaultKind> {
     let msg = e.to_string();
     let rest = msg.split(MARKER).nth(1)?;
     let name = rest.split(']').next()?;
-    [
-        IoFaultKind::Enospc,
-        IoFaultKind::ShortWrite,
-        IoFaultKind::ReadEio,
-        IoFaultKind::BitFlip,
-        IoFaultKind::SyncFail,
-        IoFaultKind::SyncLie,
-        IoFaultKind::RenameFail,
-        IoFaultKind::PostCut,
-    ]
-    .into_iter()
-    .find(|k| k.name() == name)
+    IoFaultKind::ALL.iter().copied().find(|k| k.name() == name)
 }
 
-/// Per-kind fault counters. The plan keeps one (injections); the ledger
-/// keeps another (errors accounted at degradation sites).
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct IoFaultCounts {
-    /// Writes failed with ENOSPC.
-    pub enospc: u64,
-    /// Torn writes (prefix landed, then error).
-    pub short_writes: u64,
-    /// Reads failed with EIO.
-    pub read_eio: u64,
-    /// Reads returned with one bit flipped.
-    pub bit_flips: u64,
-    /// Fsyncs failed honestly.
-    pub sync_fails: u64,
-    /// Fsyncs that lied (Ok without durability).
-    pub sync_lies: u64,
-    /// Renames failed before taking effect.
-    pub rename_fails: u64,
-    /// Operations refused after the power-cut point.
-    pub post_cut: u64,
-}
-
-impl IoFaultCounts {
-    /// Every fault, of any kind.
-    pub fn total(&self) -> u64 {
-        self.errors() + self.bit_flips + self.sync_lies
-    }
-
-    /// Faults that surface as an [`io::Error`] — the kinds the accounted
-    /// side of the ledger can match exactly. Bit flips (detected via the
-    /// flip ledger) and lying fsyncs (latent until the power cut) are
-    /// audited by other verdicts.
-    pub fn errors(&self) -> u64 {
-        self.enospc
-            + self.short_writes
-            + self.read_eio
-            + self.sync_fails
-            + self.rename_fails
-            + self.post_cut
-    }
-
-    fn bump(&mut self, kind: IoFaultKind) {
-        match kind {
-            IoFaultKind::Enospc => self.enospc += 1,
-            IoFaultKind::ShortWrite => self.short_writes += 1,
-            IoFaultKind::ReadEio => self.read_eio += 1,
-            IoFaultKind::BitFlip => self.bit_flips += 1,
-            IoFaultKind::SyncFail => self.sync_fails += 1,
-            IoFaultKind::SyncLie => self.sync_lies += 1,
-            IoFaultKind::RenameFail => self.rename_fails += 1,
-            IoFaultKind::PostCut => self.post_cut += 1,
-        }
-    }
-
-    /// `(name, injected, accounted)` rows for reports.
-    pub fn rows(&self, accounted: &IoFaultCounts) -> Vec<(&'static str, u64, u64)> {
-        vec![
-            ("enospc", self.enospc, accounted.enospc),
-            ("short-write", self.short_writes, accounted.short_writes),
-            ("read-eio", self.read_eio, accounted.read_eio),
-            ("sync-fail", self.sync_fails, accounted.sync_fails),
-            ("rename-fail", self.rename_fails, accounted.rename_fails),
-            ("post-cut", self.post_cut, accounted.post_cut),
-        ]
+impl IoFaultKind {
+    /// Does this kind surface as an [`io::Error`]? Those are the kinds the
+    /// accounted side of the ledger matches exactly; bit flips (detected
+    /// via the flip ledger) and lying fsyncs (latent until the power cut)
+    /// are audited by other verdicts.
+    pub fn is_error(self) -> bool {
+        !matches!(self, Self::BitFlip | Self::SyncLie)
     }
 }
 
-/// A live, seeded stream of storage-fault decisions. Same draw
-/// discipline as [`colt_os_mem::faults::FaultPlan`]: one base draw per
-/// decision point regardless of outcome, extra draws only on a hit.
-#[derive(Clone, Debug)]
-pub struct IoFaultPlan {
-    config: FaultConfig,
-    rng: SmallRng,
-    decisions: u64,
-    counts: IoFaultCounts,
+impl FaultKind for IoFaultKind {
+    const STREAM: u64 = 0x10FA_017D_5EED_D15C;
+    const ALL: &'static [Self] = &[
+        Self::Enospc,
+        Self::ShortWrite,
+        Self::ReadEio,
+        Self::BitFlip,
+        Self::SyncFail,
+        Self::SyncLie,
+        Self::RenameFail,
+        Self::PostCut,
+    ];
 }
 
-impl IoFaultPlan {
-    /// A plan drawing from a stream decorrelated from the memory-pressure
-    /// and network-chaos plans built from the same seed.
-    pub fn new(config: FaultConfig) -> Self {
-        Self {
-            config,
-            rng: SmallRng::seed_from_u64(config.seed ^ 0x10FA_017D_5EED_D15C),
-            decisions: 0,
-            counts: IoFaultCounts::default(),
-        }
-    }
+/// Per-kind storage-fault counters: the plan keeps one (injections), the
+/// ledger another (errors accounted at degradation sites).
+pub type IoFaultCounts = Counts<IoFaultKind>;
 
-    /// The parameters this plan was built from.
-    pub fn config(&self) -> FaultConfig {
-        self.config
-    }
+/// Faults of the error kinds ([`IoFaultKind::is_error`]).
+pub fn errors(counts: &IoFaultCounts) -> u64 {
+    IoFaultKind::ALL.iter().filter(|k| k.is_error()).map(|&k| counts.get(k)).sum()
+}
 
-    /// Decision points consumed so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
+/// `(name, injected, accounted)` rows of the error kinds, for reports.
+pub fn error_rows(
+    injected: &IoFaultCounts,
+    accounted: &IoFaultCounts,
+) -> Vec<(&'static str, u64, u64)> {
+    IoFaultKind::ALL
+        .iter()
+        .filter(|k| k.is_error())
+        .map(|&k| (k.name(), injected.get(k), accounted.get(k)))
+        .collect()
+}
 
-    /// Per-kind injection counters so far.
-    pub fn counts(&self) -> IoFaultCounts {
-        self.counts
-    }
+/// A live, seeded stream of storage-fault decisions.
+pub type IoFaultPlan = FaultPlan<IoFaultKind>;
 
-    /// Faults injected so far, of any kind.
-    pub fn injected(&self) -> u64 {
-        self.counts.total()
-    }
-
-    fn fire(&mut self) -> bool {
-        let armed = self.config.window == 0
-            || (self.decisions / self.config.window) % 2 == 0;
-        self.decisions += 1;
-        let hit = self.rng.gen_bool(self.config.rate.clamp(0.0, 1.0));
-        armed && hit
-    }
-
+/// The storage stream's decision points. A firing write, read or fsync
+/// draws once more to pick its kind; [`FaultPlan::extra`] shapes the
+/// fault further (flip position, torn-write length).
+pub trait StorageStream {
     /// The fate of one write.
-    pub fn write_fault(&mut self) -> Option<IoFaultKind> {
-        if !self.fire() {
-            return None;
-        }
-        let kind = if self.rng.next_u64() & 1 == 0 {
-            IoFaultKind::Enospc
-        } else {
-            IoFaultKind::ShortWrite
-        };
-        self.counts.bump(kind);
-        Some(kind)
-    }
-
+    fn write_fault(&mut self) -> Option<IoFaultKind>;
     /// The fate of one read of `len` bytes. Zero-length reads cannot
     /// carry a flipped bit, so a hit there downgrades to EIO.
-    pub fn read_fault(&mut self, len: usize) -> Option<IoFaultKind> {
-        if !self.fire() {
-            return None;
-        }
-        let kind = if len > 0 && self.rng.next_u64() & 1 == 0 {
-            IoFaultKind::BitFlip
-        } else {
-            IoFaultKind::ReadEio
-        };
-        self.counts.bump(kind);
-        Some(kind)
-    }
-
+    fn read_fault(&mut self, len: usize) -> Option<IoFaultKind>;
     /// The fate of one fsync (file or directory).
-    pub fn sync_fault(&mut self) -> Option<IoFaultKind> {
-        if !self.fire() {
-            return None;
-        }
-        let kind = if self.rng.next_u64() & 1 == 0 {
-            IoFaultKind::SyncFail
-        } else {
-            IoFaultKind::SyncLie
-        };
-        self.counts.bump(kind);
-        Some(kind)
-    }
-
+    fn sync_fault(&mut self) -> Option<IoFaultKind>;
     /// Does this rename fail before taking effect?
-    pub fn rename_fault(&mut self) -> bool {
-        if !self.fire() {
-            return false;
-        }
-        self.counts.bump(IoFaultKind::RenameFail);
-        true
-    }
-
-    /// An extra draw for fault shaping (flip position, torn-write
-    /// length). Only call after a hit, so the base stream stays aligned.
-    pub fn extra(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
-
+    fn rename_fault(&mut self) -> bool;
     /// Records a dead-disk refusal (not a draw: every post-cut operation
     /// fails unconditionally).
-    pub fn note_post_cut(&mut self) {
-        self.counts.bump(IoFaultKind::PostCut);
+    fn note_post_cut(&mut self);
+}
+
+impl StorageStream for IoFaultPlan {
+    fn write_fault(&mut self) -> Option<IoFaultKind> {
+        self.decide(|p| {
+            if p.extra() & 1 == 0 {
+                IoFaultKind::Enospc
+            } else {
+                IoFaultKind::ShortWrite
+            }
+        })
+    }
+
+    fn read_fault(&mut self, len: usize) -> Option<IoFaultKind> {
+        self.decide(|p| {
+            if len > 0 && p.extra() & 1 == 0 {
+                IoFaultKind::BitFlip
+            } else {
+                IoFaultKind::ReadEio
+            }
+        })
+    }
+
+    fn sync_fault(&mut self) -> Option<IoFaultKind> {
+        self.decide(|p| {
+            if p.extra() & 1 == 0 {
+                IoFaultKind::SyncFail
+            } else {
+                IoFaultKind::SyncLie
+            }
+        })
+    }
+
+    fn rename_fault(&mut self) -> bool {
+        self.decide(|_| IoFaultKind::RenameFail).is_some()
+    }
+
+    fn note_post_cut(&mut self) {
+        self.record(IoFaultKind::PostCut);
     }
 }
 
@@ -391,98 +299,44 @@ pub fn ledger() -> LedgerSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colt_os_mem::faults::FaultConfig;
 
-    fn cfg(rate: f64, window: u64, seed: u64) -> FaultConfig {
-        FaultConfig { rate, window, seed }
-    }
-
-    #[test]
-    fn plan_replays_identically() {
-        let mut a = IoFaultPlan::new(cfg(0.3, 4, 11));
-        let mut b = IoFaultPlan::new(cfg(0.3, 4, 11));
-        for i in 0..200 {
-            match i % 4 {
-                0 => assert_eq!(a.write_fault(), b.write_fault()),
-                1 => assert_eq!(a.read_fault(64), b.read_fault(64)),
-                2 => assert_eq!(a.sync_fault(), b.sync_fault()),
-                _ => assert_eq!(a.rename_fault(), b.rename_fault()),
-            }
-        }
-        assert_eq!(a.counts(), b.counts());
-        assert_eq!(a.decisions(), 200);
-    }
-
-    #[test]
-    fn zero_rate_never_fires_full_rate_always_fires() {
-        let mut quiet = IoFaultPlan::new(cfg(0.0, 0, 5));
-        let mut loud = IoFaultPlan::new(cfg(1.0, 0, 5));
-        for _ in 0..50 {
-            assert_eq!(quiet.write_fault(), None);
-            assert!(loud.write_fault().is_some());
-        }
-        assert_eq!(quiet.injected(), 0);
-        assert_eq!(loud.injected(), 50);
-    }
-
-    #[test]
-    fn window_alternates_armed_and_quiet() {
-        let mut plan = IoFaultPlan::new(cfg(1.0, 3, 9));
-        let fired: Vec<bool> =
-            (0..12).map(|_| plan.write_fault().is_some()).collect();
-        assert_eq!(
-            fired,
-            vec![
-                true, true, true, false, false, false, true, true, true, false,
-                false, false
-            ]
-        );
+    fn cfg(rate: f64, seed: u64) -> FaultConfig {
+        FaultConfig { rate, window: 0, seed }
     }
 
     #[test]
     fn counts_sum_to_injected() {
-        let mut plan = IoFaultPlan::new(cfg(0.5, 0, 77));
+        let mut plan = IoFaultPlan::new(cfg(0.5, 77));
         for _ in 0..100 {
             let _ = plan.write_fault();
             let _ = plan.read_fault(32);
             let _ = plan.sync_fault();
             let _ = plan.rename_fault();
         }
+        plan.note_post_cut();
         let c = plan.counts();
         assert!(plan.injected() > 0);
+        let by_kind: u64 = IoFaultKind::ALL.iter().map(|&k| c.get(k)).sum();
+        assert_eq!(c.total(), by_kind);
         assert_eq!(
-            c.total(),
-            c.enospc
-                + c.short_writes
-                + c.read_eio
-                + c.bit_flips
-                + c.sync_fails
-                + c.sync_lies
-                + c.rename_fails
-                + c.post_cut
+            errors(&c) + c.get(IoFaultKind::BitFlip) + c.get(IoFaultKind::SyncLie),
+            c.total()
         );
     }
 
     #[test]
     fn empty_reads_never_draw_bit_flips() {
-        let mut plan = IoFaultPlan::new(cfg(1.0, 0, 3));
+        let mut plan = IoFaultPlan::new(cfg(1.0, 3));
         for _ in 0..40 {
             assert_eq!(plan.read_fault(0), Some(IoFaultKind::ReadEio));
         }
-        assert_eq!(plan.counts().bit_flips, 0);
+        assert_eq!(plan.counts().get(IoFaultKind::BitFlip), 0);
     }
 
     #[test]
     fn classify_round_trips_every_kind() {
-        for kind in [
-            IoFaultKind::Enospc,
-            IoFaultKind::ShortWrite,
-            IoFaultKind::ReadEio,
-            IoFaultKind::BitFlip,
-            IoFaultKind::SyncFail,
-            IoFaultKind::SyncLie,
-            IoFaultKind::RenameFail,
-            IoFaultKind::PostCut,
-        ] {
+        for &kind in IoFaultKind::ALL {
             let e = injected_error(kind, Path::new("/x/y"));
             assert_eq!(classify(&e), Some(kind), "{e}");
         }
@@ -499,8 +353,8 @@ mod tests {
         assert!(account("artifact", &injected));
         assert!(!account("artifact", &real));
         let snap = ledger();
-        assert_eq!(snap.accounted.enospc, 1);
-        assert_eq!(snap.accounted.errors(), 1);
+        assert_eq!(snap.accounted.get(IoFaultKind::Enospc), 1);
+        assert_eq!(errors(&snap.accounted), 1);
         assert_eq!(snap.by_layer, vec![("artifact".to_string(), 1)]);
         reset_ledger();
     }

@@ -9,17 +9,23 @@
 //! a kill-at-any-point-then-resume run produce byte-identical result
 //! files because the replayed payloads are lossless.
 //!
-//! ## Record format (one JSON object per line)
+//! ## Record format (one sealed JSON object per line)
 //!
 //! ```text
-//! {"v":1,"fp":"9f3a01bc","seq":4,"label":"pressure/Mcf/Baseline/r0.000",
-//!  "outcome":"ok","attempts":1,"reason":"","refs":11000,
-//!  "prep":"3fb99999a0000000","sim":"3f847ae140000000",
-//!  "payload":"sim1|11000|...","crc":"d1c529a7"}
+//! {"schema": "colt-journal/v2", "fp": "9f3a01bc", "seq": 4,
+//!  "label": "pressure/Mcf/Baseline/r0.000", "outcome": "ok", "attempts": 1,
+//!  "reason": "", "refs": 11000, "prep": "3fb99999a0000000",
+//!  "sim": "3f847ae140000000", "payload": "sim1|11000|...", "crc": "d1c529a7"}
 //! ```
 //!
-//! * `v` — record format version; records with any other version are
-//!   quarantined, never interpreted.
+//! Journal lines are *sealed records* ([`seal`] / [`open`]), the framing
+//! the serve cache shares: a one-line JSON object that names its format
+//! in `schema` and closes with a `crc` member — CRC32 (IEEE) over every
+//! preceding byte, compared as strict lowercase hex. A truncated line,
+//! flipped bit, or garbage bytes fail the checksum and the record is
+//! quarantined, never trusted; a record of another schema (an older
+//! journal included) is quarantined unread.
+//!
 //! * `fp` — fingerprint of the producing invocation (experiment name +
 //!   every flag that changes results: accesses, seed, benchmarks,
 //!   cores, faults). A record whose fingerprint does not match the
@@ -32,11 +38,8 @@
 //!   patterns (hex), so replayed throughput metrics are bit-exact.
 //! * `payload` — the cell's result, encoded by [`JournalPayload`]
 //!   (lossless: u64s as decimal, f64s as bit patterns).
-//! * `crc` — CRC32 (IEEE) over every byte of the line before the
-//!   `,"crc"` key. A truncated line, flipped bit, or garbage bytes fail
-//!   the checksum and the record is quarantined, never trusted.
 //!
-//! Corrupt lines found at open are moved to `<journal>.corrupt-<n>`
+//! Unusable lines found at open are moved to `<journal>.corrupt-<n>`
 //! (first free `n`) and the journal is rewritten with only the valid
 //! records, so nothing is silently lost and nothing corrupt lingers.
 //!
@@ -45,14 +48,16 @@
 //! of the run is fsynced: the deterministic mid-sweep kill the
 //! crash-recovery smoke stage of `scripts/verify.sh` is built on.
 
+use crate::serve::json::{self, obj, Json};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Journal record format version. Bump when the record schema or any
-/// payload encoding changes shape; old records are then quarantined
-/// instead of misread.
-pub const RECORD_VERSION: u64 = 1;
+/// Journal record schema. Bump when the record fields or any payload
+/// encoding changes shape; old records are then quarantined instead of
+/// misread.
+pub const RECORD_SCHEMA: &str = "colt-journal/v2";
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3), table-driven — the build is offline, so no
@@ -104,7 +109,77 @@ pub fn fingerprint_bucket(fingerprint: &str, shards: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Payload encoding: lossless, versioned through RECORD_VERSION.
+// Sealed records: the framing journal lines and serve-cache entries
+// share.
+// ---------------------------------------------------------------------
+
+/// The member that closes every sealed record.
+const CRC_MEMBER: &str = ", \"crc\": \"";
+
+/// Seals `record` — a JSON object whose first member is its `schema` —
+/// as one line closed by a `crc` member: CRC32 over every preceding
+/// byte, as eight lowercase hex digits.
+pub fn seal(record: &Json) -> String {
+    debug_assert!(record.get("schema").is_some(), "a sealed record names its schema");
+    let mut line = record.line();
+    line.pop(); // the closing brace; the crc member closes the record
+    let crc = crc32(line.as_bytes());
+    let _ = write!(line, "{CRC_MEMBER}{crc:08x}\"}}");
+    line
+}
+
+/// What [`open`] found in one sealed record.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Opened {
+    /// An intact record of the expected schema.
+    Record(Json),
+    /// An intact record of another schema — skip it, never interpret
+    /// it. Unsealed JSON (an older format) lands here too, under its
+    /// `schema` or `"none"`.
+    OtherSchema(String),
+    /// Truncated, garbled, or failing its checksum.
+    Corrupt(String),
+}
+
+/// Opens one sealed record of `schema`. The checksum is checked before
+/// anything is parsed, so a flip anywhere — the schema and the crc
+/// member included — reads as corrupt, never as another schema.
+pub fn open(text: &str, schema: &str) -> Opened {
+    let Some(at) = text.rfind(CRC_MEMBER) else {
+        // Without a seal only a record of another format is healthy; one
+        // claiming this schema has lost its crc member to damage.
+        return match json::parse(text) {
+            Ok(doc) => match doc.get("schema").and_then(Json::as_str).unwrap_or("none") {
+                found if found == schema => {
+                    Opened::Corrupt("record without its crc member".to_string())
+                }
+                other => Opened::OtherSchema(other.to_string()),
+            },
+            Err(e) => Opened::Corrupt(format!("invalid JSON: {e}")),
+        };
+    };
+    // Exact string comparison, not a hex parse: `from_str_radix` is
+    // case-insensitive, so a bit flip turning `a` into `A` inside the
+    // crc member — the one region the checksum cannot cover — would
+    // otherwise verify.
+    let stored = &text[at + CRC_MEMBER.len()..];
+    let computed = format!("{:08x}\"}}", crc32(text[..at].as_bytes()));
+    if stored != computed {
+        return Opened::Corrupt(format!(
+            "checksum mismatch (stored {stored}, computed {computed})"
+        ));
+    }
+    match json::parse(text) {
+        Ok(doc) => match doc.get("schema").and_then(Json::as_str) {
+            Some(found) if found == schema => Opened::Record(doc),
+            other => Opened::OtherSchema(other.unwrap_or("none").to_string()),
+        },
+        Err(e) => Opened::Corrupt(format!("invalid JSON: {e}")),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Payload encoding: lossless, versioned through RECORD_SCHEMA.
 // ---------------------------------------------------------------------
 
 /// A value that can ride in a journal record's `payload` field and be
@@ -261,7 +336,7 @@ impl<T: JournalPayload> JournalPayload for Vec<T> {
 
 // ---------------------------------------------------------------------
 // Payload impls for the simulation result types every driver sweeps
-// over. Encodings are flat field lists — bump RECORD_VERSION (or the
+// over. Encodings are flat field lists — bump RECORD_SCHEMA (or the
 // type tag) whenever a struct gains or loses a counter.
 // ---------------------------------------------------------------------
 
@@ -430,87 +505,22 @@ pub struct Record {
     pub payload: String,
 }
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-        .replace('\t', "\\t")
-}
-
-fn unesc(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(ch) = chars.next() {
-        if ch == '\\' {
-            match chars.next()? {
-                '\\' => out.push('\\'),
-                '"' => out.push('"'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                _ => return None,
-            }
-        } else {
-            out.push(ch);
-        }
-    }
-    Some(out)
-}
-
-/// Extracts a quoted string field's raw (still escaped) bytes.
-fn raw_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // Find the closing quote, skipping escaped characters.
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(&rest[..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn str_field(line: &str, key: &str) -> Option<String> {
-    unesc(raw_str_field(line, key)?)
-}
-
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].parse().ok()
-}
-
-fn f64_bits_field(line: &str, key: &str) -> Option<f64> {
-    Some(f64::from_bits(u64::from_str_radix(&str_field(line, key)?, 16).ok()?))
-}
-
-/// Serializes one record as a single JSONL line (no trailing newline).
-/// The `crc` field is CRC32 over every byte before the `,"crc"` key.
+/// Serializes one record as a single sealed JSONL line (no trailing
+/// newline).
 pub fn encode_record(r: &Record) -> String {
-    let body = format!(
-        "{{\"v\":{RECORD_VERSION},\"fp\":\"{}\",\"seq\":{},\"label\":\"{}\",\
-         \"outcome\":\"{}\",\"attempts\":{},\"reason\":\"{}\",\"refs\":{},\
-         \"prep\":\"{:016x}\",\"sim\":\"{:016x}\",\"payload\":\"{}\"",
-        esc(&r.fp),
-        r.seq,
-        esc(&r.label),
-        esc(&r.outcome),
-        r.attempts,
-        esc(&r.reason),
-        r.refs,
-        r.prep_seconds.to_bits(),
-        r.sim_seconds.to_bits(),
-        esc(&r.payload),
-    );
-    format!("{body},\"crc\":\"{:08x}\"}}", crc32(body.as_bytes()))
+    seal(&obj! {
+        "schema" => RECORD_SCHEMA,
+        "fp" => &r.fp,
+        "seq" => r.seq,
+        "label" => &r.label,
+        "outcome" => &r.outcome,
+        "attempts" => r.attempts,
+        "reason" => &r.reason,
+        "refs" => r.refs,
+        "prep" => format!("{:016x}", r.prep_seconds.to_bits()),
+        "sim" => format!("{:016x}", r.sim_seconds.to_bits()),
+        "payload" => &r.payload,
+    })
 }
 
 /// Why a journal line could not be used.
@@ -518,61 +528,37 @@ pub fn encode_record(r: &Record) -> String {
 pub enum LineError {
     /// Structurally broken, truncated, or checksum mismatch.
     Corrupt(String),
-    /// Valid checksum but a record version this build does not speak.
-    Version(u64),
+    /// Intact, but a record schema this build does not speak.
+    Schema(String),
 }
 
 /// Parses one journal line, verifying structure and checksum.
 pub fn parse_record(line: &str) -> Result<Record, LineError> {
-    let line = line.trim_end_matches(['\r']);
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return Err(LineError::Corrupt("not a JSON object".to_string()));
-    }
-    let Some(split) = line.rfind(",\"crc\":\"") else {
-        return Err(LineError::Corrupt("missing crc field".to_string()));
+    let doc = match open(line.trim_end_matches('\r'), RECORD_SCHEMA) {
+        Opened::Record(doc) => doc,
+        Opened::OtherSchema(schema) => return Err(LineError::Schema(schema)),
+        Opened::Corrupt(why) => return Err(LineError::Corrupt(why)),
     };
-    let body = &line[..split];
-    let tail = &line[split + ",\"crc\":\"".len()..];
-    let Some(stored) = tail.strip_suffix("\"}") else {
-        return Err(LineError::Corrupt("malformed crc field".to_string()));
+    let missing = |key: &str| LineError::Corrupt(format!("missing field '{key}'"));
+    let text = |key: &str| {
+        doc.get(key).and_then(Json::as_str).map(str::to_string).ok_or_else(|| missing(key))
     };
-    // Exact string comparison, not a hex parse: `from_str_radix` is
-    // case-insensitive, so a single bit flip turning `a` into `A`
-    // inside the crc field would otherwise verify. Every writer emits
-    // lowercase. (Flips anywhere in the body are caught by the crc
-    // itself; the crc field is the only unprotected region.)
-    let actual = format!("{:08x}", crc32(body.as_bytes()));
-    if stored != actual {
-        return Err(LineError::Corrupt(format!(
-            "checksum mismatch (stored {stored}, computed {actual})"
-        )));
-    }
-    let v = u64_field(body, "v")
-        .ok_or_else(|| LineError::Corrupt("missing version".to_string()))?;
-    if v != RECORD_VERSION {
-        return Err(LineError::Version(v));
-    }
-    let field = |key: &str| {
-        str_field(body, key)
-            .ok_or_else(|| LineError::Corrupt(format!("missing field '{key}'")))
-    };
-    let num = |key: &str| {
-        u64_field(body, key)
-            .ok_or_else(|| LineError::Corrupt(format!("missing field '{key}'")))
+    let num = |key: &str| doc.get(key).and_then(Json::as_u64).ok_or_else(|| missing(key));
+    let bits = |key: &str| {
+        let hex = text(key)?;
+        u64::from_str_radix(&hex, 16).map(f64::from_bits).map_err(|_| missing(key))
     };
     Ok(Record {
-        fp: field("fp")?,
+        fp: text("fp")?,
         seq: num("seq")?,
-        label: field("label")?,
-        outcome: field("outcome")?,
+        label: text("label")?,
+        outcome: text("outcome")?,
         attempts: num("attempts")?,
-        reason: field("reason")?,
+        reason: text("reason")?,
         refs: num("refs")?,
-        prep_seconds: f64_bits_field(body, "prep")
-            .ok_or_else(|| LineError::Corrupt("missing field 'prep'".to_string()))?,
-        sim_seconds: f64_bits_field(body, "sim")
-            .ok_or_else(|| LineError::Corrupt("missing field 'sim'".to_string()))?,
-        payload: field("payload")?,
+        prep_seconds: bits("prep")?,
+        sim_seconds: bits("sim")?,
+        payload: text("payload")?,
     })
 }
 
@@ -605,8 +591,8 @@ pub struct OpenReport {
     pub failed_records: usize,
     /// Lines that failed structure or checksum validation.
     pub corrupt_lines: usize,
-    /// Valid-checksum lines with an unsupported record version.
-    pub version_skipped: usize,
+    /// Intact lines of another record schema (an older journal).
+    pub schema_skipped: usize,
     /// Where the unusable lines were quarantined (if any were).
     pub quarantined_to: Option<PathBuf>,
 }
@@ -616,7 +602,7 @@ impl OpenReport {
     pub fn noisy(&self) -> bool {
         self.fingerprint_mismatches > 0
             || self.corrupt_lines > 0
-            || self.version_skipped > 0
+            || self.schema_skipped > 0
     }
 }
 
@@ -646,18 +632,6 @@ impl std::fmt::Debug for Journal {
             .field("fingerprint", &self.fingerprint)
             .field("replayed", &self.replayed.len())
             .finish()
-    }
-}
-
-/// First free `<path>.corrupt-<n>` sibling.
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut n = 1;
-    loop {
-        let candidate = PathBuf::from(format!("{}.corrupt-{n}", path.display()));
-        if !candidate.exists() {
-            return candidate;
-        }
-        n += 1;
     }
 }
 
@@ -756,13 +730,13 @@ impl Journal {
                             path.display()
                         );
                     }
-                    Err(LineError::Version(v)) => {
-                        report.version_skipped += 1;
+                    Err(LineError::Schema(schema)) => {
+                        report.schema_skipped += 1;
                         bad_lines.push(line.to_string());
                         eprintln!(
-                            "warning: journal record version {v} in {} is not \
-                             supported by this build (wants {RECORD_VERSION}); \
-                             quarantining, cell will re-run",
+                            "warning: journal record schema '{schema}' in {} is not \
+                             this build's ({RECORD_SCHEMA}); quarantining, cell will \
+                             re-run",
                             path.display()
                         );
                     }
@@ -779,7 +753,7 @@ impl Journal {
                 // If this open's read came back bit-flipped, the CRCs
                 // above just detected it.
                 let _ = crate::io_faults::confirm_flip(&path);
-                let qpath = quarantine_path(&path);
+                let qpath = crate::artifact::quarantine_path(&path);
                 {
                     let mut qf = crate::vfs::acct("journal", fs.create(&qpath))?;
                     let mut buf = String::new();
@@ -961,6 +935,42 @@ impl Journal {
     }
 }
 
+/// Codec torture every sealed schema runs: a bit flip at EVERY position
+/// of `sealed` must never panic and never open as a different record.
+/// (Flips in the covered bytes fail the CRC; flips inside the crc member
+/// fail the strict lowercase-hex comparison.)
+#[cfg(test)]
+pub(crate) fn assert_open_rejects_every_flip(sealed: &str, schema: &str) {
+    let Opened::Record(original) = open(sealed, schema) else {
+        panic!("the intact record must open: {sealed}");
+    };
+    let bytes = sealed.as_bytes();
+    for bit in 0..bytes.len() * 8 {
+        let mut corrupt = bytes.to_vec();
+        corrupt[bit / 8] ^= 1 << (bit % 8);
+        // Stores read lossily on purpose (a flip in a UTF-8
+        // continuation byte must surface as corruption, not abort the
+        // read); mirror that here.
+        let text = String::from_utf8_lossy(&corrupt);
+        if let Opened::Record(doc) = open(&text, schema) {
+            assert_eq!(doc, original, "bit {bit} flipped silently into a different record");
+        }
+    }
+}
+
+/// Truncation at every prefix length never opens as a record — a torn
+/// tail can never be trusted.
+#[cfg(test)]
+pub(crate) fn assert_open_rejects_every_truncation(sealed: &str, schema: &str) {
+    for len in 0..sealed.len() {
+        let Some(prefix) = sealed.get(..len) else { continue };
+        assert!(
+            !matches!(open(prefix, schema), Opened::Record(_)),
+            "a {len}-byte prefix opened as a whole record"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1044,6 +1054,7 @@ mod tests {
 
     #[test]
     fn truncated_garbage_flipped_crc_and_version_bump_are_quarantined() {
+        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("robust");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1058,7 +1069,7 @@ mod tests {
         // Flip a checksum digit on line 2, add garbage, a truncated
         // line (simulated mid-write kill), and a version-bumped record.
         let mut flipped = lines[1].to_string();
-        let pos = flipped.rfind("\"crc\":\"").unwrap() + "\"crc\":\"".len();
+        let pos = flipped.rfind(CRC_MEMBER).unwrap() + CRC_MEMBER.len();
         let old = flipped.as_bytes()[pos];
         let new = if old == b'0' { b'1' } else { b'0' };
         unsafe { flipped.as_bytes_mut()[pos] = new };
@@ -1076,15 +1087,17 @@ mod tests {
             payload: "u1|9".into(),
         };
         let vline = encode_record(&vrec);
-        // Re-stamp the version while keeping the checksum valid.
-        let body = vline[..vline.rfind(",\"crc\"").unwrap()]
-            .replacen("{\"v\":1,", "{\"v\":99,", 1);
-        let vline = format!("{body},\"crc\":\"{:08x}\"}}", crc32(body.as_bytes()));
+        // Re-stamp the schema and re-seal: the checksum stays valid.
+        let unsealed = vline[..vline.rfind(CRC_MEMBER).unwrap()]
+            .replacen(RECORD_SCHEMA, "colt-journal/v99", 1);
+        let vline = seal(&json::parse(&format!("{unsealed}}}")).unwrap());
+        // A line in the older, unsealed format.
+        let older = "{\"v\":1,\"fp\":\"aaaa0001\",\"seq\":3,\"crc\":\"00000000\"}";
 
         let truncated = &lines[0][..lines[0].len() / 2];
         let doctored = format!(
-            "{}\n{}\nnot json at all\n{}\n{}\n",
-            lines[0], flipped, vline, truncated
+            "{}\n{}\nnot json at all\n{}\n{}\n{}\n",
+            lines[0], flipped, vline, older, truncated
         );
         std::fs::write(&path, doctored).unwrap();
 
@@ -1093,12 +1106,12 @@ mod tests {
         assert_eq!(report.replayed, 1, "only the intact record replays");
         assert!(j.completed("cell/one").is_some());
         assert!(j.completed("cell/two").is_none(), "flipped checksum never reused");
-        assert!(j.completed("cell/future").is_none(), "version bump never reused");
+        assert!(j.completed("cell/future").is_none(), "schema bump never reused");
         assert_eq!(report.corrupt_lines, 3, "flipped + garbage + truncated");
-        assert_eq!(report.version_skipped, 1);
+        assert_eq!(report.schema_skipped, 2, "future schema + unsealed older line");
         let qpath = report.quarantined_to.clone().expect("quarantine file written");
         let quarantined = std::fs::read_to_string(&qpath).unwrap();
-        assert_eq!(quarantined.lines().count(), 4);
+        assert_eq!(quarantined.lines().count(), 5);
         // The journal itself was rewritten corruption-free.
         let clean = std::fs::read_to_string(&path).unwrap();
         assert_eq!(clean.lines().count(), 1);
@@ -1108,6 +1121,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_ignored_never_reused() {
+        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("fp");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1121,6 +1135,7 @@ mod tests {
 
     #[test]
     fn failed_and_quarantined_records_rerun_on_resume() {
+        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("failed");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1139,6 +1154,7 @@ mod tests {
 
     #[test]
     fn fresh_open_truncates_but_resume_keeps() {
+        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("fresh");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1180,36 +1196,14 @@ mod tests {
     /// itself are caught by the strict lowercase-hex comparison.)
     #[test]
     fn record_decode_never_accepts_a_flipped_bit() {
-        let line = encode_record(&torture_record());
-        let bytes = line.as_bytes();
-        for bit in 0..bytes.len() * 8 {
-            let mut corrupt = bytes.to_vec();
-            corrupt[bit / 8] ^= 1 << (bit % 8);
-            // Journal reads are lossy-UTF-8 on purpose (flips in
-            // continuation bytes must surface as corrupt lines, not
-            // abort the open); mirror that here.
-            let text = String::from_utf8_lossy(&corrupt).into_owned();
-            match parse_record(&text) {
-                Err(_) => {}
-                Ok(decoded) => assert_eq!(
-                    encode_record(&decoded),
-                    line,
-                    "bit {bit} flipped silently into a different record"
-                ),
-            }
-        }
+        assert_open_rejects_every_flip(&encode_record(&torture_record()), RECORD_SCHEMA);
     }
 
     /// Truncation at every prefix length is rejected — a torn journal
     /// tail can never replay as a completed cell.
     #[test]
     fn record_decode_rejects_every_truncation() {
-        let line = encode_record(&torture_record());
-        for len in 0..line.len() {
-            assert!(
-                parse_record(&line[..len]).is_err(),
-                "a {len}-byte prefix parsed as a whole record"
-            );
-        }
+        assert_open_rejects_every_truncation(&encode_record(&torture_record()), RECORD_SCHEMA);
     }
+
 }

@@ -59,12 +59,15 @@
 //! serve-bench` ([`crate::serve_bench`]) for the load generator.
 
 use crate::experiments::{run_named, ExperimentOptions};
-use crate::journal::{fingerprint_bucket, fingerprint_of};
+use crate::journal::{fingerprint_bucket, fingerprint_of, Opened};
 use crate::lru::LruMap;
 use crate::runner::{self, CellOutcome, SweepTask};
 use crate::sim::{self, SimConfig, SimResult};
 use crate::snapshot_cache;
+use chaos::{ChaosFault, ChaosStream};
+use colt_os_mem::faults::{Counts, FaultConfig};
 use colt_os_mem::policy::PolicyKind;
+use json::obj;
 use colt_tlb::config::TlbConfig;
 use colt_workloads::scenario::{PreparedWorkload, Scenario};
 use colt_workloads::spec::{benchmark, BenchmarkSpec};
@@ -145,7 +148,7 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Deterministic network-fault injection (soak harness); `None` in
     /// production.
-    pub chaos: Option<chaos::ChaosConfig>,
+    pub chaos: Option<FaultConfig>,
     /// Suppress the listening/summary lines (tests).
     pub quiet: bool,
 }
@@ -416,8 +419,9 @@ pub struct ServeSummary {
     pub idem_hits: u64,
     /// Dispatched cells that failed or were quarantined.
     pub failed_cells: u64,
-    /// Network faults injected by the chaos plan (zero when unarmed).
-    pub chaos: chaos::ChaosCounts,
+    /// Network faults injected by the chaos plan, by kind (zero when
+    /// unarmed).
+    pub chaos: Counts<ChaosFault>,
     /// Sweep-cache entries persisted to `cache_dir` at drain.
     pub persisted: u64,
     /// True when every in-flight sweep landed and the queue emptied
@@ -458,10 +462,10 @@ impl ServeSummary {
             line.push_str(&format!(
                 ", chaos: {} fault(s) injected ({} torn, {} reset, {} stalled, {} accept)",
                 self.chaos.total(),
-                self.chaos.torn_frames,
-                self.chaos.resets,
-                self.chaos.stalls,
-                self.chaos.accept_hiccups,
+                self.chaos.get(ChaosFault::TornFrame),
+                self.chaos.get(ChaosFault::Reset),
+                self.chaos.get(ChaosFault::Stall),
+                self.chaos.get(ChaosFault::AcceptHiccup),
             ));
         }
         line
@@ -533,7 +537,7 @@ impl ServerHandle {
                 .state
                 .chaos
                 .as_ref()
-                .map_or_else(chaos::ChaosCounts::default, |p| relock(p).counts()),
+                .map_or_else(Counts::default, |p| relock(p).counts()),
             persisted,
             drained_clean,
         }
@@ -548,13 +552,7 @@ pub(crate) const CACHE_SCHEMA: &str = "colt-serve-cache/v2";
 
 /// Encodes one sweep-cache entry in the v2 on-disk format.
 pub(crate) fn encode_cache_entry(key: &str, bytes: &str) -> String {
-    let prefix = format!(
-        "{{\"schema\": \"{CACHE_SCHEMA}\", \"key\": \"{}\", \"bytes\": \"{}\"",
-        crate::artifact::json_escape(key),
-        crate::artifact::json_escape(bytes),
-    );
-    let crc = crate::journal::crc32(prefix.as_bytes());
-    format!("{prefix}, \"crc\": \"{crc:08x}\"}}")
+    crate::journal::seal(&obj! { "schema" => CACHE_SCHEMA, "key" => key, "bytes" => bytes })
 }
 
 /// Decodes and integrity-checks one cache entry. `Ok(Some((key,
@@ -565,40 +563,13 @@ pub(crate) fn encode_cache_entry(key: &str, bytes: &str) -> String {
 /// schema match so a flip anywhere in the prefix — including inside the
 /// schema or key strings — is reported as corrupt, not mis-skipped.
 pub(crate) fn decode_cache_entry(text: &str) -> Result<Option<(String, String)>, String> {
-    crate::artifact::validate_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let doc = json::parse(text).map_err(|e| format!("unparseable: {e}"))?;
-    let schema = doc.get("schema").and_then(json::Json::as_str);
-    match text.rfind(", \"crc\": \"") {
-        Some(at) => {
-            let stored = doc
-                .get("crc")
-                .and_then(json::Json::as_str)
-                .ok_or_else(|| "unreadable crc field".to_string())?;
-            let actual = crate::journal::crc32(text[..at].as_bytes());
-            // Exact string comparison, not a hex parse: `from_str_radix`
-            // is case-insensitive, so a single bit flip turning `a` into
-            // `A` would otherwise verify successfully.
-            let expect = format!("{actual:08x}");
-            if stored != expect {
-                return Err(format!(
-                    "checksum mismatch (stored {stored}, computed {expect})"
-                ));
-            }
+    match crate::journal::open(text, CACHE_SCHEMA) {
+        Opened::Record(doc) => {
+            let field = |key| doc.get(key).and_then(json::Json::as_str).map(str::to_string);
+            Ok(field("key").zip(field("bytes")))
         }
-        // A v2 entry always carries the crc key; its absence on a file
-        // claiming v2 means the key itself was damaged.
-        None if schema == Some(CACHE_SCHEMA) => {
-            return Err("v2 entry without crc field".to_string());
-        }
-        None => return Ok(None),
-    }
-    match (
-        schema,
-        doc.get("key").and_then(json::Json::as_str),
-        doc.get("bytes").and_then(json::Json::as_str),
-    ) {
-        (Some(CACHE_SCHEMA), Some(k), Some(b)) => Ok(Some((k.to_string(), b.to_string()))),
-        _ => Ok(None),
+        Opened::OtherSchema(_) => Ok(None),
+        Opened::Corrupt(why) => Err(why),
     }
 }
 
@@ -692,11 +663,9 @@ pub(crate) fn load_cache_entries(
             Ok(Some(entry)) => entries.push(entry),
             Ok(None) => {}
             Err(why) => {
-                crate::io_faults::confirm_flip(&path);
                 quarantined += 1;
-                let dest = crate::artifact::quarantine_path(&path);
-                match crate::vfs::acct("serve-cache", fs.rename(&path, &dest)) {
-                    Ok(()) if !quiet => eprintln!(
+                match crate::artifact::quarantine("serve-cache", &path) {
+                    Ok(dest) if !quiet => eprintln!(
                         "repro serve: quarantined corrupt cache artifact {} -> {} ({why})",
                         path.display(),
                         dest.display()
@@ -839,9 +808,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
         if state.active_conns.load(Ordering::SeqCst) >= state.cfg.max_conns as u64 {
             state.c.add(&state.c.rejected_conns, 1);
             let mut s = stream;
-            let _ = s.write_all(
-                b"{\"ok\": false, \"error\": \"too many connections\", \"rejected\": \"busy\"}\n",
-            );
+            let _ = writeln!(s, "{}", reject_line("busy", "too many connections"));
             continue;
         }
         state.active_conns.fetch_add(1, Ordering::SeqCst);
@@ -965,14 +932,11 @@ fn read_line(
 }
 
 fn err_line(msg: &str) -> String {
-    format!("{{\"ok\": false, \"error\": \"{}\"}}", crate::artifact::json_escape(msg))
+    obj! { "ok" => false, "error" => msg }.line()
 }
 
 fn reject_line(kind: &str, msg: &str) -> String {
-    format!(
-        "{{\"ok\": false, \"error\": \"{}\", \"rejected\": \"{kind}\"}}",
-        crate::artifact::json_escape(msg)
-    )
+    obj! { "ok" => false, "error" => msg, "rejected" => kind }.line()
 }
 
 /// Writes one response line, routing it through the chaos plan when
@@ -1096,14 +1060,14 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
         }
         let (deadline, deadline_ms) = request_deadline(state, &request);
         let response = match op {
-            "ping" => "{\"ok\": true, \"op\": \"ping\"}".to_string(),
+            "ping" => obj! { "ok" => true, "op" => "ping" }.line(),
             "stats" => stats_line(state),
             "translate" => handle_translate(state, &request, deadline, deadline_ms),
             "sweep" => handle_sweep(state, &request, deadline, deadline_ms),
             "shutdown" => {
                 // The shutdown ack is exempt from chaos: the harness
                 // must always be able to stop the server it started.
-                let _ = writeln!(writer, "{{\"ok\": true, \"op\": \"shutdown\"}}");
+                let _ = writeln!(writer, "{}", obj! { "ok" => true, "op" => "shutdown" }.line());
                 let _ = writer.flush();
                 nudge_shutdown(state);
                 return;
@@ -1124,63 +1088,50 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
 fn stats_line(state: &ServerState) -> String {
     let c = &state.c;
     let load = |f: &AtomicU64| f.load(Ordering::Relaxed);
-    let chaos = state
-        .chaos
-        .as_ref()
-        .map_or_else(chaos::ChaosCounts::default, |p| relock(p).counts());
-    format!(
-        "{{\"ok\": true, \"op\": \"stats\", \"requests\": {}, \"translates\": {}, \
-         \"sweeps\": {}, \"sweep_cache_hits\": {}, \"sweep_coalesced\": {}, \
-         \"sweep_cache_evictions\": {}, \"rejected_quota\": {}, \"rejected_busy\": {}, \
-         \"rejected_conns\": {}, \"rejected_shed\": {}, \"rejected_too_large\": {}, \
-         \"rejected_deadline\": {}, \"rejected_malformed\": {}, \"evicted_slow\": {}, \
-         \"panics\": {}, \"idem_hits\": {}, \"failed_cells\": {}, \"batches\": {}, \
-         \"batched_requests\": {}, \"prep_mem_hits\": {}, \"prep_disk_hits\": {}, \
-         \"prep_misses\": {}, \"prep_evictions\": {}, \"shard_hits\": {}, \
-         \"shard_evictions\": {}, \"bad_requests\": {}, \"active_conns\": {}, \
-         \"queue_len\": {}, \"inflight_sweeps\": {}, \
-         \"result_cache_len\": {}, \"snapshot_mem_len\": {}, \"shards\": {}, \
-         \"jobs\": {}, \"chaos_injected\": {}, \"chaos_torn_frames\": {}, \
-         \"chaos_resets\": {}, \"chaos_stalls\": {}, \"chaos_accept_hiccups\": {}}}",
-        load(&c.requests),
-        load(&c.translates),
-        load(&c.sweeps),
-        load(&c.sweep_cache_hits),
-        load(&c.sweep_coalesced),
-        load(&c.sweep_cache_evictions),
-        load(&c.rejected_quota),
-        load(&c.rejected_busy),
-        load(&c.rejected_conns),
-        load(&c.rejected_shed),
-        load(&c.rejected_too_large),
-        load(&c.rejected_deadline),
-        load(&c.rejected_malformed),
-        load(&c.evicted_slow),
-        load(&c.panics),
-        load(&c.idem_hits),
-        load(&c.failed_cells),
-        load(&c.batches),
-        load(&c.batched_requests),
-        load(&c.prep_mem_hits),
-        load(&c.prep_disk_hits),
-        load(&c.prep_misses),
-        load(&c.prep_evictions),
-        load(&c.shard_hits),
-        load(&c.shard_evictions),
-        load(&c.bad_requests),
-        state.active_conns.load(Ordering::SeqCst),
-        relock(&state.queue).len(),
-        state.inflight_sweeps.load(Ordering::SeqCst),
-        relock(&state.results).len(),
-        snapshot_cache::mem_len(),
-        state.cfg.shards,
-        state.cfg.jobs,
-        chaos.total(),
-        chaos.torn_frames,
-        chaos.resets,
-        chaos.stalls,
-        chaos.accept_hiccups,
-    )
+    let chaos = state.chaos.as_ref().map_or_else(Counts::default, |p| relock(p).counts());
+    obj! {
+        "ok" => true,
+        "op" => "stats",
+        "requests" => load(&c.requests),
+        "translates" => load(&c.translates),
+        "sweeps" => load(&c.sweeps),
+        "sweep_cache_hits" => load(&c.sweep_cache_hits),
+        "sweep_coalesced" => load(&c.sweep_coalesced),
+        "sweep_cache_evictions" => load(&c.sweep_cache_evictions),
+        "rejected_quota" => load(&c.rejected_quota),
+        "rejected_busy" => load(&c.rejected_busy),
+        "rejected_conns" => load(&c.rejected_conns),
+        "rejected_shed" => load(&c.rejected_shed),
+        "rejected_too_large" => load(&c.rejected_too_large),
+        "rejected_deadline" => load(&c.rejected_deadline),
+        "rejected_malformed" => load(&c.rejected_malformed),
+        "evicted_slow" => load(&c.evicted_slow),
+        "panics" => load(&c.panics),
+        "idem_hits" => load(&c.idem_hits),
+        "failed_cells" => load(&c.failed_cells),
+        "batches" => load(&c.batches),
+        "batched_requests" => load(&c.batched_requests),
+        "prep_mem_hits" => load(&c.prep_mem_hits),
+        "prep_disk_hits" => load(&c.prep_disk_hits),
+        "prep_misses" => load(&c.prep_misses),
+        "prep_evictions" => load(&c.prep_evictions),
+        "shard_hits" => load(&c.shard_hits),
+        "shard_evictions" => load(&c.shard_evictions),
+        "bad_requests" => load(&c.bad_requests),
+        "active_conns" => state.active_conns.load(Ordering::SeqCst),
+        "queue_len" => relock(&state.queue).len(),
+        "inflight_sweeps" => state.inflight_sweeps.load(Ordering::SeqCst),
+        "result_cache_len" => relock(&state.results).len(),
+        "snapshot_mem_len" => snapshot_cache::mem_len(),
+        "shards" => state.cfg.shards,
+        "jobs" => state.cfg.jobs,
+        "chaos_injected" => chaos.total(),
+        "chaos_torn_frames" => chaos.get(ChaosFault::TornFrame),
+        "chaos_resets" => chaos.get(ChaosFault::Reset),
+        "chaos_stalls" => chaos.get(ChaosFault::Stall),
+        "chaos_accept_hiccups" => chaos.get(ChaosFault::AcceptHiccup),
+    }
+    .line()
 }
 
 // ---------------------------------------------------------------------
@@ -1281,18 +1232,18 @@ fn handle_translate(
     match result_rx.recv_timeout(wait) {
         Ok(Ok(r)) => {
             state.c.add(&state.c.translates, 1);
-            format!(
-                "{{\"ok\": true, \"op\": \"translate\", \"benchmark\": \"{}\", \
-                 \"accesses\": {}, \"l1_misses\": {}, \"l2_misses\": {}, \
-                 \"walks\": {}, \"walk_cycles\": {}, \"superpage_fills\": {}}}",
-                crate::artifact::json_escape(bench_name),
-                r.tlb.accesses,
-                r.tlb.l1_misses,
-                r.tlb.l2_misses,
-                r.walker.walks,
-                r.walk_cycles,
-                r.tlb.superpage_fills,
-            )
+            obj! {
+                "ok" => true,
+                "op" => "translate",
+                "benchmark" => bench_name,
+                "accesses" => r.tlb.accesses,
+                "l1_misses" => r.tlb.l1_misses,
+                "l2_misses" => r.tlb.l2_misses,
+                "walks" => r.walker.walks,
+                "walk_cycles" => r.walk_cycles,
+                "superpage_fills" => r.tlb.superpage_fills,
+            }
+            .line()
         }
         // The runner dropped the cell unrun at dispatch because its
         // deadline had already passed — a deadline rejection, not a
@@ -1434,16 +1385,17 @@ fn sweep_response(
     // The idem field only appears when the request carried an "idem"
     // key, so responses to idem-less clients are byte-stable across
     // versions.
-    let idem = idem_replayed
-        .map(|replayed| format!("\"idem_replayed\": {replayed}, "))
-        .unwrap_or_default();
-    format!(
-        "{{\"ok\": true, \"op\": \"sweep\", \"experiment\": \"{}\", \
-         \"fingerprint\": \"{fingerprint}\", \"cached\": {cached}, \
-         \"coalesced\": {coalesced}, {idem}\"bytes\": \"{}\"}}",
-        crate::artifact::json_escape(experiment),
-        crate::artifact::json_escape(bytes)
-    )
+    obj! {
+        "ok" => true,
+        "op" => "sweep",
+        "experiment" => experiment,
+        "fingerprint" => fingerprint,
+        "cached" => cached,
+        "coalesced" => coalesced,
+        "idem_replayed" =>? idem_replayed,
+        "bytes" => bytes,
+    }
+    .line()
 }
 
 /// The sweep compute path, run on a dedicated leader thread so the
@@ -1709,7 +1661,7 @@ pub fn cli(args: &[String]) -> ExitCode {
                 }
             },
             "--chaos" => match value {
-                Some(spec) => match chaos::ChaosConfig::parse(spec) {
+                Some(spec) => match FaultConfig::parse(spec, chaos::DEFAULT_RATE) {
                     Ok(c) => cfg.chaos = Some(c),
                     Err(e) => {
                         eprintln!("--chaos {spec}: {e}");
@@ -1875,11 +1827,11 @@ mod tests {
     #[test]
     fn rejection_lines_carry_the_machine_readable_kind() {
         let quota = reject_line("quota", "over budget");
-        crate::artifact::validate_json(&quota).unwrap();
+        json::parse(&quota).unwrap();
         assert!(quota.contains("\"rejected\": \"quota\""));
         let busy = reject_line("busy", "queue full");
         assert!(busy.contains("\"rejected\": \"busy\""));
-        crate::artifact::validate_json(&err_line("with \"quotes\" and \\slashes")).unwrap();
+        json::parse(&err_line("with \"quotes\" and \\slashes")).unwrap();
     }
 
     #[test]
@@ -1887,7 +1839,7 @@ mod tests {
         let key = "sweep {\"bench\": \"Gobmk\"}";
         let bytes = "{\"rows\": [1, 2],\n \"note\": \"\\\"quoted\\\"\"}";
         let body = encode_cache_entry(key, bytes);
-        crate::artifact::validate_json(&body).unwrap();
+        json::parse(&body).unwrap();
         let decoded = decode_cache_entry(&body).unwrap().unwrap();
         assert_eq!(decoded, (key.to_string(), bytes.to_string()));
     }
@@ -1900,21 +1852,7 @@ mod tests {
     #[test]
     fn cache_entry_decode_never_accepts_a_flipped_byte() {
         let body = encode_cache_entry("k-1", "payload with \"structure\": [0, 1]");
-        let original = decode_cache_entry(&body).unwrap().unwrap();
-        let bytes = body.as_bytes();
-        for bit in 0..bytes.len() * 8 {
-            let mut corrupt = bytes.to_vec();
-            corrupt[bit / 8] ^= 1 << (bit % 8);
-            let text = String::from_utf8_lossy(&corrupt).into_owned();
-            match decode_cache_entry(&text) {
-                Err(_) => {}
-                Ok(None) => {}
-                Ok(Some(entry)) => assert_eq!(
-                    entry, original,
-                    "bit {bit} flipped silently into a different entry"
-                ),
-            }
-        }
+        crate::journal::assert_open_rejects_every_flip(&body, CACHE_SCHEMA);
     }
 
     /// Truncation at every prefix length is either rejected or decodes
@@ -1922,13 +1860,7 @@ mod tests {
     #[test]
     fn cache_entry_decode_rejects_every_truncation() {
         let body = encode_cache_entry("k-2", "0123456789");
-        for len in 0..body.len() {
-            let prefix = &body[..len];
-            assert!(
-                !matches!(decode_cache_entry(prefix), Ok(Some(_))),
-                "prefix of {len} bytes decoded as a valid entry"
-            );
-        }
+        crate::journal::assert_open_rejects_every_truncation(&body, CACHE_SCHEMA);
     }
 
     #[test]

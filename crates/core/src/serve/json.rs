@@ -1,13 +1,25 @@
-//! A minimal JSON reader for the serve protocol.
+//! The repo's one JSON codec: the serve protocol, the `results/BENCH_*`
+//! artifacts, the journal and the serve cache all read and write
+//! through it.
 //!
-//! The workspace is offline and std-only, so requests are parsed here
-//! rather than by a crates.io dependency. [`crate::artifact`] already
-//! owns a *validator* (is this well-formed?); the server additionally
-//! needs the *values* — hence this small tree parser. It accepts
-//! exactly standard JSON (objects, arrays, strings with escapes
-//! including `\uXXXX`, numbers, booleans, null), bounds nesting depth,
-//! and reports errors with byte offsets so a client can debug its own
-//! request line.
+//! The workspace is offline and std-only, so this is written here
+//! rather than taken from crates.io. [`parse`] accepts exactly standard
+//! JSON (objects, arrays, strings with escapes including `\uXXXX`,
+//! numbers, booleans, null), bounds nesting depth, and reports errors
+//! with byte offsets so a client can debug its own request line. The
+//! writer has two layouts:
+//!
+//! * [`Json::line`] — one line, `{"k": v, "k2": [1, 2]}`: protocol
+//!   requests and responses, journal lines, serve-cache entries;
+//! * [`Json::pretty`] — the `results/BENCH_*.json` layout: the top-level
+//!   members one per line, the elements of top-level arrays one per
+//!   line, everything nested deeper inline (`[]` inline too).
+//!
+//! The writer escapes every control byte, so whatever it writes,
+//! [`parse`] reads back to the same value. Build values with [`obj!`]
+//! and `Json::from`.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -16,15 +28,15 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (f64 carries every integer the protocol uses exactly,
-    /// up to 2^53 — far above any access budget or port).
+    /// Any number (f64 carries every integer the repo writes exactly, up
+    /// to 2^53 — far above any access budget, counter or port).
     Num(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in source order (duplicate keys keep the last value
-    /// on lookup-by-iteration order below: `get` returns the first).
+    /// An object, in source order (`get` returns the first member of a
+    /// duplicated key).
     Obj(Vec<(String, Json)>),
 }
 
@@ -75,7 +87,196 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The one-line form: `{"k": v, "k2": [1, 2]}`.
+    pub fn line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    /// The `results/BENCH_*.json` layout, newline-terminated: a
+    /// top-level object's members one per line, the elements of its
+    /// array members one per line, everything deeper inline.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        match self {
+            Json::Obj(members) if !members.is_empty() => {
+                out.push_str("{\n");
+                for (i, (key, value)) in members.iter().enumerate() {
+                    out.push_str("  ");
+                    write_str(key, &mut out);
+                    out.push_str(": ");
+                    match value {
+                        Json::Arr(items) if !items.is_empty() => {
+                            out.push_str("[\n");
+                            for (j, item) in items.iter().enumerate() {
+                                out.push_str("    ");
+                                item.write(&mut out);
+                                out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                            }
+                            out.push_str("  ]");
+                        }
+                        _ => value.write(&mut out),
+                    }
+                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
+                }
+                out.push('}');
+            }
+            _ => self.write(&mut out),
+        }
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Display is the shortest text that parses back to `n`.
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    write_str(key, out);
+                    out.push_str(": ");
+                    value.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
+
+/// Writes `s` as a JSON string literal. Every byte below 0x20 is
+/// escaped (`\n`, `\r`, `\t` by name, the rest as `\u00XX`), as are `"`
+/// and `\`; everything else, non-ASCII included, is copied through.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+    out.push('"');
+}
+
+/// `x` rounded to `decimals` places — for wall-clock readings, which
+/// carry no more resolution than that.
+pub fn rounded(x: f64, decimals: usize) -> Json {
+    Json::Num(format!("{x:.decimals$}").parse().unwrap_or(x))
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Self {
+        Json::Num(n)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Self {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<&String> for Json {
+    fn from(s: &String) -> Self {
+        Json::Str(s.clone())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Self {
+        Json::Arr(items)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Builds a [`Json::Obj`] from `key => value` members, in order; values
+/// convert with `Json::from`. A `key =>? value` member takes an `Option`
+/// and is left out when it is `None`.
+macro_rules! obj {
+    (@push $m:ident; $(,)?) => {};
+    (@push $m:ident; $key:expr =>? $value:expr $(, $($rest:tt)*)?) => {
+        if let Some(value) = $value {
+            $m.push((String::from($key), $crate::serve::json::Json::from(value)));
+        }
+        $crate::serve::json::obj!(@push $m; $($($rest)*)?);
+    };
+    (@push $m:ident; $key:expr => $value:expr $(, $($rest:tt)*)?) => {
+        $m.push((String::from($key), $crate::serve::json::Json::from($value)));
+        $crate::serve::json::obj!(@push $m; $($($rest)*)?);
+    };
+    ($($members:tt)*) => {{
+        #[allow(unused_mut)]
+        let mut members = Vec::new();
+        $crate::serve::json::obj!(@push members; $($members)*);
+        $crate::serve::json::Json::Obj(members)
+    }};
+}
+pub(crate) use obj;
 
 const MAX_DEPTH: usize = 32;
 
@@ -341,6 +542,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colt_prng::Rng;
+    use colt_quickprop::prelude::*;
 
     #[test]
     fn parses_protocol_shaped_requests() {
@@ -373,12 +576,16 @@ mod tests {
         assert!(parse("\"\\q\"").is_err(), "unknown escape");
     }
 
+    /// Sweep CSV bytes travel as a JSON string; clients (and serve-bench)
+    /// must get the original back, and the escapes are the short ones.
     #[test]
     fn round_trips_artifact_escaping() {
-        // The server escapes sweep CSV bytes with artifact::json_escape;
-        // clients (and serve-bench) must get the original back.
         let original = "name,value\n\"quoted, cell\",1\nunicode: \u{3bb}\ttab\n";
-        let line = format!("{{\"bytes\": \"{}\"}}", crate::artifact::json_escape(original));
+        let line = obj! { "bytes" => original }.line();
+        assert_eq!(
+            line,
+            "{\"bytes\": \"name,value\\n\\\"quoted, cell\\\",1\\nunicode: \u{3bb}\\ttab\\n\"}"
+        );
         let v = parse(&line).unwrap();
         assert_eq!(v.get("bytes").and_then(Json::as_str), Some(original));
     }
@@ -409,5 +616,119 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Str("5".into()).as_u64(), None);
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
+    }
+
+    #[test]
+    fn both_layouts_keep_the_key_value_spacing() {
+        let doc = obj! {
+            "jobs" => 2u64,
+            "rate" => 0.05,
+            "missing" =>? None::<u64>,
+            "present" =>? Some("yes"),
+            "rows" => vec![obj! { "a" => 1u64, "b" => vec![Json::Null] }, obj! {}],
+            "failures" => Vec::<Json>::new(),
+            "verified" => None::<bool>,
+        };
+        assert_eq!(
+            doc.line(),
+            "{\"jobs\": 2, \"rate\": 0.05, \"present\": \"yes\", \"rows\": [{\"a\": 1, \
+             \"b\": [null]}, {}], \"failures\": [], \"verified\": null}"
+        );
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"jobs\": 2,\n  \"rate\": 0.05,\n  \"present\": \"yes\",\n  \"rows\": [\n    \
+             {\"a\": 1, \"b\": [null]},\n    {}\n  ],\n  \"failures\": [],\n  \
+             \"verified\": null\n}\n"
+        );
+        assert_eq!(rounded(0.123_456_789, 6), Json::Num(0.123_457));
+        assert_eq!(Json::Num(f64::NAN).line(), "null");
+    }
+
+    /// Every string-building block the property draws from: all 32
+    /// control bytes, the two characters JSON must escape, and one-,
+    /// two-, three- and four-byte UTF-8 (the last outside the BMP).
+    fn alphabet() -> Vec<char> {
+        let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
+        chars.extend(['"', '\\', '/', 'a', 'Z', '0', ' ', '\u{7f}', '\u{3bb}', '\u{20ac}']);
+        chars.extend(['\u{1F600}', '\u{10FFFF}', '\u{1D11E}']);
+        chars
+    }
+
+    /// Random JSON values no deeper than `depth` levels below this one.
+    #[derive(Clone)]
+    struct Values {
+        depth: usize,
+    }
+
+    impl Values {
+        fn string(rng: &mut TestRng) -> String {
+            let alphabet = alphabet();
+            (0..rng.gen_range(0..12usize)).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect()
+        }
+
+        fn number(rng: &mut TestRng) -> f64 {
+            match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(0..=1u64 << 53) as f64,
+                1 => -(rng.gen_range(0..=1u64 << 53) as f64),
+                2 => rng.gen_range(0.0..1.0),
+                _ => Some(f64::from_bits(rng.next_u64())).filter(|x| x.is_finite()).unwrap_or(0.5),
+            }
+        }
+    }
+
+    impl Strategy for Values {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            let arms: u32 = if self.depth == 0 { 5 } else { 7 };
+            let inner = Values { depth: self.depth.saturating_sub(1) };
+            match rng.gen_range(0..arms) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.next_u64() & 1 == 1),
+                2 => Json::Num(Self::number(rng)),
+                3 | 4 => Json::Str(Self::string(rng)),
+                5 => Json::Arr((0..rng.gen_range(0..4usize)).map(|_| inner.generate(rng)).collect()),
+                _ => Json::Obj(
+                    (0..rng.gen_range(0..4usize))
+                        .map(|_| (Self::string(rng), inner.generate(rng)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    /// A chain of arrays and objects nested exactly to the parser's
+    /// depth cap around a random leaf.
+    #[derive(Clone)]
+    struct DeepChains;
+
+    impl Strategy for DeepChains {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            (0..MAX_DEPTH).fold(Values { depth: 0 }.generate(rng), |inner, _| {
+                if rng.next_u64() & 1 == 0 {
+                    Json::Arr(vec![inner])
+                } else {
+                    Json::Obj(vec![(Values::string(rng), inner)])
+                }
+            })
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_reads_back_what_either_layout_writes(v in Values { depth: 4 }) {
+            prop_assert_eq!(parse(&v.line()), Ok(v.clone()));
+            prop_assert_eq!(parse(&v.pretty()), Ok(v));
+        }
+
+        #[test]
+        fn values_nested_to_the_depth_cap_round_trip(v in DeepChains) {
+            prop_assert_eq!(parse(&v.line()), Ok(v.clone()));
+            prop_assert_eq!(parse(&v.pretty()), Ok(v));
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! a non-zero exit.
 
 use crate::artifact;
-use crate::serve::{self, json};
+use crate::serve;
+use crate::serve::json::{self, obj, rounded};
 use colt_prng::rngs::SmallRng;
 use colt_prng::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
@@ -370,23 +371,20 @@ pub(crate) fn classify(tally: &Tally, response: &json::Json) -> bool {
 
 const CONFIG_ROTATION: [&str; 4] = ["baseline", "colt_sa", "colt_fa", "colt_all"];
 
-/// The optional `"deadline_ms"` request field (empty when unset).
-fn deadline_field(cfg: &BenchConfig) -> String {
-    if cfg.deadline_ms > 0 {
-        format!("\"deadline_ms\": {}, ", cfg.deadline_ms)
-    } else {
-        String::new()
-    }
+/// The optional `"deadline_ms"` request field (absent when unset).
+fn deadline(cfg: &BenchConfig) -> Option<u64> {
+    (cfg.deadline_ms > 0).then_some(cfg.deadline_ms)
 }
 
 fn translate_line(cfg: &BenchConfig, bench: &str, config: &str) -> String {
-    format!(
-        "{{\"op\": \"translate\", {}\"benchmark\": \"{}\", \"config\": \"{config}\", \
-         \"accesses\": {}}}",
-        deadline_field(cfg),
-        artifact::json_escape(bench),
-        cfg.accesses
-    )
+    obj! {
+        "op" => "translate",
+        "deadline_ms" =>? deadline(cfg),
+        "benchmark" => bench,
+        "config" => config,
+        "accesses" => cfg.accesses,
+    }
+    .line()
 }
 
 /// A sweep request. The idempotency key, when given, is constant across
@@ -394,17 +392,20 @@ fn translate_line(cfg: &BenchConfig, bench: &str, config: &str) -> String {
 /// line), which is what lets the server prove a retried sweep coalesced
 /// onto the original flight instead of recomputing.
 fn sweep_line(cfg: &BenchConfig, idem: Option<&str>) -> String {
-    let idem = idem
-        .map(|k| format!("\"idem\": \"{}\", ", artifact::json_escape(k)))
-        .unwrap_or_default();
-    format!(
-        "{{\"op\": \"sweep\", {}{idem}\"experiment\": \"{}\", \"accesses\": {}, \
-         \"bench\": \"{}\"}}",
-        deadline_field(cfg),
-        artifact::json_escape(&cfg.sweep),
-        cfg.sweep_accesses,
-        artifact::json_escape(&cfg.bench)
-    )
+    obj! {
+        "op" => "sweep",
+        "deadline_ms" =>? deadline(cfg),
+        "idem" =>? idem,
+        "experiment" => &cfg.sweep,
+        "accesses" => cfg.sweep_accesses,
+        "bench" => &cfg.bench,
+    }
+    .line()
+}
+
+/// The shutdown request.
+pub(crate) fn shutdown_line() -> String {
+    obj! { "op" => "shutdown" }.line()
 }
 
 fn note_sweep(tally: &Tally, response: &json::Json) {
@@ -528,7 +529,6 @@ fn verify_sweep(cfg: &BenchConfig, tally: &Tally) -> Result<(), String> {
 }
 
 /// The `BENCH_serve.json` payload.
-#[allow(clippy::too_many_arguments)]
 fn bench_json(
     cfg: &BenchConfig,
     tally: &Tally,
@@ -537,51 +537,40 @@ fn bench_json(
     verified: Option<bool>,
 ) -> String {
     let load = |f: &AtomicU64| f.load(Ordering::Relaxed);
-    let total = latencies_ms.len() as u64;
+    let total = latencies_ms.len();
     let sweeps = load(&tally.sweeps);
     let hits = load(&tally.sweep_cache_hits);
     let hit_rate = if sweeps > 0 { hits as f64 / sweeps as f64 } else { 0.0 };
     let rps = if wall_seconds > 0.0 { total as f64 / wall_seconds } else { 0.0 };
-    format!
-    (
-        "{{\n  \"schema\": \"colt-bench-serve/v2\",\n  \"conns\": {},\n  \
-         \"requests\": {total},\n  \"ok\": {},\n  \"rejected_quota\": {},\n  \
-         \"rejected_busy\": {},\n  \"rejected_shed\": {},\n  \
-         \"rejected_too_large\": {},\n  \"rejected_deadline\": {},\n  \
-         \"rejected_malformed\": {},\n  \"errors\": {},\n  \
-         \"transport_errors\": {},\n  \"retries\": {},\n  \"recovered\": {},\n  \
-         \"breaker_opens\": {},\n  \"idem_replays\": {},\n  \
-         \"wall_seconds\": {:.6},\n  \
-         \"requests_per_sec\": {:.3},\n  \"p50_latency_ms\": {:.3},\n  \
-         \"p99_latency_ms\": {:.3},\n  \"translate_accesses\": {},\n  \
-         \"sweep_experiment\": \"{}\",\n  \"sweep_requests\": {sweeps},\n  \
-         \"sweep_cache_hits\": {hits},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \
-         \"verified\": {}\n}}",
-        cfg.conns,
-        load(&tally.ok),
-        load(&tally.rejected_quota),
-        load(&tally.rejected_busy),
-        load(&tally.rejected_shed),
-        load(&tally.rejected_too_large),
-        load(&tally.rejected_deadline),
-        load(&tally.rejected_malformed),
-        load(&tally.errors),
-        load(&tally.transport_errors),
-        load(&tally.retries),
-        load(&tally.recovered),
-        load(&tally.breaker_opens),
-        load(&tally.idem_replays),
-        wall_seconds,
-        rps,
-        percentile(latencies_ms, 50.0),
-        percentile(latencies_ms, 99.0),
-        cfg.accesses,
-        artifact::json_escape(&cfg.sweep),
-        match verified {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        }
-    )
+    obj! {
+        "schema" => "colt-bench-serve/v2",
+        "conns" => cfg.conns,
+        "requests" => total,
+        "ok" => load(&tally.ok),
+        "rejected_quota" => load(&tally.rejected_quota),
+        "rejected_busy" => load(&tally.rejected_busy),
+        "rejected_shed" => load(&tally.rejected_shed),
+        "rejected_too_large" => load(&tally.rejected_too_large),
+        "rejected_deadline" => load(&tally.rejected_deadline),
+        "rejected_malformed" => load(&tally.rejected_malformed),
+        "errors" => load(&tally.errors),
+        "transport_errors" => load(&tally.transport_errors),
+        "retries" => load(&tally.retries),
+        "recovered" => load(&tally.recovered),
+        "breaker_opens" => load(&tally.breaker_opens),
+        "idem_replays" => load(&tally.idem_replays),
+        "wall_seconds" => rounded(wall_seconds, 6),
+        "requests_per_sec" => rounded(rps, 3),
+        "p50_latency_ms" => rounded(percentile(latencies_ms, 50.0), 3),
+        "p99_latency_ms" => rounded(percentile(latencies_ms, 99.0), 3),
+        "translate_accesses" => cfg.accesses,
+        "sweep_experiment" => &cfg.sweep,
+        "sweep_requests" => sweeps,
+        "sweep_cache_hits" => hits,
+        "cache_hit_rate" => rounded(hit_rate, 4),
+        "verified" => verified,
+    }
+    .pretty()
 }
 
 /// Runs the bench against a live server and writes the artifact.
@@ -638,7 +627,7 @@ pub fn run(cfg: &BenchConfig) -> Result<String, String> {
     if cfg.shutdown {
         let mut client =
             RobustClient::new(&cfg.host, cfg.port, cfg.retry, cfg.seed ^ 0xD1E, &tally);
-        let response = client.request("{\"op\": \"shutdown\"}")?;
+        let response = client.request(&shutdown_line())?;
         if response.get("ok").and_then(json::Json::as_bool) != Some(true) {
             return Err("shutdown request was not acknowledged".to_string());
         }
@@ -822,16 +811,17 @@ mod tests {
         tally.sweep_cache_hits.store(3, Ordering::Relaxed);
         let payload =
             bench_json(&cfg, &tally, &[1.0, 2.0, 3.0, 4.0], 2.0, Some(true));
-        artifact::validate_json(&payload).unwrap();
-        assert!(payload.contains("\"requests_per_sec\": 2.000"));
-        assert!(payload.contains("\"cache_hit_rate\": 0.7500"));
-        assert!(payload.contains("\"p50_latency_ms\""));
-        assert!(payload.contains("\"p99_latency_ms\""));
+        let doc = json::parse(&payload).unwrap();
+        let num = |doc: &json::Json, key: &str| doc.get(key).and_then(json::Json::as_f64);
+        assert_eq!(num(&doc, "requests_per_sec"), Some(2.0));
+        assert_eq!(num(&doc, "cache_hit_rate"), Some(0.75));
+        assert!(num(&doc, "p50_latency_ms").is_some());
+        assert!(num(&doc, "p99_latency_ms").is_some());
         assert!(payload.contains("\"verified\": true"));
         let unverified = bench_json(&cfg, &Tally::default(), &[], 0.0, None);
-        artifact::validate_json(&unverified).unwrap();
+        let doc = json::parse(&unverified).unwrap();
         assert!(unverified.contains("\"verified\": null"));
-        assert!(unverified.contains("\"cache_hit_rate\": 0.0000"));
+        assert_eq!(num(&doc, "cache_hit_rate"), Some(0.0));
     }
 
     #[test]
@@ -913,9 +903,7 @@ mod tests {
     fn classify_buckets_every_rejection_category() {
         let tally = Tally::default();
         for kind in ["quota", "busy", "shed", "too_large", "deadline", "malformed"] {
-            let line = format!(
-                "{{\"ok\": false, \"error\": \"x\", \"rejected\": \"{kind}\"}}"
-            );
+            let line = obj! { "ok" => false, "error" => "x", "rejected" => kind }.line();
             assert!(!classify(&tally, &json::parse(&line).unwrap()));
         }
         assert!(!classify(

@@ -46,7 +46,7 @@ use std::time::Instant;
 /// Snapshot file format version. Bump whenever any `Snapshot` impl in
 /// the substrate changes shape; old files are then quarantined instead
 /// of misread.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// File magic: identifies a CoLT preparation snapshot.
 const MAGIC: &[u8; 8] = b"COLTSNAP";
@@ -487,7 +487,6 @@ pub(crate) fn load_from(
     match parse_snapshot(&bytes, key, spec) {
         Ok(found) => found,
         Err(why) => {
-            let _ = crate::io_faults::confirm_flip(&path);
             quarantine(&path, &why);
             None
         }
@@ -534,23 +533,14 @@ fn parse_snapshot(
 /// sibling — evidence is preserved, nothing corrupt is ever trusted or
 /// silently deleted.
 fn quarantine(path: &Path, why: &str) {
-    let mut n = 1;
-    let qpath = loop {
-        let candidate = PathBuf::from(format!("{}.corrupt-{n}", path.display()));
-        if !candidate.exists() {
-            break candidate;
-        }
-        n += 1;
-    };
-    match crate::vfs::active().rename(path, &qpath) {
-        Ok(()) => eprintln!(
+    match crate::artifact::quarantine("snapshot", path) {
+        Ok(qpath) => eprintln!(
             "warning: unusable preparation snapshot {} ({why}); quarantined to {}, \
              the pair re-prepares",
             path.display(),
             qpath.display()
         ),
         Err(e) => {
-            let _ = crate::io_faults::account("snapshot", &e);
             eprintln!(
                 "warning: unusable preparation snapshot {} ({why}); quarantine rename \
                  failed too ({e}), the pair re-prepares",

@@ -27,7 +27,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
-use crate::io_faults::{self, injected_error, IoFaultCounts, IoFaultKind, IoFaultPlan};
+use crate::io_faults::{self, injected_error, IoFaultCounts, IoFaultKind, IoFaultPlan, StorageStream};
 use colt_os_mem::faults::FaultConfig;
 
 /// An open file produced by [`Vfs::create`] or [`Vfs::open_append`].
@@ -536,7 +536,10 @@ mod tests {
             }
         }
         let c = vfs.counts();
-        assert_eq!((c.enospc, c.short_writes), (enospc, short));
+        assert_eq!(
+            (c.get(IoFaultKind::Enospc), c.get(IoFaultKind::ShortWrite)),
+            (enospc, short)
+        );
         assert_eq!(c.total(), 20);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -565,7 +568,7 @@ mod tests {
             });
             assert!(liar.sync_data().is_ok(), "the fsync lies: reports success");
         }
-        assert_eq!(vfs.counts().sync_lies, 1);
+        assert_eq!(vfs.counts().get(IoFaultKind::SyncLie), 1);
         let report = vfs.power_cut();
         assert_eq!(report.files_truncated, 1);
         assert_eq!(report.bytes_discarded, 8);
@@ -628,7 +631,7 @@ mod tests {
         assert_eq!(io_faults::classify(&e), Some(IoFaultKind::PostCut));
         let e = vfs.read(&p).unwrap_err();
         assert_eq!(io_faults::classify(&e), Some(IoFaultKind::PostCut));
-        assert_eq!(vfs.counts().post_cut, 2);
+        assert_eq!(vfs.counts().get(IoFaultKind::PostCut), 2);
         vfs.power_cut();
         assert!(!vfs.is_dead());
         assert_eq!(vfs.read(&p).unwrap(), b"record 1\n");
@@ -652,7 +655,7 @@ mod tests {
             }
         }
         let (vfs, bytes) = flipped.expect("some seed flips first");
-        assert_eq!(vfs.counts().bit_flips, 1);
+        assert_eq!(vfs.counts().get(IoFaultKind::BitFlip), 1);
         assert_eq!(bytes.iter().map(|b| b.count_ones()).sum::<u32>(), 1);
         assert_eq!(std::fs::read(&p).unwrap(), vec![0u8; 256], "disk untouched");
         assert_eq!(io_faults::ledger().flips_pending, 1);

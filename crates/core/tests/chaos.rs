@@ -9,7 +9,8 @@
 //! binary runs in its own process, separate from `tests/serve.rs`).
 
 use colt_core::chaos_serve::{self, ChaosServeConfig};
-use colt_core::serve::{self, chaos::ChaosConfig, json, ServeConfig};
+use colt_core::serve::{self, json, ServeConfig};
+use colt_os_mem::faults::FaultConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -98,7 +99,7 @@ fn seeded_chaos_soak_recovers_every_fault_and_keeps_byte_identity() {
     let _g = lock();
     let out = scratch("soak").join("BENCH_chaos.json");
     let cfg = ChaosServeConfig {
-        chaos: ChaosConfig { rate: 0.15, window: 0, seed: 7 },
+        chaos: FaultConfig { rate: 0.15, window: 0, seed: 7 },
         conns: 2,
         requests: 10,
         accesses: 500,

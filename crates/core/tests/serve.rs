@@ -411,6 +411,9 @@ fn malformed_lines_and_unknown_ops_get_errors_not_disconnects() {
         "{\"op\": \"sweep\", \"experiment\": \"not-an-experiment\"}",
         "{\"op\": \"translate\"}",
         "{}",
+        // The reply echoes the control character: it must come back
+        // escaped, or `request` fails to parse it.
+        "{\"op\":\"\\u0001\"}",
     ] {
         let r = client.request(bad);
         assert!(!ok(&r), "{bad:?} must be rejected");

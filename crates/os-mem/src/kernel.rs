@@ -11,7 +11,7 @@ use crate::buddy::{covering_order, BuddyAllocator, PfnRange};
 use crate::compaction::{self, CompactionControl, CompactionStats};
 use crate::contiguity::ContiguityReport;
 use crate::error::{MemError, MemResult};
-use crate::faults::{FaultConfig, FaultPlan};
+use crate::faults::{FaultConfig, FaultPlan, KernelFault};
 use crate::frames::{FrameDb, FrameState};
 use crate::page_table::{PageKind, Pte, PteFlags, Translation};
 use crate::policy::{interleave, MmPolicy, Placement, PolicyKind, ReclaimOrder, ThpDecision};
@@ -205,7 +205,7 @@ pub struct Kernel {
     /// only when enabled (the differential checker's hook).
     shootdowns: ShootdownLog,
     /// The active fault-injection plan, if any.
-    faults: Option<FaultPlan>,
+    faults: Option<FaultPlan<KernelFault>>,
     /// khugepaged's queue: regions that fell back to base pages, waiting
     /// for a deferred collapse, with per-region retry counts.
     thp_deferred: VecDeque<(Asid, Vpn, u32)>,

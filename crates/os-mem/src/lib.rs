@@ -50,7 +50,7 @@ pub mod vma;
 pub use addr::{Asid, Pfn, PhysAddr, VirtAddr, Vpn};
 pub use contiguity::ContiguityReport;
 pub use error::{MemError, MemResult};
-pub use faults::{DeliveryFault, FaultConfig, FaultPlan};
+pub use faults::{DeliveryFault, FaultConfig, FaultPlan, KernelFault};
 pub use kernel::{Kernel, KernelConfig};
 pub use policy::{MmPolicy, PolicyKind};
 pub use snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
