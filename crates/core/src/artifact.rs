@@ -39,8 +39,9 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A tmp-file name unique across processes (PID) *and* across threads
 /// and repeated calls within one process (counter). A fixed
-/// `.tmp-<pid>` suffix would let two server shards — same PID, same
-/// target — clobber each other's tmp mid-write.
+/// `.tmp-<pid>` suffix would let two threads of one process — the serve
+/// dispatcher and a sweep leader storing the same preparation snapshot,
+/// say — clobber each other's tmp mid-write.
 pub(crate) fn unique_tmp(path: &Path) -> PathBuf {
     PathBuf::from(format!(
         "{}.tmp-{}-{}",

@@ -5,7 +5,7 @@
 //! repro pressure [--faults rate=R,window=W,seed=S] [--cores N]
 //! repro <experiment> --resume [--retries N]
 //! repro --check [--seeds N] [--events N] [--jobs N] [--faults SPEC]
-//! repro serve [--port N] [--port-file PATH] [--jobs N] [--quota N] ...
+//! repro serve [--port N] [--port-file PATH] [--jobs N] [--cache-dir PATH]
 //! repro serve-bench --port N [--conns N] [--requests N] [--verify-sweep] ...
 //! repro chaos-serve [--chaos rate=R,window=W,seed=S] [--conns N] ...
 //! repro torture [--seeds N] [--io-faults rate=R,window=W,seed=S] ...

@@ -13,9 +13,9 @@
 //!   Stalls are latency, not errors, and are audited as injected-only.
 //! * **no leaked slots** — after graceful drain the dispatch queue is
 //!   empty and no sweep leader is still in flight.
-//! * **byte identity** — the sweep served under chaos (through retries
-//!   and idempotency keys) is byte-identical to a direct in-process
-//!   [`serve::sweep_csv`] run.
+//! * **byte identity** — the sweep served under chaos (through retries,
+//!   which coalesce by sweep key) is byte-identical to a direct
+//!   in-process [`serve::sweep_csv`] run.
 //! * **warm-restart identity** — a second server booted from the
 //!   drained cache directory serves the same sweep from its warmed
 //!   cache, byte-identical again.
@@ -29,11 +29,11 @@ use crate::artifact::{self, Verdict};
 use crate::serve::chaos::{self, ChaosFault};
 use crate::serve::json::{self, obj, rounded};
 use crate::serve::{self, ServeConfig};
-use crate::serve_bench::{self, BenchConfig, RobustClient, Tally};
+use crate::serve_bench::{self, BenchConfig, BenchRun, RobustClient, Tally};
 use colt_os_mem::faults::FaultConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Soak parameters (one flag each; see `repro chaos-serve --help`).
@@ -79,50 +79,6 @@ impl Default for ChaosServeConfig {
             quiet: false,
         }
     }
-}
-
-/// Numbers parsed back out of the `serve_bench` payload (the client's
-/// side of the ledger).
-#[derive(Default)]
-struct ClientLedger {
-    ok: u64,
-    transport_errors: u64,
-    retries: u64,
-    recovered: u64,
-    breaker_opens: u64,
-    idem_replays: u64,
-    rejections: u64,
-    p50_latency_ms: f64,
-    p99_latency_ms: f64,
-    requests_per_sec: f64,
-}
-
-fn ledger_from_payload(payload: &str) -> Result<ClientLedger, String> {
-    let doc = json::parse(payload)
-        .map_err(|e| format!("serve-bench payload did not parse: {e}"))?;
-    let num = |key: &str| doc.get(key).and_then(json::Json::as_u64).unwrap_or(0);
-    let float = |key: &str| {
-        doc.get(key)
-            .and_then(json::Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    Ok(ClientLedger {
-        ok: num("ok"),
-        transport_errors: num("transport_errors"),
-        retries: num("retries"),
-        recovered: num("recovered"),
-        breaker_opens: num("breaker_opens"),
-        idem_replays: num("idem_replays"),
-        rejections: num("rejected_quota")
-            + num("rejected_busy")
-            + num("rejected_shed")
-            + num("rejected_too_large")
-            + num("rejected_deadline")
-            + num("rejected_malformed"),
-        p50_latency_ms: float("p50_latency_ms"),
-        p99_latency_ms: float("p99_latency_ms"),
-        requests_per_sec: float("requests_per_sec"),
-    })
 }
 
 /// Asks a freshly restarted server (warmed from `cache_dir`, chaos
@@ -203,14 +159,16 @@ fn warm_restart_check(
 fn chaos_json(
     cfg: &ChaosServeConfig,
     summary: &serve::ServeSummary,
-    ledger: &ClientLedger,
-    extra_transport_errors: u64,
+    client: &BenchRun,
+    transport_errors: u64,
     wall_seconds: f64,
     verdicts: &[Verdict],
 ) -> String {
     let chaos = &summary.chaos;
+    let load = |f: &AtomicU64| f.load(Ordering::Relaxed);
+    let (tally, latency) = (&client.tally, &client.latency);
     let mut doc = obj! {
-        "schema" => "colt-bench-chaos/v1",
+        "schema" => "colt-bench-chaos/v2",
         "chaos_rate" => cfg.chaos.rate,
         "chaos_window" => cfg.chaos.window,
         "chaos_seed" => cfg.chaos.seed,
@@ -222,22 +180,20 @@ fn chaos_json(
         "resets" => chaos.get(ChaosFault::Reset),
         "stalls" => chaos.get(ChaosFault::Stall),
         "accept_hiccups" => chaos.get(ChaosFault::AcceptHiccup),
-        "transport_errors" => ledger.transport_errors + extra_transport_errors,
-        "retries" => ledger.retries,
-        "recovered" => ledger.recovered,
-        "breaker_opens" => ledger.breaker_opens,
-        "idem_replays" => ledger.idem_replays,
-        "ok_requests" => ledger.ok,
-        "rejections" => ledger.rejections,
+        "transport_errors" => transport_errors,
+        "retries" => load(&tally.retries),
+        "recovered" => load(&tally.recovered),
+        "breaker_opens" => load(&tally.breaker_opens),
+        "ok_requests" => load(&tally.ok),
+        "rejections" => tally.rejections(),
         "rejected_shed" => summary.rejected_shed,
         "rejected_deadline" => summary.rejected_deadline,
-        "server_idem_hits" => summary.idem_hits,
         "panics" => summary.panics,
         "failed_cells" => summary.failed_cells,
         "persisted_sweeps" => summary.persisted,
-        "p50_latency_ms" => rounded(ledger.p50_latency_ms, 3),
-        "p99_latency_ms" => rounded(ledger.p99_latency_ms, 3),
-        "requests_per_sec" => rounded(ledger.requests_per_sec, 3),
+        "p50_latency_ms" => rounded(latency.p50_ms, 3),
+        "p99_latency_ms" => rounded(latency.p99_ms, 3),
+        "requests_per_sec" => rounded(latency.requests_per_sec, 3),
     };
     artifact::push_verdicts(&mut doc, verdicts);
     doc.pretty()
@@ -306,13 +262,14 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
     };
     // An exhausted retry budget surfaces here; shut the server down
     // before propagating so nothing is left listening.
-    let bench_result = serve_bench::run(&bench_cfg);
-    let byte_identity = bench_result.is_ok();
-    let bench_note = match &bench_result {
-        Ok(_) => "retried+idempotent sweep matched cache and direct run \
-                  byte-for-byte"
-            .to_string(),
-        Err(e) => e.clone(),
+    let (byte_identity, bench_note, client) = match serve_bench::run(&bench_cfg) {
+        Ok(run) => (
+            true,
+            "retried+idempotent sweep matched cache and direct run byte-for-byte"
+                .to_string(),
+            run,
+        ),
+        Err(e) => (false, e, BenchRun::default()),
     };
 
     // Graceful drain: the shutdown ack is chaos-exempt, but the
@@ -336,15 +293,9 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
     }
     let summary = server.wait();
     let wall_seconds = wall_start.elapsed().as_secs_f64();
-    let extra_transport_errors =
-        shutdown_tally.transport_errors.load(Ordering::Relaxed);
+    let seen = client.tally.transport_errors.load(Ordering::Relaxed)
+        + shutdown_tally.transport_errors.load(Ordering::Relaxed);
 
-    let payload_text = bench_result.unwrap_or_default();
-    let ledger = if byte_identity {
-        ledger_from_payload(&payload_text)?
-    } else {
-        ClientLedger::default()
-    };
     let chaos = summary.chaos;
     let torn = chaos.get(ChaosFault::TornFrame);
     let resets = chaos.get(ChaosFault::Reset);
@@ -353,10 +304,9 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
     if !cfg.quiet {
         println!(
             "chaos-serve: drain {} — {} fault(s) injected ({torn} torn, {resets} \
-             reset, {stalls} stalled, {hiccups} accept), {} transport error(s) retried",
+             reset, {stalls} stalled, {hiccups} accept), {seen} transport error(s) retried",
             if summary.drained_clean { "clean" } else { "TIMED OUT" },
             chaos.total(),
-            ledger.transport_errors + extra_transport_errors,
         );
     }
 
@@ -376,7 +326,6 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
     let warm = warm_restart_check(cfg, &cache_dir, &direct);
 
     let disruptive = torn + resets + hiccups;
-    let seen = ledger.transport_errors + extra_transport_errors;
     let verdicts = vec![
         Verdict {
             name: "zero_panics",
@@ -416,8 +365,7 @@ pub fn run(cfg: &ChaosServeConfig) -> Result<(String, bool), String> {
         },
     ];
 
-    let payload =
-        chaos_json(cfg, &summary, &ledger, extra_transport_errors, wall_seconds, &verdicts);
+    let payload = chaos_json(cfg, &summary, &client, seen, wall_seconds, &verdicts);
     if let Some(moved) = artifact::quarantine_if_corrupt(&cfg.out)
         .map_err(|e| format!("inspect {}: {e}", cfg.out.display()))?
     {

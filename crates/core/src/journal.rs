@@ -96,18 +96,6 @@ pub fn fingerprint_of(canonical: &str) -> String {
     format!("{:08x}", crc32(canonical.as_bytes()))
 }
 
-/// Maps a fingerprint (any string, typically [`fingerprint_of`] output)
-/// onto one of `shards` buckets. `repro serve` shards its prepared-pool
-/// locks this way so unrelated configurations never contend. Stable
-/// across processes — it reuses the journal's CRC32, not a randomized
-/// hasher.
-pub fn fingerprint_bucket(fingerprint: &str, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    crc32(fingerprint.as_bytes()) as usize % shards
-}
-
 // ---------------------------------------------------------------------
 // Sealed records: the framing journal lines and serve-cache entries
 // share.
@@ -991,24 +979,6 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn fingerprint_bucket_is_stable_and_in_range() {
-        for shards in [1, 2, 8, 13] {
-            for key in ["a1b2c3d4", "00000000", "fig18;accesses=30000"] {
-                let b = fingerprint_bucket(key, shards);
-                assert!(b < shards.max(1));
-                assert_eq!(b, fingerprint_bucket(key, shards), "deterministic");
-            }
-        }
-        assert_eq!(fingerprint_bucket("anything", 0), 0);
-        assert_eq!(fingerprint_bucket("anything", 1), 0);
-        // Distinct keys actually spread across buckets.
-        let spread: std::collections::BTreeSet<usize> = (0..32)
-            .map(|i| fingerprint_bucket(&fingerprint_of(&format!("key-{i}")), 8))
-            .collect();
-        assert!(spread.len() > 1, "32 keys must not all land in one of 8 buckets");
     }
 
     #[test]

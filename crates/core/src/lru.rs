@@ -2,11 +2,10 @@
 //!
 //! A one-shot `repro` invocation can afford caches that only grow — the
 //! process dies minutes later. `repro serve` cannot: the in-memory
-//! preparation cache, the per-shard prepared-instance pools, and the
-//! sweep-result cache all live for the lifetime of the server, so each
-//! is bounded by one of these maps and evicts least-recently-used
-//! entries past its capacity (evictions are counted and reported, never
-//! silent).
+//! preparation cache and the sweep-result cache both live for the
+//! lifetime of the server, so each is bounded by one of these maps and
+//! evicts least-recently-used entries past its capacity (evictions are
+//! counted and reported, never silent).
 //!
 //! The implementation is a `VecDeque` scanned linearly: capacities are
 //! tens-to-hundreds of entries whose values are multi-megabyte

@@ -1,16 +1,13 @@
 //! `repro serve` — a resident translation/sweep server over TCP.
 //!
-//! The ROADMAP's north star is a production-scale system serving heavy
-//! traffic; this module is the serving leg. A long-running process
-//! (std-only threads + TCP, line-delimited JSON requests and responses)
-//! holds a pool of prepared simulation instances sharded by
-//! configuration fingerprint and answers two kinds of work:
+//! A long-running process (std-only threads + TCP, line-delimited JSON
+//! requests and responses) answers two kinds of work:
 //!
 //! * **translate** — simulate one (benchmark, TLB config, scenario)
 //!   cell. Requests are pulled off a *bounded* dispatch queue in
-//!   batches, unique preparations are resolved once per batch through
-//!   the per-shard pools (backed by [`snapshot_cache`] for warm prep
-//!   and disk snapshots), and the batch fans out onto the existing
+//!   batches, each unique preparation is resolved once per batch through
+//!   [`snapshot_cache`] (its memory LRU, then disk snapshots, then a
+//!   fresh build), and the batch fans out onto the existing
 //!   work-stealing runner via [`runner::run_tasks_service`].
 //! * **sweep** — run a full named experiment (`fig18`, `table1`, …) and
 //!   return its CSV bytes. Responses are cached in an LRU keyed by the
@@ -24,12 +21,11 @@
 //! Resource lifetime is the design center — a resident process cannot
 //! rely on dying before its caches matter:
 //!
-//! * every cache is a bounded [`LruMap`] (shard pools, result cache,
-//!   and the snapshot cache's own `COLT_SNAPSHOT_MEM_CAP` bound),
+//! * every cache is a bounded [`LruMap`] (the result cache, and the
+//!   snapshot cache's own `COLT_SNAPSHOT_MEM_CAP` bound),
 //! * the dispatch queue is bounded; a full queue is a *polite* `busy`
-//!   rejection, not an unbounded pile-up (backpressure),
-//! * each connection has a request quota; past it, requests are
-//!   politely rejected with `"rejected": "quota"`,
+//!   rejection, not an unbounded pile-up (backpressure), and so is a
+//!   connection past [`MAX_CONNS`],
 //! * runner metrics and snapshot-cache stats are drained after every
 //!   batch/sweep into fixed-size counters, so nothing grows with
 //!   uptime.
@@ -49,17 +45,18 @@
 //! ```
 //!
 //! Every response carries `"ok": true|false`; rejections carry
-//! `"rejected": "quota"|"busy"|"shed"|"too_large"|"deadline"|"malformed"`
+//! `"rejected": "busy"|"shed"|"too_large"|"deadline"|"malformed"`
 //! so clients can distinguish overload from errors. Requests may carry
-//! `"deadline_ms"` (per-request deadline, clamped to the server bound)
-//! and sweeps an `"idem"` idempotency key so retried requests provably
-//! coalesce onto the original single-flight leader. See DESIGN.md §13
-//! for the serving architecture, §15 for the chaos-hardening layer
-//! ([`chaos`], deadlines, shedding, graceful drain), and `repro
-//! serve-bench` ([`crate::serve_bench`]) for the load generator.
+//! `"deadline_ms"` (per-request deadline, clamped to 600 s).
+//! A retried sweep needs no key of its own: it carries the same sweep
+//! key, so it joins the in-flight leader or hits the result cache. See
+//! DESIGN.md §13 for the serving architecture and the mechanism ledger,
+//! §15 for the chaos-hardening layer ([`chaos`], deadlines, shedding,
+//! graceful drain), and `repro serve-bench` ([`crate::serve_bench`])
+//! for the load generator.
 
 use crate::experiments::{run_named, ExperimentOptions};
-use crate::journal::{fingerprint_bucket, fingerprint_of, Opened};
+use crate::journal::{fingerprint_of, Opened};
 use crate::lru::LruMap;
 use crate::runner::{self, CellOutcome, SweepTask};
 use crate::sim::{self, SimConfig, SimResult};
@@ -93,9 +90,35 @@ fn relock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Server tuning. Every bound exists because the process is resident:
-/// an unbounded queue, pool, or cache is a slow-motion OOM under heavy
-/// traffic.
+/// Concurrent connections accepted; the next one reads a single
+/// `"rejected": "busy"` line and is closed.
+pub const MAX_CONNS: usize = 64;
+
+/// Sweep results retained in the LRU result cache.
+const RESULT_CACHE_CAP: usize = 64;
+
+/// Translate requests dispatched per batch.
+const BATCH_MAX: usize = 64;
+
+/// Longest request line accepted, in bytes; past it the line is drained
+/// and rejected with `"rejected": "too_large"` (the connection stays
+/// usable).
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Ceiling on per-request deadlines. Requests may ask for less via
+/// `"deadline_ms"`; past the deadline the request is rejected with
+/// `"rejected": "deadline"` and its queue slot freed.
+const DEADLINE_MS: u64 = 600_000;
+
+/// Graceful-drain budget at shutdown: how long to wait for in-flight
+/// sweep leaders before declaring the drain dirty.
+const DRAIN_MS: u64 = 30_000;
+
+/// Server settings. Every bound exists because the process is resident:
+/// an unbounded queue or cache is a slow-motion OOM under heavy
+/// traffic. Bounds nobody tunes are the constants above; the fields are
+/// the deployment settings, the bounds tests shrink to reach them
+/// deterministically, and what in-process callers set or read.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// TCP port (0 = ephemeral; the chosen port is printed and written
@@ -106,33 +129,12 @@ pub struct ServeConfig {
     pub port_file: Option<PathBuf>,
     /// Worker threads for batched dispatch and sweeps.
     pub jobs: usize,
-    /// Requests each connection may issue before polite rejection.
-    pub quota: u64,
     /// Bound on the translate dispatch queue; a full queue rejects with
     /// `"rejected": "busy"` (backpressure, not buffering).
     pub queue_cap: usize,
-    /// Concurrent connections accepted before rejecting new ones.
-    pub max_conns: usize,
-    /// Prepared-pool shards (locks); unrelated configurations hash to
-    /// different shards and never contend.
-    pub shards: usize,
-    /// Prepared instances each shard retains (LRU).
-    pub shard_cap: usize,
-    /// Sweep results retained in the LRU result cache.
-    pub result_cache_cap: usize,
-    /// Translate requests dispatched per batch.
-    pub batch_max: usize,
     /// Upper bound on per-request access budgets (a client asking for
     /// billions of references is clamped, loudly, in the response).
     pub max_accesses: u64,
-    /// Longest request line accepted, in bytes; past it the line is
-    /// drained and rejected with `"rejected": "too_large"` (the
-    /// connection stays usable).
-    pub max_line_bytes: usize,
-    /// Server-wide ceiling on per-request deadlines. Requests may ask
-    /// for less via `"deadline_ms"`; past the deadline the request is
-    /// rejected with `"rejected": "deadline"` and its queue slot freed.
-    pub deadline_ms: u64,
     /// Dispatch-queue high-water mark past which sweeps are shed
     /// (`"rejected": "shed"`) while translates still queue — load is
     /// shed by op priority. `None` derives ~3/4 of `queue_cap`.
@@ -140,16 +142,13 @@ pub struct ServeConfig {
     /// How long a partially written request line may stall before the
     /// client is evicted (and how long a response write may block).
     pub slow_client_ms: u64,
-    /// Graceful-drain budget at shutdown: how long to wait for
-    /// in-flight sweep leaders before declaring the drain dirty.
-    pub drain_ms: u64,
     /// Where to persist the sweep result cache at graceful drain (and
     /// reload it from at startup). `None` keeps the cache memory-only.
     pub cache_dir: Option<PathBuf>,
     /// Deterministic network-fault injection (soak harness); `None` in
     /// production.
     pub chaos: Option<FaultConfig>,
-    /// Suppress the listening/summary lines (tests).
+    /// Suppress the listening/summary lines (in-process callers).
     pub quiet: bool,
 }
 
@@ -159,19 +158,10 @@ impl Default for ServeConfig {
             port: 0,
             port_file: None,
             jobs: crate::experiments::default_jobs(),
-            quota: 1_000_000,
             queue_cap: 256,
-            max_conns: 64,
-            shards: 8,
-            shard_cap: 8,
-            result_cache_cap: 64,
-            batch_max: 64,
             max_accesses: 10_000_000,
-            max_line_bytes: 64 * 1024,
-            deadline_ms: 600_000,
             queue_high_water: None,
             slow_client_ms: 10_000,
-            drain_ms: 30_000,
             cache_dir: None,
             chaos: None,
             quiet: false,
@@ -182,14 +172,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     fn normalized(mut self) -> Self {
         self.jobs = self.jobs.max(1);
-        self.shards = self.shards.max(1);
-        self.shard_cap = self.shard_cap.max(1);
-        self.result_cache_cap = self.result_cache_cap.max(1);
-        self.batch_max = self.batch_max.max(1);
-        self.max_conns = self.max_conns.max(1);
         self.max_accesses = self.max_accesses.max(1);
-        self.max_line_bytes = self.max_line_bytes.max(64);
-        self.deadline_ms = self.deadline_ms.max(1);
         self.slow_client_ms = self.slow_client_ms.max(1);
         self
     }
@@ -218,7 +201,6 @@ struct Counters {
     sweep_cache_hits: AtomicU64,
     sweep_coalesced: AtomicU64,
     sweep_cache_evictions: AtomicU64,
-    rejected_quota: AtomicU64,
     rejected_busy: AtomicU64,
     rejected_conns: AtomicU64,
     failed_cells: AtomicU64,
@@ -228,8 +210,6 @@ struct Counters {
     prep_disk_hits: AtomicU64,
     prep_misses: AtomicU64,
     prep_evictions: AtomicU64,
-    shard_hits: AtomicU64,
-    shard_evictions: AtomicU64,
     bad_requests: AtomicU64,
     rejected_malformed: AtomicU64,
     rejected_too_large: AtomicU64,
@@ -237,7 +217,6 @@ struct Counters {
     rejected_shed: AtomicU64,
     evicted_slow: AtomicU64,
     panics: AtomicU64,
-    idem_hits: AtomicU64,
 }
 
 impl Counters {
@@ -276,7 +255,6 @@ struct TranslateJob {
 pub struct ServerState {
     cfg: ServeConfig,
     port: u16,
-    shards: Vec<Mutex<LruMap<Arc<PreparedWorkload>>>>,
     results: Mutex<LruMap<Arc<String>>>,
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
     /// Sweeps run one at a time: the experiment drivers push into the
@@ -290,9 +268,6 @@ pub struct ServerState {
     /// Sweep leaders whose compute thread has not yet landed its bytes;
     /// graceful drain waits for this to hit zero.
     inflight_sweeps: AtomicU64,
-    /// Idempotency keys seen recently, mapped to the sweep cache key
-    /// they resolved to (proves retried requests coalesce).
-    idem: Mutex<LruMap<String>>,
     /// Armed only by the `repro chaos-serve` soak harness.
     chaos: Option<Mutex<chaos::ChaosPlan>>,
     c: Counters,
@@ -399,8 +374,6 @@ pub struct ServeSummary {
     pub sweep_cache_hits: u64,
     /// Sweeps coalesced behind an identical in-flight leader.
     pub sweep_coalesced: u64,
-    /// Requests politely rejected over the per-connection quota.
-    pub rejected_quota: u64,
     /// Requests politely rejected under backpressure (full queue).
     pub rejected_busy: u64,
     /// Sweeps shed past the dispatch-queue high-water mark.
@@ -415,8 +388,6 @@ pub struct ServeSummary {
     pub evicted_slow: u64,
     /// Sweep computations that panicked (caught; the server survived).
     pub panics: u64,
-    /// Retried sweeps whose idempotency key was recognized.
-    pub idem_hits: u64,
     /// Dispatched cells that failed or were quarantined.
     pub failed_cells: u64,
     /// Network faults injected by the chaos plan, by kind (zero when
@@ -435,7 +406,7 @@ impl ServeSummary {
     pub fn render(&self) -> String {
         let mut line = format!(
             "repro serve: clean shutdown — {} request(s): {} translate(s), \
-             {} sweep(s) ({} cached, {} coalesced), {} quota-rejected, \
+             {} sweep(s) ({} cached, {} coalesced), \
              {} busy-rejected, {} shed, {} too-large, {} deadline, \
              {} malformed, {} slow-evicted, {} panic(s), quarantined cells: {}, \
              drain: {}",
@@ -444,7 +415,6 @@ impl ServeSummary {
             self.sweeps,
             self.sweep_cache_hits,
             self.sweep_coalesced,
-            self.rejected_quota,
             self.rejected_busy,
             self.rejected_shed,
             self.rejected_too_large,
@@ -500,8 +470,7 @@ impl ServerHandle {
         // Graceful drain: in-flight sweep leaders keep computing past
         // their clients' deadlines (the bytes land in the cache); give
         // them the drain budget to finish instead of losing the work.
-        let drain_deadline =
-            Instant::now() + Duration::from_millis(self.state.cfg.drain_ms);
+        let drain_deadline = Instant::now() + Duration::from_millis(DRAIN_MS);
         let mut drained_clean = true;
         while self.state.inflight_sweeps.load(Ordering::SeqCst) > 0 {
             if Instant::now() >= drain_deadline {
@@ -523,7 +492,6 @@ impl ServerHandle {
             sweeps: c.sweeps.load(Ordering::Relaxed),
             sweep_cache_hits: c.sweep_cache_hits.load(Ordering::Relaxed),
             sweep_coalesced: c.sweep_coalesced.load(Ordering::Relaxed),
-            rejected_quota: c.rejected_quota.load(Ordering::Relaxed),
             rejected_busy: c.rejected_busy.load(Ordering::Relaxed),
             rejected_shed: c.rejected_shed.load(Ordering::Relaxed),
             rejected_too_large: c.rejected_too_large.load(Ordering::Relaxed),
@@ -531,7 +499,6 @@ impl ServerHandle {
             rejected_malformed: c.rejected_malformed.load(Ordering::Relaxed),
             evicted_slow: c.evicted_slow.load(Ordering::Relaxed),
             panics: c.panics.load(Ordering::Relaxed),
-            idem_hits: c.idem_hits.load(Ordering::Relaxed),
             failed_cells: c.failed_cells.load(Ordering::Relaxed),
             chaos: self
                 .state
@@ -716,10 +683,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         }
         std::fs::write(path, format!("{port}\n"))?;
     }
-    let shards = (0..cfg.shards)
-        .map(|_| Mutex::new(LruMap::bounded(cfg.shard_cap)))
-        .collect();
-    let results = Mutex::new(LruMap::bounded(cfg.result_cache_cap));
+    let results = Mutex::new(LruMap::bounded(RESULT_CACHE_CAP));
     if let Some(dir) = &cfg.cache_dir {
         // Startup hygiene, mirroring `repro`'s results/ sweep: report
         // quarantines left by earlier runs and clear tmp litter from
@@ -752,7 +716,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     }
     let state = Arc::new(ServerState {
         results,
-        shards,
         inflight: Mutex::new(HashMap::new()),
         sweep_gate: Mutex::new(()),
         queue: Mutex::new(VecDeque::new()),
@@ -760,7 +723,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
         active_conns: AtomicU64::new(0),
         inflight_sweeps: AtomicU64::new(0),
-        idem: Mutex::new(LruMap::bounded(1024)),
         chaos: cfg.chaos.map(|c| Mutex::new(chaos::ChaosPlan::new(c))),
         c: Counters::default(),
         port,
@@ -805,7 +767,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                 continue;
             }
         }
-        if state.active_conns.load(Ordering::SeqCst) >= state.cfg.max_conns as u64 {
+        if state.active_conns.load(Ordering::SeqCst) >= MAX_CONNS as u64 {
             state.c.add(&state.c.rejected_conns, 1);
             let mut s = stream;
             let _ = writeln!(s, "{}", reject_line("busy", "too many connections"));
@@ -836,7 +798,7 @@ fn nudge_shutdown(state: &ServerState) {
 enum ReadLine {
     /// A complete (bounded) line.
     Line(String),
-    /// The line exceeded `max_line_bytes`; it was drained to its
+    /// The line exceeded [`MAX_LINE_BYTES`]; it was drained to its
     /// newline and discarded. The connection stays usable.
     TooLarge,
     /// The client stalled mid-line past `slow_client_ms`; evict it.
@@ -848,7 +810,7 @@ enum ReadLine {
 /// Reads one `\n`-terminated line, tolerating read timeouts (used to
 /// poll the shutdown flag). `read_until` keeps partial bytes in `buf`
 /// across timeouts, so slow writers are reassembled, not dropped —
-/// but a line is only reassembled up to `max_line_bytes` (past it the
+/// but a line is only reassembled up to [`MAX_LINE_BYTES`] (past it the
 /// rest is drained and the line rejected, never buffered), and a
 /// client that stalls mid-line past `slow_client_ms` is evicted. An
 /// idle connection *between* requests is never evicted: the timer only
@@ -891,7 +853,7 @@ fn read_line(
                     continue;
                 }
                 if complete {
-                    if buf.len() > state.cfg.max_line_bytes {
+                    if buf.len() > MAX_LINE_BYTES {
                         buf.clear();
                         return ReadLine::TooLarge;
                     }
@@ -901,7 +863,7 @@ fn read_line(
                 }
                 // Delimiter not reached. Cap what a slow writer may
                 // make the server buffer; past the cap, drain-and-drop.
-                if buf.len() > state.cfg.max_line_bytes {
+                if buf.len() > MAX_LINE_BYTES {
                     buf.clear();
                     discarding = true;
                 }
@@ -971,13 +933,13 @@ fn send_line(state: &ServerState, writer: &mut TcpStream, line: &str) -> bool {
 }
 
 /// The per-request deadline: the request's `"deadline_ms"` clamped to
-/// the server-wide ceiling (absent means the ceiling itself).
-fn request_deadline(state: &ServerState, request: &json::Json) -> (Instant, u64) {
+/// [`DEADLINE_MS`] (absent means the ceiling itself).
+fn request_deadline(request: &json::Json) -> (Instant, u64) {
     let ms = request
         .get("deadline_ms")
         .and_then(json::Json::as_u64)
-        .unwrap_or(state.cfg.deadline_ms)
-        .clamp(1, state.cfg.deadline_ms);
+        .unwrap_or(DEADLINE_MS)
+        .clamp(1, DEADLINE_MS);
     (Instant::now() + Duration::from_millis(ms), ms)
 }
 
@@ -992,7 +954,6 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
     };
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
-    let mut served: u64 = 0;
     loop {
         let line = match read_line(&mut reader, &mut buf, state) {
             ReadLine::Line(l) => l,
@@ -1000,10 +961,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                 state.c.add(&state.c.rejected_too_large, 1);
                 let reject = reject_line(
                     "too_large",
-                    &format!(
-                        "request line exceeds {} bytes",
-                        state.cfg.max_line_bytes
-                    ),
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
                 if !send_line(state, &mut writer, &reject) {
                     return;
@@ -1043,22 +1001,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
             }
         };
         let op = request.get("op").and_then(json::Json::as_str).unwrap_or("");
-        served += 1;
-        // Quota: past the per-connection budget, everything except
-        // shutdown is politely rejected (the connection stays usable
-        // for the operator's shutdown).
-        if served > state.cfg.quota && op != "shutdown" {
-            state.c.add(&state.c.rejected_quota, 1);
-            let reject = reject_line(
-                "quota",
-                &format!("request quota of {} exhausted", state.cfg.quota),
-            );
-            if !send_line(state, &mut writer, &reject) {
-                return;
-            }
-            continue;
-        }
-        let (deadline, deadline_ms) = request_deadline(state, &request);
+        let (deadline, deadline_ms) = request_deadline(&request);
         let response = match op {
             "ping" => obj! { "ok" => true, "op" => "ping" }.line(),
             "stats" => stats_line(state),
@@ -1098,7 +1041,6 @@ fn stats_line(state: &ServerState) -> String {
         "sweep_cache_hits" => load(&c.sweep_cache_hits),
         "sweep_coalesced" => load(&c.sweep_coalesced),
         "sweep_cache_evictions" => load(&c.sweep_cache_evictions),
-        "rejected_quota" => load(&c.rejected_quota),
         "rejected_busy" => load(&c.rejected_busy),
         "rejected_conns" => load(&c.rejected_conns),
         "rejected_shed" => load(&c.rejected_shed),
@@ -1107,7 +1049,6 @@ fn stats_line(state: &ServerState) -> String {
         "rejected_malformed" => load(&c.rejected_malformed),
         "evicted_slow" => load(&c.evicted_slow),
         "panics" => load(&c.panics),
-        "idem_hits" => load(&c.idem_hits),
         "failed_cells" => load(&c.failed_cells),
         "batches" => load(&c.batches),
         "batched_requests" => load(&c.batched_requests),
@@ -1115,15 +1056,12 @@ fn stats_line(state: &ServerState) -> String {
         "prep_disk_hits" => load(&c.prep_disk_hits),
         "prep_misses" => load(&c.prep_misses),
         "prep_evictions" => load(&c.prep_evictions),
-        "shard_hits" => load(&c.shard_hits),
-        "shard_evictions" => load(&c.shard_evictions),
         "bad_requests" => load(&c.bad_requests),
         "active_conns" => state.active_conns.load(Ordering::SeqCst),
         "queue_len" => relock(&state.queue).len(),
         "inflight_sweeps" => state.inflight_sweeps.load(Ordering::SeqCst),
         "result_cache_len" => relock(&state.results).len(),
         "snapshot_mem_len" => snapshot_cache::mem_len(),
-        "shards" => state.cfg.shards,
         "jobs" => state.cfg.jobs,
         "chaos_injected" => chaos.total(),
         "chaos_torn_frames" => chaos.get(ChaosFault::TornFrame),
@@ -1152,7 +1090,7 @@ fn parse_scenario(name: &str) -> Result<Scenario, String> {
 /// The optional `"policy"` field of a translate/sweep request. Absent
 /// or empty means [`PolicyKind::Default`] — the historical behavior —
 /// so old clients keep their exact cache keys; an unknown name is
-/// rejected before anything runs or any pool is touched.
+/// rejected before anything runs or is prepared.
 fn parse_policy(request: &json::Json) -> Result<PolicyKind, String> {
     match request.get("policy").and_then(json::Json::as_str) {
         None | Some("") => Ok(PolicyKind::Default),
@@ -1197,8 +1135,8 @@ fn handle_translate(
         Ok(s) => s,
         Err(e) => return err_line(&e),
     };
-    // The policy lands in the scenario (name included), so prepared-
-    // instance pools — keyed by `snapshot_cache::prep_key` — never mix
+    // The policy lands in the scenario (name included), so the snapshot
+    // cache — keyed by `snapshot_cache::prep_key` — never mixes
     // instances booted under different policies.
     let scenario = match parse_policy(request) {
         Ok(kind) => scenario.with_policy(kind),
@@ -1283,7 +1221,7 @@ fn dispatch_loop(state: &Arc<ServerState>) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 q = guard;
             }
-            let n = q.len().min(state.cfg.batch_max);
+            let n = q.len().min(BATCH_MAX);
             q.drain(..n).collect()
         };
         run_batch(state, batch);
@@ -1291,31 +1229,10 @@ fn dispatch_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// Fetches (or prepares) the workload for one (scenario, spec) pair via
-/// the fingerprint-sharded pools, falling back to the snapshot cache's
-/// memory/disk/build path on a shard miss.
-fn shard_get_or_prepare(
-    state: &ServerState,
-    scenario: &Scenario,
-    spec: &BenchmarkSpec,
-) -> Result<Arc<PreparedWorkload>, String> {
-    let key = snapshot_cache::prep_key(scenario, spec);
-    let shard = fingerprint_bucket(&fingerprint_of(&key), state.cfg.shards);
-    if let Some(w) = relock(&state.shards[shard]).get(&key).map(Arc::clone) {
-        state.c.add(&state.c.shard_hits, 1);
-        return Ok(w);
-    }
-    let prepared = snapshot_cache::get_or_prepare(scenario, spec)?;
-    let evicted =
-        relock(&state.shards[shard]).insert(key, Arc::clone(&prepared.workload));
-    state.c.add(&state.c.shard_evictions, evicted);
-    Ok(prepared.workload)
-}
-
-/// Resolves each *unique* preparation once, then fans the whole batch
-/// out onto the work-stealing runner. This is the request-coalescing
-/// payoff: sixty queued translates against four configurations cost
-/// four preparations, not sixty.
+/// Resolves each *unique* preparation once through the snapshot cache,
+/// then fans the whole batch out onto the work-stealing runner. This is
+/// the request-coalescing payoff: sixty queued translates against four
+/// configurations cost four cache lookups (or preparations), not sixty.
 fn run_batch(state: &Arc<ServerState>, batch: Vec<TranslateJob>) {
     state.c.add(&state.c.batches, 1);
     state.c.add(&state.c.batched_requests, batch.len() as u64);
@@ -1325,7 +1242,7 @@ fn run_batch(state: &Arc<ServerState>, batch: Vec<TranslateJob>) {
     for job in &batch {
         let key = snapshot_cache::prep_key(&job.scenario, &job.spec);
         prepared.entry(key).or_insert_with(|| {
-            shard_get_or_prepare(state, &job.scenario, &job.spec)
+            snapshot_cache::get_or_prepare(&job.scenario, &job.spec).map(|p| p.workload)
         });
     }
 
@@ -1379,12 +1296,8 @@ fn sweep_response(
     fingerprint: &str,
     cached: bool,
     coalesced: bool,
-    idem_replayed: Option<bool>,
     bytes: &str,
 ) -> String {
-    // The idem field only appears when the request carried an "idem"
-    // key, so responses to idem-less clients are byte-stable across
-    // versions.
     obj! {
         "ok" => true,
         "op" => "sweep",
@@ -1392,7 +1305,6 @@ fn sweep_response(
         "fingerprint" => fingerprint,
         "cached" => cached,
         "coalesced" => coalesced,
-        "idem_replayed" =>? idem_replayed,
         "bytes" => bytes,
     }
     .line()
@@ -1400,7 +1312,9 @@ fn sweep_response(
 
 /// The sweep compute path, run on a dedicated leader thread so the
 /// requesting handler can deadline-out while the work (and its cache
-/// fill) continues. Serialized by the sweep gate.
+/// fill) continues. Serialized by the sweep gate. The bytes land in the
+/// result cache before the leader leaves the in-flight map, which is
+/// what lets [`handle_sweep`] coalesce with one lookup.
 fn compute_sweep(
     state: &Arc<ServerState>,
     experiment: &str,
@@ -1408,17 +1322,6 @@ fn compute_sweep(
     key: &str,
 ) -> Result<Arc<String>, String> {
     let _gate = relock(&state.sweep_gate);
-    // A just-finished leader for the same key may have filled the
-    // cache while this one waited on the gate. The lookup is bound
-    // *before* the branch: an `if let` on the locked map would keep
-    // the results guard alive through the else arm (scrutinee
-    // temporaries live for the whole expression), and the insert
-    // below would then self-deadlock.
-    let already = relock(&state.results).get(key).map(Arc::clone);
-    if let Some(bytes) = already {
-        state.c.add(&state.c.sweep_cache_hits, 1);
-        return Ok(bytes);
-    }
     let computed = catch_unwind(AssertUnwindSafe(|| sweep_csv(experiment, opts)));
     // Sweeps run with metrics collection on (the drivers use the
     // sweep entry points); drain the registry so a resident
@@ -1488,32 +1391,22 @@ fn handle_sweep(
     }
     state.c.add(&state.c.sweeps, 1);
 
-    // Idempotency: a retried request carrying the same "idem" key for
-    // the same sweep is recognized and flagged, proving to the client
-    // that its retry coalesced (via cache or single-flight) instead of
-    // recomputing.
-    let idem_replayed = request.get("idem").and_then(json::Json::as_str).map(|idem| {
-        let mut seen = relock(&state.idem);
-        let replayed = seen.get(idem) == Some(&key);
-        seen.insert(idem.to_string(), key.clone());
-        if replayed {
-            state.c.add(&state.c.idem_hits, 1);
-        }
-        replayed
-    });
-
-    // Bind the lookup so the results guard drops before the (possibly
-    // large) response is escaped and formatted.
-    let cached = relock(&state.results).get(&key).map(Arc::clone);
-    if let Some(bytes) = cached {
-        state.c.add(&state.c.sweep_cache_hits, 1);
-        return sweep_response(&experiment, &fingerprint, true, false, idem_replayed, &bytes);
-    }
-
     // Single-flight: one leader computes, identical concurrent requests
-    // wait for its bytes instead of burning a second run.
+    // wait for its bytes instead of burning a second run. The result
+    // cache is read under the in-flight map's lock; a leader fills the
+    // cache before it leaves the map, so a request either finds the
+    // bytes, joins the flight, or leads — it never computes a sweep
+    // that another request just finished.
     let (flight, leader) = {
         let mut inflight = relock(&state.inflight);
+        let cached = relock(&state.results).get(&key).map(Arc::clone);
+        if let Some(bytes) = cached {
+            // Release the map before the (possibly large) response is
+            // escaped and formatted.
+            drop(inflight);
+            state.c.add(&state.c.sweep_cache_hits, 1);
+            return sweep_response(&experiment, &fingerprint, true, false, &bytes);
+        }
         match inflight.get(&key) {
             Some(f) => (Arc::clone(f), false),
             None => {
@@ -1568,11 +1461,9 @@ fn handle_sweep(
         if let Some(outcome) = done.clone() {
             return match outcome {
                 Ok(bytes) if leader => {
-                    sweep_response(&experiment, &fingerprint, false, false, idem_replayed, &bytes)
+                    sweep_response(&experiment, &fingerprint, false, false, &bytes)
                 }
-                Ok(bytes) => {
-                    sweep_response(&experiment, &fingerprint, true, true, idem_replayed, &bytes)
-                }
+                Ok(bytes) => sweep_response(&experiment, &fingerprint, true, true, &bytes),
                 Err(e) => err_line(&e),
             };
         }
@@ -1599,27 +1490,11 @@ fn handle_sweep(
 // ---------------------------------------------------------------------
 
 fn serve_usage() -> String {
-    "usage: repro serve [--port N] [--port-file PATH] [--jobs N] [--quota N]\n\
-     \u{20}                  [--queue-cap N] [--max-conns N] [--shards N]\n\
-     \u{20}                  [--shard-cap N] [--result-cache N] [--batch-max N]\n\
-     \u{20}                  [--max-accesses N] [--mem-cap N] [--max-line N]\n\
-     \u{20}                  [--deadline-ms N] [--high-water N] [--slow-client-ms N]\n\
-     \u{20}                  [--drain-ms N] [--cache-dir PATH] [--chaos SPEC] [--quiet]\n\
+    "usage: repro serve [--port N] [--port-file PATH] [--jobs N] [--cache-dir PATH]\n\
      --port N         TCP port (default 0 = ephemeral; bound port is printed\n\
      \u{20}                and written to --port-file)\n\
-     --quota N        requests per connection before polite rejection\n\
-     --queue-cap N    translate dispatch queue bound (backpressure)\n\
-     --shards N       prepared-pool lock shards, --shard-cap entries each\n\
-     --result-cache N LRU-cached sweep results\n\
-     --batch-max N    translate requests dispatched per batch\n\
-     --mem-cap N      snapshot-cache memory entries (COLT_SNAPSHOT_MEM_CAP)\n\
-     --max-line N     request-line byte bound (past it: rejected \"too_large\")\n\
-     --deadline-ms N  ceiling on per-request deadlines (\"deadline_ms\" field)\n\
-     --high-water N   queue depth past which sweeps are shed (\"shed\")\n\
-     --slow-client-ms N  mid-line stall budget before eviction\n\
-     --drain-ms N     graceful-drain budget for in-flight sweeps at shutdown\n\
+     --jobs N         worker threads for batched translates and sweeps\n\
      --cache-dir PATH persist/reload the sweep result cache across restarts\n\
-     --chaos SPEC     deterministic fault injection: rate=R,window=W,seed=S\n\
      protocol: one JSON object per line; ops: ping stats translate sweep shutdown"
         .to_string()
 }
@@ -1636,73 +1511,31 @@ pub fn cli(args: &[String]) -> ExitCode {
     while i < args.len() {
         let arg = args[i].as_str();
         let value = args.get(i + 1);
-        let mut took_value = true;
-        let numeric = |flag: &str| parse_num(flag, value);
         match arg {
-            "--port" => match numeric("--port") {
+            "--port" => match parse_num(arg, value) {
                 Ok(n) if n <= u64::from(u16::MAX) => cfg.port = n as u16,
                 _ => {
                     eprintln!("--port must be 0..=65535");
                     return ExitCode::from(2);
                 }
             },
-            "--port-file" => match value {
-                Some(p) => cfg.port_file = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--port-file needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--cache-dir" => match value {
-                Some(p) => cfg.cache_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--cache-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--chaos" => match value {
-                Some(spec) => match FaultConfig::parse(spec, chaos::DEFAULT_RATE) {
-                    Ok(c) => cfg.chaos = Some(c),
-                    Err(e) => {
-                        eprintln!("--chaos {spec}: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("--chaos needs a spec (rate=R,window=W,seed=S)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jobs" | "--quota" | "--queue-cap" | "--max-conns" | "--shards"
-            | "--shard-cap" | "--result-cache" | "--batch-max" | "--max-accesses"
-            | "--mem-cap" | "--max-line" | "--deadline-ms" | "--high-water"
-            | "--slow-client-ms" | "--drain-ms" => match numeric(arg) {
-                Ok(n) => match arg {
-                    "--jobs" => cfg.jobs = n.max(1) as usize,
-                    "--quota" => cfg.quota = n.max(1),
-                    "--queue-cap" => cfg.queue_cap = n as usize,
-                    "--max-conns" => cfg.max_conns = n.max(1) as usize,
-                    "--shards" => cfg.shards = n.max(1) as usize,
-                    "--shard-cap" => cfg.shard_cap = n.max(1) as usize,
-                    "--result-cache" => cfg.result_cache_cap = n.max(1) as usize,
-                    "--batch-max" => cfg.batch_max = n.max(1) as usize,
-                    "--max-accesses" => cfg.max_accesses = n.max(1),
-                    "--mem-cap" => snapshot_cache::set_mem_capacity(n as usize),
-                    "--max-line" => cfg.max_line_bytes = n as usize,
-                    "--deadline-ms" => cfg.deadline_ms = n.max(1),
-                    "--high-water" => cfg.queue_high_water = Some(n as usize),
-                    "--slow-client-ms" => cfg.slow_client_ms = n.max(1),
-                    "--drain-ms" => cfg.drain_ms = n,
-                    _ => unreachable!(),
-                },
+            "--jobs" => match parse_num(arg, value) {
+                Ok(n) => cfg.jobs = n.max(1) as usize,
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::from(2);
                 }
             },
-            "--quiet" => {
-                cfg.quiet = true;
-                took_value = false;
+            "--port-file" | "--cache-dir" => {
+                let Some(path) = value.map(PathBuf::from) else {
+                    eprintln!("{arg} needs a path");
+                    return ExitCode::from(2);
+                };
+                if arg == "--port-file" {
+                    cfg.port_file = Some(path);
+                } else {
+                    cfg.cache_dir = Some(path);
+                }
             }
             "--help" | "-h" => {
                 println!("{}", serve_usage());
@@ -1713,10 +1546,9 @@ pub fn cli(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        i += if took_value { 2 } else { 1 };
+        i += 2;
     }
 
-    let quiet = cfg.quiet;
     let handle = match start(cfg) {
         Ok(h) => h,
         Err(e) => {
@@ -1724,13 +1556,9 @@ pub fn cli(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if !quiet {
-        println!("repro serve: listening on 127.0.0.1:{}", handle.port);
-    }
+    println!("repro serve: listening on 127.0.0.1:{}", handle.port);
     let summary = handle.wait();
-    if !quiet {
-        println!("{}", summary.render());
-    }
+    println!("{}", summary.render());
     if summary.failed_cells > 0 || !summary.drained_clean {
         return ExitCode::FAILURE;
     }
@@ -1826,9 +1654,9 @@ mod tests {
 
     #[test]
     fn rejection_lines_carry_the_machine_readable_kind() {
-        let quota = reject_line("quota", "over budget");
-        json::parse(&quota).unwrap();
-        assert!(quota.contains("\"rejected\": \"quota\""));
+        let shed = reject_line("shed", "overloaded");
+        json::parse(&shed).unwrap();
+        assert!(shed.contains("\"rejected\": \"shed\""));
         let busy = reject_line("busy", "queue full");
         assert!(busy.contains("\"rejected\": \"busy\""));
         json::parse(&err_line("with \"quotes\" and \\slashes")).unwrap();

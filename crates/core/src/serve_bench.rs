@@ -21,7 +21,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Load-generator parameters (one flag each; see `--help`).
@@ -58,9 +57,6 @@ pub struct BenchConfig {
     pub retry: RetryPolicy,
     /// Seed for the per-worker backoff jitter streams.
     pub seed: u64,
-    /// Per-request deadline sent as `"deadline_ms"` (0 = none sent;
-    /// the server then applies its own ceiling).
-    pub deadline_ms: u64,
     /// Suppress progress lines.
     pub quiet: bool,
 }
@@ -83,7 +79,6 @@ impl Default for BenchConfig {
             out: PathBuf::from("results/BENCH_serve.json"),
             retry: RetryPolicy::default(),
             seed: 1,
-            deadline_ms: 0,
             quiet: false,
         }
     }
@@ -228,7 +223,7 @@ impl Breaker {
 /// refused connects — are retried with jittered exponential backoff on
 /// a *fresh* connection (the old one's framing is suspect), gated by a
 /// per-worker circuit breaker. Polite rejections (`"rejected":
-/// "quota"|"busy"|"shed"|…`) are responses, not failures: they are
+/// "busy"|"shed"|…`) are responses, not failures: they are
 /// returned to the caller untouched, because re-asking an overloaded
 /// server is exactly what load shedding asks clients not to do.
 pub(crate) struct RobustClient<'a> {
@@ -332,7 +327,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 #[derive(Default)]
 pub(crate) struct Tally {
     pub(crate) ok: AtomicU64,
-    pub(crate) rejected_quota: AtomicU64,
     pub(crate) rejected_busy: AtomicU64,
     pub(crate) rejected_shed: AtomicU64,
     pub(crate) rejected_too_large: AtomicU64,
@@ -341,11 +335,68 @@ pub(crate) struct Tally {
     pub(crate) errors: AtomicU64,
     pub(crate) sweeps: AtomicU64,
     pub(crate) sweep_cache_hits: AtomicU64,
-    pub(crate) idem_replays: AtomicU64,
     pub(crate) transport_errors: AtomicU64,
     pub(crate) retries: AtomicU64,
     pub(crate) recovered: AtomicU64,
     pub(crate) breaker_opens: AtomicU64,
+}
+
+impl Tally {
+    /// Polite rejections of every kind.
+    pub(crate) fn rejections(&self) -> u64 {
+        [
+            &self.rejected_busy,
+            &self.rejected_shed,
+            &self.rejected_too_large,
+            &self.rejected_deadline,
+            &self.rejected_malformed,
+        ]
+        .iter()
+        .map(|f| f.load(Ordering::Relaxed))
+        .sum()
+    }
+}
+
+/// The latency and throughput figures of one bench run.
+#[derive(Default)]
+pub(crate) struct Latency {
+    /// Requests timed.
+    pub(crate) requests: usize,
+    /// Wall-clock seconds the workers ran.
+    pub(crate) wall_seconds: f64,
+    /// Requests answered per wall-clock second.
+    pub(crate) requests_per_sec: f64,
+    /// Median request latency.
+    pub(crate) p50_ms: f64,
+    /// 99th-percentile request latency.
+    pub(crate) p99_ms: f64,
+}
+
+impl Latency {
+    fn of(samples_ms: &[f64], wall_seconds: f64) -> Self {
+        let requests = samples_ms.len();
+        Latency {
+            requests,
+            wall_seconds,
+            requests_per_sec: if wall_seconds > 0.0 {
+                requests as f64 / wall_seconds
+            } else {
+                0.0
+            },
+            p50_ms: percentile(samples_ms, 50.0),
+            p99_ms: percentile(samples_ms, 99.0),
+        }
+    }
+}
+
+/// What [`run`] measured, and the `BENCH_serve.json` text rendered from
+/// it.
+#[derive(Default)]
+pub struct BenchRun {
+    pub(crate) tally: Tally,
+    pub(crate) latency: Latency,
+    /// The artifact text written to [`BenchConfig::out`].
+    pub payload: String,
 }
 
 pub(crate) fn classify(tally: &Tally, response: &json::Json) -> bool {
@@ -354,7 +405,6 @@ pub(crate) fn classify(tally: &Tally, response: &json::Json) -> bool {
         return true;
     }
     match response.get("rejected").and_then(json::Json::as_str) {
-        Some("quota") => tally.rejected_quota.fetch_add(1, Ordering::Relaxed),
         Some("busy") => tally.rejected_busy.fetch_add(1, Ordering::Relaxed),
         Some("shed") => tally.rejected_shed.fetch_add(1, Ordering::Relaxed),
         Some("too_large") => tally.rejected_too_large.fetch_add(1, Ordering::Relaxed),
@@ -371,15 +421,9 @@ pub(crate) fn classify(tally: &Tally, response: &json::Json) -> bool {
 
 const CONFIG_ROTATION: [&str; 4] = ["baseline", "colt_sa", "colt_fa", "colt_all"];
 
-/// The optional `"deadline_ms"` request field (absent when unset).
-fn deadline(cfg: &BenchConfig) -> Option<u64> {
-    (cfg.deadline_ms > 0).then_some(cfg.deadline_ms)
-}
-
 fn translate_line(cfg: &BenchConfig, bench: &str, config: &str) -> String {
     obj! {
         "op" => "translate",
-        "deadline_ms" =>? deadline(cfg),
         "benchmark" => bench,
         "config" => config,
         "accesses" => cfg.accesses,
@@ -387,15 +431,12 @@ fn translate_line(cfg: &BenchConfig, bench: &str, config: &str) -> String {
     .line()
 }
 
-/// A sweep request. The idempotency key, when given, is constant across
-/// the retries of one logical request (the retry loop resends the same
-/// line), which is what lets the server prove a retried sweep coalesced
-/// onto the original flight instead of recomputing.
-fn sweep_line(cfg: &BenchConfig, idem: Option<&str>) -> String {
+/// A sweep request. A retry resends the same line, so it carries the
+/// same sweep key and coalesces onto the original flight (or its cached
+/// bytes) instead of recomputing.
+fn sweep_line(cfg: &BenchConfig) -> String {
     obj! {
         "op" => "sweep",
-        "deadline_ms" =>? deadline(cfg),
-        "idem" =>? idem,
         "experiment" => &cfg.sweep,
         "accesses" => cfg.sweep_accesses,
         "bench" => &cfg.bench,
@@ -414,9 +455,6 @@ fn note_sweep(tally: &Tally, response: &json::Json) {
         || response.get("coalesced").and_then(json::Json::as_bool) == Some(true);
     if cached {
         tally.sweep_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    if response.get("idem_replayed").and_then(json::Json::as_bool) == Some(true) {
-        tally.idem_replays.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -448,9 +486,8 @@ fn worker(
         classify(tally, &response);
 
         if cfg.sweep_every > 0 && (i + 1) % cfg.sweep_every == 0 {
-            let idem = format!("w{worker_index}-r{i}");
             let start = Instant::now();
-            let response = client.request(&sweep_line(cfg, Some(&idem)))?;
+            let response = client.request(&sweep_line(cfg))?;
             latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
             if classify(tally, &response) {
                 note_sweep(tally, &response);
@@ -471,7 +508,7 @@ fn verify_sweep(cfg: &BenchConfig, tally: &Tally) -> Result<(), String> {
         cfg.seed ^ 0x5EED_F00D,
         tally,
     );
-    let line = sweep_line(cfg, Some("verify-sweep"));
+    let line = sweep_line(cfg);
     let first = client.request(&line)?;
     let second = client.request(&line)?;
     for (which, response) in [("first", &first), ("second", &second)] {
@@ -532,22 +569,18 @@ fn verify_sweep(cfg: &BenchConfig, tally: &Tally) -> Result<(), String> {
 fn bench_json(
     cfg: &BenchConfig,
     tally: &Tally,
-    latencies_ms: &[f64],
-    wall_seconds: f64,
+    latency: &Latency,
     verified: Option<bool>,
 ) -> String {
     let load = |f: &AtomicU64| f.load(Ordering::Relaxed);
-    let total = latencies_ms.len();
     let sweeps = load(&tally.sweeps);
     let hits = load(&tally.sweep_cache_hits);
     let hit_rate = if sweeps > 0 { hits as f64 / sweeps as f64 } else { 0.0 };
-    let rps = if wall_seconds > 0.0 { total as f64 / wall_seconds } else { 0.0 };
     obj! {
-        "schema" => "colt-bench-serve/v2",
+        "schema" => "colt-bench-serve/v3",
         "conns" => cfg.conns,
-        "requests" => total,
+        "requests" => latency.requests,
         "ok" => load(&tally.ok),
-        "rejected_quota" => load(&tally.rejected_quota),
         "rejected_busy" => load(&tally.rejected_busy),
         "rejected_shed" => load(&tally.rejected_shed),
         "rejected_too_large" => load(&tally.rejected_too_large),
@@ -558,11 +591,10 @@ fn bench_json(
         "retries" => load(&tally.retries),
         "recovered" => load(&tally.recovered),
         "breaker_opens" => load(&tally.breaker_opens),
-        "idem_replays" => load(&tally.idem_replays),
-        "wall_seconds" => rounded(wall_seconds, 6),
-        "requests_per_sec" => rounded(rps, 3),
-        "p50_latency_ms" => rounded(percentile(latencies_ms, 50.0), 3),
-        "p99_latency_ms" => rounded(percentile(latencies_ms, 99.0), 3),
+        "wall_seconds" => rounded(latency.wall_seconds, 6),
+        "requests_per_sec" => rounded(latency.requests_per_sec, 3),
+        "p50_latency_ms" => rounded(latency.p50_ms, 3),
+        "p99_latency_ms" => rounded(latency.p99_ms, 3),
         "translate_accesses" => cfg.accesses,
         "sweep_experiment" => &cfg.sweep,
         "sweep_requests" => sweeps,
@@ -578,7 +610,7 @@ fn bench_json(
 /// # Errors
 /// Connection failures, protocol errors, a failed determinism check, or
 /// an artifact-write failure — each with a description.
-pub fn run(cfg: &BenchConfig) -> Result<String, String> {
+pub fn run(cfg: &BenchConfig) -> Result<BenchRun, String> {
     let benches: Vec<String> = cfg
         .bench
         .split(',')
@@ -589,16 +621,15 @@ pub fn run(cfg: &BenchConfig) -> Result<String, String> {
         return Err("--bench needs at least one benchmark name".to_string());
     }
 
-    let tally = Arc::new(Tally::default());
+    let tally = Tally::default();
     let start = Instant::now();
     let mut latencies_ms: Vec<f64> = Vec::new();
     let mut worker_errors: Vec<String> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in 0..cfg.conns.max(1) {
-            let tally = Arc::clone(&tally);
-            let benches = &benches;
-            handles.push(scope.spawn(move || worker(cfg, benches, &tally, w)));
+            let (tally, benches) = (&tally, &benches);
+            handles.push(scope.spawn(move || worker(cfg, benches, tally, w)));
         }
         for handle in handles {
             match handle.join() {
@@ -608,7 +639,7 @@ pub fn run(cfg: &BenchConfig) -> Result<String, String> {
             }
         }
     });
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let latency = Latency::of(&latencies_ms, start.elapsed().as_secs_f64());
     if let Some(e) = worker_errors.first() {
         return Err(format!(
             "{} of {} bench worker(s) failed; first error: {e}",
@@ -633,7 +664,7 @@ pub fn run(cfg: &BenchConfig) -> Result<String, String> {
         }
     }
 
-    let payload = bench_json(cfg, &tally, &latencies_ms, wall_seconds, verified);
+    let payload = bench_json(cfg, &tally, &latency, verified);
     if let Some(moved) = artifact::quarantine_if_corrupt(&cfg.out)
         .map_err(|e| format!("inspect {}: {e}", cfg.out.display()))?
     {
@@ -645,7 +676,7 @@ pub fn run(cfg: &BenchConfig) -> Result<String, String> {
     }
     artifact::atomic_write_json(&cfg.out, &payload)
         .map_err(|e| format!("write {}: {e}", cfg.out.display()))?;
-    Ok(payload)
+    Ok(BenchRun { tally, latency, payload })
 }
 
 // ---------------------------------------------------------------------
@@ -657,17 +688,12 @@ fn bench_usage() -> String {
      \u{20}                        [--requests N] [--accesses N] [--sweep EXP]\n\
      \u{20}                        [--sweep-every N] [--sweep-accesses N]\n\
      \u{20}                        [--bench A,B] [--verify-sweep] [--shutdown]\n\
-     \u{20}                        [--retries N] [--backoff-ms N] [--seed N]\n\
-     \u{20}                        [--deadline-ms N] [--out PATH] [--quiet]\n\
+     \u{20}                        [--out PATH] [--quiet]\n\
      --requests N      translate requests per connection\n\
      --sweep-every N   interleave a sweep request every N translates\n\
      --verify-sweep    request the sweep twice (second must be a cache hit)\n\
      \u{20}                 and compare byte-for-byte with a direct in-process run\n\
      --shutdown        send {\"op\":\"shutdown\"} when done\n\
-     --retries N       transport retries per request (jittered exp. backoff)\n\
-     --backoff-ms N    first backoff; doubles per retry\n\
-     --seed N          seed for the backoff jitter streams\n\
-     --deadline-ms N   send a per-request deadline (0 = server default)\n\
      --out PATH        artifact path (default results/BENCH_serve.json)"
         .to_string()
 }
@@ -732,10 +758,6 @@ pub fn cli(args: &[String]) -> ExitCode {
             "--sweep-accesses" => numeric().map(|n| cfg.sweep_accesses = n.max(1)),
             "--bench" => text().map(|v| cfg.bench = v),
             "--out" => text().map(|v| cfg.out = PathBuf::from(v)),
-            "--retries" => numeric().map(|n| cfg.retry.max_retries = n.min(32) as u32),
-            "--backoff-ms" => numeric().map(|n| cfg.retry.base_backoff_ms = n.max(1)),
-            "--seed" => numeric().map(|n| cfg.seed = n),
-            "--deadline-ms" => numeric().map(|n| cfg.deadline_ms = n),
             "--verify-sweep" => {
                 took_value = false;
                 cfg.verify_sweep = true;
@@ -774,7 +796,7 @@ pub fn cli(args: &[String]) -> ExitCode {
         );
     }
     match run(&cfg) {
-        Ok(payload) => {
+        Ok(BenchRun { payload, .. }) => {
             if !cfg.quiet {
                 println!("{payload}");
                 println!("serve-bench: wrote {}", cfg.out.display());
@@ -810,7 +832,7 @@ mod tests {
         tally.sweeps.store(4, Ordering::Relaxed);
         tally.sweep_cache_hits.store(3, Ordering::Relaxed);
         let payload =
-            bench_json(&cfg, &tally, &[1.0, 2.0, 3.0, 4.0], 2.0, Some(true));
+            bench_json(&cfg, &tally, &Latency::of(&[1.0, 2.0, 3.0, 4.0], 2.0), Some(true));
         let doc = json::parse(&payload).unwrap();
         let num = |doc: &json::Json, key: &str| doc.get(key).and_then(json::Json::as_f64);
         assert_eq!(num(&doc, "requests_per_sec"), Some(2.0));
@@ -818,7 +840,7 @@ mod tests {
         assert!(num(&doc, "p50_latency_ms").is_some());
         assert!(num(&doc, "p99_latency_ms").is_some());
         assert!(payload.contains("\"verified\": true"));
-        let unverified = bench_json(&cfg, &Tally::default(), &[], 0.0, None);
+        let unverified = bench_json(&cfg, &Tally::default(), &Latency::of(&[], 0.0), None);
         let doc = json::parse(&unverified).unwrap();
         assert!(unverified.contains("\"verified\": null"));
         assert_eq!(num(&doc, "cache_hit_rate"), Some(0.0));
@@ -830,23 +852,13 @@ mod tests {
         let t = translate_line(&cfg, "Gobmk", "colt_all");
         let parsed = json::parse(&t).unwrap();
         assert_eq!(parsed.get("op").and_then(json::Json::as_str), Some("translate"));
-        assert!(parsed.get("deadline_ms").is_none(), "no deadline unless asked");
-        let s = sweep_line(&cfg, None);
+        let s = sweep_line(&cfg);
         let parsed = json::parse(&s).unwrap();
         assert_eq!(parsed.get("op").and_then(json::Json::as_str), Some("sweep"));
         assert_eq!(
             parsed.get("accesses").and_then(json::Json::as_u64),
             Some(cfg.sweep_accesses)
         );
-        let with_extras =
-            BenchConfig { deadline_ms: 2500, ..BenchConfig::default() };
-        let s = sweep_line(&with_extras, Some("w1-r7"));
-        let parsed = json::parse(&s).unwrap();
-        assert_eq!(parsed.get("idem").and_then(json::Json::as_str), Some("w1-r7"));
-        assert_eq!(parsed.get("deadline_ms").and_then(json::Json::as_u64), Some(2500));
-        let t = translate_line(&with_extras, "Gobmk", "baseline");
-        let parsed = json::parse(&t).unwrap();
-        assert_eq!(parsed.get("deadline_ms").and_then(json::Json::as_u64), Some(2500));
     }
 
     #[test]
@@ -902,7 +914,7 @@ mod tests {
     #[test]
     fn classify_buckets_every_rejection_category() {
         let tally = Tally::default();
-        for kind in ["quota", "busy", "shed", "too_large", "deadline", "malformed"] {
+        for kind in ["busy", "shed", "too_large", "deadline", "malformed"] {
             let line = obj! { "ok" => false, "error" => "x", "rejected" => kind }.line();
             assert!(!classify(&tally, &json::parse(&line).unwrap()));
         }
@@ -911,12 +923,12 @@ mod tests {
             &json::parse("{\"ok\": false, \"error\": \"boom\"}").unwrap()
         ));
         let load = |f: &AtomicU64| f.load(Ordering::Relaxed);
-        assert_eq!(load(&tally.rejected_quota), 1);
         assert_eq!(load(&tally.rejected_busy), 1);
         assert_eq!(load(&tally.rejected_shed), 1);
         assert_eq!(load(&tally.rejected_too_large), 1);
         assert_eq!(load(&tally.rejected_deadline), 1);
         assert_eq!(load(&tally.rejected_malformed), 1);
         assert_eq!(load(&tally.errors), 1);
+        assert_eq!(tally.rejections(), 5);
     }
 }

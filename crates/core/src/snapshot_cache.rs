@@ -184,19 +184,6 @@ fn resolve_mem_cap() {
     });
 }
 
-/// Overrides the memory layer's LRU capacity (normally decided once by
-/// `COLT_SNAPSHOT_MEM_CAP` / [`DEFAULT_MEM_CAP`]). Entries past the new
-/// bound are evicted immediately and counted. Capacity 0 is clamped to 1.
-pub fn set_mem_capacity(cap: usize) {
-    // Claim the one-shot resolution so a later `resolve_mem_cap` cannot
-    // overwrite an explicit choice with the env default.
-    MEM_CAP_RESOLVED.call_once(|| {});
-    let evicted = relock(&MEM).set_cap(Some(cap.max(1)));
-    if evicted > 0 {
-        bump(|s| s.mem_evictions += evicted);
-    }
-}
-
 /// Drops every in-memory prepared workload; disk snapshots are
 /// untouched. Lets tests observe cold-start and disk-warm behavior in
 /// one process.

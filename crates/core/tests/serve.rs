@@ -1,21 +1,20 @@
 //! Integration suite for `repro serve`: the determinism guarantee
-//! (served bytes == direct bytes), the LRU result cache, quota and
-//! backpressure rejection under flood, and warm restart from durable
-//! snapshots.
+//! (served bytes == direct bytes), the LRU result cache, single-flight
+//! coalescing, backpressure rejection under flood, the connection cap,
+//! and warm restart from durable snapshots.
 //!
 //! The server and the snapshot cache share process-global state (the
 //! in-memory preparation cache, the stats counters, and — in the warm
 //! restart test — the `COLT_SNAPSHOT_DIR` environment variable), so
 //! every test serializes on [`GATE`].
 
-use colt_core::experiments::ExperimentOptions;
 use colt_core::serve::{self, json, ServeConfig};
 use colt_core::sim::{self, SimConfig};
 use colt_core::snapshot_cache;
 use colt_tlb::config::TlbConfig;
 use colt_workloads::scenario::Scenario;
 use colt_workloads::spec::benchmark;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -213,37 +212,6 @@ fn served_translate_honors_the_policy_field_and_rejects_unknown_policies() {
 }
 
 #[test]
-fn quota_exhaustion_rejects_politely_and_keeps_the_connection() {
-    let _g = lock();
-    let cfg = ServeConfig { quota: 2, ..test_config() };
-    let handle = serve::start(cfg).expect("server starts");
-    let mut client = Client::connect(handle.port);
-
-    assert!(ok(&client.request("{\"op\": \"ping\"}")));
-    assert!(ok(&client.request("{\"op\": \"ping\"}")));
-    // Request 3 is over the quota of 2: politely rejected, not dropped.
-    let rejected = client.request("{\"op\": \"ping\"}");
-    assert!(!ok(&rejected));
-    assert_eq!(
-        rejected.get("rejected").and_then(json::Json::as_str),
-        Some("quota"),
-        "rejection must be machine-readable: {rejected:?}"
-    );
-    // Still rejected (the quota does not reset), still connected…
-    let again = client.request("{\"op\": \"stats\"}");
-    assert_eq!(again.get("rejected").and_then(json::Json::as_str), Some("quota"));
-    // …and a fresh connection gets a fresh quota.
-    let mut second = Client::connect(handle.port);
-    assert!(ok(&second.request("{\"op\": \"ping\"}")));
-
-    // Shutdown is exempt so an operator is never locked out.
-    client.shutdown();
-    let summary = handle.wait();
-    assert_eq!(summary.rejected_quota, 2);
-    assert_eq!(summary.failed_cells, 0);
-}
-
-#[test]
 fn backpressure_rejects_translates_busy_while_pings_survive_a_flood() {
     let _g = lock();
     // queue_cap 0: every translate meets a full dispatch queue.
@@ -370,32 +338,84 @@ fn identical_concurrent_sweeps_coalesce_behind_one_leader() {
 
     let line = "{\"op\": \"sweep\", \"experiment\": \"fig19\", \"accesses\": 8000, \
                 \"bench\": \"Bzip2\"}";
-    let bytes: Vec<String> = std::thread::scope(|scope| {
+    let responses: Vec<json::Json> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(move || {
                     let mut client = Client::connect(port);
                     let r = client.request(line);
                     assert!(ok(&r), "{r:?}");
-                    r.get("bytes").and_then(json::Json::as_str).unwrap().to_string()
+                    r
                 })
             })
             .collect();
         workers.into_iter().map(|w| w.join().expect("no panic")).collect()
     });
-    assert!(bytes.windows(2).all(|w| w[0] == w[1]), "all four got the same bytes");
+    let bytes = |r: &json::Json| r.get("bytes").and_then(json::Json::as_str).map(str::to_string);
+    assert!(
+        responses.windows(2).all(|w| bytes(&w[0]) == bytes(&w[1])),
+        "all four got the same bytes"
+    );
+    let computed = responses
+        .iter()
+        .filter(|r| r.get("cached").and_then(json::Json::as_bool) == Some(false))
+        .count();
+    assert_eq!(computed, 1, "exactly one of four identical sweeps computes");
 
     Client::connect(port).shutdown();
     let summary = handle.wait();
     assert_eq!(summary.sweeps, 4);
-    assert!(
-        summary.sweep_cache_hits + summary.sweep_coalesced >= 3,
-        "at most one of four identical sweeps computes; the rest are cache \
-         hits or coalesced followers (got {} + {})",
+    assert_eq!(
+        summary.sweep_cache_hits + summary.sweep_coalesced,
+        3,
+        "the other three are cache hits or coalesced followers (got {} + {})",
         summary.sweep_cache_hits,
         summary.sweep_coalesced
     );
     assert_eq!(summary.failed_cells, 0);
+}
+
+/// Past [`serve::MAX_CONNS`] concurrent connections the next one reads
+/// one `busy` rejection and is closed, while the held ones keep
+/// answering.
+#[test]
+fn connections_past_the_cap_are_rejected_busy() {
+    let _g = lock();
+    let handle = serve::start(test_config()).expect("server starts");
+    let port = handle.port;
+
+    // A ping answered on each connection means its handler is running
+    // and counted against the cap.
+    let mut held: Vec<Client> = (0..serve::MAX_CONNS)
+        .map(|_| {
+            let mut client = Client::connect(port);
+            assert!(ok(&client.request("{\"op\": \"ping\"}")));
+            client
+        })
+        .collect();
+
+    let mut extra = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    extra.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reply = String::new();
+    extra.read_to_string(&mut reply).expect("the rejection, then EOF");
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "exactly one line, then close: {reply:?}");
+    let rejection = json::parse(lines[0]).expect("rejection parses");
+    assert!(!ok(&rejection));
+    assert_eq!(
+        rejection.get("rejected").and_then(json::Json::as_str),
+        Some("busy"),
+        "{rejection:?}"
+    );
+
+    let stats = held[0].request("{\"op\": \"stats\"}");
+    assert_eq!(stats.get("rejected_conns").and_then(json::Json::as_u64), Some(1));
+    for client in &mut held {
+        assert!(ok(&client.request("{\"op\": \"ping\"}")), "held connections still answer");
+    }
+
+    held.pop().expect("one held connection").shutdown();
+    assert_eq!(handle.wait().failed_cells, 0);
 }
 
 #[test]

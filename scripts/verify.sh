@@ -272,7 +272,8 @@ echo "snapshot-cache smoke passed (0 warm misses, prep ${cold_prep}s cold -> ${w
 # an LRU result-cache hit), and byte-compares the served sweep against
 # a direct in-process run (--verify-sweep). The server must then shut
 # down cleanly with zero quarantined cells, and the published
-# BENCH_serve.json must show real throughput and a warm cache.
+# BENCH_serve.json must show every request answered ok, real
+# throughput and a warm cache.
 echo "== serve smoke: repro serve + serve-bench =="
 REPO_RESULTS="$PWD/results"
 (cd "$SERVE_DIR" && "$REPRO" serve --port 0 --port-file serve.port \
@@ -302,6 +303,15 @@ for needle in "clean shutdown" "quarantined cells: 0"; do
         exit 1
     fi
 done
+# serve-bench counts error answers without failing, so gate on every
+# request having been answered ok (a server that errors on every
+# translate would otherwise pass on sweep cache hits alone).
+serve_requests=$(json_field requests "$REPO_RESULTS/BENCH_serve.json")
+serve_ok=$(json_field ok "$REPO_RESULTS/BENCH_serve.json")
+if [[ -z "$serve_requests" || "$serve_ok" != "$serve_requests" ]]; then
+    echo "FAIL: BENCH_serve.json answered ok=$serve_ok of requests=$serve_requests" >&2
+    exit 1
+fi
 serve_rps=$(json_field requests_per_sec "$REPO_RESULTS/BENCH_serve.json")
 if ! awk -v r="$serve_rps" 'BEGIN { exit !(r > 0) }'; then
     echo "FAIL: BENCH_serve.json reports no throughput (requests_per_sec=$serve_rps)" >&2
