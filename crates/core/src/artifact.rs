@@ -424,7 +424,6 @@ fn failures_json(failures: &[FailedCell]) -> Vec<Json> {
             obj! {
                 "label" => &f.label,
                 "cause" => &f.payload,
-                "attempts" => u64::from(f.attempts),
             }
         })
         .collect()

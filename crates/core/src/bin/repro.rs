@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--quick] [--accesses N] [--bench NAME[,NAME...]] [--jobs N] [--policy NAME] [--csv] <experiment>...
 //! repro pressure [--faults rate=R,window=W,seed=S] [--cores N]
-//! repro <experiment> --resume [--retries N]
+//! repro <experiment> --resume
 //! repro --check [--seeds N] [--events N] [--jobs N] [--faults SPEC]
 //! repro serve [--port N] [--port-file PATH] [--jobs N] [--cache-dir PATH]
 //! repro serve-bench --port N [--conns N] [--requests N] [--verify-sweep] ...
@@ -43,8 +43,7 @@
 //! fsynced) to `results/journal/<experiment>.jsonl`; after a crash,
 //! `--resume` with the *same flags* replays the journal and runs only
 //! the missing cells, reproducing the deterministic result files
-//! byte-for-byte. `--retries N` (default 1) retries failing cells with
-//! backoff before quarantining them.
+//! byte-for-byte.
 //!
 //! `--io-faults SPEC` arms seeded *storage* fault injection for any
 //! run: every durable write/read/fsync/rename goes through the
@@ -100,7 +99,7 @@ const ALL: [&str; 17] = [
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--accesses N] [--bench NAMES] [--jobs N] [--cores N] [--policy NAME] [--faults SPEC] [--resume] [--retries N] [--no-snapshot-cache] [--csv] [--bars] <experiment>...\n\
+        "usage: repro [--quick] [--accesses N] [--bench NAMES] [--jobs N] [--cores N] [--policy NAME] [--faults SPEC] [--resume] [--no-snapshot-cache] [--csv] [--bars] <experiment>...\n\
          \u{20}      repro --check [--seeds N] [--events N] [--jobs N] [--cores N] [--policy NAME] [--faults SPEC]\n\
          --jobs N   worker threads for the sweep runner (default: $COLT_JOBS,\n\
          \u{20}           then the machine's available parallelism); results are\n\
@@ -121,8 +120,6 @@ fn usage() -> ! {
          \u{20}           cells (same flags, verified checksum) are skipped,\n\
          \u{20}           only missing or failed cells re-run; the result\n\
          \u{20}           files come out byte-identical to an uninterrupted run\n\
-         --retries N  retries per failing sweep cell before it is\n\
-         \u{20}           quarantined (default 1; 0 = fail on first error)\n\
          --faults SPEC  deterministic fault injection, SPEC =\n\
          \u{20}           rate=R,window=W,seed=S (each key optional; defaults\n\
          \u{20}           rate=0.05, window=0 = always armed, seed=7); consumed\n\
@@ -291,10 +288,6 @@ fn main() -> ExitCode {
             "--quick" => opts.accesses = ExperimentOptions::quick().accesses,
             "--check" => check = true,
             "--resume" => resume = true,
-            "--retries" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                opts.retries = n.parse::<u32>().unwrap_or_else(|_| usage());
-            }
             "--seeds" => {
                 let n = args.next().unwrap_or_else(|| usage());
                 seeds = clamp_flag("--seeds", n.parse::<u64>().unwrap_or_else(|_| usage()));

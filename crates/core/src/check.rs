@@ -512,7 +512,7 @@ fn run_smp_check_inner(
             }));
         }
     }
-    let cases = runner::run_tasks(tasks, jobs);
+    let cases = runner::expect_all(runner::run_tasks_service(tasks, jobs));
     let translations = cases.iter().map(|c| c.translations).sum();
     CheckReport { cases, translations }
 }
@@ -957,7 +957,7 @@ fn run_check_inner(
             }
         }
     }
-    let cases = runner::run_tasks(tasks, jobs);
+    let cases = runner::expect_all(runner::run_tasks_service(tasks, jobs));
     let translations = cases.iter().map(|c| c.translations).sum();
     CheckReport { cases, translations }
 }

@@ -14,7 +14,7 @@ use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
 use crate::runner::{self, SweepCell};
 use crate::sim::SimConfig;
-use colt_tlb::config::{ColtMode, TlbConfig};
+use colt_tlb::config::TlbConfig;
 use colt_tlb::stats::pct_misses_eliminated;
 use colt_workloads::scenario::Scenario;
 
@@ -229,11 +229,6 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<(String, Vec<AblationRow>)>, Experi
         tables.push(table);
     }
     (groups, ExperimentOutput { id: "ablation", tables })
-}
-
-/// Mode sanity helper used by tests and docs.
-pub fn paper_modes() -> [ColtMode; 3] {
-    [ColtMode::ColtSa, ColtMode::ColtFa, ColtMode::ColtAll]
 }
 
 #[cfg(test)]

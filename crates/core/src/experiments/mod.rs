@@ -74,10 +74,6 @@ pub struct ExperimentOptions {
     /// `--check` runs under injection (`None` everywhere else — the
     /// paper experiments never see a fault).
     pub faults: Option<FaultConfig>,
-    /// Retries per failing sweep cell beyond the first attempt
-    /// (`repro --retries N`). A cell that exhausts its retries is
-    /// quarantined instead of failing the whole sweep.
-    pub retries: u32,
     /// Durable cell journal for this experiment run. `Some` when the
     /// `repro` binary wants crash-safe progress (always, for journaled
     /// experiments); replayed on `--resume`.
@@ -98,7 +94,6 @@ impl Default for ExperimentOptions {
             jobs: default_jobs(),
             cores: 1,
             faults: None,
-            retries: 1,
             journal: None,
             policy: PolicyKind::Default,
         }
@@ -154,15 +149,10 @@ impl ExperimentOptions {
         scenario.with_policy(self.policy)
     }
 
-    /// The sweep supervision policy these options describe, for the
-    /// runner's `run_cells_sweep`/`run_tasks_sweep` entry points.
+    /// The sweep options these describe, for the runner's
+    /// `run_cells_sweep`/`run_tasks_sweep` entry points.
     pub fn sweep(&self) -> SweepOptions<'_> {
-        SweepOptions {
-            jobs: self.jobs,
-            retries: self.retries,
-            hard_deadline: None,
-            journal: self.journal.as_deref(),
-        }
+        SweepOptions { jobs: self.jobs, journal: self.journal.as_deref() }
     }
 
     /// Fingerprint of this invocation for `experiment`: a checksum over

@@ -17,14 +17,15 @@
 //! under `greedy_contig` is an OS result wearing a hardware costume.
 //!
 //! The sweep runs through [`runner::run_cells_sweep`]: cells are
-//! journaled (crash-safe, `--resume`-replayable), retried, and
-//! quarantined on persistent failure, like every other journaled
-//! experiment.
+//! journaled (crash-safe, `--resume`-replayable), and a failed cell
+//! becomes a failure row while the sweep completes around it, like
+//! every other journaled experiment.
 
+use super::pressure::{failure_table, ok_or_record, FailedCell};
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::check::check_configs;
 use crate::report::Table;
-use crate::runner::{self, CellOutcome, SweepCell};
+use crate::runner::{self, SweepCell};
 use crate::sim::{SimConfig, SimResult};
 use colt_os_mem::kernel::KernelStats;
 use colt_os_mem::policy::PolicyKind;
@@ -111,7 +112,7 @@ pub struct PolicyReport {
     /// Per-policy aggregates, in [`PolicyKind::all`] order.
     pub summaries: Vec<PolicySummary>,
     /// Cells that failed; the sweep completed around them.
-    pub failures: Vec<super::pressure::FailedCell>,
+    pub failures: Vec<FailedCell>,
 }
 
 /// Walks eliminated vs the same (policy, benchmark) baseline config.
@@ -212,8 +213,8 @@ pub fn run(opts: &ExperimentOptions) -> (PolicyReport, ExperimentOutput) {
     for (outcome, (policy, bench, cname)) in
         runner::run_cells_sweep(cells, &opts.sweep()).into_iter().zip(meta)
     {
-        match outcome {
-            CellOutcome::Ok((sim, kernel, contig)) => report.rows.push(PolicyRow {
+        if let Some((sim, kernel, contig)) = ok_or_record(outcome, &mut report.failures) {
+            report.rows.push(PolicyRow {
                 policy,
                 benchmark: bench,
                 config: cname,
@@ -223,21 +224,7 @@ pub fn run(opts: &ExperimentOptions) -> (PolicyReport, ExperimentOutput) {
                 walk_cycles: sim.walk_cycles,
                 avg_contiguity: contig,
                 kernel,
-            }),
-            CellOutcome::Failed { label, payload } => {
-                report.failures.push(super::pressure::FailedCell {
-                    label,
-                    payload,
-                    attempts: 1,
-                });
-            }
-            CellOutcome::Quarantined { label, attempts, reason } => {
-                report.failures.push(super::pressure::FailedCell {
-                    label,
-                    payload: reason,
-                    attempts,
-                });
-            }
+            });
         }
     }
     report.summaries = summarize(&report.rows);
@@ -296,19 +283,6 @@ fn sweep_table(report: &PolicyReport) -> Table {
             r.kernel.thp_fallbacks.to_string(),
             r.kernel.policy_compactions_requested.to_string(),
         ]);
-    }
-    table
-}
-
-fn failure_table(failures: &[super::pressure::FailedCell]) -> Table {
-    let mut table = Table::new(
-        "Failed cells (sweep completed around them)".to_string(),
-        &["cell", "attempts", "cause"],
-    );
-    for f in failures {
-        let mut cause = f.payload.clone();
-        cause.truncate(80);
-        table.add_row(vec![f.label.clone(), f.attempts.to_string(), cause]);
     }
     table
 }

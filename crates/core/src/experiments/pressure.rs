@@ -17,11 +17,11 @@
 //!   failing underneath it.
 //!
 //! The sweep runs through [`runner::run_cells_sweep`], so a cell that
-//! dies is retried (`--retries`), then quarantined as a failure row
-//! instead of killing the sweep — the BENCH json carries partial
-//! results plus the failure report. With a journal in the options the
-//! sweep is also crash-safe: finished cells are fsynced to
-//! `results/journal/pressure.jsonl` and `--resume` replays them.
+//! dies becomes a failure row instead of killing the sweep — the BENCH
+//! json carries partial results plus the failure report. With a journal
+//! in the options the sweep is also crash-safe: finished cells are
+//! fsynced to `results/journal/pressure.jsonl` and `--resume` replays
+//! them.
 //!
 //! With `--cores N` (N > 1) an SMP leg rides along: the light
 //! eight-benchmark mix on N ASID-tagged cores, with the fault plan
@@ -108,17 +108,30 @@ impl crate::journal::JournalPayload for SmpPressureRow {
     }
 }
 
-/// A sweep cell that died (panic, failed preparation, or hard-deadline
-/// expiry) on every attempt the watchdog allowed it.
+/// A sweep cell that died: its preparation failed or its job panicked.
 #[derive(Clone, Debug)]
 pub struct FailedCell {
     /// Label of the failed cell.
     pub label: String,
-    /// Panic message, preparation error, or deadline report.
+    /// Panic message or preparation error.
     pub payload: String,
-    /// Attempts consumed (1 = failed its only try; >1 = quarantined
-    /// after retries).
-    pub attempts: u32,
+}
+
+/// The result of one sweep cell, or `None` after recording why the cell
+/// failed in `failures` — the failure report of the pressure and policy
+/// sweeps.
+pub(crate) fn ok_or_record<R>(
+    outcome: CellOutcome<R>,
+    failures: &mut Vec<FailedCell>,
+) -> Option<R> {
+    match outcome {
+        CellOutcome::Ok(r) => Some(r),
+        CellOutcome::Failed { label, payload }
+        | CellOutcome::Quarantined { label, reason: payload } => {
+            failures.push(FailedCell { label, payload });
+            None
+        }
+    }
 }
 
 /// Everything the pressure sweep produced: per-cell rows, the SMP leg,
@@ -187,8 +200,8 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
     for (outcome, (bench, cname, rate)) in
         runner::run_cells_sweep(cells, &opts.sweep()).into_iter().zip(meta)
     {
-        match outcome {
-            CellOutcome::Ok((sim, kernel)) => report.rows.push(PressureRow {
+        if let Some((sim, kernel)) = ok_or_record(outcome, &mut report.failures) {
+            report.rows.push(PressureRow {
                 benchmark: bench,
                 config: cname,
                 rate,
@@ -197,13 +210,7 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
                 walks: sim.tlb.l2_misses,
                 walk_cycles: sim.walk_cycles,
                 kernel,
-            }),
-            CellOutcome::Failed { label, payload } => {
-                report.failures.push(FailedCell { label, payload, attempts: 1 });
-            }
-            CellOutcome::Quarantined { label, attempts, reason } => {
-                report.failures.push(FailedCell { label, payload: reason, attempts });
-            }
+            });
         }
     }
 
@@ -268,14 +275,8 @@ fn run_smp_leg(
         })
         .collect();
     for outcome in runner::run_tasks_sweep(tasks, &opts.sweep()) {
-        match outcome {
-            CellOutcome::Ok(row) => report.smp_rows.push(row),
-            CellOutcome::Failed { label, payload } => {
-                report.failures.push(FailedCell { label, payload, attempts: 1 });
-            }
-            CellOutcome::Quarantined { label, attempts, reason } => {
-                report.failures.push(FailedCell { label, payload: reason, attempts });
-            }
+        if let Some(row) = ok_or_record(outcome, &mut report.failures) {
+            report.smp_rows.push(row);
         }
     }
 }
@@ -345,15 +346,16 @@ fn smp_table(rows: &[SmpPressureRow]) -> Table {
     table
 }
 
-fn failure_table(failures: &[FailedCell]) -> Table {
+/// The failure report table of the pressure and policy sweeps.
+pub(crate) fn failure_table(failures: &[FailedCell]) -> Table {
     let mut table = Table::new(
         "Failed cells (sweep completed around them)".to_string(),
-        &["cell", "attempts", "cause"],
+        &["cell", "cause"],
     );
     for f in failures {
         let mut cause = f.payload.clone();
         cause.truncate(80);
-        table.add_row(vec![f.label.clone(), f.attempts.to_string(), cause]);
+        table.add_row(vec![f.label.clone(), cause]);
     }
     table
 }

@@ -131,7 +131,6 @@ fn payload_opts(cfg: &TortureConfig) -> ExperimentOptions {
         benchmarks: Some(vec![cfg.bench.clone()]),
         jobs: 1,
         cores: 1,
-        retries: 1,
         ..ExperimentOptions::default()
     }
 }

@@ -28,12 +28,15 @@
 //!
 //! * `fp` — fingerprint of the producing invocation (experiment name +
 //!   every flag that changes results: accesses, seed, benchmarks,
-//!   cores, faults). A record whose fingerprint does not match the
-//!   current invocation is ignored with a loud note — mismatched flags
-//!   are never silently reused.
+//!   cores, faults, policy). A record whose fingerprint does not match
+//!   the current invocation is ignored with a loud note — mismatched
+//!   flags are never silently reused.
 //! * `seq` — append sequence number, for auditing.
-//! * `outcome` — `ok`, `failed`, or `quarantined`; only `ok` records
-//!   are replayed, the others are re-run on resume.
+//! * `outcome` — `ok` or `failed` (older builds, which retried cells,
+//!   also wrote `quarantined`); only `ok` records are replayed, the
+//!   others are re-run on resume.
+//! * `attempts` — always 1: cells are not retried. The member stays so
+//!   journals remain readable across versions in both directions.
 //! * `prep`/`sim` — the cell's wall-clock seconds as IEEE-754 bit
 //!   patterns (hex), so replayed throughput metrics are bit-exact.
 //! * `payload` — the cell's result, encoded by [`JournalPayload`]
@@ -477,11 +480,11 @@ pub struct Record {
     pub seq: u64,
     /// Cell label — the journal key within one experiment.
     pub label: String,
-    /// `"ok"`, `"failed"`, or `"quarantined"`.
+    /// `"ok"` or `"failed"` (`"quarantined"` from older builds).
     pub outcome: String,
-    /// Attempts the cell consumed (1 = first try).
+    /// Attempts the cell consumed; the runner writes 1.
     pub attempts: u64,
-    /// Failure/quarantine reason ("" for `ok`).
+    /// Failure reason ("" for `ok`).
     pub reason: String,
     /// Memory references the cell simulated (throughput metric).
     pub refs: u64,
@@ -585,21 +588,10 @@ pub struct OpenReport {
     pub quarantined_to: Option<PathBuf>,
 }
 
-impl OpenReport {
-    /// True when the open had anything noteworthy to report.
-    pub fn noisy(&self) -> bool {
-        self.fingerprint_mismatches > 0
-            || self.corrupt_lines > 0
-            || self.schema_skipped > 0
-    }
-}
-
 struct Inner {
     file: Box<dyn crate::vfs::VfsFile>,
     seq: u64,
     appended: u64,
-    append_retries: u64,
-    append_failures: u64,
     seen: HashSet<String>,
 }
 
@@ -801,8 +793,6 @@ impl Journal {
                 file,
                 seq: kept_lines.len() as u64,
                 appended: 0,
-                append_retries: 0,
-                append_failures: 0,
                 seen: HashSet::new(),
             }),
         })
@@ -823,14 +813,6 @@ impl Journal {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).appended
     }
 
-    /// `(retries, exhausted failures)` of the append path — the
-    /// journal's fault-accounting counters.
-    pub fn append_faults(&self) -> (u64, u64) {
-        let inner =
-            self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        (inner.append_retries, inner.append_failures)
-    }
-
     /// The journaled result for `label`, if a valid matching `ok`
     /// record was replayed at open.
     pub fn completed(&self, label: &str) -> Option<&Replayed> {
@@ -839,8 +821,7 @@ impl Journal {
 
     /// Appends one finished-cell record, fsyncing before returning, so
     /// the record survives any subsequent process death. `outcome` is
-    /// `"ok"` (with `payload`) or `"failed"`/`"quarantined"` (with
-    /// `reason`).
+    /// `"ok"` (with `payload`) or `"failed"` (with `reason`).
     pub fn append(
         &self,
         label: &str,
@@ -885,7 +866,6 @@ impl Journal {
         let mut outcome_io = Ok(());
         for attempt in 0..3u32 {
             if attempt > 0 {
-                inner.append_retries += 1;
                 std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
             }
             let payload =
@@ -906,10 +886,7 @@ impl Journal {
                 }
             }
         }
-        if let Err(e) = outcome_io {
-            inner.append_failures += 1;
-            return Err(e);
-        }
+        outcome_io?;
         inner.seq += 1;
         inner.appended += 1;
         if Some(inner.appended) == self.crash_after {

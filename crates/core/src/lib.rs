@@ -12,8 +12,8 @@
 //! * [`experiments`] — one driver per table/figure (Table 1, Figures
 //!   7–21, plus the §7.1.3 ablation and extras),
 //! * [`runner`] — the parallel sweep runner the drivers fan out on
-//!   (deterministic results, shared workload preparation, retry +
-//!   quarantine supervision),
+//!   (deterministic results, shared workload preparation, per-cell
+//!   panic isolation),
 //! * [`journal`] — the durable, checksummed cell journal behind
 //!   `repro --resume` crash recovery,
 //! * [`snapshot_cache`] — the process-global preparation cache whose
@@ -70,3 +70,26 @@ pub use experiments::{ExperimentOptions, ExperimentOutput};
 pub use perf::PerfModel;
 pub use report::Table;
 pub use sim::{SimConfig, SimResult};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks a mutex, recovering the data if a previous holder panicked.
+/// Every mutex locked this way guards state that stays consistent
+/// across a mid-critical-section panic (append-only registries, queues
+/// whose items are consumed whole, slots a failed builder leaves
+/// retryable, caches of finished values), so poisoning carries no
+/// information.
+pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Renders a `catch_unwind` payload as the human-readable panic message.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}

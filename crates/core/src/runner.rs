@@ -1,6 +1,6 @@
 //! Parallel sweep runner: fans independent (benchmark × scenario ×
-//! TLB-config) simulation cells out across a work-stealing scheduler
-//! on scoped threads.
+//! TLB-config) simulation cells out across a fixed pool of scoped
+//! worker threads that pull from one FIFO queue.
 //!
 //! Every experiment driver is a sweep over cells that share nothing but
 //! a prepared workload, so the runner provides exactly four guarantees:
@@ -16,52 +16,41 @@
 //!    [`snapshot_cache`](crate::snapshot_cache)) by whichever worker
 //!    gets there first and handed out as an `Arc`. A cell that finds
 //!    its preparation *in flight* parks on the slot instead of
-//!    blocking its worker: the worker steals other cells in the
-//!    meantime, and the parked cells are requeued the moment the build
-//!    lands. Work distribution is per-worker deques (pop-front own
-//!    work, steal-back others'), so one slow preparation never idles
-//!    the rest of the pool.
-//! 3. **Supervised failure** — a cell that panics, whose preparation
-//!    fails, or that exceeds the hard deadline is *retried* up to
-//!    `retries` times with exponential backoff and a
-//!    perturbed-but-deterministic requeue position; a cell that
-//!    exhausts its retries becomes [`CellOutcome::Quarantined`] while
-//!    every other cell still completes. The legacy
-//!    [`run_cells`]/[`run_tasks`] entry points keep the old fail-fast,
-//!    zero-retry contract.
+//!    blocking its worker: the worker takes the next queued cell in the
+//!    meantime, and the parked cells re-enter the front of the queue
+//!    the moment the build lands.
+//! 3. **Failure isolation** — a cell whose job panics or whose
+//!    preparation fails becomes [`CellOutcome::Failed`] while every
+//!    other cell still completes. Cells are seeded simulations on
+//!    seeded kernels, so a failure would only repeat: nothing is
+//!    retried. [`expect_all`] turns failures back into a panic for
+//!    drivers whose sweeps must be all-or-nothing.
 //! 4. **Durable progress** — the `*_sweep` entry points append one
 //!    checksummed record per finished cell to the experiment's
 //!    [`Journal`](crate::journal), fsynced before the result is even
 //!    reported, so a `SIGKILL` at any instant loses at most the cells
 //!    in flight; `--resume` replays the journal and runs only the rest.
 //!
-//! Deadlines: `COLT_CELL_SOFT_DEADLINE` (default 120 s, 0 disables)
-//! only warns — killing a thread mid-simulation would corrupt nothing
-//! but help nobody. `COLT_CELL_HARD_DEADLINE` (default 0 = off) arms
-//! the watchdog: the attempt runs on a supervised thread and is
-//! abandoned (then retried, then quarantined) when it exceeds the
-//! budget. A garbage value in either variable earns one loud stderr
-//! note naming the variable and the value actually used — never a
-//! silent fallback.
-//!
-//! Implementation is std-only (`std::thread::scope`, channels, locks):
+//! Implementation is std-only (`std::thread::scope`, locks, a condvar):
 //! the build must work offline, so no rayon or crates.io dependency.
 
 use crate::journal::{Journal, JournalPayload};
 use crate::sim::{self, SimConfig, SimResult};
-use crate::snapshot_cache;
+use crate::{panic_message, relock, snapshot_cache};
 use colt_workloads::scenario::{PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
-/// One unit of parallel work: a job run against a prepared workload.
-/// The job is an `Arc<dyn Fn>` (not `FnOnce`) so the supervisor can
-/// re-run it on retry and hand it to a watchdog thread.
+type CellJob<R> = Box<dyn FnOnce(&PreparedWorkload) -> R + Send>;
+type TaskJob<R> = Box<dyn FnOnce() -> R + Send>;
+/// A finished cell: its outcome and its throughput record.
+type Finished<R> = (CellOutcome<R>, CellMetric);
+
+/// One unit of parallel work: a job run once against a prepared
+/// workload.
 pub struct SweepCell<R> {
     label: String,
     scenario: Scenario,
@@ -69,7 +58,7 @@ pub struct SweepCell<R> {
     /// Memory references the job will simulate (0 for analysis-only
     /// cells such as contiguity scans) — feeds the throughput report.
     refs: u64,
-    job: Arc<dyn Fn(&PreparedWorkload) -> R + Send + Sync>,
+    job: CellJob<R>,
 }
 
 impl<R> SweepCell<R> {
@@ -79,14 +68,14 @@ impl<R> SweepCell<R> {
         scenario: &Scenario,
         spec: &BenchmarkSpec,
         refs: u64,
-        job: impl Fn(&PreparedWorkload) -> R + Send + Sync + 'static,
+        job: impl FnOnce(&PreparedWorkload) -> R + Send + 'static,
     ) -> Self {
         Self {
             label: label.into(),
             scenario: scenario.clone(),
             spec: spec.clone(),
             refs,
-            job: Arc::new(job),
+            job: Box::new(job),
         }
     }
 }
@@ -111,7 +100,7 @@ pub struct SweepTask<R> {
     label: String,
     refs: u64,
     expires_at: Option<Instant>,
-    job: Arc<dyn Fn() -> R + Send + Sync>,
+    job: TaskJob<R>,
 }
 
 impl<R> SweepTask<R> {
@@ -119,15 +108,15 @@ impl<R> SweepTask<R> {
     pub fn new(
         label: impl Into<String>,
         refs: u64,
-        job: impl Fn() -> R + Send + Sync + 'static,
+        job: impl FnOnce() -> R + Send + 'static,
     ) -> Self {
-        Self { label: label.into(), refs, expires_at: None, job: Arc::new(job) }
+        Self { label: label.into(), refs, expires_at: None, job: Box::new(job) }
     }
 
     /// Attaches a dispatch deadline: if the engine picks the task up
     /// after `at`, it fails with [`EXPIRED_IN_QUEUE`] *without running*
     /// — under overload, work whose requester already deadlined out
-    /// must not burn a worker slot. Final (never retried).
+    /// must not burn a worker slot.
     pub fn with_expiry(mut self, at: Instant) -> Self {
         self.expires_at = Some(at);
         self
@@ -145,24 +134,22 @@ pub const EXPIRED_IN_QUEUE: &str = "deadline exceeded before dispatch";
 pub enum CellOutcome<R> {
     /// The cell ran to completion (or was replayed from the journal).
     Ok(R),
-    /// The cell's only attempt failed (zero-retry sweeps): preparation
-    /// failed or the job panicked; `payload` is the cause.
+    /// Preparation failed, the job panicked, or the task expired in the
+    /// queue; `payload` is the cause.
     Failed {
         /// Label of the failed cell ("fig18/Mcf/CoLT-All").
         label: String,
         /// Human-readable failure cause.
         payload: String,
     },
-    /// The cell failed every attempt the watchdog allowed it and was
-    /// quarantined: the sweep completed around it, the journal records
-    /// it, and the run exits nonzero.
+    /// Never constructed: the runner no longer retries, so no cell is
+    /// quarantined. The variant remains only because the benchmark
+    /// harness (`benchmark/src/workloads.rs`) matches on it; it goes at
+    /// the next change to the benchmark.
     Quarantined {
-        /// Label of the quarantined cell.
+        /// Label of the cell.
         label: String,
-        /// Attempts consumed (first try + retries).
-        attempts: u32,
-        /// Cause of the final failure (panic message, preparation
-        /// error, or hard-deadline expiry).
+        /// Cause of the failure.
         reason: String,
     },
 }
@@ -176,32 +163,25 @@ impl<R> CellOutcome<R> {
         }
     }
 
-    /// True when the cell failed or was quarantined.
+    /// True when the cell failed.
     pub fn is_failed(&self) -> bool {
         !matches!(self, CellOutcome::Ok(_))
     }
-
-    /// Unwraps the success value, re-panicking with the recorded cause
-    /// — the fail-fast behaviour of the legacy entry points.
-    fn unwrap_or_panic(self) -> R {
-        match self {
-            CellOutcome::Ok(r) => r,
-            CellOutcome::Failed { label, payload } => {
-                panic!("sweep cell '{label}' failed: {payload}")
-            }
-            CellOutcome::Quarantined { label, attempts, reason } => {
-                panic!(
-                    "sweep cell '{label}' quarantined after {attempts} attempt(s): {reason}"
-                )
-            }
-        }
-    }
 }
 
-/// Unwraps every outcome, panicking on the first failed/quarantined
-/// cell — for drivers whose sweeps must be all-or-nothing.
+/// Unwraps every outcome, panicking on the first failed cell — for
+/// drivers whose sweeps must be all-or-nothing.
 pub fn expect_all<R>(outcomes: Vec<CellOutcome<R>>) -> Vec<R> {
-    outcomes.into_iter().map(CellOutcome::unwrap_or_panic).collect()
+    outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            CellOutcome::Ok(r) => r,
+            CellOutcome::Failed { label, payload }
+            | CellOutcome::Quarantined { label, reason: payload } => {
+                panic!("sweep cell '{label}' failed: {payload}")
+            }
+        })
+        .collect()
 }
 
 /// Timing record for one completed cell, for the throughput report.
@@ -224,104 +204,19 @@ pub struct CellMetric {
 
 static METRICS: Mutex<Vec<CellMetric>> = Mutex::new(Vec::new());
 
-/// Locks a mutex, recovering the data if a previous holder panicked.
-/// Every runner structure is either append-only (metrics), a work queue
-/// whose items are consumed whole, or a prep slot that a failed builder
-/// leaves `None` (retryable) — so the data is consistent even after a
-/// mid-critical-section panic and poisoning carries no information.
-fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Renders a `catch_unwind` payload as the human-readable panic message.
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
-/// Parses a non-negative seconds value from `var`, printing one loud
-/// note (per variable, per process) when the value is garbage instead
-/// of silently falling back.
-fn env_seconds(var: &'static str, default: f64, warned: &'static Once) -> f64 {
-    match std::env::var(var) {
-        Err(_) => default,
-        Ok(raw) => match raw.parse::<f64>() {
-            Ok(v) if v >= 0.0 && v.is_finite() => v,
-            _ => {
-                warned.call_once(|| {
-                    eprintln!(
-                        "warning: {var}='{raw}' is not a non-negative number of \
-                         seconds; using the default of {default} instead"
-                    );
-                });
-                default
-            }
-        },
-    }
-}
-
-static SOFT_WARNED: Once = Once::new();
-static HARD_WARNED: Once = Once::new();
-
-/// Soft wall-clock budget for one cell, in seconds. Cells that run
-/// longer only earn a stderr warning — killing a thread mid-simulation
-/// would corrupt nothing but help nobody — but the warning makes hung
-/// cells visible in otherwise-silent long sweeps. Override with
-/// `COLT_CELL_SOFT_DEADLINE=<seconds>` (0 disables).
-fn cell_soft_deadline() -> f64 {
-    env_seconds("COLT_CELL_SOFT_DEADLINE", 120.0, &SOFT_WARNED)
-}
-
-/// Hard wall-clock budget for one cell attempt, in seconds. 0 (the
-/// default) disables the watchdog; any positive value runs each job on
-/// a supervised thread that is abandoned on expiry, which counts as a
-/// failed attempt (retried, then quarantined). Override with
-/// `COLT_CELL_HARD_DEADLINE=<seconds>`.
-fn cell_hard_deadline() -> f64 {
-    env_seconds("COLT_CELL_HARD_DEADLINE", 0.0, &HARD_WARNED)
-}
-
-fn warn_if_over_deadline(label: &str, seconds: f64, deadline: f64) {
-    if deadline > 0.0 && seconds > deadline {
-        eprintln!(
-            "warning: cell '{label}' ran {seconds:.1}s (soft deadline {deadline:.0}s)"
-        );
-    }
-}
-
 /// Drains the metrics accumulated by every runner call since the last
 /// drain, in cell-submission order.
 pub fn take_metrics() -> Vec<CellMetric> {
     std::mem::take(&mut *relock(&METRICS))
 }
 
-/// Supervision policy for one sweep: worker width, the watchdog's
-/// retry budget and hard deadline, and the durable journal (if the
+/// How one sweep runs: worker width and the durable journal (if the
 /// invocation wants crash-safe progress).
 pub struct SweepOptions<'a> {
     /// Worker threads. Results are identical at any value.
     pub jobs: usize,
-    /// Retries per failing cell beyond its first attempt (so a cell
-    /// runs at most `retries + 1` times). `repro --retries N`,
-    /// default 1.
-    pub retries: u32,
-    /// Hard per-attempt deadline in seconds; `None` reads
-    /// `COLT_CELL_HARD_DEADLINE` (default 0 = off).
-    pub hard_deadline: Option<f64>,
     /// Durable cell journal for crash-safe progress and `--resume`.
     pub journal: Option<&'a Journal>,
-}
-
-impl SweepOptions<'_> {
-    /// A plain policy: `jobs` workers, no retries, no journal.
-    pub fn jobs_only(jobs: usize) -> Self {
-        SweepOptions { jobs, retries: 0, hard_deadline: None, journal: None }
-    }
 }
 
 /// One sweep-local preparation slot. The slot exists so that, within a
@@ -342,71 +237,24 @@ enum SlotState {
 
 struct PrepSlot<R> {
     state: SlotState,
-    /// Cells parked until the in-flight build lands; the builder drains
-    /// them into the injector (success and failure alike — after a
+    /// Cells parked until the in-flight build lands; the builder puts
+    /// them back on the queue (success and failure alike — after a
     /// failure one of them becomes the next builder).
     waiting: Vec<Item<R>>,
 }
 
-type SlotMap<R> = Mutex<HashMap<String, Arc<Mutex<PrepSlot<R>>>>>;
-
-/// Runs `run` under the hard deadline: on a supervised thread whose
-/// result is awaited for at most `hard` seconds, after which the
-/// attempt is abandoned (the thread keeps running — a thread cannot be
-/// safely killed — but its eventual result is discarded). With the
-/// deadline off the job runs inline under `catch_unwind`.
-///
-/// The deadline covers only the job, not shared preparation:
-/// preparation is a critical section other cells wait on, and
-/// abandoning a thread inside it would wedge the whole sweep.
-fn run_with_deadline<R: Send + 'static>(
-    run: Box<dyn FnOnce() -> R + Send>,
-    hard: f64,
-) -> Result<R, String> {
-    if hard <= 0.0 {
-        return catch_unwind(AssertUnwindSafe(run)).map_err(panic_message);
-    }
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name("colt-cell-attempt".to_string())
-        .spawn(move || {
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(run)));
-        });
-    if let Err(e) = spawned {
-        return Err(format!("could not spawn watchdog attempt thread: {e}"));
-    }
-    match rx.recv_timeout(Duration::from_secs_f64(hard)) {
-        Ok(Ok(r)) => Ok(r),
-        Ok(Err(payload)) => Err(panic_message(payload)),
-        Err(_) => Err(format!(
-            "exceeded hard deadline {hard:.1}s (COLT_CELL_HARD_DEADLINE); \
-             attempt abandoned"
-        )),
-    }
+/// What a queue item runs.
+enum Work<R> {
+    Cell { scenario: Scenario, spec: BenchmarkSpec, job: CellJob<R> },
+    Task(TaskJob<R>),
 }
 
-/// Exponential backoff before retry `attempt` (the attempt number that
-/// just failed): 25 ms doubling per attempt, capped at 1 s. Pure
-/// function of the attempt number — deterministic.
-fn backoff_for(attempt: u32) -> Duration {
-    Duration::from_millis((25u64 << (attempt.min(6) - 1)).min(1_000))
-}
-
-/// Deterministically perturbed requeue position for a retry: a hash of
-/// (label, attempt) modulo the queue length, so a retried cell does
-/// not land behind the exact co-scheduling that just failed it, yet
-/// any two runs requeue identically.
-fn requeue_position(label: &str, attempt: u32, queue_len: usize) -> usize {
-    let h = crate::journal::crc32(label.as_bytes()) as usize + attempt as usize;
-    h % (queue_len + 1)
-}
-
-fn encode_of<R: JournalPayload>(r: &R) -> String {
-    r.encode()
-}
-
-fn decode_of<R: JournalPayload>(s: &str) -> Option<R> {
-    R::decode(s)
+struct Item<R> {
+    idx: usize,
+    /// This item's throughput record; the worker fills in the timings.
+    metric: CellMetric,
+    expires_at: Option<Instant>,
+    work: Work<R>,
 }
 
 /// Journal plumbing for one sweep: where to append finished cells and
@@ -417,150 +265,66 @@ struct Hook<'a, R> {
     decode: fn(&str) -> Option<R>,
 }
 
-struct EngineOpts<'a, R> {
-    jobs: usize,
-    retries: u32,
-    hard: f64,
-    hook: Option<Hook<'a, R>>,
-    /// Whether finished cells push their [`CellMetric`]s into the
-    /// process-global registry. Sweeps do (the BENCH reports drain it);
-    /// service dispatches must not — a resident server batching forever
-    /// would grow the registry without bound, and nothing drains it on
-    /// that path.
-    collect_metrics: bool,
-}
-
-impl<'a, R: JournalPayload> EngineOpts<'a, R> {
-    fn from_sweep(opts: &SweepOptions<'a>) -> Self {
-        EngineOpts {
-            jobs: opts.jobs,
-            retries: opts.retries,
-            hard: opts.hard_deadline.unwrap_or_else(cell_hard_deadline),
-            hook: opts.journal.map(|journal| Hook {
-                journal,
-                encode: encode_of::<R>,
-                decode: decode_of::<R>,
-            }),
-            collect_metrics: true,
-        }
+impl<'a, R: JournalPayload> Hook<'a, R> {
+    fn of(opts: &SweepOptions<'a>) -> Option<Self> {
+        opts.journal.map(|journal| Hook { journal, encode: R::encode, decode: R::decode })
     }
 }
 
-impl<R> EngineOpts<'_, R> {
-    fn plain(jobs: usize) -> Self {
-        EngineOpts {
-            jobs,
-            retries: 0,
-            hard: cell_hard_deadline(),
-            hook: None,
-            collect_metrics: true,
-        }
+impl<R> Hook<'_, R> {
+    /// The journaled outcome of `item`, if a valid record for it decodes
+    /// as this sweep's result type.
+    fn replay(&self, item: &Item<R>) -> Option<Finished<R>> {
+        let rep = self.journal.completed(&item.metric.label)?;
+        let Some(r) = (self.decode)(&rep.payload) else {
+            eprintln!(
+                "note: journal record for '{}' does not decode as this sweep's \
+                 result type; re-running the cell",
+                item.metric.label
+            );
+            return None;
+        };
+        let metric = CellMetric {
+            refs: rep.refs,
+            prep_seconds: rep.prep_seconds,
+            sim_seconds: rep.sim_seconds,
+            ..item.metric.clone()
+        };
+        Some((CellOutcome::Ok(r), metric))
     }
 
-    fn service(jobs: usize) -> Self {
-        EngineOpts { collect_metrics: false, ..Self::plain(jobs) }
-    }
-}
-
-/// The work a queue item performs per attempt.
-enum Work<R> {
-    Cell {
-        scenario: Scenario,
-        spec: BenchmarkSpec,
-        job: Arc<dyn Fn(&PreparedWorkload) -> R + Send + Sync>,
-    },
-    Task {
-        job: Arc<dyn Fn() -> R + Send + Sync>,
-    },
-}
-
-struct Item<R> {
-    idx: usize,
-    attempt: u32,
-    label: String,
-    benchmark: String,
-    scenario_name: String,
-    refs: u64,
-    expires_at: Option<Instant>,
-    work: Work<R>,
-}
-
-/// Journals one finished cell (no-op without a journal). A journal
-/// write failure is loud but non-fatal: the in-memory sweep result is
-/// still correct, only resumability of this cell is lost.
-fn journal_outcome<R>(
-    hook: &Option<Hook<'_, R>>,
-    item: &Item<R>,
-    outcome: &CellOutcome<R>,
-    metric: &CellMetric,
-) {
-    let Some(h) = hook else { return };
-    let appended = match outcome {
-        CellOutcome::Ok(r) => h.journal.append(
-            &item.label,
-            "ok",
-            item.attempt as u64,
-            "",
-            &(h.encode)(r),
-            metric.refs,
-            metric.prep_seconds,
-            metric.sim_seconds,
-        ),
-        CellOutcome::Failed { payload, .. } => h.journal.append(
-            &item.label,
-            "failed",
-            item.attempt as u64,
-            payload,
-            "",
-            metric.refs,
-            metric.prep_seconds,
-            metric.sim_seconds,
-        ),
-        CellOutcome::Quarantined { attempts, reason, .. } => h.journal.append(
-            &item.label,
-            "quarantined",
-            u64::from(*attempts),
+    /// Journals one finished cell. A journal write failure is loud but
+    /// non-fatal: the in-memory sweep result is still correct, only
+    /// resumability of this cell is lost. Records keep their `attempts`
+    /// member, which is always 1.
+    fn append(&self, outcome: &CellOutcome<R>, metric: &CellMetric) {
+        let (status, reason, payload) = match outcome {
+            CellOutcome::Ok(r) => ("ok", "", (self.encode)(r)),
+            CellOutcome::Failed { payload, .. }
+            | CellOutcome::Quarantined { reason: payload, .. } => {
+                ("failed", payload.as_str(), String::new())
+            }
+        };
+        // The append already retried with backoff (and accounted any
+        // injected fault) inside `Journal::append`.
+        if let Err(e) = self.journal.append(
+            &metric.label,
+            status,
+            1,
             reason,
-            "",
+            &payload,
             metric.refs,
             metric.prep_seconds,
             metric.sim_seconds,
-        ),
-    };
-    // The append already retried with backoff (and accounted any
-    // injected fault) inside `Journal::append`; only this cell's
-    // durability is lost, never the sweep.
-    if let Err(e) = appended {
-        eprintln!(
-            "warning: could not journal cell '{}' to {} after retries: {e} \
-             (sweep continues; this cell will not be resumable)",
-            item.label,
-            h.journal.path().display()
-        );
-    }
-}
-
-/// Finds the next runnable item for worker `me`: own deque front, then
-/// the shared injector, then a steal from the back of a sibling's deque
-/// (scanned round-robin from `me + 1` so victims are spread evenly).
-fn steal_work<R>(
-    me: usize,
-    deques: &[Mutex<VecDeque<Item<R>>>],
-    injector: &Mutex<VecDeque<Item<R>>>,
-) -> Option<Item<R>> {
-    if let Some(item) = relock(&deques[me]).pop_front() {
-        return Some(item);
-    }
-    if let Some(item) = relock(injector).pop_front() {
-        return Some(item);
-    }
-    for k in 1..deques.len() {
-        let victim = (me + k) % deques.len();
-        if let Some(item) = relock(&deques[victim]).pop_back() {
-            return Some(item);
+        ) {
+            eprintln!(
+                "warning: could not journal cell '{}' to {} after retries: {e} \
+                 (sweep continues; this cell will not be resumable)",
+                metric.label,
+                self.journal.path().display()
+            );
         }
     }
-    None
 }
 
 /// What came of trying to obtain a cell's shared preparation.
@@ -576,314 +340,212 @@ enum Acquired<R> {
         /// (0 when another cell, sweep, or invocation already paid).
         prep_seconds: f64,
     },
-    /// The build failed (or panicked); the attempt is charged to this
+    /// The build failed (or panicked); the failure is charged to this
     /// cell and the slot is left retryable.
     Failed { item: Item<R>, reason: String },
 }
 
-/// Obtains the shared workload for a cell without ever blocking the
-/// worker: a ready slot is a free hit, an in-flight slot parks the
-/// item, an empty slot makes this worker the builder (delegating to
-/// the process-global [`snapshot_cache`]). Whichever way the build
-/// ends, parked items are drained into the injector and sleeping
-/// workers are woken.
-fn acquire_prepared<R>(
-    slots: &SlotMap<R>,
-    injector: &Mutex<VecDeque<Item<R>>>,
-    idle_cv: &Condvar,
-    item: Item<R>,
-) -> Acquired<R> {
-    let Work::Cell { scenario, spec, .. } = &item.work else {
-        unreachable!("acquire_prepared is only called for cells")
-    };
-    let key = snapshot_cache::prep_key(scenario, spec);
-    let slot = {
-        let mut map = relock(slots);
-        Arc::clone(map.entry(key).or_insert_with(|| {
-            Arc::new(Mutex::new(PrepSlot { state: SlotState::Empty, waiting: Vec::new() }))
-        }))
-    };
-    {
-        let mut st = relock(&slot);
-        match &st.state {
-            SlotState::Ready(w) => {
-                return Acquired::Ready {
-                    workload: Arc::clone(w),
-                    prep_seconds: 0.0,
-                    item,
-                };
+/// The queue and its completion count share one lock, so a worker that
+/// finds the queue empty can wait on the condvar without missing a
+/// requeue or the last completion.
+struct Queue<R> {
+    items: VecDeque<Item<R>>,
+    finished: usize,
+}
+
+/// Everything the workers of one sweep share.
+struct Pool<'a, R> {
+    queue: Mutex<Queue<R>>,
+    wake: Condvar,
+    /// Items the workers must finish (journal replays excluded).
+    total: usize,
+    slots: Mutex<HashMap<String, Arc<Mutex<PrepSlot<R>>>>>,
+    hook: Option<Hook<'a, R>>,
+    results: Mutex<Vec<Option<Finished<R>>>>,
+}
+
+impl<R> Pool<'_, R> {
+    /// One worker: runs items until every item has finished.
+    fn work(&self) {
+        while let Some(mut item) = self.next() {
+            // A task whose requester's deadline already passed is dead
+            // on arrival: fail it without spending a worker on work
+            // nobody is waiting for.
+            if item.expires_at.is_some_and(|at| Instant::now() >= at) {
+                self.finish(item.idx, item.metric, Err(EXPIRED_IN_QUEUE.to_string()));
+                continue;
             }
-            SlotState::Building => {
-                st.waiting.push(item);
-                return Acquired::Parked;
-            }
-            SlotState::Empty => st.state = SlotState::Building,
-        }
-    }
-    // This worker is the builder; the slot lock is *not* held across
-    // the build — arriving cells park instead of blocking.
-    let Work::Cell { scenario, spec, .. } = &item.work else {
-        unreachable!("cell items stay cells")
-    };
-    let built = snapshot_cache::get_or_prepare(scenario, spec);
-    let mut st = relock(&slot);
-    let (result, woken) = match built {
-        Ok(p) => {
-            st.state = SlotState::Ready(Arc::clone(&p.workload));
-            let woken = std::mem::take(&mut st.waiting);
-            (
-                Acquired::Ready {
-                    workload: p.workload,
-                    prep_seconds: p.prep_seconds,
-                    item,
+            match item.work {
+                Work::Task(job) => {
+                    let ran = run_job(&mut item.metric, job);
+                    self.finish(item.idx, item.metric, ran);
+                }
+                Work::Cell { .. } => match self.acquire_prepared(item) {
+                    Acquired::Parked => {}
+                    Acquired::Failed { item, reason } => {
+                        self.finish(item.idx, item.metric, Err(reason));
+                    }
+                    Acquired::Ready { mut item, workload, prep_seconds } => {
+                        item.metric.prep_seconds = prep_seconds;
+                        let Work::Cell { job, .. } = item.work else {
+                            unreachable!("only cells are prepared")
+                        };
+                        let ran = run_job(&mut item.metric, move || job(&workload));
+                        self.finish(item.idx, item.metric, ran);
+                    }
                 },
-                woken,
-            )
-        }
-        Err(reason) => {
-            // Leave the slot retryable; a parked cell (or a retry of
-            // this one) becomes the next builder.
-            st.state = SlotState::Empty;
-            let woken = std::mem::take(&mut st.waiting);
-            (Acquired::Failed { item, reason }, woken)
-        }
-    };
-    drop(st);
-    if !woken.is_empty() {
-        let mut inj = relock(injector);
-        for it in woken {
-            inj.push_back(it);
+            }
         }
     }
-    idle_cv.notify_all();
-    result
-}
 
-/// Concludes one attempt: requeues it (deterministic position in the
-/// injector, after backoff) when retries remain, otherwise journals
-/// the final outcome, bumps the completed count, wakes idle workers,
-/// and reports the result.
-#[allow(clippy::too_many_arguments)]
-fn finish_attempt<R>(
-    item: Item<R>,
-    ran: Result<R, String>,
-    metric: CellMetric,
-    opts: &EngineOpts<'_, R>,
-    injector: &Mutex<VecDeque<Item<R>>>,
-    idle_cv: &Condvar,
-    completed: &Mutex<usize>,
-    soft: f64,
-    tx: &mpsc::Sender<(usize, CellOutcome<R>, CellMetric)>,
-) {
-    warn_if_over_deadline(&item.label, metric.sim_seconds, soft);
-    let outcome = match ran {
-        Ok(result) => CellOutcome::Ok(result),
-        Err(reason) => {
-            if item.attempt <= opts.retries {
-                eprintln!(
-                    "warning: cell '{}' attempt {} failed ({reason}); \
-                     retrying after backoff",
-                    item.label, item.attempt
-                );
-                std::thread::sleep(backoff_for(item.attempt));
-                {
-                    let mut inj = relock(injector);
-                    let pos = requeue_position(&item.label, item.attempt, inj.len());
-                    inj.insert(pos, Item { attempt: item.attempt + 1, ..item });
-                }
-                idle_cv.notify_all();
-                return;
+    /// The next queued item, waiting while others are still running or
+    /// parked; `None` once every item has finished.
+    fn next(&self) -> Option<Item<R>> {
+        let mut queue = relock(&self.queue);
+        loop {
+            if let Some(item) = queue.items.pop_front() {
+                return Some(item);
             }
-            if item.attempt > 1 {
-                CellOutcome::Quarantined {
-                    label: item.label.clone(),
-                    attempts: item.attempt,
-                    reason,
+            if queue.finished == self.total {
+                return None;
+            }
+            queue = self.wake.wait(queue).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Obtains the shared workload for a cell without ever blocking the
+    /// worker: a ready slot is a free hit, an in-flight slot parks the
+    /// item, an empty slot makes this worker the builder (delegating to
+    /// the process-global [`snapshot_cache`]). Whichever way the build
+    /// ends, the parked items go back to the front of the queue, in
+    /// parking order, so cells with the same key run together.
+    fn acquire_prepared(&self, item: Item<R>) -> Acquired<R> {
+        let Work::Cell { scenario, spec, .. } = &item.work else {
+            unreachable!("only cells are prepared")
+        };
+        let slot = Arc::clone(
+            relock(&self.slots)
+                .entry(snapshot_cache::prep_key(scenario, spec))
+                .or_insert_with(|| {
+                    Arc::new(Mutex::new(PrepSlot { state: SlotState::Empty, waiting: Vec::new() }))
+                }),
+        );
+        {
+            let mut st = relock(&slot);
+            match &st.state {
+                SlotState::Ready(w) => {
+                    let workload = Arc::clone(w);
+                    return Acquired::Ready { item, workload, prep_seconds: 0.0 };
                 }
-            } else {
-                CellOutcome::Failed { label: item.label.clone(), payload: reason }
+                SlotState::Building => {
+                    st.waiting.push(item);
+                    return Acquired::Parked;
+                }
+                SlotState::Empty => st.state = SlotState::Building,
             }
         }
-    };
-    journal_outcome(&opts.hook, &item, &outcome, &metric);
-    *relock(completed) += 1;
-    idle_cv.notify_all();
-    let _ = tx.send((item.idx, outcome, metric));
+        // This worker is the builder; the slot lock is *not* held across
+        // the build — arriving cells park instead of blocking.
+        let built = snapshot_cache::get_or_prepare(scenario, spec);
+        let mut st = relock(&slot);
+        let acquired = match built {
+            Ok(p) => {
+                st.state = SlotState::Ready(Arc::clone(&p.workload));
+                Acquired::Ready { item, workload: p.workload, prep_seconds: p.prep_seconds }
+            }
+            Err(reason) => {
+                st.state = SlotState::Empty;
+                Acquired::Failed { item, reason }
+            }
+        };
+        let woken = std::mem::take(&mut st.waiting);
+        drop(st);
+        if !woken.is_empty() {
+            let mut queue = relock(&self.queue);
+            for parked in woken.into_iter().rev() {
+                queue.items.push_front(parked);
+            }
+            drop(queue);
+            self.wake.notify_all();
+        }
+        acquired
+    }
+
+    /// Journals one finished item and records its outcome; the last one
+    /// wakes the idle workers so they exit.
+    fn finish(&self, idx: usize, metric: CellMetric, ran: Result<R, String>) {
+        let outcome = match ran {
+            Ok(r) => CellOutcome::Ok(r),
+            Err(payload) => CellOutcome::Failed { label: metric.label.clone(), payload },
+        };
+        if let Some(hook) = &self.hook {
+            hook.append(&outcome, &metric);
+        }
+        relock(&self.results)[idx] = Some((outcome, metric));
+        let mut queue = relock(&self.queue);
+        queue.finished += 1;
+        if queue.finished == self.total {
+            self.wake.notify_all();
+        }
+    }
 }
 
-/// The sweep engine: replays journaled cells, fans the rest out across
-/// `jobs` workers with retry + quarantine supervision, and returns one
-/// outcome per item in submission order.
-fn engine<R: Send + 'static>(
+/// Runs one job under `catch_unwind`, charging its wall time to
+/// `metric`.
+fn run_job<R>(metric: &mut CellMetric, job: impl FnOnce() -> R) -> Result<R, String> {
+    let start = Instant::now();
+    let ran = catch_unwind(AssertUnwindSafe(job)).map_err(panic_message);
+    metric.sim_seconds = start.elapsed().as_secs_f64();
+    ran
+}
+
+/// The sweep engine: replays journaled cells, runs the rest on `jobs`
+/// workers, and returns one outcome per item in submission order.
+/// `collect_metrics` says whether finished cells push their
+/// [`CellMetric`]s into the process-global registry. Sweeps do (the
+/// BENCH reports drain it); service dispatches must not — a resident
+/// server batching forever would grow the registry without bound, and
+/// nothing drains it on that path.
+fn engine<R: Send>(
     items: Vec<Item<R>>,
-    opts: EngineOpts<'_, R>,
+    jobs: usize,
+    hook: Option<Hook<'_, R>>,
+    collect_metrics: bool,
 ) -> Vec<CellOutcome<R>> {
-    let n = items.len();
-    let mut slots: Vec<Option<(CellOutcome<R>, CellMetric)>> =
-        (0..n).map(|_| None).collect();
-
+    let mut results: Vec<Option<Finished<R>>> = items.iter().map(|_| None).collect();
     // Replay pass: cells the journal already holds never re-run.
-    let mut pending: VecDeque<Item<R>> = VecDeque::new();
+    let mut queue = VecDeque::new();
     for item in items {
-        if let Some(hook) = &opts.hook {
-            if let Some(rep) = hook.journal.completed(&item.label) {
-                match (hook.decode)(&rep.payload) {
-                    Some(r) => {
-                        let metric = CellMetric {
-                            label: item.label.clone(),
-                            benchmark: item.benchmark.clone(),
-                            scenario: item.scenario_name.clone(),
-                            refs: rep.refs,
-                            prep_seconds: rep.prep_seconds,
-                            sim_seconds: rep.sim_seconds,
-                        };
-                        slots[item.idx] = Some((CellOutcome::Ok(r), metric));
-                        continue;
-                    }
-                    None => {
-                        eprintln!(
-                            "note: journal record for '{}' does not decode as this \
-                             sweep's result type; re-running the cell",
-                            item.label
-                        );
-                    }
-                }
-            }
+        match hook.as_ref().and_then(|h| h.replay(&item)) {
+            Some(replayed) => results[item.idx] = Some(replayed),
+            None => queue.push_back(item),
         }
-        pending.push_back(item);
     }
-
-    let total = pending.len();
-    let workers = opts.jobs.max(1).min(total.max(1));
-    let soft = cell_soft_deadline();
-
-    // Work-stealing state: items are dealt round-robin across per-worker
-    // deques; a worker pops the front of its own deque, then the shared
-    // injector (retries and un-parked cells land there), then steals
-    // from the back of a sibling's deque. Termination is by completed
-    // count — queue emptiness proves nothing while cells are parked on
-    // building prep slots or sleeping through a retry backoff.
-    let mut deques: Vec<Mutex<VecDeque<Item<R>>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in pending.into_iter().enumerate() {
-        deques[i % workers]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(item);
-    }
-    let deques: &[Mutex<VecDeque<Item<R>>>] = &deques;
-    let injector: &Mutex<VecDeque<Item<R>>> = &Mutex::new(VecDeque::new());
-    let prep_slots: &SlotMap<R> = &Mutex::new(HashMap::new());
-    let completed: &Mutex<usize> = &Mutex::new(0);
-    let idle_cv: &Condvar = &Condvar::new();
-    let (tx, rx) = mpsc::channel::<(usize, CellOutcome<R>, CellMetric)>();
-    let opts = &opts;
-
+    let total = queue.len();
+    let pool = Pool {
+        queue: Mutex::new(Queue { items: queue, finished: 0 }),
+        wake: Condvar::new(),
+        total,
+        slots: Mutex::new(HashMap::new()),
+        hook,
+        results: Mutex::new(results),
+    };
     std::thread::scope(|s| {
-        for me in 0..workers {
-            let tx = tx.clone();
-            s.spawn(move || {
-                loop {
-                    let Some(item) = steal_work(me, deques, injector) else {
-                        // Nothing runnable anywhere. Done — or waiting on
-                        // an in-flight preparation or a retry backoff:
-                        // park until the injector is fed (the timeout
-                        // bounds any lost-wakeup race).
-                        let done = relock(completed);
-                        if *done >= total {
-                            break;
-                        }
-                        drop(
-                            idle_cv
-                                .wait_timeout(done, Duration::from_millis(5))
-                                .unwrap_or_else(PoisonError::into_inner),
-                        );
-                        continue;
-                    };
-                    let mut metric = CellMetric {
-                        label: item.label.clone(),
-                        benchmark: item.benchmark.clone(),
-                        scenario: item.scenario_name.clone(),
-                        refs: item.refs,
-                        prep_seconds: 0.0,
-                        sim_seconds: 0.0,
-                    };
-                    // A task whose requester's deadline already passed
-                    // is dead on arrival: fail it finally (no retries —
-                    // an expired task stays expired) without spending a
-                    // worker slot on work nobody is waiting for.
-                    if item.expires_at.is_some_and(|at| Instant::now() >= at) {
-                        let outcome = CellOutcome::Failed {
-                            label: item.label.clone(),
-                            payload: EXPIRED_IN_QUEUE.to_string(),
-                        };
-                        journal_outcome(&opts.hook, &item, &outcome, &metric);
-                        *relock(completed) += 1;
-                        idle_cv.notify_all();
-                        let _ = tx.send((item.idx, outcome, metric));
-                        continue;
-                    }
-                    // One attempt: obtain the shared preparation (cells
-                    // only) without blocking this worker, then run the
-                    // job under the watchdog.
-                    let (item, ran): (Item<R>, Result<R, String>) =
-                        if matches!(item.work, Work::Cell { .. }) {
-                            match acquire_prepared(prep_slots, injector, idle_cv, item) {
-                                Acquired::Parked => continue,
-                                Acquired::Failed { item, reason } => (item, Err(reason)),
-                                Acquired::Ready { item, workload, prep_seconds } => {
-                                    metric.prep_seconds = prep_seconds;
-                                    let Work::Cell { job, .. } = &item.work else {
-                                        unreachable!("cell items stay cells")
-                                    };
-                                    let job = Arc::clone(job);
-                                    let start = Instant::now();
-                                    let out = run_with_deadline(
-                                        Box::new(move || job(&workload)),
-                                        opts.hard,
-                                    );
-                                    metric.sim_seconds = start.elapsed().as_secs_f64();
-                                    (item, out)
-                                }
-                            }
-                        } else {
-                            let Work::Task { job } = &item.work else {
-                                unreachable!("non-cell items are tasks")
-                            };
-                            let job = Arc::clone(job);
-                            let start = Instant::now();
-                            let out =
-                                run_with_deadline(Box::new(move || job()), opts.hard);
-                            metric.sim_seconds = start.elapsed().as_secs_f64();
-                            (item, out)
-                        };
-                    finish_attempt(
-                        item, ran, metric, opts, injector, idle_cv, completed, soft, &tx,
-                    );
-                }
-            });
+        for _ in 0..jobs.max(1).min(total) {
+            s.spawn(|| pool.work());
         }
     });
-    drop(tx);
-
-    for (idx, outcome, metric) in rx {
-        slots[idx] = Some((outcome, metric));
+    let (outcomes, metrics): (Vec<_>, Vec<_>) = pool
+        .results
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|slot| slot.expect("every cell reports exactly once"))
+        .unzip();
+    if collect_metrics {
+        relock(&METRICS).extend(metrics);
     }
-    let mut results = Vec::with_capacity(n);
-    if opts.collect_metrics {
-        let mut metrics = relock(&METRICS);
-        for slot in slots {
-            let (outcome, metric) = slot.expect("every cell reports exactly once");
-            results.push(outcome);
-            metrics.push(metric);
-        }
-    } else {
-        for slot in slots {
-            let (outcome, _) = slot.expect("every cell reports exactly once");
-            results.push(outcome);
-        }
-    }
-    results
+    outcomes
 }
 
 fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
@@ -892,17 +554,16 @@ fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
         .enumerate()
         .map(|(idx, cell)| Item {
             idx,
-            attempt: 1,
-            label: cell.label,
-            benchmark: cell.spec.name.to_string(),
-            scenario_name: cell.scenario.name.clone(),
-            refs: cell.refs,
-            expires_at: None,
-            work: Work::Cell {
-                scenario: cell.scenario,
-                spec: cell.spec,
-                job: cell.job,
+            metric: CellMetric {
+                label: cell.label,
+                benchmark: cell.spec.name.to_string(),
+                scenario: cell.scenario.name.clone(),
+                refs: cell.refs,
+                prep_seconds: 0.0,
+                sim_seconds: 0.0,
             },
+            expires_at: None,
+            work: Work::Cell { scenario: cell.scenario, spec: cell.spec, job: cell.job },
         })
         .collect()
 }
@@ -913,78 +574,53 @@ fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<R>> {
         .enumerate()
         .map(|(idx, task)| Item {
             idx,
-            attempt: 1,
-            label: task.label,
-            benchmark: String::new(),
-            scenario_name: String::new(),
-            refs: task.refs,
+            metric: CellMetric {
+                label: task.label,
+                benchmark: String::new(),
+                scenario: String::new(),
+                refs: task.refs,
+                prep_seconds: 0.0,
+                sim_seconds: 0.0,
+            },
             expires_at: task.expires_at,
-            work: Work::Task { job: task.job },
+            work: Work::Task(task.job),
         })
         .collect()
 }
 
-/// Runs every cell under the full supervision policy — retries with
-/// backoff, hard-deadline watchdog, quarantine, and (when the policy
-/// carries a journal) durable crash-safe progress with replay on
-/// resume. One [`CellOutcome`] per cell, in submission order.
+/// Runs every cell, journaling each finished one (when the options
+/// carry a journal) and replaying the journal's completed cells instead
+/// of re-running them. One [`CellOutcome`] per cell, in submission
+/// order.
 pub fn run_cells_sweep<R: Send + JournalPayload + 'static>(
     cells: Vec<SweepCell<R>>,
     opts: &SweepOptions<'_>,
 ) -> Vec<CellOutcome<R>> {
-    engine(cell_items(cells), EngineOpts::from_sweep(opts))
+    engine(cell_items(cells), opts.jobs, Hook::of(opts), true)
 }
 
-/// Runs self-contained tasks under the full supervision policy; see
-/// [`run_cells_sweep`].
+/// Runs self-contained tasks like [`run_cells_sweep`].
 pub fn run_tasks_sweep<R: Send + JournalPayload + 'static>(
     tasks: Vec<SweepTask<R>>,
     opts: &SweepOptions<'_>,
 ) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), EngineOpts::from_sweep(opts))
+    engine(task_items(tasks), opts.jobs, Hook::of(opts), true)
 }
 
 /// Runs every cell across at most `jobs` worker threads and returns one
-/// [`CellOutcome`] per cell, in submission order. Zero retries, no
-/// journal: a panicking cell (or a failing preparation) yields `Failed`
-/// for that cell only; all other cells still complete.
+/// [`CellOutcome`] per cell, in submission order, without a journal: a
+/// panicking cell (or a failing preparation) yields `Failed` for that
+/// cell only; all other cells still complete.
 pub fn run_cells_outcomes<R: Send + 'static>(
     cells: Vec<SweepCell<R>>,
     jobs: usize,
 ) -> Vec<CellOutcome<R>> {
-    engine(cell_items(cells), EngineOpts::plain(jobs))
+    engine(cell_items(cells), jobs, None, true)
 }
 
-/// Runs every cell across at most `jobs` worker threads and returns the
-/// results in submission order. A failing cell (e.g. workload OOM)
-/// panics in the caller exactly as it would sequentially — use
-/// [`run_cells_outcomes`] or [`run_cells_sweep`] for sweeps that must
-/// survive cell failures.
-pub fn run_cells<R: Send + 'static>(cells: Vec<SweepCell<R>>, jobs: usize) -> Vec<R> {
-    expect_all(run_cells_outcomes(cells, jobs))
-}
-
-/// Runs self-contained tasks (no shared preparation) across at most
-/// `jobs` worker threads, returning one [`CellOutcome`] per task in
-/// submission order. Zero retries, no journal.
-pub fn run_tasks_outcomes<R: Send + 'static>(
-    tasks: Vec<SweepTask<R>>,
-    jobs: usize,
-) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), EngineOpts::plain(jobs))
-}
-
-/// Runs self-contained tasks (no shared preparation) across at most
-/// `jobs` worker threads; results come back in submission order. A
-/// failing task panics in the caller — use [`run_tasks_outcomes`] or
-/// [`run_tasks_sweep`] for sweeps that must survive failures.
-pub fn run_tasks<R: Send + 'static>(tasks: Vec<SweepTask<R>>, jobs: usize) -> Vec<R> {
-    expect_all(run_tasks_outcomes(tasks, jobs))
-}
-
-/// [`run_tasks_outcomes`] for resident services (`repro serve`): same
-/// work-stealing dispatch, panic isolation, and submission-order
-/// results, but finished cells do *not* accumulate in the global
+/// Runs self-contained tasks for resident services (`repro serve`) and
+/// one-shot checkers: panic isolation and submission-order results, no
+/// journal, and finished tasks do *not* accumulate in the global
 /// metrics registry — a server dispatching batches forever would grow
 /// it without bound, and only sweep entry points have a matching
 /// [`take_metrics`] drain.
@@ -992,7 +628,7 @@ pub fn run_tasks_service<R: Send + 'static>(
     tasks: Vec<SweepTask<R>>,
     jobs: usize,
 ) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), EngineOpts::service(jobs))
+    engine(task_items(tasks), jobs, None, false)
 }
 
 #[cfg(test)]
@@ -1000,7 +636,8 @@ mod tests {
     use super::*;
     use colt_tlb::config::TlbConfig;
     use colt_workloads::spec::benchmark;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::time::Duration;
 
     fn quick_cfg(tlb: TlbConfig) -> SimConfig {
         SimConfig { pattern_seed: 0x5EED, ..SimConfig::new(tlb).with_accesses(10_000) }
@@ -1011,7 +648,7 @@ mod tests {
     static DRAIN: Mutex<()> = Mutex::new(());
 
     fn drain_lock() -> std::sync::MutexGuard<'static, ()> {
-        DRAIN.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        relock(&DRAIN)
     }
 
     #[test]
@@ -1031,9 +668,8 @@ mod tests {
             "service dispatch must not leak into the sweep metrics registry"
         );
         // The sweep path still records (BENCH reports depend on it).
-        let plain: Vec<SweepTask<u32>> =
-            vec![SweepTask::new("plain".to_string(), 0, || 7)];
-        let _ = run_tasks(plain, 1);
+        let plain: Vec<SweepTask<u64>> = vec![SweepTask::new("plain".to_string(), 0, || 7)];
+        let _ = run_tasks_sweep(plain, &SweepOptions { jobs: 1, journal: None });
         assert_eq!(take_metrics().len(), 1);
     }
 
@@ -1088,8 +724,8 @@ mod tests {
                 SweepCell::sim("all", &scenario, &spec, quick_cfg(TlbConfig::colt_all())),
             ]
         };
-        let serial = run_cells(make_cells(), 1);
-        let wide = run_cells(make_cells(), 8);
+        let serial = expect_all(run_cells_outcomes(make_cells(), 1));
+        let wide = expect_all(run_cells_outcomes(make_cells(), 8));
         let _ = take_metrics();
         assert_eq!(serial.len(), 4);
         for (a, b) in serial.iter().zip(&wide) {
@@ -1116,7 +752,7 @@ mod tests {
             SweepCell::sim("prep-share/b", &scenario, &spec, quick_cfg(TlbConfig::colt_all())),
         ];
         let _ = take_metrics();
-        let results = run_cells(cells, 2);
+        let results = expect_all(run_cells_outcomes(cells, 2));
         assert_eq!(results.len(), 2);
         // Concurrent driver tests append their own metrics; look only at
         // this sweep's labels.
@@ -1137,9 +773,10 @@ mod tests {
         let _g = drain_lock();
         // Eight cells, one cold (scenario, benchmark) pair, four
         // workers: one worker builds while the others park their cells
-        // on the slot and go steal; every cell must still complete with
-        // exactly one build. A scheduler that loses parked items hangs
-        // here; one that blocks workers merely serializes.
+        // on the slot and take other work; every cell must still
+        // complete with exactly one build. A scheduler that loses parked
+        // items hangs here; one that blocks workers merely serializes
+        // (the next test catches that).
         let scenario = Scenario::default_linux().with_seed(0xBA1C_0DE5);
         let spec = benchmark("Povray").unwrap();
         let cells: Vec<SweepCell<u64>> = (0..8)
@@ -1150,7 +787,7 @@ mod tests {
             })
             .collect();
         let _ = take_metrics();
-        let out = run_cells(cells, 4);
+        let out = expect_all(run_cells_outcomes(cells, 4));
         let metrics: Vec<CellMetric> = take_metrics()
             .into_iter()
             .filter(|m| m.label.starts_with("park/"))
@@ -1167,13 +804,50 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_runs_ready_work_while_a_shared_build_is_in_flight() {
+        let _g = drain_lock();
+        // Two cells share a cold key (a seed no other test uses); the
+        // third cell's key is prepared before the sweep starts. At two
+        // workers, one worker builds the cold key while the other parks
+        // the second cold cell and runs the warm one, so the warm job
+        // runs before either cold job starts. A runner that blocks on
+        // the in-flight build instead of parking reaches the warm cell
+        // only after the cold jobs have begun. No barrier forces the
+        // interleaving (the build runs inside the snapshot cache, which
+        // has no hook); the cold build is a whole kernel preparation,
+        // while parking and the warm lookup take microseconds.
+        let spec = benchmark("Povray").unwrap();
+        let cold = Scenario::default_linux().with_seed(0x9A2C_0C01);
+        let warm = Scenario::default_linux().with_seed(0x9A2C_0C02);
+        snapshot_cache::get_or_prepare(&warm, &spec).expect("the warm key prepares");
+        let cold_started = Arc::new(AtomicBool::new(false));
+        let cold_cell = |label: &str| {
+            let started = Arc::clone(&cold_started);
+            SweepCell::new(label, &cold, &spec, 0, move |_| {
+                started.store(true, Ordering::SeqCst);
+                false
+            })
+        };
+        let started = Arc::clone(&cold_started);
+        let cells = vec![
+            cold_cell("overlap/cold-a"),
+            cold_cell("overlap/cold-b"),
+            SweepCell::new("overlap/warm", &warm, &spec, 0, move |_| {
+                !started.load(Ordering::SeqCst)
+            }),
+        ];
+        let ran_first = expect_all(run_cells_outcomes(cells, 2));
+        let _ = take_metrics();
+        assert!(ran_first[2], "the warm cell waited behind the cold build");
+    }
+
+    #[test]
     fn tasks_run_and_keep_order() {
         let _g = drain_lock();
         let tasks: Vec<SweepTask<usize>> = (0..16)
             .map(|i| SweepTask::new(format!("t{i}"), 0, move || i * i))
             .collect();
-        let out = run_tasks(tasks, 4);
-        let _ = take_metrics();
+        let out = expect_all(run_tasks_service(tasks, 4));
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -1185,7 +859,7 @@ mod tests {
         let cells = vec![SweepCell::new("contig", &scenario, &spec, 0, |w| {
             w.contiguity().average_contiguity()
         })];
-        let avg = run_cells(cells, 3);
+        let avg = expect_all(run_cells_outcomes(cells, 3));
         let _ = take_metrics();
         assert!(avg[0] >= 1.0);
     }
@@ -1219,7 +893,7 @@ mod tests {
                 assert_eq!(label, "iso/boom");
                 assert!(payload.contains("deliberate cell failure"));
             }
-            _ => panic!("zero-retry failure must be Failed, not Quarantined"),
+            _ => panic!("a panicking cell must be Failed"),
         }
         // Every other cell (including those queued after the panic on
         // the same workers) completed and kept submission order.
@@ -1243,8 +917,7 @@ mod tests {
                 })
             })
             .collect();
-        let outcomes = run_tasks_outcomes(tasks, 3);
-        let _ = take_metrics();
+        let outcomes = run_tasks_service(tasks, 3);
         assert_eq!(outcomes.iter().filter(|o| o.is_failed()).count(), 1);
         match &outcomes[5] {
             CellOutcome::Failed { label, payload } => {
@@ -1288,84 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn a_flaky_task_recovers_on_retry() {
-        let _g = drain_lock();
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = Arc::clone(&tries);
-        let tasks = vec![SweepTask::new("flaky/one", 0, move || {
-            if t.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient failure");
-            }
-            77u64
-        })];
-        let opts =
-            SweepOptions { retries: 1, ..SweepOptions::jobs_only(2) };
-        let outcomes = run_tasks_sweep(tasks, &opts);
-        let _ = take_metrics();
-        assert!(matches!(outcomes[0], CellOutcome::Ok(77)));
-        assert_eq!(tries.load(Ordering::SeqCst), 2, "first try + one retry");
-    }
-
-    #[test]
-    fn exhausted_retries_quarantine_with_attempt_count() {
-        let _g = drain_lock();
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = Arc::clone(&tries);
-        let tasks = vec![
-            SweepTask::new("quar/dead", 0, move || -> u64 {
-                t.fetch_add(1, Ordering::SeqCst);
-                panic!("always fails");
-            }),
-            SweepTask::new("quar/alive", 0, || 5u64),
-        ];
-        let opts = SweepOptions { retries: 2, ..SweepOptions::jobs_only(2) };
-        let outcomes = run_tasks_sweep(tasks, &opts);
-        let _ = take_metrics();
-        match &outcomes[0] {
-            CellOutcome::Quarantined { label, attempts, reason } => {
-                assert_eq!(label, "quar/dead");
-                assert_eq!(*attempts, 3, "first try + two retries");
-                assert!(reason.contains("always fails"));
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        assert_eq!(tries.load(Ordering::SeqCst), 3);
-        assert!(matches!(outcomes[1], CellOutcome::Ok(5)));
-    }
-
-    #[test]
-    fn hard_deadline_quarantines_a_hung_task() {
-        let _g = drain_lock();
-        let tasks = vec![
-            SweepTask::new("wd/hung", 0, || {
-                std::thread::sleep(Duration::from_secs(30));
-                1u64
-            }),
-            SweepTask::new("wd/fast", 0, || 2u64),
-        ];
-        let opts = SweepOptions {
-            retries: 1,
-            hard_deadline: Some(0.05),
-            ..SweepOptions::jobs_only(2)
-        };
-        let start = Instant::now();
-        let outcomes = run_tasks_sweep(tasks, &opts);
-        let _ = take_metrics();
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "the watchdog must reclaim the sweep long before the hung cell ends"
-        );
-        match &outcomes[0] {
-            CellOutcome::Quarantined { attempts, reason, .. } => {
-                assert_eq!(*attempts, 2);
-                assert!(reason.contains("hard deadline"), "{reason}");
-            }
-            other => panic!("expected deadline quarantine, got {other:?}"),
-        }
-        assert!(matches!(outcomes[1], CellOutcome::Ok(2)));
-    }
-
-    #[test]
     fn journaled_sweep_replays_completed_cells_without_rerunning() {
         let _g = drain_lock();
         let dir = std::env::temp_dir()
@@ -1388,10 +983,7 @@ mod tests {
 
         let journal =
             Journal::open(&dir, "jrnl", "cafe0001".to_string(), false).unwrap();
-        let opts = SweepOptions {
-            journal: Some(&journal),
-            ..SweepOptions::jobs_only(2)
-        };
+        let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
         let first = expect_all(run_tasks_sweep(make_tasks(&runs), &opts));
         let _ = take_metrics();
         assert_eq!(first, vec![0, 100, 200, 300]);
@@ -1403,10 +995,7 @@ mod tests {
         let journal =
             Journal::open(&dir, "jrnl", "cafe0001".to_string(), true).unwrap();
         assert_eq!(journal.open_report().replayed, 4);
-        let opts = SweepOptions {
-            journal: Some(&journal),
-            ..SweepOptions::jobs_only(2)
-        };
+        let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
         let second = expect_all(run_tasks_sweep(make_tasks(&runs), &opts));
         let _ = take_metrics();
         assert_eq!(second, first);
@@ -1429,7 +1018,7 @@ mod tests {
             ]
         };
         let _ = take_metrics();
-        let cold = run_cells(make_cells(), 2);
+        let cold = expect_all(run_cells_outcomes(make_cells(), 2));
         let cold_metrics: Vec<CellMetric> = take_metrics()
             .into_iter()
             .filter(|m| m.label.starts_with("warmcache/"))
@@ -1443,7 +1032,7 @@ mod tests {
         // Same sweep again: served entirely from the in-memory snapshot
         // cache (prepare-then-clone), and byte-identical to preparing
         // from scratch (prepare-twice).
-        let warm = run_cells(make_cells(), 2);
+        let warm = expect_all(run_cells_outcomes(make_cells(), 2));
         let warm_metrics: Vec<CellMetric> = take_metrics()
             .into_iter()
             .filter(|m| m.label.starts_with("warmcache/"))
@@ -1477,7 +1066,7 @@ mod tests {
         // First invocation: journaled to completion (the cache is warm
         // from here on, as after a killed run that finished some cells).
         let journal = Journal::open(&dir, "warm", "beef0002".to_string(), false).unwrap();
-        let opts = SweepOptions { journal: Some(&journal), ..SweepOptions::jobs_only(2) };
+        let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
         let first = expect_all(run_cells_sweep(make_cells(), &opts));
         let _ = take_metrics();
         assert_eq!(journal.appended(), 2);
@@ -1487,7 +1076,7 @@ mod tests {
         // re-simulates, and the payloads are byte-identical.
         let journal = Journal::open(&dir, "warm", "beef0002".to_string(), true).unwrap();
         assert_eq!(journal.open_report().replayed, 2);
-        let opts = SweepOptions { journal: Some(&journal), ..SweepOptions::jobs_only(2) };
+        let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
         let second = expect_all(run_cells_sweep(make_cells(), &opts));
         let _ = take_metrics();
         assert_eq!(journal.appended(), 0, "replayed cells are not re-journaled");

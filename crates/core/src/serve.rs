@@ -7,8 +7,8 @@
 //!   cell. Requests are pulled off a *bounded* dispatch queue in
 //!   batches, each unique preparation is resolved once per batch through
 //!   [`snapshot_cache`] (its memory LRU, then disk snapshots, then a
-//!   fresh build), and the batch fans out onto the existing
-//!   work-stealing runner via [`runner::run_tasks_service`].
+//!   fresh build), and the batch fans out onto the sweep runner's
+//!   workers via [`runner::run_tasks_service`].
 //! * **sweep** — run a full named experiment (`fig18`, `table1`, …) and
 //!   return its CSV bytes. Responses are cached in an LRU keyed by the
 //!   sweep fingerprint ([`ExperimentOptions::fingerprint`]), identical
@@ -60,7 +60,7 @@ use crate::journal::{fingerprint_of, Opened};
 use crate::lru::LruMap;
 use crate::runner::{self, CellOutcome, SweepTask};
 use crate::sim::{self, SimConfig, SimResult};
-use crate::snapshot_cache;
+use crate::{panic_message, relock, snapshot_cache};
 use chaos::{ChaosFault, ChaosStream};
 use colt_os_mem::faults::{Counts, FaultConfig};
 use colt_os_mem::policy::PolicyKind;
@@ -81,10 +81,6 @@ use std::time::{Duration, Instant};
 
 pub mod chaos;
 pub mod json;
-
-fn relock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -388,7 +384,8 @@ pub struct ServeSummary {
     pub evicted_slow: u64,
     /// Sweep computations that panicked (caught; the server survived).
     pub panics: u64,
-    /// Dispatched cells that failed or were quarantined.
+    /// Dispatched cells that failed (the shutdown summary's
+    /// "quarantined cells" count, a wording `scripts/verify.sh` greps).
     pub failed_cells: u64,
     /// Network faults injected by the chaos plan, by kind (zero when
     /// unarmed).
@@ -1230,7 +1227,7 @@ fn dispatch_loop(state: &Arc<ServerState>) {
 }
 
 /// Resolves each *unique* preparation once through the snapshot cache,
-/// then fans the whole batch out onto the work-stealing runner. This is
+/// then fans the whole batch out onto the sweep runner. This is
 /// the request-coalescing payoff: sixty queued translates against four
 /// configurations cost four cache lookups (or preparations), not sixty.
 fn run_batch(state: &Arc<ServerState>, batch: Vec<TranslateJob>) {
@@ -1276,11 +1273,9 @@ fn run_batch(state: &Arc<ServerState>, batch: Vec<TranslateJob>) {
     for (outcome, reply) in outcomes.into_iter().zip(replies) {
         let msg = match outcome {
             CellOutcome::Ok(r) => Ok(r),
-            CellOutcome::Failed { label, payload } => {
+            CellOutcome::Failed { label, payload }
+            | CellOutcome::Quarantined { label, reason: payload } => {
                 Err(format!("cell {label} failed: {payload}"))
-            }
-            CellOutcome::Quarantined { label, attempts, reason } => {
-                Err(format!("cell {label} quarantined after {attempts} attempt(s): {reason}"))
             }
         };
         let _ = reply.send(msg);
@@ -1340,12 +1335,7 @@ fn compute_sweep(
         Err(payload) => {
             state.c.add(&state.c.failed_cells, 1);
             state.c.add(&state.c.panics, 1);
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("sweep '{experiment}' panicked: {msg}"))
+            Err(format!("sweep '{experiment}' panicked: {}", panic_message(payload)))
         }
     }
 }

@@ -33,6 +33,7 @@
 
 use crate::journal::{crc32, fingerprint_of};
 use crate::lru::LruMap;
+use crate::{panic_message, relock};
 use colt_os_mem::snapshot::{Dec, Enc};
 use colt_workloads::scenario::{PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
@@ -196,10 +197,6 @@ pub fn mem_len() -> usize {
     relock(&MEM).len()
 }
 
-fn relock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// The canonical preparation key: every field of the scenario and the
 /// benchmark spec that can change the prepared state.
 pub fn prep_key(scenario: &Scenario, spec: &BenchmarkSpec) -> String {
@@ -225,16 +222,6 @@ pub struct Prepared {
     pub prep_seconds: f64,
     /// Where the workload came from.
     pub source: PrepSource,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// Fetches (memory, then disk) or builds the prepared workload for one

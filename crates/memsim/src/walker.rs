@@ -373,12 +373,6 @@ impl PageWalker {
         self.mmu_cache.contains(addr)
     }
 
-    /// Whether the guest MMU cache holds `addr` under `asid`'s tag
-    /// (cross-core checker visibility in SMP tagged mode).
-    pub fn mmu_contains_asid(&self, addr: PhysAddr, asid: Asid) -> bool {
-        self.mmu_cache.contains_tagged(addr, asid)
-    }
-
     /// Flushes the MMU caches (e.g. context switch).
     pub fn flush(&mut self) {
         self.mmu_cache.flush();

@@ -117,16 +117,6 @@ impl KernelConfig {
     pub fn ths_off() -> Self {
         Self { ths_enabled: false, ..Self::default() }
     }
-
-    /// Configuration 3: THS off, low compaction — the paper's
-    /// conservative worst case for contiguity.
-    pub fn ths_off_low_compaction() -> Self {
-        Self {
-            ths_enabled: false,
-            compaction: CompactionMode::Low,
-            ..Self::default()
-        }
-    }
 }
 
 /// Counters for everything the kernel did.
@@ -272,11 +262,6 @@ impl Kernel {
     pub fn set_fault_plan(&mut self, config: FaultConfig) {
         self.config.faults = Some(config);
         self.faults = Some(FaultPlan::new(config));
-    }
-
-    /// The active fault plan's parameters, if any.
-    pub fn fault_config(&self) -> Option<FaultConfig> {
-        self.faults.as_ref().map(FaultPlan::config)
     }
 
     /// Frames parked in the per-CPU page list: owned by the allocator,

@@ -183,21 +183,11 @@ impl SmpMachine {
         &self.cores[c].tlb
     }
 
-    /// Core `c`'s page walker (read-only inspection).
-    pub fn core_walker(&self, c: usize) -> &PageWalker {
-        &self.cores[c].walker
-    }
-
     /// The ASID core `c` is currently running (`None` for idle cores
     /// when there are more cores than workloads).
     pub fn running_asid(&self, c: usize) -> Option<Asid> {
         let core = &self.cores[c];
         core.runq.get(core.slot).map(|&i| self.multi.parts[i].1)
-    }
-
-    /// ASIDs whose entries may be resident on core `c`.
-    pub fn resident_asids(&self, c: usize) -> &[Asid] {
-        &self.cores[c].resident
     }
 
     /// Advances every core by one memory reference (in core order),

@@ -142,11 +142,6 @@ impl TlbHierarchy {
         }
     }
 
-    /// Prefetch-buffer counters, when the prefetcher is attached.
-    pub fn prefetch_stats(&self) -> Option<crate::prefetch::PrefetchStats> {
-        self.pb.as_ref().map(PrefetchBuffer::stats)
-    }
-
     /// The construction-time configuration.
     pub fn config(&self) -> &TlbConfig {
         &self.config

@@ -114,11 +114,6 @@ impl SetAssocTlb {
         self.stats
     }
 
-    /// Maximum translations one entry can hold.
-    pub fn max_coalescing(&self) -> u64 {
-        1 << self.shift
-    }
-
     fn set_index(&self, vpn: Vpn) -> usize {
         ((vpn.raw() >> self.shift) as usize) & (self.sets.len() - 1)
     }

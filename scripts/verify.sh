@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: offline release build, the whole test suite, a
+# Full verification: offline release build, a compile check of every
+# target (benches and examples included), the whole test suite, a
 # quick 4-core SMP smoke run, a fault-injection pressure smoke (sweep
 # plus oracle fuzz under a seeded fault plan), a crash-recovery smoke
 # (kill a sweep mid-run, --resume, diff against an uninterrupted
@@ -44,6 +45,11 @@ BASELINE=results/BENCH_sweep.json
 
 echo "== cargo build --release (offline) =="
 cargo build --release
+
+# Neither the release build nor `cargo test` compiles the benches in
+# crates/bench; a removed public function they call fails here.
+echo "== cargo check --all-targets =="
+cargo check --offline --all-targets
 
 echo "== cargo test =="
 cargo test -q
