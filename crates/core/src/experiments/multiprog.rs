@@ -11,10 +11,11 @@
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
 use crate::runner::{self, SweepTask};
-use crate::sim::{self, SimConfig};
+use crate::sim::SimConfig;
+use colt_smp::{CoreResult, SmpConfig, SmpMachine};
 use colt_tlb::config::TlbConfig;
 use colt_tlb::stats::pct_misses_eliminated;
-use colt_workloads::scenario::Scenario;
+use colt_workloads::scenario::{MultiWorkload, Scenario};
 use colt_workloads::spec::benchmark;
 
 /// The benchmark pairs simulated together.
@@ -78,15 +79,9 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<MultiprogRow>, ExperimentOutput) {
                 let multi = scenario
                     .prepare_many(&specs)
                     .unwrap_or_else(|e| panic!("prepare_many({a}, {b}): {e}"));
-                let run_one = |tlb: TlbConfig| {
-                    sim::run_multiprogrammed(
-                        &multi,
-                        &SimConfig { tlb, ..cfg },
-                        quantum,
-                    )
-                };
-                let base = run_one(TlbConfig::baseline());
-                let colt = run_one(TlbConfig::colt_all());
+                let base = run_machine(multi.clone(), &cfg, quantum);
+                let colt =
+                    run_machine(multi, &SimConfig { tlb: TlbConfig::colt_all(), ..cfg }, quantum);
                 MultiprogRow {
                     pair: format!("{a} + {b}"),
                     baseline_walks: base.tlb.l2_misses,
@@ -113,9 +108,54 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<MultiprogRow>, ExperimentOutput) {
     (rows, ExperimentOutput { id: "multiprog", tables: vec![table] })
 }
 
+/// Runs `multi` on a one-core machine like the paper's: untagged (a
+/// full translation flush at every switch), no kernel churn, and
+/// `quantum` accesses per turn. Uses `config`'s TLB, warm-up, access count and
+/// pattern seed; the counters cover the accesses after the warm-up.
+fn run_machine(multi: MultiWorkload, config: &SimConfig, quantum: u64) -> CoreResult {
+    let smp = SmpConfig::new(1, config.tlb).with_churn_period(None).with_quantum(quantum);
+    let mut machine = SmpMachine::new(multi, smp, config.pattern_seed);
+    machine.run(config.warmup);
+    machine.mark();
+    machine.run(config.accesses);
+    machine.result().cores[0]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_table_is_pinned() {
+        // The table `repro --quick multiprog --csv` prints.
+        let (_, out) = run(&ExperimentOptions::quick().with_jobs(2));
+        assert_eq!(
+            out.tables[0].to_csv(),
+            "pair,baseline walks,CoLT-All walks,L2 elim %\n\
+             Mcf + Gobmk,4732,2530,46.5\n\
+             CactusADM + Omnetpp,1787,667,62.7\n\
+             Bzip2 + Xalancbmk,980,249,74.6\n"
+        );
+    }
+
+    #[test]
+    fn multiprogrammed_accounting_identities_hold() {
+        let specs = [benchmark("Gobmk").unwrap(), benchmark("FastaProt").unwrap()];
+        let multi = Scenario::default_linux().prepare_many(&specs).unwrap();
+        let r = run_machine(
+            multi,
+            &SimConfig::new(TlbConfig::colt_all()).with_accesses(20_000),
+            1_000,
+        );
+        assert_eq!(r.tlb.accesses, 20_000);
+        assert_eq!(r.tlb.l1_hits + r.tlb.l1_misses, r.tlb.accesses);
+        assert_eq!(r.tlb.l2_hits + r.tlb.l2_misses, r.tlb.l1_misses);
+        assert_eq!(r.walker.walks, r.tlb.l2_misses);
+        assert_eq!(r.walker.faults, 0);
+        // Mixed instruction rates: between the two benchmarks' IPAs.
+        let ipa = r.counters.instructions as f64 / r.tlb.accesses as f64;
+        assert!((3.0..=9.0).contains(&ipa), "blended ipa {ipa}");
+    }
 
     #[test]
     fn colt_survives_multiprogramming() {
@@ -123,11 +163,7 @@ mod tests {
         let specs = [benchmark("Gobmk").unwrap(), benchmark("Povray").unwrap()];
         let multi = scenario.prepare_many(&specs).unwrap();
         let run_one = |tlb: TlbConfig| {
-            sim::run_multiprogrammed(
-                &multi,
-                &SimConfig::new(tlb).with_accesses(30_000),
-                2_000,
-            )
+            run_machine(multi.clone(), &SimConfig::new(tlb).with_accesses(30_000), 2_000)
         };
         let base = run_one(TlbConfig::baseline());
         let colt = run_one(TlbConfig::colt_all());

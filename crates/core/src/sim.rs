@@ -364,105 +364,6 @@ fn run_stream(
     }
 }
 
-/// Runs a multiprogrammed simulation: the workloads of `multi` share the
-/// TLB hierarchy, caches, and walker, scheduled round-robin with
-/// `quantum` accesses per turn and a full translation flush at every
-/// switch (no PCID). Returns the combined result.
-///
-/// # Panics
-/// Panics if `multi` has no parts or `quantum` is zero.
-pub fn run_multiprogrammed(
-    multi: &colt_workloads::scenario::MultiWorkload,
-    config: &SimConfig,
-    quantum: u64,
-) -> SimResult {
-    assert!(!multi.parts.is_empty(), "multiprogramming needs workloads");
-    assert!(quantum > 0, "quantum must be positive");
-    let mut tlb = TlbHierarchy::new(config.tlb);
-    let mut walker = if config.nested_paging {
-        PageWalker::paper_default().nested()
-    } else {
-        PageWalker::paper_default()
-    };
-    let mut caches = CacheHierarchy::core_i7();
-    let n = multi.parts.len();
-    let mut patterns: Vec<_> = (0..n)
-        .map(|i| multi.pattern(i, config.pattern_seed.wrapping_add(i as u64)))
-        .collect();
-    let page_tables: Vec<_> = multi
-        .parts
-        .iter()
-        .map(|(_, asid, _)| multi.kernel.process(*asid).expect("live").page_table())
-        .collect();
-    let latency = *caches.latency_model();
-
-    let mut walk_cycles = 0u64;
-    let mut data_stall_cycles = 0u64;
-    let mut l2_tlb_cycles = 0u64;
-    let mut measured = 0u64;
-    let mut instructions = 0u64;
-    let mut warmup_walker = walker.stats();
-    let mut warmup_tlb = tlb.stats();
-    let total = config.warmup + config.accesses;
-    let mut current = 0usize;
-    for i in 0..total {
-        if i == config.warmup {
-            warmup_walker = walker.stats();
-            warmup_tlb = tlb.stats();
-            walk_cycles = 0;
-            data_stall_cycles = 0;
-            l2_tlb_cycles = 0;
-            measured = 0;
-            instructions = 0;
-        }
-        if i > 0 && i % quantum == 0 {
-            current = (current + 1) % n;
-            // Context switch: all translation state flushes.
-            tlb.flush();
-            walker.flush();
-        }
-        let r = patterns[current].next_ref();
-        let pfn = match tlb.lookup(r.vpn) {
-            Some(hit) => {
-                if hit.level == TlbLevel::L2 {
-                    l2_tlb_cycles += latency.l2_tlb;
-                }
-                hit.pfn
-            }
-            None => {
-                l2_tlb_cycles += latency.l2_tlb;
-                let outcome = walker
-                    .walk(page_tables[current], r.vpn, &mut caches)
-                    .expect("footprints are always mapped");
-                walk_cycles += outcome.latency;
-                let fill = match outcome.leaf {
-                    WalkedLeaf::Base { line } => WalkFill::Base { line },
-                    WalkedLeaf::Super { base_vpn, base_pfn, flags } => {
-                        WalkFill::Super { base_vpn, base_pfn, flags }
-                    }
-                };
-                tlb.fill(r.vpn, &fill);
-                outcome.translation.pfn
-            }
-        };
-        let phys = PhysAddr::new(pfn.raw() * 4096 + r.line as u64 * 64);
-        let lat = caches.access_data(phys);
-        data_stall_cycles += lat.saturating_sub(latency.l1);
-        instructions += multi.parts[current].0.instructions_per_access;
-        measured += 1;
-    }
-    let _ = measured;
-    SimResult {
-        tlb: diff_tlb(tlb.stats(), warmup_tlb),
-        walker: diff_walker(walker.stats(), warmup_walker),
-        instructions,
-        walk_cycles,
-        data_stall_cycles,
-        l2_tlb_cycles,
-        oracle_mismatches: 0,
-    }
-}
-
 fn diff_tlb(after: HierarchyStats, before: HierarchyStats) -> HierarchyStats {
     after.since(&before)
 }
@@ -546,25 +447,6 @@ mod tests {
         let r = run_trace(&w, &cfg, &refs);
         assert_eq!(r.tlb.accesses, 1_000, "trace wraps to fill the budget");
         assert_eq!(r.walker.faults, 0);
-    }
-
-    #[test]
-    fn multiprogrammed_accounting_identities_hold() {
-        let specs = [benchmark("Gobmk").unwrap(), benchmark("FastaProt").unwrap()];
-        let multi = Scenario::default_linux().prepare_many(&specs).unwrap();
-        let r = run_multiprogrammed(
-            &multi,
-            &SimConfig::new(TlbConfig::colt_all()).with_accesses(20_000),
-            1_000,
-        );
-        assert_eq!(r.tlb.accesses, 20_000);
-        assert_eq!(r.tlb.l1_hits + r.tlb.l1_misses, r.tlb.accesses);
-        assert_eq!(r.tlb.l2_hits + r.tlb.l2_misses, r.tlb.l1_misses);
-        assert_eq!(r.walker.walks, r.tlb.l2_misses);
-        assert_eq!(r.walker.faults, 0);
-        // Mixed instruction rates: between the two benchmarks' IPAs.
-        let ipa = r.instructions as f64 / r.tlb.accesses as f64;
-        assert!((3.0..=9.0).contains(&ipa), "blended ipa {ipa}");
     }
 
     #[test]

@@ -315,23 +315,6 @@ impl PageWalker {
         })
     }
 
-    /// Batched walk: translates every VPN of `vpns` in order, appending
-    /// one outcome per VPN to `out` (`None` for page faults). MMU-cache
-    /// state, counters, and cache-hierarchy charging are byte-identical
-    /// to the same sequence of [`PageWalker::walk`] calls.
-    pub fn translate_batch(
-        &mut self,
-        page_table: &PageTable,
-        vpns: &[Vpn],
-        caches: &mut impl PteFetch,
-        out: &mut Vec<Option<WalkOutcome>>,
-    ) {
-        out.reserve(vpns.len());
-        for &vpn in vpns {
-            out.push(self.walk(page_table, vpn, caches));
-        }
-    }
-
     /// Removes the given page-table entry addresses from the guest MMU
     /// page-walk cache — the per-VPN shootdown a kernel page-table
     /// mutation must deliver, so the next walk of the affected page
@@ -557,34 +540,6 @@ mod tests {
         w.walk(&pt, Vpn::new(0x1000), &mut caches);
         assert_eq!(w.invalidate(&pt, Vpn::new(0x9999)), 0);
         assert_eq!(w.stats().walks, 1, "invalidation charges no walk");
-    }
-
-    #[test]
-    fn translate_batch_matches_sequential_walks() {
-        let pt = mapped_pt(16);
-        let vpns: Vec<Vpn> = [0x1000, 0x1001, 0x1008, 0x9999, 0x100f].map(Vpn::new).to_vec();
-        let mut seq = PageWalker::paper_default();
-        let mut seq_caches = CacheHierarchy::core_i7();
-        let expected: Vec<Option<WalkOutcome>> =
-            vpns.iter().map(|&v| seq.walk(&pt, v, &mut seq_caches)).collect();
-        let mut batched = PageWalker::paper_default();
-        let mut batched_caches = CacheHierarchy::core_i7();
-        let mut got = Vec::new();
-        batched.translate_batch(&pt, &vpns, &mut batched_caches, &mut got);
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(&expected) {
-            match (g, e) {
-                (None, None) => {}
-                (Some(g), Some(e)) => {
-                    assert_eq!(g.translation.pfn, e.translation.pfn);
-                    assert_eq!(g.latency, e.latency);
-                    assert_eq!(g.memory_accesses, e.memory_accesses);
-                }
-                _ => panic!("fault/translation mismatch"),
-            }
-        }
-        assert_eq!(batched.stats(), seq.stats());
-        assert_eq!(batched.mmu_stats(), seq.mmu_stats());
     }
 
     #[test]

@@ -78,8 +78,7 @@ pub struct SmpMachine {
 impl SmpMachine {
     /// Builds the machine around a prepared mix. Part `i` gets affinity
     /// to core `i % cores`; patterns are seeded
-    /// `pattern_seed + part_index` exactly like the single-core
-    /// multiprogrammed run.
+    /// `pattern_seed + part_index`.
     ///
     /// # Panics
     /// Panics if `multi` has no parts.

@@ -122,22 +122,6 @@ impl FullyAssocTlb {
         None
     }
 
-    /// Batched lookup: translates every VPN of `vpns` in order,
-    /// appending one result per VPN to `out`. State transitions (LRU
-    /// promotion, hit/miss counters) are byte-identical to the same
-    /// sequence of [`FullyAssocTlb::lookup`] calls.
-    pub fn lookup_batch(&mut self, vpns: &[Vpn], out: &mut Vec<Option<FaHit>>) {
-        self.lookup_batch_tagged(vpns, Asid(0), out);
-    }
-
-    /// Tagged variant of [`FullyAssocTlb::lookup_batch`].
-    pub fn lookup_batch_tagged(&mut self, vpns: &[Vpn], asid: Asid, out: &mut Vec<Option<FaHit>>) {
-        out.reserve(vpns.len());
-        for &vpn in vpns {
-            out.push(self.lookup_tagged(vpn, asid));
-        }
-    }
-
     /// Checks for a hit without touching LRU or counters (any ASID).
     pub fn probe(&self, vpn: Vpn) -> Option<Pfn> {
         self.entries.iter().find_map(|e| e.lookup(vpn))
@@ -516,19 +500,5 @@ mod tests {
         tlb.probe(Vpn::new(0));
         let evicted = tlb.insert(RangeEntry::coalesced(run(200, 200, 4))).unwrap();
         assert_eq!(evicted.run().start_vpn, Vpn::new(0), "probe must not promote");
-    }
-
-    #[test]
-    fn lookup_batch_matches_sequential_lookups() {
-        let vpns: Vec<Vpn> = [100, 119, 120, 303, 100, 999].map(Vpn::new).to_vec();
-        let mut seq = FullyAssocTlb::new(4);
-        seq.insert(RangeEntry::coalesced(run(100, 700, 20)));
-        seq.insert(RangeEntry::coalesced(run(300, 900, 4)));
-        let mut batched = seq.clone();
-        let expected: Vec<Option<FaHit>> = vpns.iter().map(|&v| seq.lookup(v)).collect();
-        let mut got = Vec::new();
-        batched.lookup_batch(&vpns, &mut got);
-        assert_eq!(got, expected);
-        assert_eq!(batched.stats(), seq.stats(), "counters and LRU evolve identically");
     }
 }

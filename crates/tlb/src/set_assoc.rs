@@ -147,23 +147,6 @@ impl SetAssocTlb {
         None
     }
 
-    /// Batched lookup: translates every VPN of `vpns` in order,
-    /// appending one result per VPN to `out`. State transitions (LRU
-    /// promotion, hit/miss counters) are byte-identical to the same
-    /// sequence of [`SetAssocTlb::lookup`] calls — batching only
-    /// amortizes the per-call overhead of the sweep hot path.
-    pub fn lookup_batch(&mut self, vpns: &[Vpn], out: &mut Vec<Option<SaHit>>) {
-        self.lookup_batch_tagged(vpns, Asid(0), out);
-    }
-
-    /// Tagged variant of [`SetAssocTlb::lookup_batch`].
-    pub fn lookup_batch_tagged(&mut self, vpns: &[Vpn], asid: Asid, out: &mut Vec<Option<SaHit>>) {
-        out.reserve(vpns.len());
-        for &vpn in vpns {
-            out.push(self.lookup_tagged(vpn, asid));
-        }
-    }
-
     /// Checks for a hit without touching LRU or counters (any ASID).
     pub fn probe(&self, vpn: Vpn) -> Option<Pfn> {
         let idx = self.set_index(vpn);
@@ -588,18 +571,5 @@ mod tests {
         tlb.probe(Vpn::new(0)); // must NOT promote 0
         let evicted = tlb.insert(run(8, 108, 1)).unwrap();
         assert_eq!(evicted.run().start_vpn, Vpn::new(0));
-    }
-
-    #[test]
-    fn lookup_batch_matches_sequential_lookups() {
-        let vpns: Vec<Vpn> = [8, 9, 100, 11, 8, 50, 10].map(Vpn::new).to_vec();
-        let mut seq = SetAssocTlb::new(32, 4, 2);
-        seq.insert(run(8, 100, 4));
-        let mut batched = seq.clone();
-        let expected: Vec<Option<SaHit>> = vpns.iter().map(|&v| seq.lookup(v)).collect();
-        let mut got = Vec::new();
-        batched.lookup_batch(&vpns, &mut got);
-        assert_eq!(got, expected);
-        assert_eq!(batched.stats(), seq.stats(), "counters and LRU evolve identically");
     }
 }
