@@ -320,7 +320,9 @@ pub fn sweep_json(
             "prep_amortized_refs_per_sec" => rounded(prep_amortized_refs_per_sec(metrics), 1),
             "prep_seconds_total" => rounded(prep_total, 6),
             "prep_cache_hits" => cache.hits(),
+            "prep_cache_disk_hits" => cache.disk_hits,
             "prep_cache_misses" => cache.misses,
+            "machines_aged" => cache.agings,
             "prep_cache_evictions" => cache.mem_evictions,
             "snapshot_seconds" => rounded(cache.snapshot_seconds, 6),
             "serial_seconds_estimate" => rounded(serial, 6),
@@ -539,6 +541,7 @@ mod tests {
             mem_hits: 3,
             disk_hits: 1,
             misses: 2,
+            agings: 1,
             mem_evictions: 1,
             snapshot_seconds: 0.125,
         };
@@ -547,7 +550,9 @@ mod tests {
         let timing = doc.get("timing").expect("a top-level timing object");
         let num = |key: &str| timing.get(key).and_then(Json::as_f64);
         assert_eq!(num("prep_cache_hits"), Some(4.0), "{text}");
+        assert_eq!(num("prep_cache_disk_hits"), Some(1.0), "{text}");
         assert_eq!(num("prep_cache_misses"), Some(2.0), "{text}");
+        assert_eq!(num("machines_aged"), Some(1.0), "{text}");
         assert_eq!(num("prep_cache_evictions"), Some(1.0), "{text}");
         assert_eq!(num("snapshot_seconds"), Some(0.125), "{text}");
         assert_eq!(num("prep_seconds_total"), Some(0.6), "{text}");

@@ -748,6 +748,13 @@ fn throughput_table(
         "-".to_string(),
     ]);
     table.add_row(vec![
+        "machines aged".to_string(),
+        cache.agings.to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+    ]);
+    table.add_row(vec![
         "speedup vs 1 thread (est)".to_string(),
         "-".to_string(),
         "-".to_string(),

@@ -76,8 +76,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Locks a mutex, recovering the data if a previous holder panicked.
 /// Every mutex locked this way guards state that stays consistent
 /// across a mid-critical-section panic (append-only registries, queues
-/// whose items are consumed whole, slots a failed builder leaves
-/// retryable, caches of finished values), so poisoning carries no
+/// whose items are consumed whole, slots whose state changes in one
+/// assignment, caches of finished values), so poisoning carries no
 /// information.
 pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)

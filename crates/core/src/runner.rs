@@ -14,17 +14,21 @@
 //!    (scenario, benchmark) pair share one [`PreparedWorkload`], built
 //!    once (or decoded from the process-global
 //!    [`snapshot_cache`](crate::snapshot_cache)) by whichever worker
-//!    gets there first and handed out as an `Arc`. A cell that finds
-//!    its preparation *in flight* parks on the slot instead of
-//!    blocking its worker: the worker takes the next queued cell in the
-//!    meantime, and the parked cells re-enter the front of the queue
-//!    the moment the build lands.
+//!    gets there first and handed out as an `Arc`; the preparations of
+//!    one scenario share one aged machine, aged once per sweep by the
+//!    first of them that the cache cannot answer and cloned by the
+//!    rest. A cell that finds its preparation or its machine *in
+//!    flight* parks on the slot instead of blocking its worker: the
+//!    worker takes the next queued cell in the meantime, and the parked
+//!    cells re-enter the front of the queue the moment the build lands.
 //! 3. **Failure isolation** — a cell whose job panics or whose
 //!    preparation fails becomes [`CellOutcome::Failed`] while every
 //!    other cell still completes. Cells are seeded simulations on
 //!    seeded kernels, so a failure would only repeat: nothing is
-//!    retried. [`expect_all`] turns failures back into a panic for
-//!    drivers whose sweeps must be all-or-nothing.
+//!    retried, and a failed aging or preparation fails every later cell
+//!    of its scenario or pair at once with the same reason.
+//!    [`expect_all`] turns failures back into a panic for drivers whose
+//!    sweeps must be all-or-nothing.
 //! 4. **Durable progress** — the `*_sweep` entry points append one
 //!    checksummed record per finished cell to the experiment's
 //!    [`Journal`](crate::journal), fsynced before the result is even
@@ -36,8 +40,9 @@
 
 use crate::journal::{Journal, JournalPayload};
 use crate::sim::{self, SimConfig, SimResult};
-use crate::{panic_message, relock, snapshot_cache};
-use colt_workloads::scenario::{PreparedWorkload, Scenario};
+use crate::snapshot_cache::{self, Prepared};
+use crate::{panic_message, relock};
+use colt_workloads::scenario::{AgedMachine, PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -219,28 +224,96 @@ pub struct SweepOptions<'a> {
     pub journal: Option<&'a Journal>,
 }
 
-/// One sweep-local preparation slot. The slot exists so that, within a
-/// sweep, exactly one worker builds each (scenario, spec) pair while
-/// cells that arrive during the build *park* on the slot (their worker
-/// moves on to other work) instead of blocking behind a lock. The
-/// actual build — memory cache, disk snapshot, or a fresh
-/// `Scenario::prepare` — is delegated to [`snapshot_cache`].
-enum SlotState {
-    /// Nobody has built this pair yet (or the last build failed, which
-    /// leaves the slot retryable rather than wedged).
+/// A sweep-local slot for a value one worker at a time builds: a
+/// preparation (one per (scenario, spec) pair) or an aged machine (one
+/// per scenario). Cells that need the value while it is being built
+/// *park* on the slot (their worker moves on to other work) instead of
+/// blocking behind a lock. The building itself — memory cache, disk
+/// snapshot, aging or a fresh preparation — is delegated to
+/// [`snapshot_cache`].
+struct Slot<T, R> {
+    state: SlotState<T>,
+    /// Cells parked until the in-flight build lands; the builder puts
+    /// them back on the queue, success and failure alike.
+    waiting: Vec<Item<R>>,
+}
+
+enum SlotState<T> {
+    /// Nobody has built this slot's value yet.
     Empty,
     /// A worker is building right now; arriving cells park in `waiting`.
     Building,
-    /// The workload is ready for every future cell of the sweep.
-    Ready(Arc<PreparedWorkload>),
+    /// The value is ready for every future cell of the sweep.
+    Ready(T),
+    /// The build failed. It was seeded, so it would only fail again:
+    /// every later cell of the slot fails at once with this reason.
+    Failed(String),
 }
 
-struct PrepSlot<R> {
-    state: SlotState,
-    /// Cells parked until the in-flight build lands; the builder puts
-    /// them back on the queue (success and failure alike — after a
-    /// failure one of them becomes the next builder).
-    waiting: Vec<Item<R>>,
+/// What a cell found in a slot.
+enum Claim<T, R> {
+    /// The value, with the cell handed back.
+    Ready(Item<R>, T),
+    /// The stored failure, with the cell handed back.
+    Failed(Item<R>, String),
+    /// Another worker is building the value; the cell is parked.
+    Parked,
+    /// The slot was empty and is now `Building`: the caller builds the
+    /// value and [`settle`](Slot::settle)s the slot.
+    Build(Item<R>),
+}
+
+impl<T: Clone, R> Slot<T, R> {
+    fn new() -> Self {
+        Slot { state: SlotState::Empty, waiting: Vec::new() }
+    }
+
+    fn claim(&mut self, item: Item<R>) -> Claim<T, R> {
+        match &self.state {
+            SlotState::Ready(value) => Claim::Ready(item, value.clone()),
+            SlotState::Failed(reason) => Claim::Failed(item, reason.clone()),
+            SlotState::Building => {
+                self.waiting.push(item);
+                Claim::Parked
+            }
+            SlotState::Empty => {
+                self.state = SlotState::Building;
+                Claim::Build(item)
+            }
+        }
+    }
+
+    /// Ends a build: stores its outcome and hands back the parked cells.
+    fn settle(&mut self, state: SlotState<T>) -> Vec<Item<R>> {
+        self.state = state;
+        std::mem::take(&mut self.waiting)
+    }
+}
+
+type PrepSlot<R> = Slot<Arc<PreparedWorkload>, R>;
+/// One slot per preparation key of a sweep's queued cells, with the
+/// index of its scenario's [`AgedSlot`].
+type PrepSlots<R> = HashMap<String, (Mutex<PrepSlot<R>>, usize)>;
+
+/// One scenario's aged machine, shared by the sweep's preparations of
+/// that scenario.
+struct AgedSlot<R> {
+    slot: Slot<Arc<AgedMachine>, R>,
+    /// Preparations of the scenario that have neither taken the machine
+    /// nor found their workload in the cache. Only builders hold the
+    /// machine, and only while cloning it; when the last preparation is
+    /// served the slot lets go, so no aged kernel outlives its last user.
+    takers: usize,
+}
+
+impl<R> AgedSlot<R> {
+    /// Counts one preparation as served; the last one empties the slot.
+    fn serve(&mut self) {
+        self.takers -= 1;
+        if self.takers == 0 && matches!(self.slot.state, SlotState::Ready(_)) {
+            self.slot.state = SlotState::Empty;
+        }
+    }
 }
 
 /// What a queue item runs.
@@ -340,8 +413,8 @@ enum Acquired<R> {
         /// (0 when another cell, sweep, or invocation already paid).
         prep_seconds: f64,
     },
-    /// The build failed (or panicked); the failure is charged to this
-    /// cell and the slot is left retryable.
+    /// The build failed (or panicked), now or earlier in the sweep; the
+    /// failure is charged to this cell.
     Failed { item: Item<R>, reason: String },
 }
 
@@ -359,7 +432,8 @@ struct Pool<'a, R> {
     wake: Condvar,
     /// Items the workers must finish (journal replays excluded).
     total: usize,
-    slots: Mutex<HashMap<String, Arc<Mutex<PrepSlot<R>>>>>,
+    preps: PrepSlots<R>,
+    machines: Vec<Mutex<AgedSlot<R>>>,
     hook: Option<Hook<'a, R>>,
     results: Mutex<Vec<Option<Finished<R>>>>,
 }
@@ -415,60 +489,111 @@ impl<R> Pool<'_, R> {
 
     /// Obtains the shared workload for a cell without ever blocking the
     /// worker: a ready slot is a free hit, an in-flight slot parks the
-    /// item, an empty slot makes this worker the builder (delegating to
-    /// the process-global [`snapshot_cache`]). Whichever way the build
-    /// ends, the parked items go back to the front of the queue, in
-    /// parking order, so cells with the same key run together.
+    /// item, an empty slot makes this worker the builder. The builder
+    /// asks the process-global [`snapshot_cache`] first and, on a miss,
+    /// prepares the pair on a machine of its scenario's aged slot.
     fn acquire_prepared(&self, item: Item<R>) -> Acquired<R> {
-        let Work::Cell { scenario, spec, .. } = &item.work else {
-            unreachable!("only cells are prepared")
-        };
-        let slot = Arc::clone(
-            relock(&self.slots)
-                .entry(snapshot_cache::prep_key(scenario, spec))
-                .or_insert_with(|| {
-                    Arc::new(Mutex::new(PrepSlot { state: SlotState::Empty, waiting: Vec::new() }))
-                }),
-        );
-        {
-            let mut st = relock(&slot);
-            match &st.state {
-                SlotState::Ready(w) => {
-                    let workload = Arc::clone(w);
-                    return Acquired::Ready { item, workload, prep_seconds: 0.0 };
-                }
-                SlotState::Building => {
-                    st.waiting.push(item);
-                    return Acquired::Parked;
-                }
-                SlotState::Empty => st.state = SlotState::Building,
+        let (scenario, spec) = cell_of(&item);
+        let (slot, machine) = &self.preps[&snapshot_cache::prep_key(scenario, spec)];
+        let item = match relock(slot).claim(item) {
+            Claim::Ready(item, workload) => {
+                return Acquired::Ready { item, workload, prep_seconds: 0.0 };
             }
+            Claim::Failed(item, reason) => return Acquired::Failed { item, reason },
+            Claim::Parked => return Acquired::Parked,
+            Claim::Build(item) => item,
+        };
+        // This worker is the builder; no slot lock is held across the
+        // build — arriving cells park instead of blocking.
+        let (scenario, spec) = cell_of(&item);
+        let (item, built) = match snapshot_cache::lookup(scenario, spec) {
+            Some(found) => {
+                relock(&self.machines[*machine]).serve();
+                (item, Ok(found))
+            }
+            None => {
+                let start = Instant::now();
+                match self.take_machine(&self.machines[*machine], slot, item) {
+                    Claim::Ready(item, shared) => {
+                        let machine = Arc::unwrap_or_clone(shared);
+                        let machine_seconds = start.elapsed().as_secs_f64();
+                        let built = snapshot_cache::build(machine, cell_of(&item).1)
+                            .map(|p| Prepared { prep_seconds: p.prep_seconds + machine_seconds, ..p });
+                        (item, built)
+                    }
+                    Claim::Failed(item, reason) => (item, Err(reason)),
+                    Claim::Parked => return Acquired::Parked,
+                    Claim::Build(_) => unreachable!("take_machine builds the machine itself"),
+                }
+            }
+        };
+        let woken = relock(slot).settle(match &built {
+            Ok(p) => SlotState::Ready(Arc::clone(&p.workload)),
+            Err(reason) => SlotState::Failed(reason.clone()),
+        });
+        self.requeue(woken);
+        match built {
+            Ok(p) => Acquired::Ready { item, workload: p.workload, prep_seconds: p.prep_seconds },
+            Err(reason) => Acquired::Failed { item, reason },
         }
-        // This worker is the builder; the slot lock is *not* held across
-        // the build — arriving cells park instead of blocking.
-        let built = snapshot_cache::get_or_prepare(scenario, spec);
-        let mut st = relock(&slot);
-        let acquired = match built {
-            Ok(p) => {
-                st.state = SlotState::Ready(Arc::clone(&p.workload));
-                Acquired::Ready { item, workload: p.workload, prep_seconds: p.prep_seconds }
+    }
+
+    /// The scenario's aged machine for the builder of a preparation, as
+    /// an `Arc` the builder clones (or, as its last holder, moves out
+    /// of): the first builder to get here ages it, later ones share it.
+    /// A builder that arrives while the machine is aging parks its cell
+    /// on the aged slot together with the cells parked on its
+    /// preparation, whose slot empties so that whichever comes back
+    /// first rebuilds it.
+    fn take_machine(
+        &self,
+        aged: &Mutex<AgedSlot<R>>,
+        prep: &Mutex<PrepSlot<R>>,
+        item: Item<R>,
+    ) -> Claim<Arc<AgedMachine>, R> {
+        let mut woken = Vec::new();
+        let mut st = relock(aged);
+        let claim = match st.slot.claim(item) {
+            Claim::Build(item) => {
+                drop(st);
+                let machine = snapshot_cache::age(cell_of(&item).0).map(Arc::new);
+                st = relock(aged);
+                woken = st.slot.settle(match &machine {
+                    Ok(shared) => SlotState::Ready(Arc::clone(shared)),
+                    Err(reason) => SlotState::Failed(reason.clone()),
+                });
+                match machine {
+                    Ok(shared) => Claim::Ready(item, shared),
+                    Err(reason) => Claim::Failed(item, reason),
+                }
             }
-            Err(reason) => {
-                st.state = SlotState::Empty;
-                Acquired::Failed { item, reason }
+            Claim::Parked => {
+                let parked = relock(prep).settle(SlotState::Empty);
+                st.slot.waiting.extend(parked);
+                Claim::Parked
             }
+            claim => claim,
         };
-        let woken = std::mem::take(&mut st.waiting);
+        if matches!(claim, Claim::Ready(..)) {
+            st.serve();
+        }
         drop(st);
-        if !woken.is_empty() {
-            let mut queue = relock(&self.queue);
-            for parked in woken.into_iter().rev() {
-                queue.items.push_front(parked);
-            }
-            drop(queue);
-            self.wake.notify_all();
+        self.requeue(woken);
+        claim
+    }
+
+    /// Puts parked items back at the front of the queue, in parking
+    /// order, so cells with the same key run together.
+    fn requeue(&self, woken: Vec<Item<R>>) {
+        if woken.is_empty() {
+            return;
         }
-        acquired
+        let mut queue = relock(&self.queue);
+        for parked in woken.into_iter().rev() {
+            queue.items.push_front(parked);
+        }
+        drop(queue);
+        self.wake.notify_all();
     }
 
     /// Journals one finished item and records its outcome; the last one
@@ -522,11 +647,13 @@ fn engine<R: Send>(
         }
     }
     let total = queue.len();
+    let (preps, machines) = slots(&queue);
     let pool = Pool {
         queue: Mutex::new(Queue { items: queue, finished: 0 }),
         wake: Condvar::new(),
         total,
-        slots: Mutex::new(HashMap::new()),
+        preps,
+        machines,
         hook,
         results: Mutex::new(results),
     };
@@ -546,6 +673,35 @@ fn engine<R: Send>(
         relock(&METRICS).extend(metrics);
     }
     outcomes
+}
+
+/// One preparation slot per distinct (scenario, spec) pair among the
+/// queued cells and one aged slot per distinct scenario, each aged slot
+/// counting its scenario's preparations as takers.
+fn slots<R>(queue: &VecDeque<Item<R>>) -> (PrepSlots<R>, Vec<Mutex<AgedSlot<R>>>) {
+    let mut preps = HashMap::new();
+    let mut scenarios = HashMap::new();
+    let mut machines: Vec<AgedSlot<R>> = Vec::new();
+    for item in queue {
+        let Work::Cell { scenario, spec, .. } = &item.work else { continue };
+        preps.entry(snapshot_cache::prep_key(scenario, spec)).or_insert_with(|| {
+            let m = *scenarios.entry(format!("{scenario:?}")).or_insert_with(|| {
+                machines.push(AgedSlot { slot: Slot::new(), takers: 0 });
+                machines.len() - 1
+            });
+            machines[m].takers += 1;
+            (Mutex::new(Slot::new()), m)
+        });
+    }
+    (preps, machines.into_iter().map(Mutex::new).collect())
+}
+
+/// The scenario and benchmark of a cell item.
+fn cell_of<R>(item: &Item<R>) -> (&Scenario, &BenchmarkSpec) {
+    match &item.work {
+        Work::Cell { scenario, spec, .. } => (scenario, spec),
+        Work::Task(_) => unreachable!("only cells are prepared"),
+    }
 }
 
 fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
@@ -806,39 +962,51 @@ mod tests {
     #[test]
     fn a_worker_runs_ready_work_while_a_shared_build_is_in_flight() {
         let _g = drain_lock();
-        // Two cells share a cold key (a seed no other test uses); the
-        // third cell's key is prepared before the sweep starts. At two
-        // workers, one worker builds the cold key while the other parks
-        // the second cold cell and runs the warm one, so the warm job
-        // runs before either cold job starts. A runner that blocks on
-        // the in-flight build instead of parking reaches the warm cell
-        // only after the cold jobs have begun. No barrier forces the
-        // interleaving (the build runs inside the snapshot cache, which
-        // has no hook); the cold build is a whole kernel preparation,
-        // while parking and the warm lookup take microseconds.
-        let spec = benchmark("Povray").unwrap();
-        let cold = Scenario::default_linux().with_seed(0x9A2C_0C01);
-        let warm = Scenario::default_linux().with_seed(0x9A2C_0C02);
-        snapshot_cache::get_or_prepare(&warm, &spec).expect("the warm key prepares");
-        let cold_started = Arc::new(AtomicBool::new(false));
-        let cold_cell = |label: &str| {
+        // Two cells need cold preparations of one cold scenario (a seed
+        // no other test uses); the third cell's key is prepared before
+        // the sweep starts. At two workers, one worker builds while the
+        // other parks the second cold cell and runs the warm one, so the
+        // warm job runs before either cold job starts. In the first case
+        // the cold cells share their (scenario, benchmark) pair and the
+        // second parks on the preparation slot; in the second they are
+        // different benchmarks, and it parks on the aged slot while the
+        // first builder ages the machine. A runner that blocks on the
+        // in-flight build instead of parking, or that ages a machine per
+        // preparation, reaches the warm cell only after a cold job has
+        // begun. No barrier forces the interleaving (the build runs
+        // inside the snapshot cache, which has no hook); the cold build
+        // is a whole kernel preparation, while parking and the warm
+        // lookup take microseconds.
+        let povray = benchmark("Povray").unwrap();
+        let gobmk = benchmark("Gobmk").unwrap();
+        for (seed, second) in [(0x9A2C_0C01, &povray), (0x9A2C_0C03, &gobmk)] {
+            let cold = Scenario::default_linux().with_seed(seed);
+            let warm = Scenario::default_linux().with_seed(seed + 1);
+            snapshot_cache::get_or_prepare(&warm, &povray).expect("the warm key prepares");
+            let cold_started = Arc::new(AtomicBool::new(false));
+            let cold_cell = |label: &str, spec: &BenchmarkSpec| {
+                let started = Arc::clone(&cold_started);
+                SweepCell::new(label, &cold, spec, 0, move |_| {
+                    started.store(true, Ordering::SeqCst);
+                    false
+                })
+            };
             let started = Arc::clone(&cold_started);
-            SweepCell::new(label, &cold, &spec, 0, move |_| {
-                started.store(true, Ordering::SeqCst);
-                false
-            })
-        };
-        let started = Arc::clone(&cold_started);
-        let cells = vec![
-            cold_cell("overlap/cold-a"),
-            cold_cell("overlap/cold-b"),
-            SweepCell::new("overlap/warm", &warm, &spec, 0, move |_| {
-                !started.load(Ordering::SeqCst)
-            }),
-        ];
-        let ran_first = expect_all(run_cells_outcomes(cells, 2));
-        let _ = take_metrics();
-        assert!(ran_first[2], "the warm cell waited behind the cold build");
+            let cells = vec![
+                cold_cell("overlap/cold-a", &povray),
+                cold_cell("overlap/cold-b", second),
+                SweepCell::new("overlap/warm", &warm, &povray, 0, move |_| {
+                    !started.load(Ordering::SeqCst)
+                }),
+            ];
+            let ran_first = expect_all(run_cells_outcomes(cells, 2));
+            let _ = take_metrics();
+            assert!(
+                ran_first[2],
+                "the warm cell waited behind the cold build (second cold cell: {})",
+                second.name
+            );
+        }
     }
 
     #[test]
@@ -936,28 +1104,41 @@ mod tests {
     #[test]
     fn failing_preparation_becomes_a_failed_outcome_not_a_panic() {
         let _g = drain_lock();
-        // A scenario with fewer frames than memhog wants to pin cannot
-        // prepare; the cell must fail gracefully, and a healthy sibling
-        // cell in the same sweep must still run.
+        // A 64-frame machine ages, but the benchmark's allocation then
+        // runs out of memory. Every cell of that pair must fail
+        // gracefully with the one stored reason, and the healthy
+        // scenario's cells in the same sweep must still run.
         let broken = Scenario { nr_frames: 64, ..Scenario::default_linux() };
         let healthy = Scenario::default_linux();
         let spec = benchmark("Bzip2").unwrap();
+        let pages = |w: &PreparedWorkload| w.contiguity().total_pages();
         let cells = vec![
-            SweepCell::new("prep-fail/broken", &broken, &spec, 0, |w| {
-                w.contiguity().total_pages()
-            }),
-            SweepCell::new("prep-fail/healthy", &healthy, &spec, 0, |w| {
-                w.contiguity().total_pages()
-            }),
+            SweepCell::new("prep-fail/broken-0", &broken, &spec, 0, pages),
+            SweepCell::new("prep-fail/healthy-0", &healthy, &spec, 0, pages),
+            SweepCell::new("prep-fail/broken-1", &broken, &spec, 0, pages),
+            SweepCell::new("prep-fail/broken-2", &broken, &spec, 0, pages),
+            SweepCell::new("prep-fail/healthy-1", &healthy, &spec, 0, pages),
         ];
         let outcomes = run_cells_outcomes(cells, 2);
         let _ = take_metrics();
-        assert!(outcomes[0].is_failed(), "tiny scenario must fail to prepare");
-        match &outcomes[0] {
-            CellOutcome::Failed { label, .. } => assert_eq!(label, "prep-fail/broken"),
-            _ => panic!("expected a Failed outcome"),
-        }
+        let reasons: Vec<&str> = [(0, "broken-0"), (2, "broken-1"), (3, "broken-2")]
+            .iter()
+            .map(|&(i, name)| match &outcomes[i] {
+                CellOutcome::Failed { label, payload } => {
+                    assert_eq!(label, &format!("prep-fail/{name}"));
+                    payload.as_str()
+                }
+                other => panic!("the tiny scenario's cell {i} must fail, got {other:?}"),
+            })
+            .collect();
+        assert!(
+            reasons[0].contains("failed for Bzip2: out of physical memory"),
+            "the machine ages and the allocation runs out: {}",
+            reasons[0]
+        );
+        assert!(reasons.iter().all(|r| *r == reasons[0]), "one reason: {reasons:?}");
         assert!(matches!(&outcomes[1], CellOutcome::Ok(pages) if *pages > 0));
+        assert!(matches!(&outcomes[4], CellOutcome::Ok(pages) if *pages > 0));
     }
 
     #[test]

@@ -1445,7 +1445,10 @@ fn handle_sweep(
     }
 
     // Leader and followers alike wait for the flight's bytes, bounded
-    // by the request deadline.
+    // by the request deadline. Each wait ends at the deadline at the
+    // latest, and the clock is read before the bytes are: once the
+    // deadline has passed, the request is rejected even if the bytes
+    // landed while the lock was being re-taken.
     let mut done = relock(&flight.done);
     loop {
         if let Some(outcome) = done.clone() {
@@ -1457,6 +1460,11 @@ fn handle_sweep(
                 Err(e) => err_line(&e),
             };
         }
+        let (guard, _) = flight
+            .cv
+            .wait_timeout(done, deadline.saturating_duration_since(Instant::now()))
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        done = guard;
         if Instant::now() >= deadline {
             state.c.add(&state.c.rejected_deadline, 1);
             return reject_line(
@@ -1467,11 +1475,6 @@ fn handle_sweep(
                 ),
             );
         }
-        let (guard, _) = flight
-            .cv
-            .wait_timeout(done, Duration::from_millis(50))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        done = guard;
     }
 }
 

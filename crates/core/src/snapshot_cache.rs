@@ -1,11 +1,13 @@
 //! Process-global workload-preparation cache with durable snapshots.
 //!
-//! Preparing one (scenario, benchmark) pair — booting a kernel, aging
-//! it, running memhog and the allocation phase — costs ~100 ms, two
-//! orders of magnitude more than simulating a sweep cell against it.
-//! The runner already shares preparations *within* one sweep; this
-//! module extends the sharing to the whole process and, through disk
-//! snapshots, to future invocations:
+//! Preparing one (scenario, benchmark) pair cold means booting and
+//! aging a kernel (59–127 ms in a release build on a 2-CPU host), then
+//! memhog, the allocation phase and pressure (under 50 ms for most
+//! pairs): far more than simulating a sweep cell against the result.
+//! The runner shares preparations, and each scenario's aged machine,
+//! *within* one sweep; this module extends the sharing of preparations
+//! to the whole process and, through disk snapshots, to future
+//! invocations:
 //!
 //! 1. **Memory layer** — one `Arc<PreparedWorkload>` per preparation
 //!    key, shared by every sweep the process runs. The map is a
@@ -28,14 +30,19 @@
 //! prepared ones (see `colt_os_mem::snapshot`), so cache hits cannot
 //! change any result table.
 //!
+//! [`get_or_prepare`] is `lookup` (memory, then disk) followed, on a
+//! miss, by `age` and `build`; the runner calls the three itself so
+//! that one aged machine serves every preparation of its scenario.
+//!
 //! `repro --no-snapshot-cache` (→ [`set_enabled`]) disables both
-//! layers; intra-sweep sharing in the runner is unaffected.
+//! layers; intra-sweep sharing in the runner, of preparations and of
+//! aged machines, is unaffected.
 
 use crate::journal::{crc32, fingerprint_of};
 use crate::lru::LruMap;
 use crate::{panic_message, relock};
 use colt_os_mem::snapshot::{Dec, Enc};
-use colt_workloads::scenario::{PreparedWorkload, Scenario};
+use colt_workloads::scenario::{AgedMachine, PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,15 +102,19 @@ pub fn enabled() -> bool {
 }
 
 /// Counters for the throughput report (`prep_cache_hits`,
-/// `snapshot_seconds` in `BENCH_sweep.json`).
+/// `machines_aged`, `snapshot_seconds` in `BENCH_sweep.json`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CacheStats {
     /// Preparations served from the in-memory map.
     pub mem_hits: u64,
     /// Preparations decoded from a disk snapshot.
     pub disk_hits: u64,
-    /// Preparations actually built with `Scenario::prepare`.
+    /// Preparations actually built from an aged machine.
     pub misses: u64,
+    /// Machines booted and aged by `age`: one per scenario per sweep
+    /// that builds any of its preparations, and one per preparation
+    /// that [`get_or_prepare`] builds.
+    pub agings: u64,
     /// Prepared workloads evicted from the in-memory LRU layer
     /// (capacity `COLT_SNAPSHOT_MEM_CAP`). An evicted pair re-prepares
     /// (or re-decodes its disk snapshot) on the next request.
@@ -119,6 +130,7 @@ impl CacheStats {
             mem_hits: 0,
             disk_hits: 0,
             misses: 0,
+            agings: 0,
             mem_evictions: 0,
             snapshot_seconds: 0.0,
         }
@@ -210,7 +222,7 @@ pub enum PrepSource {
     Memory,
     /// Decoded from a disk snapshot.
     Disk,
-    /// Built fresh with `Scenario::prepare`.
+    /// Built fresh from an aged machine.
     Built,
 }
 
@@ -225,52 +237,95 @@ pub struct Prepared {
 }
 
 /// Fetches (memory, then disk) or builds the prepared workload for one
-/// (scenario, spec) pair, persisting fresh builds to disk.
+/// (scenario, spec) pair, persisting fresh builds to disk. A build ages
+/// a machine of its own; the runner shares one per scenario instead.
 ///
 /// # Errors
-/// A human-readable description when preparation fails or panics (cache
-/// failures are never errors — they fall back to preparing).
+/// A human-readable description when aging or preparation fails or
+/// panics (cache failures are never errors — they fall back to
+/// preparing).
 pub fn get_or_prepare(
     scenario: &Scenario,
     spec: &BenchmarkSpec,
 ) -> Result<Prepared, String> {
-    let key = prep_key(scenario, spec);
-    if enabled() {
-        resolve_mem_cap();
-        if let Some(w) = relock(&MEM).get(&key).map(Arc::clone) {
-            bump(|s| s.mem_hits += 1);
-            return Ok(Prepared { workload: w, prep_seconds: 0.0, source: PrepSource::Memory });
-        }
-        if let Some(dir) = disk_layer() {
-            let start = Instant::now();
-            if let Some(w) = load_from(&dir, &key, spec) {
-                let secs = start.elapsed().as_secs_f64();
-                let w = Arc::new(w);
-                let evicted = relock(&MEM).insert(key, Arc::clone(&w));
-                bump(|s| {
-                    s.disk_hits += 1;
-                    s.mem_evictions += evicted;
-                    s.snapshot_seconds += secs;
-                });
-                return Ok(Prepared {
-                    workload: w,
-                    prep_seconds: secs,
-                    source: PrepSource::Disk,
-                });
-            }
-        }
+    if let Some(found) = lookup(scenario, spec) {
+        return Ok(found);
     }
-
     let start = Instant::now();
-    let workload = match catch_unwind(AssertUnwindSafe(|| scenario.prepare(spec))) {
+    let machine = age(scenario)?;
+    let aging_seconds = start.elapsed().as_secs_f64();
+    let mut built = build(machine, spec)?;
+    built.prep_seconds += aging_seconds;
+    Ok(built)
+}
+
+/// The cached workload for one (scenario, spec) pair: the memory layer,
+/// then the disk layer (a decoded snapshot enters the memory layer).
+/// `None` when neither holds it or the cache is disabled.
+pub(crate) fn lookup(scenario: &Scenario, spec: &BenchmarkSpec) -> Option<Prepared> {
+    if !enabled() {
+        return None;
+    }
+    resolve_mem_cap();
+    let key = prep_key(scenario, spec);
+    if let Some(w) = relock(&MEM).get(&key).map(Arc::clone) {
+        bump(|s| s.mem_hits += 1);
+        return Some(Prepared { workload: w, prep_seconds: 0.0, source: PrepSource::Memory });
+    }
+    let dir = disk_layer()?;
+    let start = Instant::now();
+    let w = Arc::new(load_from(&dir, &key, spec)?);
+    let secs = start.elapsed().as_secs_f64();
+    let evicted = relock(&MEM).insert(key, Arc::clone(&w));
+    bump(|s| {
+        s.disk_hits += 1;
+        s.mem_evictions += evicted;
+        s.snapshot_seconds += secs;
+    });
+    Some(Prepared { workload: w, prep_seconds: secs, source: PrepSource::Disk })
+}
+
+/// Boots and ages `scenario`'s machine, counted in
+/// [`CacheStats::agings`]. Every machine a sweep or [`get_or_prepare`]
+/// ages goes through here.
+///
+/// # Errors
+/// A human-readable description when aging fails or panics.
+pub(crate) fn age(scenario: &Scenario) -> Result<AgedMachine, String> {
+    let machine = match catch_unwind(AssertUnwindSafe(|| scenario.age())) {
+        Ok(Ok(machine)) => machine,
+        Ok(Err(e)) => return Err(format!("scenario '{}' failed to age: {e}", scenario.name)),
+        Err(payload) => {
+            return Err(format!(
+                "scenario '{}' panicked while aging: {}",
+                scenario.name,
+                panic_message(payload)
+            ));
+        }
+    };
+    bump(|s| s.agings += 1);
+    Ok(machine)
+}
+
+/// Prepares `spec` on `machine`, then enters the workload in the memory
+/// layer and persists its snapshot, when the cache is enabled.
+/// `prep_seconds` covers the preparation alone.
+///
+/// # Errors
+/// A human-readable description when preparation fails or panics (cache
+/// failures are never errors).
+pub(crate) fn build(machine: AgedMachine, spec: &BenchmarkSpec) -> Result<Prepared, String> {
+    let scenario = machine.scenario().name.clone();
+    let key = prep_key(machine.scenario(), spec);
+    let start = Instant::now();
+    let workload = match catch_unwind(AssertUnwindSafe(|| machine.into_prepared(spec))) {
         Ok(Ok(w)) => Arc::new(w),
         Ok(Err(e)) => {
-            return Err(format!("scenario '{}' failed for {}: {e}", scenario.name, spec.name));
+            return Err(format!("scenario '{scenario}' failed for {}: {e}", spec.name));
         }
         Err(payload) => {
             return Err(format!(
-                "scenario '{}' panicked for {}: {}",
-                scenario.name,
+                "scenario '{scenario}' panicked for {}: {}",
                 spec.name,
                 panic_message(payload)
             ));
@@ -298,10 +353,9 @@ pub fn get_or_prepare(
                 if note_disk_failure(&dir) {
                     eprintln!(
                         "warning: could not persist preparation snapshot for \
-                         '{}'/{} under {} ({why}); the sweep continues with the \
+                         '{scenario}'/{} under {} ({why}); the sweep continues with the \
                          memory layer only and snapshot persistence under this \
                          directory is disabled for the rest of the process",
-                        scenario.name,
                         spec.name,
                         dir.display()
                     );
@@ -313,9 +367,9 @@ pub fn get_or_prepare(
     Ok(Prepared { workload, prep_seconds, source: PrepSource::Built })
 }
 
-/// The disk layer as seen by `get_or_prepare`: the snapshot directory
-/// when this process opted in via [`set_disk_persistence`], else
-/// `None`. The binary's cold/warm disk behavior is exercised by
+/// The disk layer as seen by [`lookup`] and [`build`]: the snapshot
+/// directory when this process opted in via [`set_disk_persistence`],
+/// else `None`. The binary's cold/warm disk behavior is exercised by
 /// `scripts/verify.sh`, and the store/load functions are unit-tested
 /// directly against scratch directories.
 fn disk_layer() -> Option<PathBuf> {

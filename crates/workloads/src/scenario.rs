@@ -2,11 +2,15 @@
 //!
 //! The paper studies twelve configurations (THS on/off × compaction
 //! normal/low × memhog 0/25/50%) and focuses on five. [`Scenario`]
-//! captures one configuration; [`Scenario::prepare`] boots a kernel,
-//! ages it, applies memhog load, and performs the benchmark's allocation
+//! captures one configuration. [`Scenario::age`] boots its kernel and
+//! ages it into an [`AgedMachine`]; [`AgedMachine::into_prepared`]
+//! then applies memhog load and performs one benchmark's allocation
 //! phase (with interleaved background traffic) — producing a
 //! [`PreparedWorkload`] whose page table carries exactly the contiguity
-//! that configuration generates.
+//! that configuration generates. Aging reads only the scenario, so one
+//! aged machine (cloned per benchmark) serves every benchmark of its
+//! scenario, as one machine serves every benchmark in the paper;
+//! [`Scenario::prepare`] ages and prepares one benchmark in one call.
 
 use crate::background::{age_system, AgingConfig, Interferer};
 use crate::pattern::PatternGen;
@@ -206,15 +210,7 @@ impl Scenario {
     /// Propagates kernel errors; the combined footprints plus load must
     /// fit the configured memory.
     pub fn prepare_many(&self, specs: &[BenchmarkSpec]) -> MemResult<MultiWorkload> {
-        let mut kernel = Kernel::new(KernelConfig {
-            nr_frames: self.nr_frames,
-            ths_enabled: self.ths,
-            compaction: self.compaction,
-            faults: self.faults,
-            policy: self.policy,
-            ..KernelConfig::default()
-        });
-        age_system(&mut kernel, self.aging, self.seed)?;
+        let mut kernel = self.age()?.kernel;
         let memhog = self.engage_memhog(
             &mut kernel,
             specs.iter().map(|s| s.footprint_pages).sum::<u64>(),
@@ -256,13 +252,13 @@ impl Scenario {
         })
     }
 
-    /// Boots, ages, loads, and allocates: produces the benchmark's
-    /// populated address space under this configuration.
+    /// Boots the scenario's kernel and ages it the way two months of use
+    /// would (§5.1.1). Nothing here depends on a benchmark, so one aged
+    /// machine can prepare every benchmark of the scenario.
     ///
     /// # Errors
-    /// Propagates kernel errors (the scenario is sized so that genuine
-    /// OOM indicates a configuration mistake).
-    pub fn prepare(&self, spec: &BenchmarkSpec) -> MemResult<PreparedWorkload> {
+    /// Propagates kernel errors from the aging pass.
+    pub fn age(&self) -> MemResult<AgedMachine> {
         let mut kernel = Kernel::new(KernelConfig {
             nr_frames: self.nr_frames,
             ths_enabled: self.ths,
@@ -271,46 +267,18 @@ impl Scenario {
             policy: self.policy,
             ..KernelConfig::default()
         });
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xA6E5);
-
-        // 1. Age the machine.
         age_system(&mut kernel, self.aging, self.seed)?;
+        Ok(AgedMachine { scenario: self.clone(), kernel })
+    }
 
-        // 2. System load + background-daemon settling.
-        let memhog = self.engage_memhog(&mut kernel, spec.footprint_pages)?;
-
-        // 3. The benchmark process plus its interfering neighbor.
-        let asid = kernel.spawn();
-        let mut interferer = Interferer::new(&mut kernel, self.seed ^ 0x1F);
-        let footprint =
-            self.allocate_benchmark(&mut kernel, asid, spec, &mut interferer, &mut rng)?;
-
-        // 4. Long-run pressure: superpage splits with punctured residue.
-        self.apply_pressure(&mut kernel)?;
-        for &vpn in &footprint {
-            kernel.touch(asid, vpn)?;
-        }
-        kernel.tick();
-        // An injected reclaim spike in that tick may have evicted clean
-        // file-backed footprint pages; fault them back in (the
-        // simulation assumes a fully mapped footprint).
-        if self.faults.is_some() {
-            for &vpn in &footprint {
-                kernel.touch(asid, vpn)?;
-            }
-        }
-
-        // 5. Write traffic: dirty a deterministic subset of pages.
-        self.mark_dirty_fraction(&mut kernel, asid, &footprint);
-
-        Ok(PreparedWorkload {
-            scenario_name: self.name.clone(),
-            spec: spec.clone(),
-            kernel,
-            asid,
-            footprint: Arc::new(footprint),
-            _memhog: memhog,
-        })
+    /// Boots, ages, loads, and allocates: produces the benchmark's
+    /// populated address space under this configuration.
+    ///
+    /// # Errors
+    /// Propagates kernel errors (the scenario is sized so that genuine
+    /// OOM indicates a configuration mistake).
+    pub fn prepare(&self, spec: &BenchmarkSpec) -> MemResult<PreparedWorkload> {
+        self.age()?.into_prepared(spec)
     }
 
     /// Engages memhog (capped to what physical memory can satisfy
@@ -452,6 +420,75 @@ impl Scenario {
     }
 }
 
+/// A scenario's kernel, booted and aged but not yet loaded for any
+/// benchmark. It keeps the scenario that aged it, so it is always
+/// prepared under that scenario's memhog fraction, pressure, dirty
+/// fraction and seed.
+///
+/// Cloning deep-copies the kernel, its fault plan's PRNG state and its
+/// policy counters included, so a benchmark prepared on a clone is
+/// byte-identical to one prepared on a freshly aged machine.
+#[derive(Clone, Debug)]
+pub struct AgedMachine {
+    scenario: Scenario,
+    kernel: Kernel,
+}
+
+impl AgedMachine {
+    /// The scenario that aged this machine.
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
+    }
+
+    /// Prepares `spec` on the machine itself: loads the system with
+    /// memhog, runs the benchmark's allocation phase, applies long-run
+    /// pressure and dirties its pages.
+    ///
+    /// # Errors
+    /// Propagates kernel errors (the scenario is sized so that genuine
+    /// OOM indicates a configuration mistake).
+    pub fn into_prepared(self, spec: &BenchmarkSpec) -> MemResult<PreparedWorkload> {
+        let AgedMachine { scenario, mut kernel } = self;
+        let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0xA6E5);
+
+        // 1. System load + background-daemon settling.
+        let memhog = scenario.engage_memhog(&mut kernel, spec.footprint_pages)?;
+
+        // 2. The benchmark process plus its interfering neighbor.
+        let asid = kernel.spawn();
+        let mut interferer = Interferer::new(&mut kernel, scenario.seed ^ 0x1F);
+        let footprint =
+            scenario.allocate_benchmark(&mut kernel, asid, spec, &mut interferer, &mut rng)?;
+
+        // 3. Long-run pressure: superpage splits with punctured residue.
+        scenario.apply_pressure(&mut kernel)?;
+        for &vpn in &footprint {
+            kernel.touch(asid, vpn)?;
+        }
+        kernel.tick();
+        // An injected reclaim spike in that tick may have evicted clean
+        // file-backed footprint pages; fault them back in (the
+        // simulation assumes a fully mapped footprint).
+        if scenario.faults.is_some() {
+            for &vpn in &footprint {
+                kernel.touch(asid, vpn)?;
+            }
+        }
+
+        // 4. Write traffic: dirty a deterministic subset of pages.
+        scenario.mark_dirty_fraction(&mut kernel, asid, &footprint);
+
+        Ok(PreparedWorkload {
+            scenario_name: scenario.name,
+            spec: spec.clone(),
+            kernel,
+            asid,
+            footprint: Arc::new(footprint),
+            _memhog: memhog,
+        })
+    }
+}
+
 /// Several benchmarks allocated in *one* kernel, for multiprogrammed
 /// simulation (round-robin scheduling with TLB flushes at switches).
 #[derive(Clone, Debug)]
@@ -571,6 +608,12 @@ impl PreparedWorkload {
 mod tests {
     use super::*;
     use crate::spec::benchmark;
+
+    fn enc_of(w: &PreparedWorkload) -> Vec<u8> {
+        let mut enc = Enc::new();
+        w.encode_snapshot(&mut enc);
+        enc.finish()
+    }
 
     #[test]
     fn paper_five_scenarios_have_expected_settings() {
@@ -777,12 +820,35 @@ mod tests {
             .with_policy(PolicyKind::Default)
             .prepare(&spec)
             .unwrap();
-        let enc_of = |w: &PreparedWorkload| {
-            let mut enc = Enc::new();
-            w.encode_snapshot(&mut enc);
-            enc.finish()
-        };
         assert_eq!(enc_of(&plain), enc_of(&tagged), "DefaultPolicy must be a no-op");
+    }
+
+    #[test]
+    fn one_aged_machine_prepares_each_benchmark_as_a_fresh_boot_does() {
+        // Each scenario ages once; one benchmark is prepared on a clone
+        // of the machine and the next on the machine itself. Both must
+        // encode to the bytes of a direct `Scenario::prepare`, so a
+        // clone must carry the fault plan's PRNG state and the policy
+        // counters along with the memory map.
+        let specs = [benchmark("Gobmk").unwrap(), benchmark("Povray").unwrap()];
+        let scenarios = Scenario::all_twelve().into_iter().chain([
+            Scenario::default_linux().with_faults(FaultConfig::default()),
+            Scenario::default_linux().with_policy(PolicyKind::GreedyContig),
+        ]);
+        for scenario in scenarios {
+            let aged = scenario.age().unwrap();
+            let cloned = aged.clone().into_prepared(&specs[0]).unwrap();
+            let moved = aged.into_prepared(&specs[1]).unwrap();
+            for (w, spec) in [(cloned, &specs[0]), (moved, &specs[1])] {
+                let direct = scenario.prepare(spec).unwrap();
+                assert!(
+                    enc_of(&w) == enc_of(&direct),
+                    "{} / {}: preparing from the shared aged machine changed the snapshot",
+                    scenario.name,
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 # mid-run, --resume, diff against an uninterrupted reference), a
 # snapshot-cache smoke (a cold and a warm smoke sweep, each
 # byte-identical to the committed results/smoke_sweep.csv, with exact
-# preparation counts), a serve smoke (resident server + load
+# preparation and aging counts), a serve smoke (resident server + load
 # generator, with a served-vs-direct byte-identity check),
 # a chaos smoke (the seeded network-fault soak; every verdict in
 # BENCH_chaos.json must hold),
@@ -221,8 +221,9 @@ echo "storage-fault crash smoke passed (resume byte-identical under injected ENO
 # (every preparation decodes its snapshot). Both runs must print the
 # tables in the committed results/smoke_sweep.csv byte for byte, so a
 # warm run that decodes a different kernel fails here. The cold run
-# must build exactly one preparation per benchmark, the warm run none,
-# and the warm run must spend almost no prep time.
+# must build exactly one preparation per benchmark and age exactly one
+# machine (fig18 and fig7-9 share the default scenario), the warm run
+# neither: it must decode exactly one snapshot per benchmark instead.
 SWEEP_ARGS=(--quick --bench Gobmk,Bzip2 --jobs "$(nproc)" fig18 fig7-9 --csv)
 echo "== snapshot-cache smoke: cold vs warm sweep =="
 json_field() {
@@ -247,13 +248,22 @@ if [[ "$warm_misses" != "0" ]]; then
     echo "FAIL: warm-cache sweep still built $warm_misses preparation(s) from scratch" >&2
     exit 1
 fi
-cold_prep=$(json_field prep_seconds_total "$CACHE_DIR/cold.json")
-warm_prep=$(json_field prep_seconds_total "$CACHE_DIR/warm.json")
-if ! awk -v w="$warm_prep" -v c="$cold_prep" 'BEGIN { exit !(w < 0.25 * c) }'; then
-    echo "FAIL: warm-cache prep time not ~0 (warm ${warm_prep}s vs cold ${cold_prep}s)" >&2
+cold_aged=$(json_field machines_aged "$CACHE_DIR/cold.json")
+if [[ "$cold_aged" != "1" ]]; then
+    echo "FAIL: cold smoke sweep aged $cold_aged machine(s), expected 1 (one scenario)" >&2
     exit 1
 fi
-echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, 2 cold / 0 warm preparations, prep ${cold_prep}s cold -> ${warm_prep}s warm)"
+warm_aged=$(json_field machines_aged "$CACHE_DIR/warm.json")
+if [[ "$warm_aged" != "0" ]]; then
+    echo "FAIL: warm-cache sweep still aged $warm_aged machine(s)" >&2
+    exit 1
+fi
+warm_decoded=$(json_field prep_cache_disk_hits "$CACHE_DIR/warm.json")
+if [[ "$warm_decoded" != "2" ]]; then
+    echo "FAIL: warm-cache sweep decoded $warm_decoded snapshot(s), expected 2 (one per benchmark)" >&2
+    exit 1
+fi
+echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, 2 cold / 0 warm preparations, 1 cold / 0 warm machines aged, 2 snapshots decoded warm)"
 
 # Serve smoke: a resident `repro serve` plus the serve-bench load
 # generator in a scratch directory. The bench drives mixed
