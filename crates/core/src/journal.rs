@@ -67,8 +67,15 @@ pub const RECORD_SCHEMA: &str = "colt-journal/v2";
 // crates.io checksum dependency.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded per step of [`crc32`]'s main loop.
+const CRC_SLICE: usize = 16;
+
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the classic bytewise table,
+/// and `CRC_TABLES[k][b]` is the CRC register after byte `b` followed
+/// by `k` zero bytes, so sixteen lookups fold sixteen input bytes at
+/// once.
+const fn crc32_tables() -> [[u32; 256]; CRC_SLICE] {
+    let mut tables = [[0u32; 256]; CRC_SLICE];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -77,19 +84,52 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC_SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc32_tables();
 
-/// CRC32 (IEEE) of `bytes`.
+/// CRC32 (IEEE) of `bytes`, sixteen bytes per step (slicing-by-16),
+/// then the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(CRC_SLICE);
+    for chunk in &mut chunks {
+        let b: &[u8; CRC_SLICE] = chunk.try_into().expect("chunks_exact yields full chunks");
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -956,6 +996,33 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The one-byte-per-step loop the sliced [`crc32`] must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        use colt_prng::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xC4C3_2B17);
+        let buf: Vec<u8> = (0..1024 + 8).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // Every length at every start offset within a chunk, so each
+        // split between the sliced steps and the bytewise tail occurs.
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start}, len {len}");
+            }
+        }
+        let big: Vec<u8> = (0..3 << 20).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(crc32(&big), crc32_bytewise(&big), "3 MiB buffer");
     }
 
     #[test]

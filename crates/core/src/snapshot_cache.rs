@@ -598,20 +598,36 @@ mod tests {
         (scenario, spec, w)
     }
 
+    /// A loaded snapshot re-encodes to the stored body byte for byte, so
+    /// every decoder reproduces exactly what its encoder wrote. Mcf has
+    /// the largest snapshot (the most page-table nodes); Povray is a
+    /// typical one.
     #[test]
     fn store_then_load_round_trips() {
         let dir = tmpdir("roundtrip");
-        let (scenario, spec, w) = prepared_pair();
-        let key = prep_key(&scenario, &spec);
-        store_to(&dir, &key, &w).unwrap();
-        let back = load_from(&dir, &key, &spec).expect("snapshot loads");
-        assert_eq!(back.scenario_name, w.scenario_name);
-        assert_eq!(back.footprint, w.footprint);
-        assert_eq!(back.kernel.stats(), w.kernel.stats());
-        assert_eq!(
-            back.contiguity().average_contiguity(),
-            w.contiguity().average_contiguity()
-        );
+        let scenario = Scenario::default_linux().with_seed(0x5AFE_CAFE);
+        for name in ["Povray", "Mcf"] {
+            let spec = benchmark(name).unwrap();
+            let w = scenario.prepare(&spec).unwrap();
+            let key = prep_key(&scenario, &spec);
+            store_to(&dir, &key, &w).unwrap();
+            let back = load_from(&dir, &key, &spec).expect("snapshot loads");
+            assert_eq!(back.scenario_name, w.scenario_name);
+            assert_eq!(back.footprint, w.footprint);
+            assert_eq!(back.kernel.stats(), w.kernel.stats());
+            assert_eq!(
+                back.contiguity().average_contiguity(),
+                w.contiguity().average_contiguity()
+            );
+            let file = std::fs::read(snapshot_path(&dir, &key)).unwrap();
+            let mut enc = Enc::new();
+            enc.str(&key);
+            back.encode_snapshot(&mut enc);
+            assert!(
+                enc.finish() == file[16..],
+                "{name}: the loaded workload re-encodes differently"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -780,30 +796,29 @@ mod tests {
     /// is covered (magic and version by direct comparison, the body by
     /// the CRC, the stored CRC by the mismatch it creates), so a bit
     /// flip anywhere must make `parse_snapshot` return an error — never
-    /// panic, never hand back a workload. Every header bit is flipped
-    /// exhaustively; body bits at a prime stride (the body is large and
-    /// each parse costs a full CRC pass).
+    /// panic, never hand back a workload. Every header bit and the last
+    /// 64 body bits are flipped exhaustively; 600 body bits in between
+    /// at an odd stride.
     #[test]
     fn snapshot_parse_never_accepts_a_flipped_bit() {
         let dir = tmpdir("flip-torture");
         let (scenario, spec, w) = prepared_pair();
         let key = prep_key(&scenario, &spec);
         store_to(&dir, &key, &w).unwrap();
-        let bytes = std::fs::read(snapshot_path(&dir, &key)).unwrap();
+        let mut bytes = std::fs::read(snapshot_path(&dir, &key)).unwrap();
         let header_bits = 16 * 8;
-        // Bound the body samples: each parse pays a full CRC pass over
-        // the (multi-megabyte) body, so a fine stride is quadratic.
-        let stride = ((bytes.len() * 8 - header_bits) / 150).max(1) | 1;
+        let stride = ((bytes.len() * 8 - header_bits) / 600).max(1) | 1;
         let flips = (0..header_bits)
             .chain((header_bits..bytes.len() * 8).step_by(stride))
             .chain(bytes.len() * 8 - 64..bytes.len() * 8);
         for bit in flips {
-            let mut corrupt = bytes.clone();
-            corrupt[bit / 8] ^= 1 << (bit % 8);
+            let mask = 1 << (bit % 8);
+            bytes[bit / 8] ^= mask;
             assert!(
-                parse_snapshot(&corrupt, &key, &spec).is_err(),
+                parse_snapshot(&bytes, &key, &spec).is_err(),
                 "bit {bit} flipped without the parser noticing"
             );
+            bytes[bit / 8] ^= mask;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -8,7 +8,7 @@
 //! frames — the intermediate contiguity CoLT exploits.
 
 use crate::addr::Pfn;
-use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
+use crate::snapshot::{cold_err, Dec, Enc, SnapResult, Snapshot};
 use std::collections::BTreeSet;
 
 /// Highest buddy order (blocks of `2^MAX_ORDER` = 1024 pages = 4MB),
@@ -347,15 +347,34 @@ impl Snapshot for BuddyAllocator {
 
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         let nr_frames = dec.u64()?;
-        let free_lists = Vec::<BTreeSet<u64>>::decode(dec)?;
-        let free_frames = dec.u64()?;
-        if nr_frames == 0 || free_lists.len() != (MAX_ORDER + 1) as usize {
-            return Err(SnapshotError(format!(
-                "buddy allocator shape invalid: {nr_frames} frames, {} free lists",
-                free_lists.len()
+        let lists = dec.len("buddy free lists")?;
+        if nr_frames == 0 || lists != (MAX_ORDER + 1) as usize {
+            return Err(cold_err(format_args!(
+                "buddy allocator shape invalid: {nr_frames} frames, {lists} free lists"
             )));
         }
-        Ok(Self { nr_frames, free_lists, free_frames })
+        let mut free_lists = Vec::with_capacity(lists);
+        for _ in 0..lists {
+            // The block starts are stored ascending; inserting them from
+            // the last one back is the cheap end of a `BTreeSet` (see
+            // `AddressSpace`'s decoder).
+            let n = dec.len("buddy free list")?;
+            let starts = dec.records(n, 8, "buddy free list")?;
+            let mut list = BTreeSet::new();
+            let mut next = None;
+            for start in starts.rchunks_exact(8) {
+                let start = u64::from_le_bytes(start.try_into().expect("8-byte chunk"));
+                if next.is_some_and(|later| start >= later) {
+                    return Err(cold_err(format_args!(
+                        "buddy free list block {start:#x} out of order"
+                    )));
+                }
+                next = Some(start);
+                list.insert(start);
+            }
+            free_lists.push(list);
+        }
+        Ok(Self { nr_frames, free_lists, free_frames: dec.u64()? })
     }
 }
 
@@ -392,6 +411,34 @@ mod tests {
         assert_eq!(covering_order(5), 3);
         assert_eq!(covering_order(512), 9);
         assert_eq!(covering_order(513), 10);
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_rejects_unordered_free_lists() {
+        let encode = |buddy: &BuddyAllocator| {
+            let mut enc = Enc::new();
+            buddy.encode(&mut enc);
+            enc.finish()
+        };
+        let mut buddy = BuddyAllocator::new(4096);
+        let a = buddy.alloc_block(0).unwrap();
+        buddy.alloc_block(3).unwrap();
+        buddy.alloc_block(1).unwrap();
+        buddy.free_block(a, 0);
+        let bytes = encode(&buddy);
+        let mut dec = Dec::new(&bytes);
+        let back = BuddyAllocator::decode(&mut dec).unwrap();
+        dec.finish().unwrap();
+        back.check_invariants();
+        assert_eq!(encode(&back), bytes);
+
+        // A fresh allocator's top-order list holds four blocks; swap the
+        // first two (after nr_frames, the list count, ten empty lists
+        // and the top list's length).
+        let mut swapped = encode(&BuddyAllocator::new(4096));
+        let first = 8 + 8 + 10 * 8 + 8;
+        swapped[first..first + 16].rotate_left(8);
+        assert!(BuddyAllocator::decode(&mut Dec::new(&swapped)).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! usually are not").
 
 use crate::addr::{Asid, Pfn, Vpn};
-use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
+use crate::snapshot::{bad_tag, Dec, Enc, SnapResult, Snapshot};
 
 /// The state of one physical page frame.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -193,13 +193,14 @@ impl Snapshot for FrameState {
         }
     }
 
+    #[inline]
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         match dec.u8()? {
             0 => Ok(FrameState::Free),
             1 => Ok(FrameState::Movable { owner: Asid::decode(dec)?, vpn: Vpn::decode(dec)? }),
             2 => Ok(FrameState::Huge { owner: Asid::decode(dec)?, base_vpn: Vpn::decode(dec)? }),
             3 => Ok(FrameState::Pinned),
-            b => Err(SnapshotError(format!("invalid FrameState tag {b:#x}"))),
+            b => Err(bad_tag("FrameState", b)),
         }
     }
 }
@@ -210,14 +211,18 @@ impl Snapshot for FrameDb {
     }
 
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
-        // The occupancy cache is derived state; rebuild it instead of
-        // trusting (and having to cross-check) a stored copy.
-        let states = Vec::<FrameState>::decode(dec)?;
-        let mut block_occupancy = vec![0u32; states.len().div_ceil(BLOCK_PAGES as usize)];
-        for (i, s) in states.iter().enumerate() {
+        // The occupancy cache is derived state; rebuild it in the same
+        // pass instead of trusting (and having to cross-check) a stored
+        // copy.
+        let n = dec.len("FrameDb states")?;
+        let mut states = Vec::with_capacity(n);
+        let mut block_occupancy = vec![0u32; n.div_ceil(BLOCK_PAGES as usize)];
+        for i in 0..n {
+            let s = FrameState::decode(dec)?;
             if !s.is_free() {
                 block_occupancy[i / BLOCK_PAGES as usize] += 1;
             }
+            states.push(s);
         }
         Ok(Self { states, block_occupancy })
     }

@@ -17,7 +17,7 @@ use crate::page_table::{PageKind, Pte, PteFlags, Translation};
 use crate::policy::{interleave, MmPolicy, Placement, PolicyKind, ReclaimOrder, ThpDecision};
 use crate::process::Process;
 use crate::shootdown::{ShootdownEvent, ShootdownKind, ShootdownLog};
-use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
+use crate::snapshot::{bad_tag, Dec, Enc, SnapResult, Snapshot};
 use crate::thp;
 use crate::vma::{Vma, VmaKind};
 use std::collections::{BTreeMap, VecDeque};
@@ -1401,7 +1401,7 @@ impl Snapshot for CompactionMode {
         match dec.u8()? {
             0 => Ok(CompactionMode::Normal),
             1 => Ok(CompactionMode::Low),
-            b => Err(SnapshotError(format!("invalid CompactionMode tag {b:#x}"))),
+            b => Err(bad_tag("CompactionMode", b)),
         }
     }
 }
@@ -1418,7 +1418,7 @@ impl Snapshot for PopulateMode {
         match dec.u8()? {
             0 => Ok(PopulateMode::Eager),
             1 => Ok(PopulateMode::Demand),
-            b => Err(SnapshotError(format!("invalid PopulateMode tag {b:#x}"))),
+            b => Err(bad_tag("PopulateMode", b)),
         }
     }
 }
@@ -2284,6 +2284,9 @@ mod tests {
         let mut dec = Dec::new(&bytes);
         let mut back = Kernel::decode(&mut dec).unwrap();
         dec.finish().unwrap();
+        let mut again = Enc::new();
+        back.encode(&mut again);
+        assert!(again.finish() == bytes, "the decoded kernel re-encodes differently");
 
         assert_eq!(back.stats(), k.stats());
         assert_eq!(back.free_frames(), k.free_frames());

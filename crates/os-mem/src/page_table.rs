@@ -8,7 +8,7 @@
 //! §4.1.4). Superpages are leaves at the second-lowest level (2MB).
 
 use crate::addr::{Pfn, PhysAddr, Vpn, PTES_PER_LINE, PT_FANOUT, PT_LEVELS, SUPERPAGE_PAGES};
-use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
+use crate::snapshot::{bad_tag, cold_err, Dec, Enc, SnapResult, Snapshot};
 use std::fmt;
 
 /// Simulated physical region where page-table nodes live, placed far above
@@ -588,6 +588,7 @@ impl Snapshot for PteFlags {
         enc.u16(self.0);
     }
 
+    #[inline]
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         Ok(PteFlags(dec.u16()?))
     }
@@ -599,6 +600,7 @@ impl Snapshot for Pte {
         self.flags.encode(enc);
     }
 
+    #[inline]
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         Ok(Self { pfn: Pfn::decode(dec)?, flags: PteFlags::decode(dec)? })
     }
@@ -628,13 +630,14 @@ impl Snapshot for Entry {
         }
     }
 
+    #[inline]
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         match dec.u8()? {
             0 => Ok(Entry::Empty),
             1 => Ok(Entry::Table(Box::new(Node::decode(dec)?))),
             2 => Ok(Entry::LeafBase(Pte::decode(dec)?)),
             3 => Ok(Entry::LeafSuper(Pte::decode(dec)?)),
-            b => Err(SnapshotError(format!("invalid page-table Entry tag {b:#x}"))),
+            b => Err(bad_tag("page-table Entry", b)),
         }
     }
 }
@@ -663,15 +666,18 @@ impl Snapshot for Node {
         let live = dec.u16()?;
         let n = dec.len("page-table node entries")?;
         if n > PT_FANOUT as usize {
-            return Err(SnapshotError(format!("node with {n} occupied entries")));
+            return Err(cold_err(format_args!("node with {n} occupied entries")));
         }
         let mut entries = Vec::with_capacity(PT_FANOUT as usize);
         entries.resize_with(PT_FANOUT as usize, || Entry::Empty);
+        // Indices arrive strictly ascending, so no slot is written twice.
+        let mut next_idx = 0;
         for _ in 0..n {
             let idx = dec.u16()? as usize;
-            if idx >= PT_FANOUT as usize {
-                return Err(SnapshotError(format!("node entry index {idx} out of range")));
+            if idx < next_idx || idx >= PT_FANOUT as usize {
+                return Err(cold_err(format_args!("node entry index {idx} out of order or range")));
             }
+            next_idx = idx + 1;
             entries[idx] = Entry::decode(dec)?;
         }
         Ok(Self { phys, entries, live })
@@ -924,6 +930,25 @@ mod tests {
         assert!(back.walk(Vpn::new(0x4000 + 7)).is_none());
         // Future node allocation continues from the same id.
         assert_eq!(back.next_node_id, pt.next_node_id);
+    }
+
+    #[test]
+    fn node_entries_must_arrive_in_index_order() {
+        let node = |indices: [u16; 2]| {
+            let mut enc = Enc::new();
+            PhysAddr::new(PT_NODE_REGION_BASE).encode(&mut enc);
+            enc.u16(2);
+            enc.usize(2);
+            for idx in indices {
+                enc.u16(idx);
+                Entry::LeafBase(Pte::new(Pfn::new(1), flags())).encode(&mut enc);
+            }
+            Node::decode(&mut Dec::new(&enc.finish()))
+        };
+        assert!(node([4, 9]).is_ok());
+        assert!(node([9, 4]).is_err());
+        assert!(node([4, 4]).is_err(), "a repeated index would drop an entry");
+        assert!(node([4, PT_FANOUT as u16]).is_err());
     }
 
     #[test]

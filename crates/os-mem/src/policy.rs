@@ -15,7 +15,7 @@
 //! returns exactly the value the kernel previously hard-coded, so all
 //! headline tables are unchanged.
 
-use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
+use crate::snapshot::{bad_tag, Dec, Enc, SnapResult, Snapshot};
 use crate::vma::VmaKind;
 use std::fmt;
 use std::str::FromStr;
@@ -420,7 +420,7 @@ impl Snapshot for PolicyKind {
             2 => Ok(PolicyKind::Adversarial),
             3 => Ok(PolicyKind::NoThp),
             4 => Ok(PolicyKind::DeferThp),
-            b => Err(SnapshotError(format!("invalid PolicyKind tag {b:#x}"))),
+            b => Err(bad_tag("PolicyKind", b)),
         }
     }
 }

@@ -17,7 +17,7 @@
 //! invalidate per-VPN walker cache state instead of flushing wholesale.
 
 use crate::addr::{Asid, Pfn, PhysAddr, Vpn};
-use crate::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
+use crate::snapshot::{bad_tag, Dec, Enc, SnapResult, Snapshot};
 
 /// Which kernel mutation triggered the shootdown.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -123,7 +123,7 @@ impl Snapshot for ShootdownKind {
             2 => Ok(ShootdownKind::SuperSplit),
             3 => Ok(ShootdownKind::Puncture),
             4 => Ok(ShootdownKind::Reclaim),
-            b => Err(SnapshotError(format!("invalid ShootdownKind tag {b:#x}"))),
+            b => Err(bad_tag("ShootdownKind", b)),
         }
     }
 }

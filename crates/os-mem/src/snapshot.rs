@@ -23,6 +23,11 @@
 //!   their fields module-private, so each module implements `Snapshot`
 //!   for its own types; this file holds the codec, the trait, and impls
 //!   for primitives, containers and the address newtypes.
+//! * **Lean decoding.** Every warm path loads snapshots, so a decoder
+//!   allocates nothing beyond the value it returns (no transient `Vec`
+//!   or map), the large containers (frame table, VMA maps, page-table
+//!   nodes, buddy free lists) decode in loops of their own, and error
+//!   messages are formatted only on `#[cold]` paths.
 //!
 //! Integrity (CRC, versioning, quarantine) is layered on top by the
 //! disk cache in `colt-core`; this module only guarantees that a decode
@@ -46,10 +51,6 @@ impl std::error::Error for SnapshotError {}
 
 /// Shorthand for decode results.
 pub type SnapResult<T> = Result<T, SnapshotError>;
-
-fn err<T>(what: &str) -> SnapResult<T> {
-    Err(SnapshotError(what.to_string()))
-}
 
 /// Byte-stream encoder. Append-only; [`Enc::finish`] yields the buffer.
 #[derive(Debug, Default)]
@@ -118,72 +119,99 @@ impl Enc {
 
 /// Byte-stream decoder over a borrowed buffer. Every getter
 /// bounds-checks; [`Dec::finish`] asserts the buffer was fully consumed.
+///
+/// The getters are `#[inline]` and keep their error formatting on
+/// `#[cold]` paths, so a decode loop over a large container compiles to
+/// a length check and a load per field.
 #[derive(Debug)]
 pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> Dec<'a> {
     /// A decoder positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { rest: buf }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &str) -> SnapResult<&'a [u8]> {
-        if self.remaining() < n {
-            return err(&format!("truncated reading {what}: need {n} bytes, have {}", self.remaining()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let Some((head, tail)) = self.rest.split_at_checked(n) else {
+            return Err(self.truncated(n, what));
+        };
+        self.rest = tail;
+        Ok(head)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &str) -> SnapResult<[u8; N]> {
+        let Some((head, tail)) = self.rest.split_first_chunk::<N>() else {
+            return Err(self.truncated(N, what));
+        };
+        self.rest = tail;
+        Ok(*head)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize, what: &str) -> SnapshotError {
+        SnapshotError(format!(
+            "truncated reading {what}: need {n} bytes, have {}",
+            self.remaining()
+        ))
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> SnapResult<u8> {
-        Ok(self.take(1, "u8")?[0])
+        Ok(self.array::<1>("u8")?[0])
     }
 
     /// Reads a little-endian u16.
+    #[inline]
     pub fn u16(&mut self) -> SnapResult<u16> {
-        let b = self.take(2, "u16")?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.array("u16")?))
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn u32(&mut self) -> SnapResult<u32> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array("u32")?))
     }
 
     /// Reads a little-endian u64.
+    #[inline]
     pub fn u64(&mut self) -> SnapResult<u64> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(u64::from_le_bytes(self.array("u64")?))
     }
 
     /// Reads a usize (stored as u64; rejects values over usize::MAX).
+    #[inline]
     pub fn usize(&mut self) -> SnapResult<usize> {
         let v = self.u64()?;
-        usize::try_from(v).map_or_else(|_| err(&format!("usize overflow: {v}")), Ok)
+        usize::try_from(v).map_err(|_| cold_err(format_args!("usize overflow: {v}")))
     }
 
     /// Reads an f64 from its bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> SnapResult<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a bool; rejects bytes other than 0 and 1.
+    #[inline]
     pub fn bool(&mut self) -> SnapResult<bool> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            b => err(&format!("invalid bool byte {b:#x}")),
+            b => Err(cold_err(format_args!("invalid bool byte {b:#x}"))),
         }
     }
 
@@ -196,19 +224,29 @@ impl<'a> Dec<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> SnapResult<String> {
         let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_or_else(|_| err("invalid UTF-8 in string"), Ok)
+        String::from_utf8(b.to_vec()).map_err(|_| cold_err(format_args!("invalid UTF-8 in string")))
     }
 
     /// A length prefix for a container about to be decoded element by
     /// element. Sanity-capped: each element must occupy at least one
     /// byte, so a prefix larger than the remaining buffer is corrupt
     /// (and would otherwise trigger a huge up-front allocation).
+    #[inline]
     pub fn len(&mut self, what: &str) -> SnapResult<usize> {
         let n = self.usize()?;
         if n > self.remaining() {
-            return err(&format!("implausible {what} length {n} with {} bytes left", self.remaining()));
+            return Err(cold_err(format_args!(
+                "implausible {what} length {n} with {} bytes left",
+                self.remaining()
+            )));
         }
         Ok(n)
+    }
+
+    /// The next `n` records of `size` bytes each, as one slice, for a
+    /// decoder that visits fixed-size records out of order.
+    pub(crate) fn records(&mut self, n: usize, size: usize, what: &str) -> SnapResult<&'a [u8]> {
+        self.take(n.saturating_mul(size), what)
     }
 
     /// Asserts the whole buffer was consumed.
@@ -216,9 +254,25 @@ impl<'a> Dec<'a> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            err(&format!("{} trailing bytes after decode", self.remaining()))
+            Err(cold_err(format_args!("{} trailing bytes after decode", self.remaining())))
         }
     }
+}
+
+/// Builds a [`SnapshotError`] off the hot path: decoders call this (or
+/// [`bad_tag`]) only once a check has failed, so the formatting code
+/// stays out of their loops.
+#[cold]
+#[inline(never)]
+pub(crate) fn cold_err(msg: std::fmt::Arguments<'_>) -> SnapshotError {
+    SnapshotError(msg.to_string())
+}
+
+/// The error for an impossible discriminant byte of `what`.
+#[cold]
+#[inline(never)]
+pub(crate) fn bad_tag(what: &str, tag: u8) -> SnapshotError {
+    SnapshotError(format!("invalid {what} tag {tag:#x}"))
 }
 
 /// Field-by-field byte serialization. `decode(encode(x)) == x` for every
@@ -236,6 +290,7 @@ macro_rules! impl_snapshot_prim {
             fn encode(&self, enc: &mut Enc) {
                 enc.$t(*self);
             }
+            #[inline]
             fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
                 dec.$t()
             }
@@ -299,7 +354,11 @@ impl<T: Snapshot + Ord> Snapshot for BTreeSet<T> {
         let n = dec.len("BTreeSet")?;
         let mut out = Self::new();
         for _ in 0..n {
-            out.insert(T::decode(dec)?);
+            let v = T::decode(dec)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(cold_err(format_args!("BTreeSet elements out of order")));
+            }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -318,6 +377,9 @@ impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
         let mut out = Self::new();
         for _ in 0..n {
             let k = K::decode(dec)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(cold_err(format_args!("BTreeMap keys out of order")));
+            }
             let v = V::decode(dec)?;
             out.insert(k, v);
         }
@@ -335,11 +397,12 @@ impl<T: Snapshot> Snapshot for Option<T> {
             }
         }
     }
+    #[inline]
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         match dec.u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(dec)?)),
-            b => err(&format!("invalid Option tag {b:#x}")),
+            b => Err(bad_tag("Option", b)),
         }
     }
 }
@@ -382,6 +445,7 @@ macro_rules! impl_snapshot_newtype_u64 {
             fn encode(&self, enc: &mut Enc) {
                 enc.u64(self.raw());
             }
+            #[inline]
             fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
                 Ok($t::new(dec.u64()?))
             }
@@ -395,6 +459,7 @@ impl Snapshot for Asid {
     fn encode(&self, enc: &mut Enc) {
         enc.u32(self.0);
     }
+    #[inline]
     fn decode(dec: &mut Dec<'_>) -> SnapResult<Self> {
         Ok(Self(dec.u32()?))
     }
@@ -424,7 +489,7 @@ mod tests {
         round_trip(&usize::MAX);
         round_trip(&true);
         round_trip(&false);
-        round_trip(&3.14159f64);
+        round_trip(&std::f64::consts::PI);
         round_trip(&f64::NEG_INFINITY);
         round_trip(&String::from("höhle|;\\ and \0 nul"));
     }
@@ -475,6 +540,25 @@ mod tests {
         enc.u64(u64::MAX);
         let bytes = enc.finish();
         assert!(Vec::<u64>::decode(&mut Dec::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn unordered_set_and_map_keys_are_rejected() {
+        let mut enc = Enc::new();
+        enc.usize(2);
+        enc.u64(5);
+        enc.u64(3);
+        assert!(BTreeSet::<u64>::decode(&mut Dec::new(&enc.finish())).is_err());
+        let mut enc = Enc::new();
+        enc.usize(2);
+        for _ in 0..2 {
+            enc.u64(7);
+            enc.u8(1);
+        }
+        assert!(
+            BTreeMap::<u64, u8>::decode(&mut Dec::new(&enc.finish())).is_err(),
+            "a repeated key would drop an entry"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 # mid-run, --resume, diff against an uninterrupted reference), a
 # snapshot-cache smoke (a cold and a warm smoke sweep, each
 # byte-identical to the committed results/smoke_sweep.csv, with exact
-# preparation and aging counts), a serve smoke (resident server + load
-# generator, with a served-vs-direct byte-identity check),
+# preparation and aging counts, leaving the snapshot files of the
+# committed results/smoke_snapshots.sha256), a serve smoke (resident
+# server + load generator, with a served-vs-direct byte-identity check),
 # a chaos smoke (the seeded network-fault soak; every verdict in
 # BENCH_chaos.json must hold),
 # a storage-torture smoke (seeded I/O fault schedules x simulated
@@ -224,6 +225,11 @@ echo "storage-fault crash smoke passed (resume byte-identical under injected ENO
 # must build exactly one preparation per benchmark and age exactly one
 # machine (fig18 and fig7-9 share the default scenario), the warm run
 # neither: it must decode exactly one snapshot per benchmark instead.
+# After each run the snapshot directory must hold exactly the two files
+# of the committed results/smoke_snapshots.sha256: their names are CRC32
+# fingerprints of the preparation keys and their bytes the whole
+# snapshot encoding, so a drift in either the format or the CRC fails
+# here.
 SWEEP_ARGS=(--quick --bench Gobmk,Bzip2 --jobs "$(nproc)" fig18 fig7-9 --csv)
 echo "== snapshot-cache smoke: cold vs warm sweep =="
 json_field() {
@@ -235,6 +241,12 @@ for run in cold warm; do
     if ! cmp -s results/smoke_sweep.csv "$CACHE_DIR/$run.csv"; then
         echo "FAIL: $run smoke sweep tables differ from results/smoke_sweep.csv" >&2
         diff results/smoke_sweep.csv "$CACHE_DIR/$run.csv" >&2 || true
+        exit 1
+    fi
+    snap_sums=$(cd "$CACHE_DIR/results/snapshots" && LC_ALL=C sha256sum -- *.snap)
+    if [[ "$snap_sums" != "$(cat results/smoke_snapshots.sha256)" ]]; then
+        echo "FAIL: snapshot files after the $run smoke sweep differ from results/smoke_snapshots.sha256" >&2
+        diff results/smoke_snapshots.sha256 <(echo "$snap_sums") >&2 || true
         exit 1
     fi
 done
@@ -263,7 +275,7 @@ if [[ "$warm_decoded" != "2" ]]; then
     echo "FAIL: warm-cache sweep decoded $warm_decoded snapshot(s), expected 2 (one per benchmark)" >&2
     exit 1
 fi
-echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, 2 cold / 0 warm preparations, 1 cold / 0 warm machines aged, 2 snapshots decoded warm)"
+echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, snapshot files match results/smoke_snapshots.sha256, 2 cold / 0 warm preparations, 1 cold / 0 warm machines aged, 2 snapshots decoded warm)"
 
 # Serve smoke: a resident `repro serve` plus the serve-bench load
 # generator in a scratch directory. The bench drives mixed
