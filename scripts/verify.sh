@@ -19,6 +19,8 @@
 # --resume must still be byte-identical),
 # and an MM-policy smoke (the policy sweep on a small grid, a
 # `--policy default` byte-identity diff, and policy-counter gates).
+# The SMP, fault-injection and policy smokes must each write their
+# BENCH_*.json byte-identical to the committed file under results/.
 #
 # No stage compares host time with a committed number: speed is judged
 # only by interleaved parent/change runs of the benchmark
@@ -53,18 +55,43 @@ cargo test -q
 echo "== cargo test (benchmark/) =="
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+CRASH_DIR=$(mktemp -d)
+IOCRASH_DIR=$(mktemp -d)
+CACHE_DIR=$(mktemp -d)
+SERVE_DIR=$(mktemp -d)
+POLICY_DIR=$(mktemp -d)
+CHAOS_DIR=$(mktemp -d)
+SMP_DIR=$(mktemp -d)
+FAULT_DIR=$(mktemp -d)
+trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR" "$SMP_DIR" "$FAULT_DIR"' EXIT
+REPRO="$PWD/target/release/repro"
+
+# The SMP, fault-injection and policy smokes each run cold in a scratch
+# directory, and the BENCH_*.json they write must equal the committed
+# results/ file byte for byte (none holds a timing, and each is the same
+# at any --jobs width). To regenerate one on purpose, rerun its smoke's
+# command from the repository root and say so in CHANGES.md.
+same_as_committed() {
+    if ! cmp -s "results/$1" "$2/results/$1"; then
+        echo "FAIL: $1 from the smoke run differs from the committed results/$1" >&2
+        diff "results/$1" "$2/results/$1" >&2 || true
+        exit 1
+    fi
+}
+
 # SMP smoke: a quick 4-core mix + core-count sweep.
 SMP_ARGS=(--quick --cores 4 --jobs "$(nproc)" smp_mix smp_scaling)
 echo "== SMP smoke: repro ${SMP_ARGS[*]} =="
-./target/release/repro "${SMP_ARGS[@]}" > /dev/null
-if [[ ! -f results/BENCH_smp.json ]]; then
+(cd "$SMP_DIR" && "$REPRO" "${SMP_ARGS[@]}" > /dev/null)
+if [[ ! -f "$SMP_DIR/results/BENCH_smp.json" ]]; then
     echo "FAIL: SMP smoke did not write results/BENCH_smp.json" >&2
     exit 1
 fi
-if ! grep -q '"mode": "tagged"' results/BENCH_smp.json; then
+if ! grep -q '"mode": "tagged"' "$SMP_DIR/results/BENCH_smp.json"; then
     echo "FAIL: results/BENCH_smp.json is missing tagged-mode rows" >&2
     exit 1
 fi
+same_as_committed BENCH_smp.json "$SMP_DIR"
 
 # Fault-injection smoke: a quick pressure sweep with a seeded fault
 # plan. Every cell must complete (panic isolation reports failures in
@@ -74,40 +101,27 @@ fi
 # same plan armed.
 FAULT_ARGS=(--quick --jobs "$(nproc)" --faults rate=0.05,window=0,seed=7 pressure)
 echo "== fault-injection smoke: repro ${FAULT_ARGS[*]} =="
-./target/release/repro "${FAULT_ARGS[@]}" > /dev/null
-if [[ ! -f results/BENCH_pressure.json ]]; then
+(cd "$FAULT_DIR" && "$REPRO" "${FAULT_ARGS[@]}" > /dev/null)
+FAULT_JSON="$FAULT_DIR/results/BENCH_pressure.json"
+if [[ ! -f "$FAULT_JSON" ]]; then
     echo "FAIL: pressure smoke did not write results/BENCH_pressure.json" >&2
     exit 1
 fi
-if ! grep -q '"failures": \[\]' results/BENCH_pressure.json; then
+if ! grep -q '"failures": \[\]' "$FAULT_JSON"; then
     echo "FAIL: results/BENCH_pressure.json reports failed sweep cells" >&2
     exit 1
 fi
 for counter in faults_injected thp_fallbacks; do
-    if ! grep -o "\"$counter\": [0-9]*" results/BENCH_pressure.json \
+    if ! grep -o "\"$counter\": [0-9]*" "$FAULT_JSON" \
             | awk '{ sum += $2 } END { exit !(sum > 0) }'; then
         echo "FAIL: fault-injection smoke never incremented $counter" >&2
         exit 1
     fi
 done
+same_as_committed BENCH_pressure.json "$FAULT_DIR"
 echo "== fault-injection oracle fuzz: repro pressure --check =="
 ./target/release/repro pressure --check --seeds 2 --events 120 \
     --jobs "$(nproc)" --faults rate=0.05,window=0,seed=7
-
-# Crash-recovery smoke: run a pressure sweep in a scratch directory,
-# kill it mid-sweep (COLT_CRASH_AFTER_CELLS aborts right after the k-th
-# journal fsync — a SIGKILL-equivalent death), then finish it with
-# --resume. The resumed run must leave BENCH_pressure.json and the CSV
-# output byte-identical to an uninterrupted reference run, with exactly
-# the k fsynced journal records surviving the crash.
-CRASH_DIR=$(mktemp -d)
-IOCRASH_DIR=$(mktemp -d)
-CACHE_DIR=$(mktemp -d)
-SERVE_DIR=$(mktemp -d)
-POLICY_DIR=$(mktemp -d)
-CHAOS_DIR=$(mktemp -d)
-trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR"' EXIT
-REPRO="$PWD/target/release/repro"
 
 # MM-policy smoke: a small policy-sweep grid (every shipped policy x
 # one benchmark x the checker's 8 TLB configs), plus the byte-identity
@@ -116,17 +130,18 @@ REPRO="$PWD/target/release/repro"
 # (nonzero policy-decision counters in the summaries).
 POLICY_ARGS=(--quick --bench Gobmk --jobs "$(nproc)" policy)
 echo "== policy smoke: repro ${POLICY_ARGS[*]} =="
-./target/release/repro "${POLICY_ARGS[@]}" > /dev/null
-if [[ ! -f results/BENCH_policy.json ]]; then
+(cd "$POLICY_DIR" && "$REPRO" "${POLICY_ARGS[@]}" > /dev/null)
+POLICY_JSON="$POLICY_DIR/results/BENCH_policy.json"
+if [[ ! -f "$POLICY_JSON" ]]; then
     echo "FAIL: policy smoke did not write results/BENCH_policy.json" >&2
     exit 1
 fi
-if ! grep -q '"failures": \[\]' results/BENCH_policy.json; then
+if ! grep -q '"failures": \[\]' "$POLICY_JSON"; then
     echo "FAIL: results/BENCH_policy.json reports failed sweep cells" >&2
     exit 1
 fi
 for pol in greedy_contig adversarial no_thp defer_thp; do
-    if ! grep "\"policy\": \"$pol\"" results/BENCH_policy.json \
+    if ! grep "\"policy\": \"$pol\"" "$POLICY_JSON" \
             | grep -o '"decisions": [0-9]*' \
             | awk '{ sum += $2 } END { exit !(sum > 0) }'; then
         echo "FAIL: policy smoke shows zero policy decisions under $pol" >&2
@@ -137,7 +152,7 @@ done
 # greedy_contig must hand the TLB at least as much contiguity as the
 # stock kernel, and adversarial strictly less.
 summary_contig() {
-    grep "\"policy\": \"$1\"" results/BENCH_policy.json \
+    grep "\"policy\": \"$1\"" "$POLICY_JSON" \
         | grep -o '"avg_contiguity": [0-9.]*' | head -n1 | awk '{print $2}'
 }
 if ! awk -v g="$(summary_contig greedy_contig)" -v d="$(summary_contig default)" \
@@ -145,6 +160,7 @@ if ! awk -v g="$(summary_contig greedy_contig)" -v d="$(summary_contig default)"
     echo "FAIL: policy contiguity spread broken (greedy=$(summary_contig greedy_contig) default=$(summary_contig default) adversarial=$(summary_contig adversarial))" >&2
     exit 1
 fi
+same_as_committed BENCH_policy.json "$POLICY_DIR"
 (cd "$POLICY_DIR" && "$REPRO" --quick --bench Gobmk,Bzip2 fig18 --csv > default_implicit.csv)
 (cd "$POLICY_DIR" && "$REPRO" --quick --bench Gobmk,Bzip2 --policy default fig18 --csv > default_explicit.csv)
 if ! cmp -s "$POLICY_DIR/default_implicit.csv" "$POLICY_DIR/default_explicit.csv"; then
@@ -152,6 +168,13 @@ if ! cmp -s "$POLICY_DIR/default_implicit.csv" "$POLICY_DIR/default_explicit.csv
     exit 1
 fi
 echo "policy smoke passed (5 policies swept, default byte-identical, contiguity spread holds)"
+
+# Crash-recovery smoke: run a pressure sweep in a scratch directory,
+# kill it mid-sweep (COLT_CRASH_AFTER_CELLS aborts right after the k-th
+# journal fsync — a SIGKILL-equivalent death), then finish it with
+# --resume. The resumed run must leave BENCH_pressure.json and the CSV
+# output byte-identical to an uninterrupted reference run, with exactly
+# the k fsynced journal records surviving the crash.
 CRASH_ARGS=(--quick --bench Sjeng --faults rate=0.3,window=50,seed=11
             --jobs "$(nproc)" pressure --csv)
 echo "== crash-recovery smoke: kill mid-sweep, then --resume =="
