@@ -47,8 +47,14 @@ pub fn run_figure(ths: bool, opts: &ExperimentOptions) -> MemhogFigure {
             } else {
                 Scenario::no_ths_with_memhog(fraction)
             });
+            // Both figures journal into the one `fig16-17` journal,
+            // so the label carries the THS setting.
             cells.push(SweepCell::new(
-                format!("fig16-17/{}/memhog({fraction})", spec.name),
+                format!(
+                    "fig16-17/{}/{}/memhog({fraction})",
+                    spec.name,
+                    if ths { "ths-on" } else { "ths-off" }
+                ),
                 &scenario,
                 spec,
                 0,

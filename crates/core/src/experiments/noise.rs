@@ -76,9 +76,13 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<NoiseRow>, ExperimentOutput) {
     let pattern_runs: Vec<[f64; 3]> = (0..3)
         .map(|i| elim_for(opts, base_scenario_seed, opts.seed.wrapping_add(i * 7919)))
         .collect();
-    // Axis 2: scenario seeds with the fixed default pattern seed.
-    let scenario_runs: Vec<[f64; 3]> = (0..3)
-        .map(|i| elim_for(opts, base_scenario_seed.wrapping_add(i * 104_729), opts.seed))
+    // Axis 2: scenario seeds with the fixed default pattern seed. Its
+    // first run has axis 1's first seeds, so it is that run, not a
+    // second sweep of the same cells under the same labels.
+    let scenario_runs: Vec<[f64; 3]> = std::iter::once(pattern_runs[0])
+        .chain((1..3).map(|i| {
+            elim_for(opts, base_scenario_seed.wrapping_add(i * 104_729), opts.seed)
+        }))
         .collect();
 
     for (axis, runs) in [("pattern seed", &pattern_runs), ("machine history", &scenario_runs)] {

@@ -22,9 +22,10 @@
 //! * [`artifact`] — atomic, verified result-file writes and the
 //!   `BENCH_*.json` builders,
 //! * [`serve`] / [`serve_bench`] — the resident `repro serve`
-//!   translation/sweep server (batched dispatch over the snapshot
-//!   cache, single-flight sweeps with an LRU result cache, a bounded
-//!   queue, a connection cap and priority shedding) and its load
+//!   translation/sweep server (persistent translate workers over the
+//!   snapshot cache, single-flight preparations and sweeps, an LRU
+//!   result cache, a bounded queue, a connection cap and priority
+//!   shedding) and its load
 //!   generator, [`lru`] the bounded map it and the snapshot cache
 //!   share,
 //! * [`report`] / [`metrics`] — output formatting and comparisons.

@@ -104,7 +104,6 @@ impl SweepCell<SimResult> {
 pub struct SweepTask<R> {
     label: String,
     refs: u64,
-    expires_at: Option<Instant>,
     job: TaskJob<R>,
 }
 
@@ -115,23 +114,9 @@ impl<R> SweepTask<R> {
         refs: u64,
         job: impl FnOnce() -> R + Send + 'static,
     ) -> Self {
-        Self { label: label.into(), refs, expires_at: None, job: Box::new(job) }
-    }
-
-    /// Attaches a dispatch deadline: if the engine picks the task up
-    /// after `at`, it fails with [`EXPIRED_IN_QUEUE`] *without running*
-    /// — under overload, work whose requester already deadlined out
-    /// must not burn a worker slot.
-    pub fn with_expiry(mut self, at: Instant) -> Self {
-        self.expires_at = Some(at);
-        self
+        Self { label: label.into(), refs, job: Box::new(job) }
     }
 }
-
-/// Failure payload of a task whose [`SweepTask::with_expiry`] deadline
-/// passed while it waited for a worker. Callers (the serve dispatcher)
-/// match on this to answer `deadline_exceeded` instead of `error`.
-pub const EXPIRED_IN_QUEUE: &str = "deadline exceeded before dispatch";
 
 /// What became of one sweep cell: its result, or a description of why
 /// it died while the rest of the sweep carried on.
@@ -139,8 +124,7 @@ pub const EXPIRED_IN_QUEUE: &str = "deadline exceeded before dispatch";
 pub enum CellOutcome<R> {
     /// The cell ran to completion (or was replayed from the journal).
     Ok(R),
-    /// Preparation failed, the job panicked, or the task expired in the
-    /// queue; `payload` is the cause.
+    /// Preparation failed or the job panicked; `payload` is the cause.
     Failed {
         /// Label of the failed cell ("fig18/Mcf/CoLT-All").
         label: String,
@@ -326,7 +310,6 @@ struct Item<R> {
     idx: usize,
     /// This item's throughput record; the worker fills in the timings.
     metric: CellMetric,
-    expires_at: Option<Instant>,
     work: Work<R>,
 }
 
@@ -442,13 +425,6 @@ impl<R> Pool<'_, R> {
     /// One worker: runs items until every item has finished.
     fn work(&self) {
         while let Some(mut item) = self.next() {
-            // A task whose requester's deadline already passed is dead
-            // on arrival: fail it without spending a worker on work
-            // nobody is waiting for.
-            if item.expires_at.is_some_and(|at| Instant::now() >= at) {
-                self.finish(item.idx, item.metric, Err(EXPIRED_IN_QUEUE.to_string()));
-                continue;
-            }
             match item.work {
                 Work::Task(job) => {
                     let ran = run_job(&mut item.metric, job);
@@ -628,9 +604,8 @@ fn run_job<R>(metric: &mut CellMetric, job: impl FnOnce() -> R) -> Result<R, Str
 /// workers, and returns one outcome per item in submission order.
 /// `collect_metrics` says whether finished cells push their
 /// [`CellMetric`]s into the process-global registry. Sweeps do (the
-/// BENCH reports drain it); service dispatches must not — a resident
-/// server batching forever would grow the registry without bound, and
-/// nothing drains it on that path.
+/// BENCH reports drain it); one-shot checkers do not — nothing drains
+/// the registry on their path.
 fn engine<R: Send>(
     items: Vec<Item<R>>,
     jobs: usize,
@@ -718,7 +693,6 @@ fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
                 prep_seconds: 0.0,
                 sim_seconds: 0.0,
             },
-            expires_at: None,
             work: Work::Cell { scenario: cell.scenario, spec: cell.spec, job: cell.job },
         })
         .collect()
@@ -738,7 +712,6 @@ fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<R>> {
                 prep_seconds: 0.0,
                 sim_seconds: 0.0,
             },
-            expires_at: task.expires_at,
             work: Work::Task(task.job),
         })
         .collect()
@@ -774,12 +747,11 @@ pub fn run_cells_outcomes<R: Send + 'static>(
     engine(cell_items(cells), jobs, None, true)
 }
 
-/// Runs self-contained tasks for resident services (`repro serve`) and
-/// one-shot checkers: panic isolation and submission-order results, no
-/// journal, and finished tasks do *not* accumulate in the global
-/// metrics registry — a server dispatching batches forever would grow
-/// it without bound, and only sweep entry points have a matching
-/// [`take_metrics`] drain.
+/// Runs self-contained tasks for one-shot checkers (`repro --check`):
+/// panic isolation and submission-order results, no journal, and
+/// finished tasks do *not* accumulate in the global metrics registry —
+/// only sweep entry points have a matching [`take_metrics`] drain, and
+/// a checker's tasks must not show up in a sweep's throughput report.
 pub fn run_tasks_service<R: Send + 'static>(
     tasks: Vec<SweepTask<R>>,
     jobs: usize,
@@ -793,7 +765,6 @@ mod tests {
     use colt_tlb::config::TlbConfig;
     use colt_workloads::spec::benchmark;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-    use std::time::Duration;
 
     fn quick_cfg(tlb: TlbConfig) -> SimConfig {
         SimConfig { pattern_seed: 0x5EED, ..SimConfig::new(tlb).with_accesses(10_000) }
@@ -827,44 +798,6 @@ mod tests {
         let plain: Vec<SweepTask<u64>> = vec![SweepTask::new("plain".to_string(), 0, || 7)];
         let _ = run_tasks_sweep(plain, &SweepOptions { jobs: 1, journal: None });
         assert_eq!(take_metrics().len(), 1);
-    }
-
-    #[test]
-    fn expired_tasks_fail_without_running_and_fresh_ones_still_run() {
-        let _g = drain_lock();
-        let _ = take_metrics();
-        let ran = Arc::new(AtomicU32::new(0));
-        let past = Instant::now() - Duration::from_millis(1);
-        let future = Instant::now() + Duration::from_secs(60);
-        let mk = |label: &str, at: Instant, ran: &Arc<AtomicU32>| {
-            let ran = Arc::clone(ran);
-            SweepTask::new(label.to_string(), 0, move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-                1u32
-            })
-            .with_expiry(at)
-        };
-        let tasks = vec![
-            mk("expired", past, &ran),
-            mk("fresh", future, &ran),
-            SweepTask::new("no-deadline".to_string(), 0, {
-                let ran = Arc::clone(&ran);
-                move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    2u32
-                }
-            }),
-        ];
-        let out = run_tasks_service(tasks, 2);
-        match &out[0] {
-            CellOutcome::Failed { payload, .. } => {
-                assert_eq!(payload, EXPIRED_IN_QUEUE, "expired task fails with the marker")
-            }
-            other => panic!("expired task must fail, got {other:?}"),
-        }
-        assert!(matches!(out[1], CellOutcome::Ok(1)));
-        assert!(matches!(out[2], CellOutcome::Ok(2)));
-        assert_eq!(ran.load(Ordering::SeqCst), 2, "the expired job never ran");
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! requests and responses) answers two kinds of work:
 //!
 //! * **translate** — simulate one (benchmark, TLB config, scenario)
-//!   cell. Requests are pulled off a *bounded* dispatch queue in
-//!   batches, each unique preparation is resolved once per batch through
-//!   [`snapshot_cache`] (its memory LRU, then disk snapshots, then a
-//!   fresh build), and the batch fans out onto the sweep runner's
-//!   workers via [`runner::run_tasks_service`].
+//!   cell. Requests wait in a *bounded* queue for one of `--jobs`
+//!   long-lived translate workers. A worker obtains the cell's
+//!   preparation through [`snapshot_cache`] (its memory LRU, then disk
+//!   snapshots, then a fresh build) behind a per-key single-flight, so
+//!   a burst of cold requests for one pair prepares it once; then it
+//!   simulates the cell and answers at once. No request waits for
+//!   another request's cell to finish.
 //! * **sweep** — run a full named experiment (`fig18`, `table1`, …) and
 //!   return its CSV bytes. Responses are cached in an LRU keyed by the
 //!   sweep fingerprint ([`ExperimentOptions::fingerprint`]), identical
@@ -26,9 +28,9 @@
 //! * the dispatch queue is bounded; a full queue is a *polite* `busy`
 //!   rejection, not an unbounded pile-up (backpressure), and so is a
 //!   connection past [`MAX_CONNS`],
-//! * runner metrics and snapshot-cache stats are drained after every
-//!   batch/sweep into fixed-size counters, so nothing grows with
-//!   uptime.
+//! * snapshot-cache stats are drained after every preparation and
+//!   sweep (runner metrics after every sweep) into fixed-size counters,
+//!   so nothing grows with uptime.
 //!
 //! ## Protocol
 //!
@@ -58,7 +60,7 @@
 use crate::experiments::{run_named, ExperimentOptions};
 use crate::journal::{fingerprint_of, Opened};
 use crate::lru::LruMap;
-use crate::runner::{self, CellOutcome, SweepTask};
+use crate::runner;
 use crate::sim::{self, SimConfig, SimResult};
 use crate::{panic_message, relock, snapshot_cache};
 use chaos::{ChaosFault, ChaosStream};
@@ -68,7 +70,7 @@ use json::obj;
 use colt_tlb::config::TlbConfig;
 use colt_workloads::scenario::{PreparedWorkload, Scenario};
 use colt_workloads::spec::{benchmark, BenchmarkSpec};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -92,9 +94,6 @@ pub const MAX_CONNS: usize = 64;
 
 /// Sweep results retained in the LRU result cache.
 const RESULT_CACHE_CAP: usize = 64;
-
-/// Translate requests dispatched per batch.
-const BATCH_MAX: usize = 64;
 
 /// Longest request line accepted, in bytes; past it the line is drained
 /// and rejected with `"rejected": "too_large"` (the connection stays
@@ -123,7 +122,7 @@ pub struct ServeConfig {
     /// Where to write the bound port (for scripts that start the server
     /// with `--port 0` and need to find it).
     pub port_file: Option<PathBuf>,
-    /// Worker threads for batched dispatch and sweeps.
+    /// Translate worker threads, and the width of each sweep.
     pub jobs: usize,
     /// Bound on the translate dispatch queue; a full queue rejects with
     /// `"rejected": "busy"` (backpressure, not buffering).
@@ -200,8 +199,6 @@ struct Counters {
     rejected_busy: AtomicU64,
     rejected_conns: AtomicU64,
     failed_cells: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
     prep_mem_hits: AtomicU64,
     prep_disk_hits: AtomicU64,
     prep_misses: AtomicU64,
@@ -222,16 +219,45 @@ impl Counters {
     }
 }
 
-/// One coalesced in-flight sweep: the leader computes, followers wait
-/// on the condvar and share the leader's bytes.
-struct Flight {
-    done: Mutex<Option<Result<Arc<String>, String>>>,
+/// One coalesced in-flight computation: the leader computes, followers
+/// wait on the condvar and share the leader's value. Sweeps coalesce on
+/// their result-cache key, translate preparations on their preparation
+/// key.
+struct Flight<T> {
+    done: Mutex<Option<Result<T, String>>>,
     cv: Condvar,
 }
 
-impl Flight {
-    fn new() -> Self {
-        Flight { done: Mutex::new(None), cv: Condvar::new() }
+impl<T: Clone> Flight<T> {
+    /// Joins the flight `map` holds for `key`, or starts one there;
+    /// `true` when the caller leads it. The leader must [`land`] it and
+    /// then take it out of the map.
+    ///
+    /// [`land`]: Flight::land
+    fn join(map: &mut HashMap<String, Arc<Self>>, key: &str) -> (Arc<Self>, bool) {
+        if let Some(f) = map.get(key) {
+            return (Arc::clone(f), false);
+        }
+        let f = Arc::new(Flight { done: Mutex::new(None), cv: Condvar::new() });
+        map.insert(key.to_string(), Arc::clone(&f));
+        (f, true)
+    }
+
+    /// Stores the leader's outcome and wakes every follower.
+    fn land(&self, outcome: Result<T, String>) {
+        *relock(&self.done) = Some(outcome);
+        self.cv.notify_all();
+    }
+
+    /// The leader's outcome, waiting for as long as it takes.
+    fn wait(&self) -> Result<T, String> {
+        let mut done = relock(&self.done);
+        loop {
+            if let Some(outcome) = done.as_ref() {
+                return outcome.clone();
+            }
+            done = self.cv.wait(done).unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
     }
 }
 
@@ -240,19 +266,33 @@ struct TranslateJob {
     scenario: Scenario,
     spec: BenchmarkSpec,
     sim_cfg: SimConfig,
-    /// Past this instant the work is dropped unrun (the runner checks
-    /// at dispatch) and the handler answers `"rejected": "deadline"`.
+    /// Past this instant the work is dropped unrun (a worker checks
+    /// when it takes the job) and the handler answers `"rejected":
+    /// "deadline"`.
     deadline: Instant,
-    reply: mpsc::Sender<Result<SimResult, String>>,
+    reply: mpsc::Sender<Answer>,
 }
 
-/// Shared server state; everything handler, dispatcher, and accept
-/// threads touch.
+/// What a translate worker sends back for one job.
+enum Answer {
+    Simulated(SimResult),
+    /// The deadline passed while the job was queued; nothing ran.
+    Expired,
+    /// The preparation failed, or the simulation panicked.
+    Failed(String),
+}
+
+/// Shared server state; everything handler, translate-worker, and
+/// accept threads touch.
 pub struct ServerState {
     cfg: ServeConfig,
     port: u16,
     results: Mutex<LruMap<Arc<String>>>,
-    inflight: Mutex<HashMap<String, Arc<Flight>>>,
+    inflight: Mutex<HashMap<String, Arc<Flight<Arc<String>>>>>,
+    /// Preparations being obtained right now, by preparation key: a
+    /// worker that needs one waits for its leader instead of preparing
+    /// the pair a second time.
+    preps: Mutex<HashMap<String, Arc<Flight<Arc<PreparedWorkload>>>>>,
     /// Sweeps run one at a time: the experiment drivers push into the
     /// process-global metrics registry, and serializing them keeps the
     /// drain attributable (and the peak footprint bounded).
@@ -354,7 +394,7 @@ pub struct ServerHandle {
     pub port: u16,
     state: Arc<ServerState>,
     accept: std::thread::JoinHandle<()>,
-    dispatcher: std::thread::JoinHandle<()>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// What the server did over its lifetime, printed at clean shutdown.
@@ -455,7 +495,9 @@ impl ServerHandle {
     /// `{"op":"shutdown"}`), then returns the lifetime summary.
     pub fn wait(self) -> ServeSummary {
         let _ = self.accept.join();
-        let _ = self.dispatcher.join();
+        for worker in self.workers {
+            let _ = worker.join();
+        }
         // Handler threads exit within one read-timeout tick of the
         // shutdown flag; give stragglers a bounded grace period.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -476,8 +518,8 @@ impl ServerHandle {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        // The dispatcher drains its queue before exiting; anything left
-        // is a job that slipped in after it looked — a leaked slot.
+        // The workers drain the queue before exiting; anything left is a
+        // job that slipped in after they looked — a leaked slot.
         if !relock(&self.state.queue).is_empty() {
             drained_clean = false;
         }
@@ -663,11 +705,12 @@ fn load_persisted_results(
     (loaded, quarantined)
 }
 
-/// Binds, spawns the accept and dispatcher threads, and returns. The
-/// caller drives [`ServerHandle::wait`] for the summary.
+/// Binds, spawns the accept thread and `jobs` translate workers, and
+/// returns. The caller drives [`ServerHandle::wait`] for the summary.
 ///
 /// # Errors
-/// Propagates bind/port-file I/O errors; nothing is left running then.
+/// Propagates bind, port-file and thread-spawn I/O errors; nothing is
+/// left running then.
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let cfg = cfg.normalized();
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
@@ -714,6 +757,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let state = Arc::new(ServerState {
         results,
         inflight: Mutex::new(HashMap::new()),
+        preps: Mutex::new(HashMap::new()),
         sweep_gate: Mutex::new(()),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
@@ -726,19 +770,31 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         cfg,
     });
 
-    let dispatcher = {
-        let state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("serve-dispatch".into())
-            .spawn(move || dispatch_loop(&state))?
-    };
-    let accept = {
-        let state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || accept_loop(&listener, &state))?
-    };
-    Ok(ServerHandle { port, state, accept, dispatcher })
+    let mut workers = Vec::with_capacity(state.cfg.jobs);
+    let spawned = (0..state.cfg.jobs)
+        .try_for_each(|_| {
+            let state = Arc::clone(&state);
+            let worker = std::thread::Builder::new()
+                .name("serve-translate".into())
+                .spawn(move || translate_worker(&state))?;
+            workers.push(worker);
+            Ok(())
+        })
+        .and_then(|()| {
+            let state = Arc::clone(&state);
+            std::thread::Builder::new()
+                .name("serve-accept".into())
+                .spawn(move || accept_loop(&listener, &state))
+        });
+    match spawned {
+        Ok(accept) => Ok(ServerHandle { port, state, accept, workers }),
+        Err(e) => {
+            // The workers already running see the flag at their next
+            // queue wait and exit.
+            state.shutdown.store(true, Ordering::SeqCst);
+            Err(e)
+        }
+    }
 }
 
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
@@ -1047,8 +1103,6 @@ fn stats_line(state: &ServerState) -> String {
         "evicted_slow" => load(&c.evicted_slow),
         "panics" => load(&c.panics),
         "failed_cells" => load(&c.failed_cells),
-        "batches" => load(&c.batches),
-        "batched_requests" => load(&c.batched_requests),
         "prep_mem_hits" => load(&c.prep_mem_hits),
         "prep_disk_hits" => load(&c.prep_disk_hits),
         "prep_misses" => load(&c.prep_misses),
@@ -1070,7 +1124,7 @@ fn stats_line(state: &ServerState) -> String {
 }
 
 // ---------------------------------------------------------------------
-// translate: bounded queue -> batched dispatch onto the runner
+// translate: bounded queue -> persistent translate workers
 // ---------------------------------------------------------------------
 
 fn parse_scenario(name: &str) -> Result<Scenario, String> {
@@ -1165,7 +1219,7 @@ fn handle_translate(
 
     let wait = deadline.saturating_duration_since(Instant::now());
     match result_rx.recv_timeout(wait) {
-        Ok(Ok(r)) => {
+        Ok(Answer::Simulated(r)) => {
             state.c.add(&state.c.translates, 1);
             obj! {
                 "ok" => true,
@@ -1180,17 +1234,17 @@ fn handle_translate(
             }
             .line()
         }
-        // The runner dropped the cell unrun at dispatch because its
-        // deadline had already passed — a deadline rejection, not a
-        // failed cell (no compute was lost and no slot leaked).
-        Ok(Err(e)) if e.contains(runner::EXPIRED_IN_QUEUE) => {
+        // A worker dropped the job unrun because its deadline had
+        // already passed — a deadline rejection, not a failed cell (no
+        // compute was lost and no slot leaked).
+        Ok(Answer::Expired) => {
             state.c.add(&state.c.rejected_deadline, 1);
             reject_line(
                 "deadline",
-                &format!("deadline of {deadline_ms}ms exceeded before dispatch"),
+                &format!("deadline of {deadline_ms}ms exceeded in the queue"),
             )
         }
-        Ok(Err(e)) => {
+        Ok(Answer::Failed(e)) => {
             state.c.add(&state.c.failed_cells, 1);
             err_line(&e)
         }
@@ -1204,82 +1258,83 @@ fn handle_translate(
     }
 }
 
-fn dispatch_loop(state: &Arc<ServerState>) {
-    loop {
-        let batch: Vec<TranslateJob> = {
-            let mut q = relock(&state.queue);
-            while q.is_empty() {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
+/// One translate worker: answers queued jobs one at a time until
+/// shutdown, then leaves once the queue is empty. A job whose deadline
+/// passed while it was queued is answered without running: its
+/// requester has already been told `deadline`, so no preparation or
+/// simulation is spent on it.
+fn translate_worker(state: &ServerState) {
+    while let Some(job) = next_job(state) {
+        let answer = if Instant::now() >= job.deadline {
+            Answer::Expired
+        } else {
+            match prepared(state, &job.scenario, &job.spec) {
+                Ok(workload) => {
+                    let run = || sim::run(&workload, &job.sim_cfg);
+                    match catch_unwind(AssertUnwindSafe(run)) {
+                        Ok(r) => Answer::Simulated(r),
+                        Err(payload) => Answer::Failed(format!(
+                            "translate of {} panicked: {}",
+                            job.spec.name,
+                            panic_message(payload)
+                        )),
+                    }
                 }
-                let (guard, _) = state
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(200))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q = guard;
+                Err(e) => Answer::Failed(e),
             }
-            let n = q.len().min(BATCH_MAX);
-            q.drain(..n).collect()
         };
-        run_batch(state, batch);
-        state.absorb_cache_stats();
+        let _ = job.reply.send(answer);
     }
 }
 
-/// Resolves each *unique* preparation once through the snapshot cache,
-/// then fans the whole batch out onto the sweep runner. This is
-/// the request-coalescing payoff: sixty queued translates against four
-/// configurations cost four cache lookups (or preparations), not sixty.
-fn run_batch(state: &Arc<ServerState>, batch: Vec<TranslateJob>) {
-    state.c.add(&state.c.batches, 1);
-    state.c.add(&state.c.batched_requests, batch.len() as u64);
-
-    let mut prepared: BTreeMap<String, Result<Arc<PreparedWorkload>, String>> =
-        BTreeMap::new();
-    for job in &batch {
-        let key = snapshot_cache::prep_key(&job.scenario, &job.spec);
-        prepared.entry(key).or_insert_with(|| {
-            snapshot_cache::get_or_prepare(&job.scenario, &job.spec).map(|p| p.workload)
-        });
-    }
-
-    let mut tasks: Vec<SweepTask<SimResult>> = Vec::new();
-    let mut replies: Vec<mpsc::Sender<Result<SimResult, String>>> = Vec::new();
-    for (i, job) in batch.into_iter().enumerate() {
-        let key = snapshot_cache::prep_key(&job.scenario, &job.spec);
-        match &prepared[&key] {
-            Ok(workload) => {
-                let workload = Arc::clone(workload);
-                let sim_cfg = job.sim_cfg;
-                tasks.push(
-                    SweepTask::new(
-                        format!("serve/{}/{i}", job.spec.name),
-                        sim_cfg.accesses,
-                        move || sim::run(&workload, &sim_cfg),
-                    )
-                    .with_expiry(job.deadline),
-                );
-                replies.push(job.reply);
-            }
-            Err(e) => {
-                let _ = job.reply.send(Err(e.clone()));
-            }
+/// The next queued job; `None` once shutdown is flagged and the queue
+/// is empty.
+fn next_job(state: &ServerState) -> Option<TranslateJob> {
+    let mut q = relock(&state.queue);
+    loop {
+        if let Some(job) = q.pop_front() {
+            return Some(job);
         }
+        if state.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        // The timeout covers a shutdown flagged between the check above
+        // and this wait.
+        q = state
+            .queue_cv
+            .wait_timeout(q, Duration::from_millis(200))
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .0;
     }
-    if tasks.is_empty() {
-        return;
+}
+
+/// The pair's prepared workload from [`snapshot_cache::get_or_prepare`],
+/// behind a per-key single-flight: the first worker to need a key leads
+/// and obtains it, and workers that need it meanwhile wait for the
+/// leader's workload (or its failure) instead of preparing it again.
+/// The leader drains the cache's counters into the server's before any
+/// of them can answer.
+fn prepared(
+    state: &ServerState,
+    scenario: &Scenario,
+    spec: &BenchmarkSpec,
+) -> Result<Arc<PreparedWorkload>, String> {
+    let key = snapshot_cache::prep_key(scenario, spec);
+    let (flight, leader) = Flight::join(&mut relock(&state.preps), &key);
+    if leader {
+        // Even a panic must land the flight: its followers wait for it.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            snapshot_cache::get_or_prepare(scenario, spec).map(|p| p.workload)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(format!("preparing {} panicked: {}", spec.name, panic_message(payload)))
+        });
+        state.absorb_cache_stats();
+        flight.land(outcome.clone());
+        relock(&state.preps).remove(&key);
+        return outcome;
     }
-    let outcomes = runner::run_tasks_service(tasks, state.cfg.jobs);
-    for (outcome, reply) in outcomes.into_iter().zip(replies) {
-        let msg = match outcome {
-            CellOutcome::Ok(r) => Ok(r),
-            CellOutcome::Failed { label, payload }
-            | CellOutcome::Quarantined { label, reason: payload } => {
-                Err(format!("cell {label} failed: {payload}"))
-            }
-        };
-        let _ = reply.send(msg);
-    }
+    flight.wait()
 }
 
 // ---------------------------------------------------------------------
@@ -1397,14 +1452,7 @@ fn handle_sweep(
             state.c.add(&state.c.sweep_cache_hits, 1);
             return sweep_response(&experiment, &fingerprint, true, false, &bytes);
         }
-        match inflight.get(&key) {
-            Some(f) => (Arc::clone(f), false),
-            None => {
-                let f = Arc::new(Flight::new());
-                inflight.insert(key.clone(), Arc::clone(&f));
-                (f, true)
-            }
-        }
+        Flight::join(&mut inflight, &key)
     };
 
     if leader {
@@ -1421,22 +1469,17 @@ fn handle_sweep(
         let spawned = std::thread::Builder::new()
             .name("sweep-leader".into())
             .spawn(move || {
-                let outcome =
-                    compute_sweep(&thread_state, &thread_exp, &thread_opts, &thread_key);
-                {
-                    let mut done = relock(&thread_flight.done);
-                    *done = Some(outcome);
-                    thread_flight.cv.notify_all();
-                }
+                thread_flight.land(compute_sweep(
+                    &thread_state,
+                    &thread_exp,
+                    &thread_opts,
+                    &thread_key,
+                ));
                 relock(&thread_state.inflight).remove(&thread_key);
                 thread_state.inflight_sweeps.fetch_sub(1, Ordering::SeqCst);
             });
         if spawned.is_err() {
-            {
-                let mut done = relock(&flight.done);
-                *done = Some(Err("could not spawn the sweep leader thread".into()));
-                flight.cv.notify_all();
-            }
+            flight.land(Err("could not spawn the sweep leader thread".into()));
             relock(&state.inflight).remove(&key);
             state.inflight_sweeps.fetch_sub(1, Ordering::SeqCst);
         }
@@ -1486,7 +1529,7 @@ fn serve_usage() -> String {
     "usage: repro serve [--port N] [--port-file PATH] [--jobs N] [--cache-dir PATH]\n\
      --port N         TCP port (default 0 = ephemeral; bound port is printed\n\
      \u{20}                and written to --port-file)\n\
-     --jobs N         worker threads for batched translates and sweeps\n\
+     --jobs N         translate worker threads, and each sweep's width\n\
      --cache-dir PATH persist/reload the sweep result cache across restarts\n\
      protocol: one JSON object per line; ops: ping stats translate sweep shutdown"
         .to_string()

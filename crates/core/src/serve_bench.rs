@@ -475,7 +475,8 @@ fn worker(
     for i in 0..cfg.requests {
         // Spread the rotation across workers so concurrent connections
         // ask for the same few configurations at the same time — that is
-        // what batching + coalesced preparation are for.
+        // what the preparation single-flight and the shared memory
+        // cache are for.
         let step = worker_index as u64 + i;
         let bench = &benches[(step as usize) % benches.len()];
         let config = CONFIG_ROTATION[(step as usize) % CONFIG_ROTATION.len()];

@@ -1,7 +1,8 @@
 //! Integration suite for `repro serve`: the determinism guarantee
 //! (served bytes == direct bytes), the LRU result cache, single-flight
-//! coalescing, backpressure rejection under flood, the connection cap,
-//! and warm restart from durable snapshots.
+//! coalescing of sweeps and of preparations, the persistent translate
+//! workers, queue expiry, backpressure rejection under flood, the
+//! connection cap, and warm restart from durable snapshots.
 //!
 //! The server and the snapshot cache share process-global state (the
 //! in-memory preparation cache, the stats counters, and — in the warm
@@ -16,7 +17,8 @@ use colt_workloads::scenario::Scenario;
 use colt_workloads::spec::benchmark;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 static GATE: Mutex<()> = Mutex::new(());
@@ -59,6 +61,28 @@ impl Client {
 
 fn ok(response: &json::Json) -> bool {
     response.get("ok").and_then(json::Json::as_bool) == Some(true)
+}
+
+fn field(response: &json::Json, key: &str) -> u64 {
+    response.get(key).and_then(json::Json::as_u64).unwrap_or_else(|| panic!("{key}: {response:?}"))
+}
+
+/// A translate long enough to keep a worker busy for a good while in
+/// any build: three million references.
+const LONG_TRANSLATE: &str =
+    "{\"op\": \"translate\", \"benchmark\": \"Gobmk\", \"accesses\": 3000000}";
+
+/// Polls `stats` until `done` holds for it; panics after a minute.
+fn wait_for_stats(client: &mut Client, what: &str, done: impl Fn(&json::Json) -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = client.request("{\"op\": \"stats\"}");
+        if done(&stats) {
+            return;
+        }
+        assert!(std::time::Instant::now() < deadline, "never saw {what}: {stats:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -284,8 +308,8 @@ fn a_restarted_server_resumes_warm_from_disk_snapshots() {
     client.shutdown();
     assert_eq!(handle.wait().failed_cells, 0);
     // The server drains the snapshot-cache stats into its own counters
-    // after every batch, so the cold build's evidence is the durable
-    // snapshot it left behind.
+    // after every preparation, so the cold build's evidence is the
+    // durable snapshot it left behind.
     let snapshots = std::fs::read_dir(&dir).unwrap().count();
     assert!(snapshots >= 1, "a .snap file must survive the first server");
 
@@ -302,23 +326,14 @@ fn a_restarted_server_resumes_warm_from_disk_snapshots() {
         first.get("l1_misses").and_then(json::Json::as_u64),
         "a snapshot-restored preparation must simulate identically"
     );
-    // The dispatcher absorbs the cache stats just after replying, so
-    // poll briefly for the counter to land.
-    let mut stats_client = Client::connect(handle.port);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let stats = stats_client.request("{\"op\": \"stats\"}");
-        let disk_hits =
-            stats.get("prep_disk_hits").and_then(json::Json::as_u64).unwrap_or(0);
-        if disk_hits >= 1 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the restarted server must warm up from disk, not rebuild: {stats:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // A worker drains the cache stats into the server's counters before
+    // it answers, so the decode is counted by now.
+    let stats = client.request("{\"op\": \"stats\"}");
+    assert_eq!(
+        (field(&stats, "prep_disk_hits"), field(&stats, "prep_misses")),
+        (1, 0),
+        "the restarted server must warm up from disk, not rebuild: {stats:?}"
+    );
     client.shutdown();
     assert_eq!(handle.wait().failed_cells, 0);
 
@@ -463,4 +478,129 @@ fn wait_returns_promptly_after_a_socket_shutdown() {
         "shutdown must converge quickly, not wait out long timeouts"
     );
     assert_eq!(summary.failed_cells, 0);
+}
+
+/// The persistent translate workers: at two workers, a short translate
+/// on a warm pair is answered while a long one still runs on the other
+/// worker. A dispatcher that answers a whole batch only when its slowest
+/// cell ends answers the short one after the long one.
+#[test]
+fn a_short_translate_is_answered_while_a_long_one_runs() {
+    let _g = lock();
+    let _ = snapshot_cache::take_stats();
+    let handle = serve::start(test_config()).expect("server starts");
+    let port = handle.port;
+    let mut short = Client::connect(port);
+    let warm = "{\"op\": \"translate\", \"benchmark\": \"Gobmk\", \"accesses\": 1000}";
+    assert!(ok(&short.request(warm)), "the pair warms up");
+    let mut probe = Client::connect(port);
+    let lookups = field(&probe.request("{\"op\": \"stats\"}"), "prep_mem_hits");
+
+    let long_answered = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let long = scope.spawn(|| {
+            let answer = Client::connect(port).request(LONG_TRANSLATE);
+            long_answered.store(true, Ordering::SeqCst);
+            answer
+        });
+        // The queue is empty and a worker has looked the long translate's
+        // pair up: it is simulating now.
+        wait_for_stats(&mut probe, "the long translate on a worker", |s| {
+            field(s, "queue_len") == 0 && field(s, "prep_mem_hits") > lookups
+        });
+        let answer = short.request(warm);
+        assert!(ok(&answer), "{answer:?}");
+        assert!(
+            !long_answered.load(Ordering::SeqCst),
+            "the short translate must be answered before the long one"
+        );
+        let long = long.join().expect("no panic");
+        assert!(ok(&long), "{long:?}");
+        assert_eq!(field(&long, "accesses"), 3_000_000);
+    });
+
+    short.shutdown();
+    assert_eq!(handle.wait().failed_cells, 0);
+}
+
+/// Queue expiry: at one worker, a translate that waits in the queue past
+/// its `"deadline_ms"` is answered `deadline` and is never prepared or
+/// run once the worker reaches it.
+#[test]
+fn a_translate_that_expires_in_the_queue_is_never_prepared() {
+    let _g = lock();
+    snapshot_cache::clear_memory();
+    let _ = snapshot_cache::take_stats();
+    let handle = serve::start(ServeConfig { jobs: 1, ..test_config() }).expect("server starts");
+    let port = handle.port;
+    let mut long = Client::connect(port);
+    let mut probe = Client::connect(port);
+
+    std::thread::scope(|scope| {
+        let answer = scope.spawn(|| long.request(LONG_TRANSLATE));
+        // The long translate's cold preparation is done and counted: the
+        // one worker is simulating it.
+        wait_for_stats(&mut probe, "the long translate prepared", |s| {
+            field(s, "prep_misses") == 1
+        });
+        let expired = Client::connect(port).request(
+            "{\"op\": \"translate\", \"benchmark\": \"Povray\", \"deadline_ms\": 20}",
+        );
+        assert_eq!(
+            expired.get("rejected").and_then(json::Json::as_str),
+            Some("deadline"),
+            "{expired:?}"
+        );
+        let answer = answer.join().expect("no panic");
+        assert!(ok(&answer), "{answer:?}");
+    });
+
+    // One worker takes jobs in order: once this warm translate is
+    // answered, the expired job has been taken and dropped.
+    assert!(ok(&long.request(
+        "{\"op\": \"translate\", \"benchmark\": \"Gobmk\", \"accesses\": 1000}"
+    )));
+    let stats = probe.request("{\"op\": \"stats\"}");
+    assert_eq!(field(&stats, "prep_misses"), 1, "the expired pair was prepared: {stats:?}");
+    assert_eq!(field(&stats, "rejected_deadline"), 1);
+    assert_eq!(field(&stats, "failed_cells"), 0);
+    long.shutdown();
+    assert_eq!(handle.wait().failed_cells, 0);
+}
+
+/// The preparation single-flight: four concurrent cold translates of one
+/// pair at two workers prepare it once. Without it, both workers miss
+/// the cache and prepare the pair side by side.
+#[test]
+fn concurrent_cold_translates_of_one_pair_prepare_it_once() {
+    let _g = lock();
+    snapshot_cache::clear_memory();
+    let _ = snapshot_cache::take_stats();
+    let handle = serve::start(test_config()).expect("server starts");
+    let port = handle.port;
+
+    let line = "{\"op\": \"translate\", \"benchmark\": \"Sjeng\", \"accesses\": 2000}";
+    let start = Barrier::new(4);
+    let answers: Vec<json::Json> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(port);
+                    start.wait();
+                    client.request(line)
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("no panic")).collect()
+    });
+    for answer in &answers {
+        assert!(ok(answer), "{answer:?}");
+        assert_eq!(field(answer, "walks"), field(&answers[0], "walks"));
+    }
+
+    let mut client = Client::connect(port);
+    let stats = client.request("{\"op\": \"stats\"}");
+    assert_eq!(field(&stats, "prep_misses"), 1, "one preparation for one pair: {stats:?}");
+    client.shutdown();
+    assert_eq!(handle.wait().failed_cells, 0);
 }

@@ -21,6 +21,10 @@
 # `--policy default` byte-identity diff, and policy-counter gates).
 # The SMP, fault-injection and policy smokes must each write their
 # BENCH_*.json byte-identical to the committed file under results/.
+# Every smoke runs in a scratch directory and leaves results/ as it
+# found it: the serve, chaos and torture smokes gate the files they
+# write there (their timings and arguments differ from the committed
+# records).
 #
 # No stage compares host time with a committed number: speed is judged
 # only by interleaved parent/change runs of the benchmark
@@ -63,7 +67,8 @@ POLICY_DIR=$(mktemp -d)
 CHAOS_DIR=$(mktemp -d)
 SMP_DIR=$(mktemp -d)
 FAULT_DIR=$(mktemp -d)
-trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR" "$SMP_DIR" "$FAULT_DIR"' EXIT
+TORTURE_DIR=$(mktemp -d)
+trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR" "$SMP_DIR" "$FAULT_DIR" "$TORTURE_DIR"' EXIT
 REPRO="$PWD/target/release/repro"
 
 # The SMP, fault-injection and policy smokes each run cold in a scratch
@@ -305,11 +310,11 @@ echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, snapsho
 # translate/sweep traffic, requests the sweep twice (the second must be
 # an LRU result-cache hit), and byte-compares the served sweep against
 # a direct in-process run (--verify-sweep). The server must then shut
-# down cleanly with zero quarantined cells, and the published
-# BENCH_serve.json must show every request answered ok, real
-# throughput and a warm cache.
+# down cleanly with zero quarantined cells, and the BENCH_serve.json it
+# writes there must show every request answered ok, real throughput
+# and a warm cache.
 echo "== serve smoke: repro serve + serve-bench =="
-REPO_RESULTS="$PWD/results"
+SERVE_JSON="$SERVE_DIR/BENCH_serve.json"
 (cd "$SERVE_DIR" && "$REPRO" serve --port 0 --port-file serve.port \
     > serve.log 2>&1) &
 SERVE_PID=$!
@@ -324,7 +329,7 @@ fi
 (cd "$SERVE_DIR" && "$REPRO" serve-bench --port-file serve.port \
     --conns 4 --requests 100 --accesses 5000 \
     --sweep fig18 --sweep-every 25 --sweep-accesses 20000 --bench Gobmk \
-    --verify-sweep --shutdown --quiet --out "$REPO_RESULTS/BENCH_serve.json")
+    --verify-sweep --shutdown --quiet --out "$SERVE_JSON")
 if ! wait "$SERVE_PID"; then
     echo "FAIL: repro serve exited nonzero after shutdown" >&2
     cat "$SERVE_DIR/serve.log" >&2
@@ -340,23 +345,23 @@ done
 # serve-bench counts error answers without failing, so gate on every
 # request having been answered ok (a server that errors on every
 # translate would otherwise pass on sweep cache hits alone).
-serve_requests=$(json_field requests "$REPO_RESULTS/BENCH_serve.json")
-serve_ok=$(json_field ok "$REPO_RESULTS/BENCH_serve.json")
+serve_requests=$(json_field requests "$SERVE_JSON")
+serve_ok=$(json_field ok "$SERVE_JSON")
 if [[ -z "$serve_requests" || "$serve_ok" != "$serve_requests" ]]; then
     echo "FAIL: BENCH_serve.json answered ok=$serve_ok of requests=$serve_requests" >&2
     exit 1
 fi
-serve_rps=$(json_field requests_per_sec "$REPO_RESULTS/BENCH_serve.json")
+serve_rps=$(json_field requests_per_sec "$SERVE_JSON")
 if ! awk -v r="$serve_rps" 'BEGIN { exit !(r > 0) }'; then
     echo "FAIL: BENCH_serve.json reports no throughput (requests_per_sec=$serve_rps)" >&2
     exit 1
 fi
-serve_hit_rate=$(json_field cache_hit_rate "$REPO_RESULTS/BENCH_serve.json")
+serve_hit_rate=$(json_field cache_hit_rate "$SERVE_JSON")
 if ! awk -v h="$serve_hit_rate" 'BEGIN { exit !(h > 0) }'; then
     echo "FAIL: repeated identical sweeps never hit the result cache (cache_hit_rate=$serve_hit_rate)" >&2
     exit 1
 fi
-if ! grep -q '"verified": true' "$REPO_RESULTS/BENCH_serve.json"; then
+if ! grep -q '"verified": true' "$SERVE_JSON"; then
     echo "FAIL: serve-bench did not verify served-vs-direct byte identity" >&2
     exit 1
 fi
@@ -371,19 +376,20 @@ echo "serve smoke passed ($serve_rps req/s, sweep cache hit rate $serve_hit_rate
 # bytes under retries identical to a direct in-process run, and a
 # warm restart serving the drained cache byte-identically.
 echo "== chaos smoke: repro chaos-serve =="
+CHAOS_JSON="$CHAOS_DIR/BENCH_chaos.json"
 (cd "$CHAOS_DIR" && "$REPRO" chaos-serve --chaos rate=0.15,window=0,seed=7 \
     --conns 2 --requests 10 --accesses 500 \
     --sweep fig18 --sweep-every 4 --sweep-accesses 1000 --bench Gobmk \
-    --quiet --out "$REPO_RESULTS/BENCH_chaos.json")
+    --quiet --out "$CHAOS_JSON")
 for verdict in zero_panics faults_accounted no_leaked_slots byte_identity \
                warm_restart_identity all_ok; do
-    if ! grep -q "\"$verdict\": true" "$REPO_RESULTS/BENCH_chaos.json"; then
+    if ! grep -q "\"$verdict\": true" "$CHAOS_JSON"; then
         echo "FAIL: BENCH_chaos.json verdict '$verdict' did not hold" >&2
-        cat "$REPO_RESULTS/BENCH_chaos.json" >&2
+        cat "$CHAOS_JSON" >&2
         exit 1
     fi
 done
-chaos_faults=$(json_field faults_injected "$REPO_RESULTS/BENCH_chaos.json")
+chaos_faults=$(json_field faults_injected "$CHAOS_JSON")
 if ! awk -v f="$chaos_faults" 'BEGIN { exit !(f > 0) }'; then
     echo "FAIL: chaos smoke injected no faults (faults_injected=$chaos_faults)" >&2
     exit 1
@@ -395,27 +401,29 @@ echo "chaos smoke passed ($chaos_faults faults injected, all verdicts hold)"
 # runs a sweep doomed by a seeded storage-fault schedule (ENOSPC, EIO,
 # torn writes, lying fsyncs, dropped renames, bit flips), simulates a
 # power cut, re-opens everything cold, and recovers with --resume.
-# Every verdict in BENCH_torture.json must hold, injection must have
-# fired, and no tmp litter may survive anywhere under results/.
+# Every verdict in the BENCH_torture.json it writes in its scratch
+# directory must hold, injection must have fired, and no tmp litter may
+# survive anywhere under that directory's results/.
 TORTURE_ARGS=(torture --seeds 3 --cuts 1 --accesses 1000 --quiet)
 echo "== storage-torture smoke: repro ${TORTURE_ARGS[*]} =="
-./target/release/repro "${TORTURE_ARGS[@]}"
+(cd "$TORTURE_DIR" && "$REPRO" "${TORTURE_ARGS[@]}")
+TORTURE_JSON="$TORTURE_DIR/results/BENCH_torture.json"
 for verdict in zero_panics no_corrupt_accepted resume_identity warm_identity \
                ledger_identity all_ok; do
-    if ! grep -q "\"$verdict\": true" results/BENCH_torture.json; then
+    if ! grep -q "\"$verdict\": true" "$TORTURE_JSON"; then
         echo "FAIL: BENCH_torture.json verdict '$verdict' did not hold" >&2
-        cat results/BENCH_torture.json >&2
+        cat "$TORTURE_JSON" >&2
         exit 1
     fi
 done
-torture_faults=$(json_field io_faults_injected results/BENCH_torture.json)
+torture_faults=$(json_field io_faults_injected "$TORTURE_JSON")
 if ! awk -v f="$torture_faults" 'BEGIN { exit !(f > 0) }'; then
     echo "FAIL: torture smoke injected no I/O faults (io_faults_injected=$torture_faults)" >&2
     exit 1
 fi
-if find results -name '*.tmp-*' | grep -q .; then
+if find "$TORTURE_DIR/results" -name '*.tmp-*' | grep -q .; then
     echo "FAIL: torture smoke leaked tmp files under results/" >&2
-    find results -name '*.tmp-*' >&2
+    find "$TORTURE_DIR/results" -name '*.tmp-*' >&2
     exit 1
 fi
 echo "storage-torture smoke passed ($torture_faults I/O faults injected, all verdicts hold)"

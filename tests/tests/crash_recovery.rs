@@ -2,10 +2,12 @@
 //! finished with `--resume` must produce the *byte-identical*
 //! machine-readable result of an uninterrupted run, for any `k` —
 //! including `k = 0` (nothing journaled) and `k = all` (nothing left to
-//! run) — and must re-run exactly the missing cells, no more.
+//! run) — and must re-run exactly the missing cells, no more. Sweeps
+//! that run one benchmark and TLB config in several blocks resume to
+//! the tables they printed.
 
 use colt_core::artifact;
-use colt_core::experiments::{pressure, ExperimentOptions};
+use colt_core::experiments::{pressure, run_named, ExperimentOptions};
 use colt_core::journal::Journal;
 use colt_os_mem::faults::FaultConfig;
 use std::path::{Path, PathBuf};
@@ -102,4 +104,39 @@ fn changed_flags_invalidate_the_journal_instead_of_reusing_it() {
     assert_eq!(report.fingerprint_mismatches as u64, ran);
     assert!(journal.completed("any/label").is_none());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--resume` keys on cell labels, so two cells of one journal that
+/// share a label replay each other's results. The ablation blocks, the
+/// two THS settings of fig16-17 and the two seed axes of noise each
+/// repeat a benchmark and a TLB config; a resumed run of each must
+/// replay every cell it journaled and print the fresh run's tables.
+#[test]
+fn resumed_sweeps_that_repeat_cells_print_the_same_tables() {
+    for experiment in ["ablation", "fig16-17", "noise"] {
+        let dir = tmpdir(experiment);
+        let run = |resume: bool| {
+            let base = ExperimentOptions {
+                jobs: 2,
+                accesses: 4_000,
+                ..ExperimentOptions::quick().with_benchmarks(&["Gobmk"])
+            };
+            let journal = Arc::new(
+                Journal::open(&dir, experiment, base.fingerprint(experiment), resume)
+                    .expect("journal open"),
+            );
+            let opts = ExperimentOptions { journal: Some(Arc::clone(&journal)), ..base };
+            let tables = run_named(experiment, &opts).expect("known experiment").output.render();
+            (tables, journal.appended(), journal.open_report().replayed as u64)
+        };
+        let (fresh, ran, _) = run(false);
+        let (resumed, reran, replayed) = run(true);
+        assert_eq!(resumed, fresh, "{experiment}: the resumed run printed other tables");
+        assert_eq!(
+            (reran, replayed),
+            (0, ran),
+            "{experiment}: every journaled cell must replay and none re-run"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
