@@ -614,17 +614,10 @@ fn run_check_mode(
 ) -> ExitCode {
     let _ = runner::take_metrics();
     let wall_start = Instant::now();
-    let mut report = colt_core::check::run_check_with_policy(
-        seeds,
-        events_per_case,
-        jobs,
-        faults,
-        policy,
-    );
+    let mut report =
+        colt_core::check::run_check(seeds, events_per_case, jobs, faults, policy);
     if cores > 1 {
-        let smp_report = colt_core::check::run_smp_check_with_policy(
-            cores, seeds, jobs, faults, policy,
-        );
+        let smp_report = colt_core::check::run_smp_check(cores, seeds, jobs, faults, policy);
         report.translations += smp_report.translations;
         report.cases.extend(smp_report.cases);
     }

@@ -32,7 +32,7 @@
 use crate::experiments::smp::MIX_LIGHT;
 use crate::runner::{self, SweepTask};
 use colt_memsim::hierarchy::CacheHierarchy;
-use colt_memsim::walker::{PageWalker, WalkedLeaf};
+use colt_memsim::mmu::Mmu;
 use colt_os_mem::addr::{Asid, Pfn, PhysAddr, Vpn, SUPERPAGE_PAGES};
 use colt_os_mem::faults::{DeliveryFault, FaultConfig, FaultPlan};
 use colt_os_mem::kernel::{Kernel, KernelConfig};
@@ -44,7 +44,7 @@ use colt_quickprop::{fnv1a, shrink_list};
 use colt_smp::{SmpConfig, SmpMachine};
 use colt_tlb::config::TlbConfig;
 use colt_tlb::entry::{CoalescedRun, RangeKind, MAX_RANGE_LEN};
-use colt_tlb::hierarchy::{TlbHierarchy, WalkFill};
+use colt_tlb::hierarchy::TlbHierarchy;
 use colt_workloads::scenario::Scenario;
 use colt_workloads::spec::benchmark;
 use std::fmt;
@@ -414,42 +414,18 @@ pub fn check_core_hierarchy(
 /// resident entries are validated against the owning process's live
 /// page table via [`check_core_hierarchy`]. Covers untagged CoLT-All
 /// (flush-at-switch), tagged CoLT-All, and a tagged baseline TLB.
-pub fn run_smp_check(cores: usize, seeds: u64, jobs: usize) -> CheckReport {
-    run_smp_check_with_faults(cores, seeds, jobs, None)
-}
-
-/// [`run_smp_check_with_faults`] with the shared kernel booted under a
-/// memory-management policy. Default-policy case labels (and hence
-/// case seeds and event lists) are byte-identical to the historical
-/// ones; non-default policies get their own label segment so their
-/// cases fuzz independent event lists.
-pub fn run_smp_check_with_policy(
-    cores: usize,
-    seeds: u64,
-    jobs: usize,
-    faults: Option<FaultConfig>,
-    policy: PolicyKind,
-) -> CheckReport {
-    run_smp_check_inner(cores, seeds, jobs, faults, policy)
-}
-
-/// [`run_smp_check`] with the shared kernel running under an injected
-/// fault plan (installed after workload preparation, so the aged system
-/// state matches the fault-free run and only the checked phase
-/// degrades). Shootdown *delivery* stays exact on SMP — the machine
-/// models the IPI mesh itself — so this validates that kernel-side
-/// degradation (fallbacks, OOM kills, deferred collapses) never leaks a
-/// stale translation to any core.
-pub fn run_smp_check_with_faults(
-    cores: usize,
-    seeds: u64,
-    jobs: usize,
-    faults: Option<FaultConfig>,
-) -> CheckReport {
-    run_smp_check_inner(cores, seeds, jobs, faults, PolicyKind::Default)
-}
-
-fn run_smp_check_inner(
+///
+/// With `faults`, the shared kernel runs under an injected fault plan,
+/// installed after workload preparation so the aged system state
+/// matches the fault-free run and only the checked phase degrades.
+/// Shootdown *delivery* stays exact on SMP — the machine models the IPI
+/// mesh itself — so this validates that kernel-side degradation
+/// (fallbacks, OOM kills, deferred collapses) never leaks a stale
+/// translation to any core. `policy` boots the shared kernel under a
+/// memory-management policy; the default policy's case labels (and so
+/// its case seeds and event lists) carry no policy segment, and every
+/// other policy fuzzes its own.
+pub fn run_smp_check(
     cores: usize,
     seeds: u64,
     jobs: usize,
@@ -639,8 +615,7 @@ fn pick_vpn(regions: &[(Vpn, u64)], rng: &mut SmallRng) -> Option<Vpn> {
 fn apply_shootdowns(
     kernel: &mut Kernel,
     running: Asid,
-    tlb: &mut TlbHierarchy,
-    walker: &mut PageWalker,
+    mmu: &mut Mmu,
     delivery: &mut Option<FaultPlan<DeliveryFault>>,
     out: &mut Vec<Violation>,
 ) {
@@ -650,37 +625,30 @@ fn apply_shootdowns(
         }
         let rounds = match delivery.as_mut().and_then(FaultPlan::delivery_fault) {
             Some(DeliveryFault::Drop) => {
-                tlb.flush();
-                walker.flush();
+                mmu.flush();
                 continue;
             }
             None => 1,
             Some(DeliveryFault::Duplicate) => 2,
         };
         for _ in 0..rounds {
-            tlb.invalidate(ev.vpn);
-            walker.invalidate_addrs(&ev.entry_addrs);
+            mmu.shootdown(&ev);
         }
         for &addr in &ev.entry_addrs {
-            if walker.mmu_contains(addr) {
+            if mmu.walker().mmu_contains(addr) {
                 out.push(Violation::StaleWalkEntry { addr });
             }
         }
     }
 }
 
-/// Replays one event list against a fresh kernel + TLB + walker,
-/// running the full oracle and invariant sweep after every event.
-/// Deterministic: identical inputs produce identical outcomes.
-pub fn replay(tlb_config: TlbConfig, kernel_config: KernelConfig, events: &[FuzzEvent]) -> CaseOutcome {
-    replay_with_faults(tlb_config, kernel_config, events, None)
-}
-
-/// [`replay`] under deterministic fault injection: the kernel runs with
-/// an allocation/compaction/reclaim fault plan seeded from `faults`,
-/// and shootdown IPIs pass through a decorrelated delivery plan that
-/// drops or duplicates them. Still fully deterministic.
-pub fn replay_with_faults(
+/// Replays one event list against a fresh kernel and MMU, running the
+/// full oracle and invariant sweep after every event. With `faults`,
+/// the kernel runs with an allocation/compaction/reclaim fault plan
+/// seeded from it, and shootdown IPIs pass through a decorrelated
+/// delivery plan that drops or duplicates them. Deterministic:
+/// identical inputs produce identical outcomes.
+pub fn replay(
     tlb_config: TlbConfig,
     kernel_config: KernelConfig,
     events: &[FuzzEvent],
@@ -708,8 +676,7 @@ pub fn replay_with_faults(
     // cached yet, so the pending events are moot.
     let _ = kernel.take_shootdowns();
 
-    let mut tlb = TlbHierarchy::new(tlb_config);
-    let mut walker = PageWalker::paper_default();
+    let mut mmu = Mmu::new(tlb_config, false);
     let mut caches = CacheHierarchy::core_i7();
     let mut current = 0usize;
     let mut violations = Vec::new();
@@ -727,7 +694,7 @@ pub fn replay_with_faults(
                         break;
                     };
                     translations += 1;
-                    if let Some(hit) = tlb.lookup(vpn) {
+                    if let Some(hit) = mmu.lookup(vpn) {
                         let live = kernel.process(asid).expect("fuzz process").translate(vpn);
                         if live.map(|t| t.pfn) != Some(hit.pfn) {
                             violations.push(Violation::StaleHit {
@@ -745,32 +712,24 @@ pub fn replay_with_faults(
                         if kernel.touch(asid, vpn).is_err() {
                             continue;
                         }
-                        apply_shootdowns(&mut kernel, asid, &mut tlb, &mut walker, &mut delivery, &mut violations);
+                        apply_shootdowns(&mut kernel, asid, &mut mmu, &mut delivery, &mut violations);
                     }
                     let pt = kernel.process(asid).expect("fuzz process").page_table();
-                    if let Some(outcome) = walker.walk(pt, vpn, &mut caches) {
-                        let fill = match outcome.leaf {
-                            WalkedLeaf::Base { line } => WalkFill::Base { line },
-                            WalkedLeaf::Super { base_vpn, base_pfn, flags } => {
-                                WalkFill::Super { base_vpn, base_pfn, flags }
-                            }
-                        };
-                        tlb.fill(vpn, &fill);
-                    }
+                    mmu.walk_fill(pt, vpn, &mut caches);
                 }
             }
             FuzzEvent::Malloc { pages } => {
                 if let Ok(start) = kernel.malloc(asid, *pages) {
                     regions[current].push((start, *pages));
                 }
-                apply_shootdowns(&mut kernel, asid, &mut tlb, &mut walker, &mut delivery, &mut violations);
+                apply_shootdowns(&mut kernel, asid, &mut mmu, &mut delivery, &mut violations);
             }
             FuzzEvent::Free { slot } => {
                 if !regions[current].is_empty() {
                     let idx = slot % regions[current].len();
                     let (start, _) = regions[current].remove(idx);
                     let _ = kernel.free(asid, start);
-                    apply_shootdowns(&mut kernel, asid, &mut tlb, &mut walker, &mut delivery, &mut violations);
+                    apply_shootdowns(&mut kernel, asid, &mut mmu, &mut delivery, &mut violations);
                 }
             }
             FuzzEvent::MarkDirty { salt } => {
@@ -781,31 +740,30 @@ pub fn replay_with_faults(
             }
             FuzzEvent::Compact => {
                 kernel.compact_now();
-                apply_shootdowns(&mut kernel, asid, &mut tlb, &mut walker, &mut delivery, &mut violations);
+                apply_shootdowns(&mut kernel, asid, &mut mmu, &mut delivery, &mut violations);
             }
             FuzzEvent::Tick => {
                 kernel.tick();
-                apply_shootdowns(&mut kernel, asid, &mut tlb, &mut walker, &mut delivery, &mut violations);
+                apply_shootdowns(&mut kernel, asid, &mut mmu, &mut delivery, &mut violations);
             }
             FuzzEvent::SplitSupers { n } => {
                 kernel.split_superpages(*n);
-                apply_shootdowns(&mut kernel, asid, &mut tlb, &mut walker, &mut delivery, &mut violations);
+                apply_shootdowns(&mut kernel, asid, &mut mmu, &mut delivery, &mut violations);
             }
             FuzzEvent::Reclaim { target } => {
                 kernel.reclaim_file_pages(*target);
-                apply_shootdowns(&mut kernel, asid, &mut tlb, &mut walker, &mut delivery, &mut violations);
+                apply_shootdowns(&mut kernel, asid, &mut mmu, &mut delivery, &mut violations);
             }
             FuzzEvent::ContextSwitch => {
                 current = 1 - current;
-                tlb.flush();
-                walker.flush();
+                mmu.flush();
             }
         }
         let pt = kernel
             .process(asids[current])
             .expect("fuzz processes stay live")
             .page_table();
-        check_hierarchy_into(&tlb, pt, &mut violations);
+        check_hierarchy_into(mmu.tlb(), pt, &mut violations);
         if !violations.is_empty() {
             break;
         }
@@ -870,14 +828,6 @@ pub fn check_configs() -> Vec<(String, TlbConfig)> {
     out
 }
 
-/// Fuzzes every configuration with `seeds` independent event lists of
-/// `events_per_case` events, fanned out over `jobs` workers through the
-/// deterministic sweep runner (results are identical at any width).
-/// Failing cases are ddmin-minimised before reporting.
-pub fn run_check(seeds: u64, events_per_case: usize, jobs: usize) -> CheckReport {
-    run_check_with_faults(seeds, events_per_case, jobs, None)
-}
-
 /// The label segment a policy contributes to fuzz-case labels: empty
 /// for the default policy (so default case labels, seeds, and event
 /// lists stay byte-identical to the pre-policy checker) and
@@ -890,41 +840,27 @@ fn policy_label_segment(policy: PolicyKind) -> String {
     }
 }
 
-/// [`run_check_with_faults`] with every fuzz kernel booted under a
-/// memory-management policy: the oracle must stay clean however the
-/// policy skews THP grants, compaction, reclaim order, or placement.
-pub fn run_check_with_policy(
+/// Fuzzes every configuration with `seeds` independent event lists of
+/// `events_per_case` events, fanned out over `jobs` workers through the
+/// deterministic sweep runner (results are identical at any width).
+/// Failing cases are ddmin-minimised before reporting.
+///
+/// With `faults`, every case replays against a kernel that suffers
+/// injected allocation failures, compaction aborts, and reclaim spikes,
+/// while shootdown IPIs are dropped or duplicated by a decorrelated
+/// delivery plan (see [`replay`]). The oracle must stay clean —
+/// degradation may change *which* frames back a page, never the
+/// coherence of cached translations. `policy` boots every fuzz kernel
+/// under a memory-management policy: the oracle must stay clean however
+/// the policy skews THP grants, compaction, reclaim order, or placement.
+pub fn run_check(
     seeds: u64,
     events_per_case: usize,
     jobs: usize,
     faults: Option<FaultConfig>,
     policy: PolicyKind,
 ) -> CheckReport {
-    run_check_inner(seeds, events_per_case, jobs, faults, policy)
-}
 
-/// [`run_check`] with every case running under the given fault plan:
-/// the same event lists replay against a kernel that suffers injected
-/// allocation failures, compaction aborts, and reclaim spikes, while
-/// shootdown IPIs are dropped/duplicated by a decorrelated delivery
-/// plan. The oracle must stay clean — degradation may change *which*
-/// frames back a page, never the coherence of cached translations.
-pub fn run_check_with_faults(
-    seeds: u64,
-    events_per_case: usize,
-    jobs: usize,
-    faults: Option<FaultConfig>,
-) -> CheckReport {
-    run_check_inner(seeds, events_per_case, jobs, faults, PolicyKind::Default)
-}
-
-fn run_check_inner(
-    seeds: u64,
-    events_per_case: usize,
-    jobs: usize,
-    faults: Option<FaultConfig>,
-    policy: PolicyKind,
-) -> CheckReport {
     let pseg = policy_label_segment(policy);
     let mut tasks: Vec<SweepTask<CaseReport>> = Vec::new();
     for seed in 0..seeds {
@@ -936,12 +872,12 @@ fn run_check_inner(
                 let events = gen_events(case_seed, events_per_case);
                 let task_label = case_label.clone();
                 tasks.push(SweepTask::new(task_label, 0, move || {
-                    let outcome = replay_with_faults(tlb_cfg, kernel_cfg, &events, faults);
+                    let outcome = replay(tlb_cfg, kernel_cfg, &events, faults);
                     let minimized = if outcome.violations.is_empty() {
                         Vec::new()
                     } else {
                         shrink_list(&events, |sub| {
-                            !replay_with_faults(tlb_cfg, kernel_cfg, sub, faults)
+                            !replay(tlb_cfg, kernel_cfg, sub, faults)
                                 .violations
                                 .is_empty()
                         })
@@ -966,6 +902,7 @@ fn run_check_inner(
 mod tests {
     use super::*;
     use colt_os_mem::page_table::Pte;
+    use colt_tlb::hierarchy::WalkFill;
 
     fn flags() -> PteFlags {
         PteFlags::user_data()
@@ -1118,8 +1055,8 @@ mod tests {
     #[test]
     fn fuzz_replay_is_deterministic() {
         let events = gen_events(42, 24);
-        let a = replay(TlbConfig::colt_all().with_future_work(), fuzz_kernel(true), &events);
-        let b = replay(TlbConfig::colt_all().with_future_work(), fuzz_kernel(true), &events);
+        let a = replay(TlbConfig::colt_all().with_future_work(), fuzz_kernel(true), &events, None);
+        let b = replay(TlbConfig::colt_all().with_future_work(), fuzz_kernel(true), &events, None);
         assert_eq!(a, b);
         assert!(a.translations > 0, "the case must actually translate");
     }
@@ -1128,20 +1065,20 @@ mod tests {
     fn faulted_fuzz_replay_is_deterministic() {
         let events = gen_events(1337, 24);
         let fc = FaultConfig { rate: 0.2, window: 4, seed: 99 };
-        let a = replay_with_faults(TlbConfig::colt_all(), fuzz_kernel(true), &events, Some(fc));
-        let b = replay_with_faults(TlbConfig::colt_all(), fuzz_kernel(true), &events, Some(fc));
+        let a = replay(TlbConfig::colt_all(), fuzz_kernel(true), &events, Some(fc));
+        let b = replay(TlbConfig::colt_all(), fuzz_kernel(true), &events, Some(fc));
         assert_eq!(a, b);
         assert!(a.translations > 0);
         // The faulted run must actually diverge from the clean one
         // somewhere (degradation changed frame placement), else the
         // injection never reached the kernel.
-        let clean = replay(TlbConfig::colt_all(), fuzz_kernel(true), &events);
+        let clean = replay(TlbConfig::colt_all(), fuzz_kernel(true), &events, None);
         assert!(clean.violations.is_empty() && a.violations.is_empty());
     }
 
     #[test]
     fn fuzz_smoke_is_clean_under_fault_injection() {
-        let report = run_check_with_faults(1, 24, 2, Some(FaultConfig::default()));
+        let report = run_check(1, 24, 2, Some(FaultConfig::default()), PolicyKind::Default);
         for case in &report.cases {
             assert!(
                 case.violations.is_empty(),
@@ -1156,7 +1093,7 @@ mod tests {
 
     #[test]
     fn fuzz_smoke_is_clean_across_configs() {
-        let report = run_check(1, 24, 2);
+        let report = run_check(1, 24, 2, None, PolicyKind::Default);
         for case in &report.cases {
             assert!(
                 case.violations.is_empty(),
@@ -1175,7 +1112,7 @@ mod tests {
         // or denies pages: Adversarial maximizes fragmentation,
         // GreedyContig maximizes coalescing-candidate runs.
         for policy in [PolicyKind::Adversarial, PolicyKind::GreedyContig] {
-            let report = run_check_with_policy(1, 24, 2, None, policy);
+            let report = run_check(1, 24, 2, None, policy);
             for case in &report.cases {
                 assert!(
                     case.violations.is_empty(),

@@ -1,6 +1,8 @@
 //! The simulation engine: drives a prepared workload's reference stream
-//! through a TLB hierarchy, the page-table walker, and the cache
-//! hierarchy, collecting the counters every experiment consumes.
+//! one reference at a time through the shared MMU step
+//! ([`colt_memsim::mmu::Mmu`]: TLB lookup, and on a miss the page walk,
+//! fill and prefetch walks) and the data-cache hierarchy, collecting the
+//! counters every experiment consumes.
 //!
 //! This is the counterpart of the paper's "highly-detailed custom memory
 //! simulator" (§5.2.1): trace-driven, with 32/128-entry L1/L2 TLBs by
@@ -8,10 +10,11 @@
 //! three-level cache hierarchy.
 
 use colt_memsim::hierarchy::CacheHierarchy;
-use colt_memsim::walker::{PageWalker, WalkedLeaf, WalkerStats};
-use colt_os_mem::addr::PhysAddr;
+use colt_memsim::mmu::Mmu;
+use colt_memsim::walker::WalkerStats;
+use colt_os_mem::addr::{PhysAddr, Vpn};
 use colt_tlb::config::TlbConfig;
-use colt_tlb::hierarchy::{TlbHierarchy, TlbLevel, WalkFill};
+use colt_tlb::hierarchy::TlbLevel;
 use colt_tlb::stats::HierarchyStats;
 use colt_workloads::scenario::PreparedWorkload;
 
@@ -42,12 +45,9 @@ pub struct SimConfig {
     /// [`SimResult::oracle_mismatches`]. Default off — the perf path pays
     /// exactly one predictable branch per hit.
     pub check: bool,
-    /// References translated per batched hot-path call: the reference
-    /// stream is generated and looked up in slices of this size (clamped
-    /// to warmup/invalidate/flush boundaries), with runs of TLB hits
-    /// translated ahead of their data accesses. Results are
-    /// byte-identical for every batch size — `1` degenerates to the
-    /// per-reference loop.
+    /// Unused: the simulator translates one reference at a time. Only
+    /// `benchmark/`'s traced replay, a chunked copy of an older loop,
+    /// still reads it; the field goes with that copy (ROADMAP J).
     pub batch: usize,
 }
 
@@ -101,13 +101,6 @@ impl SimConfig {
     pub fn with_accesses(mut self, accesses: u64) -> Self {
         self.accesses = accesses;
         self.warmup = accesses / 10;
-        self
-    }
-
-    /// Overrides the hot-path batch size (clamped to at least 1).
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
         self
     }
 }
@@ -192,20 +185,7 @@ fn run_stream(
     config: &SimConfig,
     mut next_ref: impl FnMut() -> colt_workloads::MemRef,
 ) -> SimResult {
-    let mut tlb = TlbHierarchy::new(config.tlb);
-    let mut walker = if config.nested_paging {
-        PageWalker::paper_default().nested()
-    } else {
-        PageWalker::paper_default()
-    };
-    // Background walker for prefetch requests (off the critical path but
-    // still polluting the caches); kept separate so the demand walker's
-    // accounting stays exactly walks == TLB misses.
-    let mut prefetch_walker = if config.nested_paging {
-        PageWalker::paper_default().nested()
-    } else {
-        PageWalker::paper_default()
-    };
+    let mut mmu = Mmu::new(config.tlb, config.nested_paging);
     let mut caches = CacheHierarchy::core_i7();
     let page_table = workload
         .kernel
@@ -219,64 +199,25 @@ fn run_stream(
     let mut l2_tlb_cycles = 0u64;
     let mut measured = 0u64;
     let mut oracle_mismatches = 0u64;
-    let mut warmup_walker_snapshot = walker.stats();
-    let mut warmup_tlb_snapshot = tlb.stats();
+    let mut warmup_tlb = mmu.tlb().stats();
+    let mut warmup_walker = mmu.walker().stats();
     // Ring of recent vpns for shootdown churn.
-    let mut recent = [colt_os_mem::addr::Vpn::new(0); 64];
-    let mut recent_len = 0usize;
+    let mut recent = [Vpn::new(0); 64];
 
-    // Batched hot path. The stream is consumed in chunks whose ends are
-    // clamped to every event boundary (warmup snapshot, shootdown churn,
-    // context-switch flush), so each event still fires after exactly the
-    // reference it followed in the per-reference loop. Within a chunk the
-    // hierarchy translates the leading run of hits in one call; since
-    // lookups never touch the data caches, those translations can run
-    // ahead of their data accesses without changing any state the miss
-    // path (page walks through the caches) observes. Results are
-    // byte-identical for every batch size.
-    let batch = config.batch.max(1) as u64;
-    let mut chunk: Vec<colt_workloads::MemRef> = Vec::with_capacity(batch as usize);
-    let mut vpns: Vec<colt_os_mem::addr::Vpn> = Vec::with_capacity(batch as usize);
-    let mut hits: Vec<colt_tlb::hierarchy::TlbHit> = Vec::with_capacity(batch as usize);
-
-    let total = config.warmup + config.accesses;
-    let mut i = 0u64;
-    while i < total {
+    for i in 0..config.warmup + config.accesses {
         if i == config.warmup {
             // Reset measurement at the warmup boundary by snapshotting.
-            warmup_walker_snapshot = walker.stats();
-            warmup_tlb_snapshot = tlb.stats();
+            warmup_tlb = mmu.tlb().stats();
+            warmup_walker = mmu.walker().stats();
             walk_cycles = 0;
             data_stall_cycles = 0;
             l2_tlb_cycles = 0;
             measured = 0;
             oracle_mismatches = 0;
         }
-        let mut end = (i + batch).min(total);
-        if i < config.warmup {
-            end = end.min(config.warmup);
-        }
-        if let Some(p) = config.invalidate_period {
-            end = end.min(i - i % p + p);
-        }
-        if let Some(p) = config.flush_period {
-            end = end.min(i - i % p + p);
-        }
-        let n = (end - i) as usize;
-        chunk.clear();
-        vpns.clear();
-        for _ in 0..n {
-            let r = next_ref();
-            vpns.push(r.vpn);
-            chunk.push(r);
-        }
-
-        let mut k = 0usize;
-        while k < n {
-            hits.clear();
-            let hit_run = tlb.lookup_batch(&vpns[k..], &mut hits);
-            for (j, hit) in hits.iter().enumerate() {
-                let r = chunk[k + j];
+        let r = next_ref();
+        let pfn = match mmu.lookup(r.vpn) {
+            Some(hit) => {
                 if hit.level == TlbLevel::L2 {
                     l2_tlb_cycles += latency.l2_tlb;
                 }
@@ -285,77 +226,42 @@ fn run_stream(
                 {
                     oracle_mismatches += 1;
                 }
-                let phys = PhysAddr::new(hit.pfn.raw() * 4096 + r.line as u64 * 64);
-                let lat = caches.access_data(phys);
-                data_stall_cycles += lat.saturating_sub(latency.l1);
-                let gi = i + (k + j) as u64;
-                recent[(gi % 64) as usize] = r.vpn;
-                recent_len = recent_len.max((gi + 1).min(64) as usize);
+                hit.pfn
             }
-            k += hit_run;
-            if k < n {
-                // chunk[k]'s lookup was performed inside the batch and
-                // missed: walk, fill, and serve prefetches exactly as the
-                // per-reference loop's miss arm.
-                let r = chunk[k];
+            None => {
                 l2_tlb_cycles += latency.l2_tlb;
-                let outcome = walker
-                    .walk(page_table, r.vpn, &mut caches)
+                let walk = mmu
+                    .walk_fill(page_table, r.vpn, &mut caches)
                     .expect("footprint pages are always mapped");
-                walk_cycles += outcome.latency;
-                let fill = match outcome.leaf {
-                    WalkedLeaf::Base { line } => WalkFill::Base { line },
-                    WalkedLeaf::Super { base_vpn, base_pfn, flags } => {
-                        WalkFill::Super { base_vpn, base_pfn, flags }
-                    }
-                };
-                tlb.fill(r.vpn, &fill);
-                // Serve any queued prefetches in the background.
-                for target in tlb.take_prefetch_requests() {
-                    if let Some(po) = prefetch_walker.walk(page_table, target, &mut caches) {
-                        tlb.fill_prefetch(target, po.translation.pfn, po.translation.flags);
-                    }
-                }
-                let phys =
-                    PhysAddr::new(outcome.translation.pfn.raw() * 4096 + r.line as u64 * 64);
-                let lat = caches.access_data(phys);
-                data_stall_cycles += lat.saturating_sub(latency.l1);
-                let gi = i + k as u64;
-                recent[(gi % 64) as usize] = r.vpn;
-                recent_len = recent_len.max((gi + 1).min(64) as usize);
-                k += 1;
+                walk_cycles += walk.latency;
+                walk.translation.pfn
             }
-        }
-        measured += n as u64;
+        };
+        let phys = PhysAddr::new(pfn.raw() * 4096 + r.line as u64 * 64);
+        data_stall_cycles += caches.access_data(phys).saturating_sub(latency.l1);
+        recent[(i % 64) as usize] = r.vpn;
+        measured += 1;
 
-        // Events fire after the reference that triggered them — chunk
-        // ends are clamped so that reference is always the chunk's last.
-        let last = end - 1;
+        // Events fire after the reference that triggered them.
         if let Some(period) = config.invalidate_period {
-            if last % period == period - 1 && recent_len > 32 {
-                // Shoot down the translation used ~32 accesses ago — and
-                // reach the walker's MMU cache too: a real shootdown is
-                // an `invlpg`, which drops paging-structure entries for
-                // the page, not just the TLB entry.
-                let victim = recent[((last + 64 - 32) % 64) as usize];
-                tlb.invalidate(victim);
-                walker.invalidate(page_table, victim);
+            if i % period == period - 1 && i >= 32 {
+                // Shoot down the translation used 32 accesses ago, in
+                // the walker's MMU cache too: a real shootdown is an
+                // `invlpg`, which drops paging-structure entries for the
+                // page, not just the TLB entry.
+                mmu.invalidate(page_table, recent[((i + 64 - 32) % 64) as usize]);
             }
         }
         if let Some(period) = config.flush_period {
-            if last % period == period - 1 {
-                tlb.flush();
-                walker.flush();
+            if i % period == period - 1 {
+                mmu.flush();
             }
         }
-        i = end;
     }
 
-    let tlb_stats = diff_tlb(tlb.stats(), warmup_tlb_snapshot);
-    let walker_stats = diff_walker(walker.stats(), warmup_walker_snapshot);
     SimResult {
-        tlb: tlb_stats,
-        walker: walker_stats,
+        tlb: mmu.tlb().stats().since(&warmup_tlb),
+        walker: mmu.walker().stats().since(&warmup_walker),
         instructions: workload.instructions(measured),
         walk_cycles,
         data_stall_cycles,
@@ -364,17 +270,10 @@ fn run_stream(
     }
 }
 
-fn diff_tlb(after: HierarchyStats, before: HierarchyStats) -> HierarchyStats {
-    after.since(&before)
-}
-
-fn diff_walker(after: WalkerStats, before: WalkerStats) -> WalkerStats {
-    after.since(&before)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colt_tlb::prefetch::PrefetchConfig;
     use colt_workloads::scenario::Scenario;
     use colt_workloads::spec::benchmark;
 
@@ -460,40 +359,104 @@ mod tests {
         assert_eq!(a.walk_cycles, b.walk_cycles);
     }
 
+    /// Every `SimResult` counter, in a fixed order. The destructuring
+    /// names each field without `..`, so a field added to any of the
+    /// three structs fails to compile here until it is pinned too.
+    fn every_field(r: &SimResult) -> [u64; 27] {
+        let SimResult {
+            tlb,
+            walker,
+            instructions,
+            walk_cycles,
+            data_stall_cycles,
+            l2_tlb_cycles,
+            oracle_mismatches,
+        } = *r;
+        let HierarchyStats {
+            accesses,
+            l1_hits,
+            l1_misses,
+            l2_hits,
+            l2_misses,
+            fills,
+            superpage_fills,
+            pb_hits,
+            coalesce_hist: h,
+            coalesce_overflow,
+            asid_flushes,
+            asid_entries_flushed,
+        } = tlb;
+        let WalkerStats { walks, total_latency, faults } = walker;
+        [
+            accesses, l1_hits, l1_misses, l2_hits, l2_misses, fills, superpage_fills, pb_hits,
+            h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7],
+            coalesce_overflow, asid_flushes, asid_entries_flushed,
+            walks, total_latency, faults, instructions,
+            walk_cycles, data_stall_cycles, l2_tlb_cycles, oracle_mismatches,
+        ]
+    }
+
     #[test]
-    fn batch_size_never_changes_results() {
-        // The batched hot path must be byte-identical to the
-        // per-reference loop (batch 1) for every batch size, including
-        // sizes that straddle warmup/invalidate/flush boundaries and
-        // with the oracle checking every hit.
+    fn pinned_results_hold_for_every_step_variant() {
+        // Recorded with the chunked hot path that the per-reference step
+        // replaced; the step must reproduce them exactly. The cases cover
+        // the oracle on every hit, shootdown churn with context-switch
+        // flushes (SA), churn alone (baseline), nested walks under churn
+        // (All), and the prefetch buffer's background walks across flushes.
         let spec = benchmark("Gobmk").unwrap();
         let w = Scenario::default_linux().prepare(&spec).unwrap();
-        let configs = [
-            SimConfig::new(TlbConfig::colt_all()).with_accesses(20_000).with_check(),
-            SimConfig::new(TlbConfig::colt_sa())
-                .with_accesses(20_000)
-                .with_invalidations(37)
-                .with_context_switches(4_999),
-            SimConfig::new(TlbConfig::baseline()).with_accesses(10_000).with_invalidations(64),
+        let prefetching =
+            TlbConfig::baseline().with_prefetch(PrefetchConfig { buffer_entries: 16, degree: 2 });
+        let cases: [(SimConfig, [u64; 27]); 5] = [
+            (
+                SimConfig::new(TlbConfig::colt_all()).with_accesses(20_000).with_check(),
+                [
+                    20_000, 19_924, 76, 7, 69, 69, 0, 0,
+                    2, 3, 2, 7, 8, 11, 7, 29, 0, 0, 0,
+                    69, 11_856, 0, 180_000, 11_856, 304_156, 532, 0,
+                ],
+            ),
+            (
+                SimConfig::new(TlbConfig::colt_sa())
+                    .with_accesses(20_000)
+                    .with_invalidations(37)
+                    .with_context_switches(4_999),
+                [
+                    20_000, 19_333, 667, 1, 666, 666, 0, 0,
+                    27, 52, 76, 511, 0, 0, 0, 0, 0, 0, 0,
+                    666, 94_886, 0, 180_000, 94_886, 304_156, 4669, 0,
+                ],
+            ),
+            (
+                SimConfig::new(TlbConfig::baseline()).with_accesses(10_000).with_invalidations(64),
+                [
+                    10_000, 9519, 481, 229, 252, 252, 0, 0,
+                    252, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                    252, 31_472, 0, 90_000, 31_472, 308_432, 3367, 0,
+                ],
+            ),
+            (
+                SimConfig::new(TlbConfig::colt_all())
+                    .with_accesses(20_000)
+                    .virtualized()
+                    .with_invalidations(101),
+                [
+                    20_000, 19_665, 335, 69, 266, 266, 0, 0,
+                    2, 17, 17, 35, 41, 11, 7, 136, 0, 0, 0,
+                    266, 93_260, 0, 180_000, 93_260, 304_156, 2345, 0,
+                ],
+            ),
+            (
+                SimConfig::new(prefetching).with_accesses(20_000).with_context_switches(4_999),
+                [
+                    20_000, 19_486, 514, 285, 229, 229, 0, 195,
+                    229, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                    229, 16_942, 0, 180_000, 16_942, 304_156, 3598, 0,
+                ],
+            ),
         ];
-        for cfg in configs {
-            let per_ref = run(&w, &cfg.with_batch(1));
-            for batch in [7, 256, 100_000] {
-                let batched = run(&w, &cfg.with_batch(batch));
-                assert_eq!(batched.tlb, per_ref.tlb, "batch {batch}");
-                assert_eq!(batched.walker, per_ref.walker, "batch {batch}");
-                assert_eq!(batched.walk_cycles, per_ref.walk_cycles, "batch {batch}");
-                assert_eq!(
-                    batched.data_stall_cycles, per_ref.data_stall_cycles,
-                    "batch {batch}"
-                );
-                assert_eq!(batched.l2_tlb_cycles, per_ref.l2_tlb_cycles, "batch {batch}");
-                assert_eq!(batched.instructions, per_ref.instructions, "batch {batch}");
-                assert_eq!(
-                    batched.oracle_mismatches, per_ref.oracle_mismatches,
-                    "batch {batch}"
-                );
-            }
+        for (i, (cfg, pinned)) in cases.iter().enumerate() {
+            assert_eq!(every_field(&run(&w, cfg)), *pinned, "case {i}");
         }
     }
 

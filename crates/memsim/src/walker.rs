@@ -10,34 +10,21 @@
 use crate::hierarchy::PteFetch;
 use crate::mmu_cache::{MmuCache, MmuCacheStats};
 use colt_os_mem::addr::{Asid, Pfn, PhysAddr, Vpn};
-use colt_os_mem::page_table::{PageKind, PageTable, PteFlags, PteLine, Translation};
+use colt_os_mem::page_table::{PageKind, PageTable, Translation};
+use colt_tlb::hierarchy::WalkFill;
 
-/// The leaf a walk resolved to, in the form the TLB fill path needs.
-#[derive(Clone, Copy, Debug)]
-pub enum WalkedLeaf {
-    /// A base page, plus the PTE cache line fetched with it.
-    Base {
-        /// The eight-PTE line covering the requested page.
-        line: PteLine,
-    },
-    /// A 2MB superpage leaf.
-    Super {
-        /// First virtual page of the superpage.
-        base_vpn: Vpn,
-        /// First physical frame of the superpage.
-        base_pfn: Pfn,
-        /// Attribute bits.
-        flags: PteFlags,
-    },
-}
+/// Former name of [`WalkFill`], the leaf a walk resolved to. Nothing in
+/// the workspace uses it; `benchmark/`'s traced replay still does, and
+/// goes with that replay.
+pub use colt_tlb::hierarchy::WalkFill as WalkedLeaf;
 
 /// The outcome of one page walk.
 #[derive(Clone, Copy, Debug)]
 pub struct WalkOutcome {
     /// The translation found.
     pub translation: Translation,
-    /// The leaf payload for the TLB fill path.
-    pub leaf: WalkedLeaf,
+    /// The leaf, as [`colt_tlb::hierarchy::TlbHierarchy::fill`] takes it.
+    pub leaf: WalkFill,
     /// Walk latency in cycles (PTE fetches for all non-skipped levels).
     pub latency: u64,
     /// Number of memory (LLC/DRAM) accesses the walk performed.
@@ -295,10 +282,10 @@ impl PageWalker {
         }
 
         let leaf = match path.translation.kind {
-            PageKind::Base => WalkedLeaf::Base { line: page_table.pte_line(vpn) },
+            PageKind::Base => WalkFill::Base { line: page_table.pte_line(vpn) },
             PageKind::Super { base_vpn } => {
                 let within = vpn.distance_from(base_vpn).expect("vpn within superpage");
-                WalkedLeaf::Super {
+                WalkFill::Super {
                     base_vpn,
                     base_pfn: Pfn::new(path.translation.pfn.raw() - within),
                     flags: path.translation.flags,
@@ -373,7 +360,7 @@ impl PageWalker {
 mod tests {
     use super::*;
     use crate::hierarchy::CacheHierarchy;
-    use colt_os_mem::page_table::Pte;
+    use colt_os_mem::page_table::{Pte, PteFlags};
 
     fn mapped_pt(n: u64) -> PageTable {
         let mut pt = PageTable::new();
@@ -424,11 +411,11 @@ mod tests {
         let mut caches = CacheHierarchy::core_i7();
         let o = w.walk(&pt, Vpn::new(0x1002), &mut caches).unwrap();
         match o.leaf {
-            WalkedLeaf::Base { line } => {
+            WalkFill::Base { line } => {
                 assert_eq!(line.base_vpn, Vpn::new(0x1000));
                 assert!(line.ptes.iter().all(Option::is_some));
             }
-            WalkedLeaf::Super { .. } => panic!("expected base leaf"),
+            WalkFill::Super { .. } => panic!("expected base leaf"),
         }
     }
 
@@ -441,11 +428,11 @@ mod tests {
         let o = w.walk(&pt, Vpn::new(512 + 33), &mut caches).unwrap();
         assert_eq!(o.memory_accesses, 3);
         match o.leaf {
-            WalkedLeaf::Super { base_vpn, base_pfn, .. } => {
+            WalkFill::Super { base_vpn, base_pfn, .. } => {
                 assert_eq!(base_vpn, Vpn::new(512));
                 assert_eq!(base_pfn, Pfn::new(2048));
             }
-            WalkedLeaf::Base { .. } => panic!("expected superpage leaf"),
+            WalkFill::Base { .. } => panic!("expected superpage leaf"),
         }
         assert_eq!(o.translation.pfn, Pfn::new(2048 + 33));
     }

@@ -3,9 +3,9 @@
 //! The paper evaluates CoLT on one core; its §8 outlook (and every
 //! system CoLT would actually ship in) is multi-core. This crate models
 //! that machine: `N` cores, each owning a private L1/L2/superpage TLB
-//! hierarchy and page-walk caches ([`colt_tlb::hierarchy::TlbHierarchy`]
-//! + [`colt_memsim::walker::PageWalker`]) plus private L1/L2 data
-//! caches, all sharing one last-level cache
+//! hierarchy and page-walk caches (a [`colt_memsim::mmu::Mmu`], the
+//! translate step the single-core simulator runs) plus private L1/L2
+//! data caches, all sharing one last-level cache
 //! ([`colt_memsim::hierarchy::SharedLlc`]).
 //!
 //! Two pieces the single-core model never needed appear here:

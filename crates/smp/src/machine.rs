@@ -1,6 +1,15 @@
 //! The SMP machine: lockstep execution of a co-scheduled multiprogrammed
 //! mix over N cores with private translation state and one shared LLC.
 //!
+//! ## Translation
+//!
+//! Each core translates through its own [`Mmu`], the per-reference step
+//! of the single-core simulator, with page-walk PTE fetches charged to
+//! the shared LLC. Between the lookup and the walk a core faults a
+//! reclaimed or punctured page back in, and delivers the shootdowns
+//! that refault caused, before [`Mmu::walk_fill`] walks the live page
+//! table.
+//!
 //! ## Scheduling
 //!
 //! Workloads are placed by affinity — part `i` of the
@@ -31,18 +40,19 @@
 
 use crate::{CoreCounters, CoreResult, SmpConfig, SmpResult};
 use colt_memsim::hierarchy::{PrivateCaches, SharedLlc};
-use colt_memsim::walker::{PageWalker, WalkedLeaf, WalkerStats};
+use colt_memsim::mmu::Mmu;
+use colt_memsim::walker::WalkerStats;
 use colt_os_mem::addr::{Asid, PhysAddr};
 use colt_os_mem::kernel::Kernel;
-use colt_tlb::hierarchy::{TlbHierarchy, TlbLevel, WalkFill};
+use colt_tlb::hierarchy::{TlbHierarchy, TlbLevel};
 use colt_tlb::stats::HierarchyStats;
 use colt_workloads::pattern::PatternGen;
 use colt_workloads::scenario::MultiWorkload;
 
 /// One core's private machinery.
 struct Core {
-    tlb: TlbHierarchy,
-    walker: PageWalker,
+    /// TLB hierarchy and walkers; walks fetch PTEs through the shared LLC.
+    mmu: Mmu,
     caches: PrivateCaches,
     /// Indices into `multi.parts` this core co-schedules.
     runq: Vec<usize>,
@@ -97,25 +107,14 @@ impl SmpMachine {
         for c in 0..n_cores {
             let runq: Vec<usize> =
                 (0..multi.parts.len()).filter(|i| i % n_cores == c).collect();
-            let mut walker = if config.nested_paging {
-                PageWalker::paper_default().nested()
-            } else {
-                PageWalker::paper_default()
-            };
-            if config.is_tagged() {
-                walker = walker.with_asid_tagging();
-            }
-            let mut tlb = TlbHierarchy::new(config.tlb);
+            let mut mmu = Mmu::new(config.tlb, config.nested_paging);
             if config.is_tagged() {
                 if let Some(&first) = runq.first() {
-                    let asid = multi.parts[first].1;
-                    tlb.set_current_asid(asid);
-                    walker.set_current_asid(asid);
+                    mmu.set_current_asid(multi.parts[first].1);
                 }
             }
             cores.push(Core {
-                tlb,
-                walker,
+                mmu,
                 caches: PrivateCaches::core_i7(),
                 runq,
                 slot: 0,
@@ -126,8 +125,8 @@ impl SmpMachine {
         let marks = cores
             .iter()
             .map(|c| CoreMark {
-                tlb: c.tlb.stats(),
-                walker: c.walker.stats(),
+                tlb: c.mmu.tlb().stats(),
+                walker: c.mmu.walker().stats(),
                 counters: c.counters,
             })
             .collect();
@@ -179,7 +178,7 @@ impl SmpMachine {
 
     /// Core `c`'s TLB hierarchy (read-only inspection).
     pub fn core_tlb(&self, c: usize) -> &TlbHierarchy {
-        &self.cores[c].tlb
+        self.cores[c].mmu.tlb()
     }
 
     /// The ASID core `c` is currently running (`None` for idle cores
@@ -220,8 +219,8 @@ impl SmpMachine {
             .cores
             .iter()
             .map(|c| CoreMark {
-                tlb: c.tlb.stats(),
-                walker: c.walker.stats(),
+                tlb: c.mmu.tlb().stats(),
+                walker: c.mmu.walker().stats(),
                 counters: c.counters,
             })
             .collect();
@@ -235,8 +234,8 @@ impl SmpMachine {
             .iter()
             .zip(&self.marks)
             .map(|(c, m)| CoreResult {
-                tlb: c.tlb.stats().since(&m.tlb),
-                walker: c.walker.stats().since(&m.walker),
+                tlb: c.mmu.tlb().stats().since(&m.tlb),
+                walker: c.mmu.walker().stats().since(&m.walker),
                 counters: c.counters.since(&m.counters),
             })
             .collect();
@@ -254,12 +253,10 @@ impl SmpMachine {
             let asid = self.multi.parts[core.runq[core.slot]].1;
             core.counters.context_switches += 1;
             if tagged {
-                core.tlb.set_current_asid(asid);
-                core.walker.set_current_asid(asid);
+                core.mmu.set_current_asid(asid);
                 core.counters.flushes_avoided += 1;
             } else {
-                core.tlb.flush();
-                core.walker.flush();
+                core.mmu.flush();
                 core.resident.clear();
                 core.counters.full_flushes += 1;
             }
@@ -306,14 +303,7 @@ impl SmpMachine {
                 if !holds {
                     continue;
                 }
-                let core = &mut self.cores[c];
-                if tagged {
-                    core.tlb.invalidate_asid(ev.vpn, ev.asid);
-                    core.walker.invalidate_addrs_asid(&ev.entry_addrs, ev.asid);
-                } else {
-                    core.tlb.invalidate(ev.vpn);
-                    core.walker.invalidate_addrs(&ev.entry_addrs);
-                }
+                self.cores[c].mmu.shootdown(&ev);
                 if c != initiator {
                     let invalidated = 1 + ev.entry_addrs.len() as u64;
                     let remote = &mut self.cores[c].counters;
@@ -341,7 +331,7 @@ impl SmpMachine {
         self.cores[c].counters.accesses += 1;
         self.cores[c].counters.instructions += ipa;
 
-        let pfn = match self.cores[c].tlb.lookup(r.vpn) {
+        let pfn = match self.cores[c].mmu.lookup(r.vpn) {
             Some(hit) => {
                 if hit.level == TlbLevel::L2 {
                     self.cores[c].counters.l2_tlb_cycles += latency.l2_tlb;
@@ -368,25 +358,15 @@ impl SmpMachine {
                 }
                 let pt = self.multi.kernel.process(asid).expect("mix process is live").page_table();
                 let core = &mut self.cores[c];
-                let outcome = core
-                    .walker
-                    .walk(pt, r.vpn, &mut self.llc)
+                let walk = core
+                    .mmu
+                    .walk_fill(pt, r.vpn, &mut self.llc)
                     .expect("page is mapped after the refault");
-                core.counters.walk_cycles += outcome.latency;
-                let fill = match outcome.leaf {
-                    WalkedLeaf::Base { line } => WalkFill::Base { line },
-                    WalkedLeaf::Super { base_vpn, base_pfn, flags } => {
-                        WalkFill::Super { base_vpn, base_pfn, flags }
-                    }
-                };
-                core.tlb.fill(r.vpn, &fill);
-                // The SMP model has no per-core prefetch engine; drop any
-                // queued prefetch requests (none in the paper configs).
-                let _ = core.tlb.take_prefetch_requests();
+                core.counters.walk_cycles += walk.latency;
                 if !core.resident.contains(&asid) {
                     core.resident.push(asid);
                 }
-                outcome.translation.pfn
+                walk.translation.pfn
             }
         };
         let phys = PhysAddr::new(pfn.raw() * 4096 + r.line as u64 * 64);

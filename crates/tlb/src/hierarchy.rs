@@ -8,6 +8,7 @@
 //! hit, and after a miss the caller performs the walk and passes the
 //! fetched PTE cache line (or superpage leaf) to [`TlbHierarchy::fill`],
 //! where the mode-specific coalescing and placement policies live.
+//! `colt_memsim::mmu::Mmu` is that caller for every machine model.
 
 use crate::coalesce::coalesce_line_masked;
 use crate::config::{ColtMode, TlbConfig};
@@ -227,9 +228,12 @@ impl TlbHierarchy {
         None
     }
 
-    /// Batched lookup for the simulation hot path: translates the
-    /// leading run of *hits* in `vpns`, appending one [`TlbHit`] per hit
-    /// to `hits`, and returns the length `n` of that run.
+    /// Batched lookup: translates the leading run of *hits* in `vpns`,
+    /// appending one [`TlbHit`] per hit to `hits`, and returns the length
+    /// `n` of that run. The simulator translates one reference at a time
+    /// and no longer calls this; `benchmark/`'s traced replay, a chunked
+    /// copy of an older simulator loop, still does, and this goes with
+    /// that copy (ROADMAP J).
     ///
     /// When `n < vpns.len()`, the lookup for `vpns[n]` was **also
     /// performed and missed** — its miss counters and prefetch-buffer

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Full verification: offline release build, the whole test suite
-# (which builds every target, examples included), a quick 4-core SMP
-# smoke run, a fault-injection pressure smoke (sweep plus oracle fuzz
-# under a seeded fault plan), a crash-recovery smoke (kill a sweep
+# (which builds every target, examples included), a paper-table gate
+# (EXPERIMENTS.md's two documented commands rerun cold, byte-identical
+# to the committed results/sim_experiments.txt and
+# results/contiguity_and_ablation.txt), a quick 4-core SMP smoke run,
+# a fault-injection pressure smoke (sweep plus oracle fuzz under a
+# seeded fault plan), a crash-recovery smoke (kill a sweep
 # mid-run, --resume, diff against an uninterrupted reference), a
 # snapshot-cache smoke (a cold and a warm smoke sweep, each
 # byte-identical to the committed results/smoke_sweep.csv, with exact
@@ -68,7 +71,8 @@ CHAOS_DIR=$(mktemp -d)
 SMP_DIR=$(mktemp -d)
 FAULT_DIR=$(mktemp -d)
 TORTURE_DIR=$(mktemp -d)
-trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR" "$SMP_DIR" "$FAULT_DIR" "$TORTURE_DIR"' EXIT
+PAPER_DIR=$(mktemp -d)
+trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR" "$SMP_DIR" "$FAULT_DIR" "$TORTURE_DIR" "$PAPER_DIR"' EXIT
 REPRO="$PWD/target/release/repro"
 
 # The SMP, fault-injection and policy smokes each run cold in a scratch
@@ -83,6 +87,31 @@ same_as_committed() {
         exit 1
     fi
 }
+
+# Paper-table gate: EXPERIMENTS.md's two documented commands, rerun cold
+# in a scratch directory. Their tables (everything above the timing
+# footer, "== Sweep throughput") must equal the committed
+# results/sim_experiments.txt (Table 1, Figs 7-21) and
+# results/contiguity_and_ablation.txt (the ablations) byte for byte, so
+# every number EXPERIMENTS.md quotes is what this tree computes. To
+# regenerate them on purpose, rerun these commands from the repository
+# root with the footer dropped and say so in CHANGES.md.
+PAPER_TABLE_ARGS=(--jobs 2 --no-snapshot-cache --accesses 250000
+                  table1 fig7-9 fig10-12 fig13-15 fig16-17 fig18 fig19 fig20 fig21)
+ABLATION_ARGS=(--jobs 2 --no-snapshot-cache --accesses 60000 ablation)
+echo "== paper-table gate: repro ${PAPER_TABLE_ARGS[*]}; repro ${ABLATION_ARGS[*]} =="
+(cd "$PAPER_DIR" && "$REPRO" "${PAPER_TABLE_ARGS[@]}" \
+    | sed '/^== Sweep throughput/,$d' > sim_experiments.txt)
+(cd "$PAPER_DIR" && "$REPRO" "${ABLATION_ARGS[@]}" \
+    | sed '/^== Sweep throughput/,$d' > contiguity_and_ablation.txt)
+for f in sim_experiments.txt contiguity_and_ablation.txt; do
+    if ! cmp -s "results/$f" "$PAPER_DIR/$f"; then
+        echo "FAIL: the documented command's tables differ from the committed results/$f" >&2
+        diff "results/$f" "$PAPER_DIR/$f" >&2 || true
+        exit 1
+    fi
+done
+echo "paper-table gate passed (both committed tables reproduced byte for byte)"
 
 # SMP smoke: a quick 4-core mix + core-count sweep.
 SMP_ARGS=(--quick --cores 4 --jobs "$(nproc)" smp_mix smp_scaling)

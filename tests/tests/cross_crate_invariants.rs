@@ -1,25 +1,17 @@
 //! Invariants that only hold (or break) across crate boundaries:
 //! kernel memory management interacting with TLB state and walkers.
 
-use colt_os_mem::addr::Vpn;
+use colt_memsim::hierarchy::CacheHierarchy;
+use colt_memsim::mmu::Mmu;
+use colt_os_mem::addr::{Asid, Vpn};
 use colt_os_mem::kernel::{Kernel, KernelConfig};
 use colt_tests::prepare;
 use colt_tlb::config::TlbConfig;
-use colt_tlb::hierarchy::{TlbHierarchy, WalkFill};
 
-/// Fill a hierarchy for `vpn` straight from a kernel page table.
-fn walk_and_fill(kernel: &Kernel, asid: colt_os_mem::addr::Asid, tlb: &mut TlbHierarchy, vpn: Vpn) {
+/// Walk `vpn` in a kernel page table and fill the MMU from it.
+fn walk_and_fill(kernel: &Kernel, asid: Asid, mmu: &mut Mmu, vpn: Vpn) {
     let pt = kernel.process(asid).unwrap().page_table();
-    let mut walker = colt_memsim::walker::PageWalker::paper_default();
-    let mut caches = colt_memsim::hierarchy::CacheHierarchy::core_i7();
-    let o = walker.walk(pt, vpn, &mut caches).expect("mapped");
-    let fill = match o.leaf {
-        colt_memsim::walker::WalkedLeaf::Base { line } => WalkFill::Base { line },
-        colt_memsim::walker::WalkedLeaf::Super { base_vpn, base_pfn, flags } => {
-            WalkFill::Super { base_vpn, base_pfn, flags }
-        }
-    };
-    tlb.fill(vpn, &fill);
+    mmu.walk_fill(pt, vpn, &mut CacheHierarchy::core_i7()).expect("mapped");
 }
 
 #[test]
@@ -43,12 +35,12 @@ fn compaction_invalidation_protocol_keeps_tlb_coherent() {
             keep.push(base);
         }
     }
-    let mut tlb = TlbHierarchy::new(TlbConfig::colt_all());
+    let mut mmu = Mmu::new(TlbConfig::colt_all(), false);
     for &base in &keep {
         for i in 0..8 {
             let vpn = base.offset(i);
-            if tlb.lookup(vpn).is_none() {
-                walk_and_fill(&kernel, asid, &mut tlb, vpn);
+            if mmu.lookup(vpn).is_none() {
+                walk_and_fill(&kernel, asid, &mut mmu, vpn);
             }
         }
     }
@@ -57,9 +49,10 @@ fn compaction_invalidation_protocol_keeps_tlb_coherent() {
     let after = kernel.process(asid).unwrap().translate(keep[0]).unwrap().pfn;
 
     // OS invalidates every (possibly stale) translation it moved.
+    let pt = kernel.process(asid).unwrap().page_table();
     for &base in &keep {
         for i in 0..8 {
-            tlb.invalidate(base.offset(i));
+            mmu.invalidate(pt, base.offset(i));
         }
     }
     // Every lookup now misses (checked before any refill, since one
@@ -67,7 +60,7 @@ fn compaction_invalidation_protocol_keeps_tlb_coherent() {
     for &base in &keep {
         for i in 0..8 {
             assert!(
-                tlb.lookup(base.offset(i)).is_none(),
+                mmu.lookup(base.offset(i)).is_none(),
                 "stale entry survived invalidation"
             );
         }
@@ -76,10 +69,10 @@ fn compaction_invalidation_protocol_keeps_tlb_coherent() {
     for &base in &keep {
         for i in 0..8 {
             let vpn = base.offset(i);
-            if tlb.lookup(vpn).is_none() {
-                walk_and_fill(&kernel, asid, &mut tlb, vpn);
+            if mmu.lookup(vpn).is_none() {
+                walk_and_fill(&kernel, asid, &mut mmu, vpn);
             }
-            let hit = tlb.lookup(vpn).expect("refilled");
+            let hit = mmu.lookup(vpn).expect("refilled");
             let truth = kernel.process(asid).unwrap().translate(vpn).unwrap().pfn;
             assert_eq!(hit.pfn, truth);
         }
@@ -97,18 +90,18 @@ fn superpage_split_then_walk_produces_base_fills() {
     assert_eq!(kernel.live_superpage_count(), 1);
 
     // While the superpage is live, a walk fills the superpage TLB.
-    let mut tlb = TlbHierarchy::new(TlbConfig::baseline());
-    walk_and_fill(&kernel, asid, &mut tlb, base.offset(7));
-    assert_eq!(tlb.stats().superpage_fills, 1);
-    assert_eq!(tlb.sp().occupancy(), 1);
+    let mut mmu = Mmu::new(TlbConfig::baseline(), false);
+    walk_and_fill(&kernel, asid, &mut mmu, base.offset(7));
+    assert_eq!(mmu.tlb().stats().superpage_fills, 1);
+    assert_eq!(mmu.tlb().sp().occupancy(), 1);
 
     // Split it (with puncturing); invalidate; re-walk: base fills now.
     kernel.split_superpages(1);
-    tlb.invalidate(base.offset(7));
-    assert!(tlb.lookup(base.offset(7)).is_none());
-    walk_and_fill(&kernel, asid, &mut tlb, base.offset(7));
-    assert_eq!(tlb.stats().superpage_fills, 1, "no new superpage fill after split");
-    let hit = tlb.lookup(base.offset(7)).expect("refilled as base page");
+    mmu.invalidate(kernel.process(asid).unwrap().page_table(), base.offset(7));
+    assert!(mmu.lookup(base.offset(7)).is_none());
+    walk_and_fill(&kernel, asid, &mut mmu, base.offset(7));
+    assert_eq!(mmu.tlb().stats().superpage_fills, 1, "no new superpage fill after split");
+    let hit = mmu.lookup(base.offset(7)).expect("refilled as base page");
     let truth = kernel.process(asid).unwrap().translate(base.offset(7)).unwrap();
     assert_eq!(hit.pfn, truth.pfn);
     assert!(matches!(truth.kind, colt_os_mem::page_table::PageKind::Base));
@@ -120,15 +113,15 @@ fn coalesced_entries_survive_unrelated_kernel_activity() {
     // kernel must not perturb what a resident coalesced entry translates.
     let w = prepare("Gobmk");
     let proc = w.kernel.process(w.asid).unwrap();
-    let mut tlb = TlbHierarchy::new(TlbConfig::colt_fa());
+    let mut mmu = Mmu::new(TlbConfig::colt_fa(), false);
     let probe: Vec<Vpn> = w.footprint.iter().copied().take(64).collect();
     for &vpn in &probe {
-        if tlb.lookup(vpn).is_none() {
-            walk_and_fill(&w.kernel, w.asid, &mut tlb, vpn);
+        if mmu.lookup(vpn).is_none() {
+            walk_and_fill(&w.kernel, w.asid, &mut mmu, vpn);
         }
     }
     for &vpn in &probe {
-        if let Some(hit) = tlb.lookup(vpn) {
+        if let Some(hit) = mmu.lookup(vpn) {
             assert_eq!(hit.pfn, proc.translate(vpn).unwrap().pfn);
         }
     }

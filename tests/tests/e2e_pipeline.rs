@@ -28,31 +28,21 @@ fn every_benchmark_prepares_under_every_paper_scenario() {
 
 #[test]
 fn simulation_translates_exactly_like_the_page_table() {
-    // The whole stack (pattern → TLB → walker → caches) must be a
-    // transparent cache over the kernel's page table.
+    // The whole stack (pattern → MMU step: TLB, walker, fill → caches)
+    // must be a transparent cache over the kernel's page table.
     let w = prepare("Astar");
     let proc = w.kernel.process(w.asid).unwrap();
     let mut pattern = w.pattern(1);
-    let mut tlb = colt_tlb::hierarchy::TlbHierarchy::new(TlbConfig::colt_all());
-    let mut walker = colt_memsim::walker::PageWalker::paper_default();
+    let mut mmu = colt_memsim::mmu::Mmu::new(TlbConfig::colt_all(), false);
     let mut caches = colt_memsim::hierarchy::CacheHierarchy::core_i7();
     for _ in 0..20_000 {
         let r = pattern.next_ref();
         let expected = proc.translate(r.vpn).expect("footprint mapped").pfn;
-        let got = match tlb.lookup(r.vpn) {
+        let got = match mmu.lookup(r.vpn) {
             Some(hit) => hit.pfn,
             None => {
-                let o = walker.walk(proc.page_table(), r.vpn, &mut caches).expect("mapped");
-                let fill = match o.leaf {
-                    colt_memsim::walker::WalkedLeaf::Base { line } => {
-                        colt_tlb::hierarchy::WalkFill::Base { line }
-                    }
-                    colt_memsim::walker::WalkedLeaf::Super { base_vpn, base_pfn, flags } => {
-                        colt_tlb::hierarchy::WalkFill::Super { base_vpn, base_pfn, flags }
-                    }
-                };
-                tlb.fill(r.vpn, &fill);
-                o.translation.pfn
+                let walk = mmu.walk_fill(proc.page_table(), r.vpn, &mut caches).expect("mapped");
+                walk.translation.pfn
             }
         };
         assert_eq!(got, expected, "TLB must agree with the page table at {}", r.vpn);

@@ -5,10 +5,10 @@
 
 use colt_core::check::{self, FuzzEvent};
 use colt_memsim::hierarchy::CacheHierarchy;
-use colt_memsim::walker::{PageWalker, WalkedLeaf};
+use colt_memsim::mmu::Mmu;
 use colt_os_mem::kernel::{CompactionMode, Kernel, KernelConfig};
+use colt_os_mem::policy::PolicyKind;
 use colt_tlb::config::TlbConfig;
-use colt_tlb::hierarchy::{TlbHierarchy, WalkFill};
 
 /// Regression for the compaction-migration stale-TLB path: before the
 /// per-VPN shootdown protocol, migrated pages kept answering lookups
@@ -35,22 +35,14 @@ fn compaction_migration_shootdown_restores_coherence() {
         }
     }
 
-    let mut tlb = TlbHierarchy::new(TlbConfig::colt_all());
-    let mut walker = PageWalker::paper_default();
+    let mut mmu = Mmu::new(TlbConfig::colt_all(), false);
     let mut caches = CacheHierarchy::core_i7();
     for &base in &keep {
         for i in 0..8 {
             let vpn = base.offset(i);
-            if tlb.lookup(vpn).is_none() {
+            if mmu.lookup(vpn).is_none() {
                 let pt = kernel.process(asid).unwrap().page_table();
-                let o = walker.walk(pt, vpn, &mut caches).expect("mapped");
-                let fill = match o.leaf {
-                    WalkedLeaf::Base { line } => WalkFill::Base { line },
-                    WalkedLeaf::Super { base_vpn, base_pfn, flags } => {
-                        WalkFill::Super { base_vpn, base_pfn, flags }
-                    }
-                };
-                tlb.fill(vpn, &fill);
+                mmu.walk_fill(pt, vpn, &mut caches).expect("mapped");
             }
         }
     }
@@ -61,35 +53,34 @@ fn compaction_migration_shootdown_restores_coherence() {
     assert!(!events.is_empty(), "fragmented heap must migrate pages");
     let resident_moved = events
         .iter()
-        .any(|ev| tlb.lookup(ev.vpn).is_some_and(|hit| Some(hit.pfn) == ev.old_pfn));
+        .any(|ev| mmu.lookup(ev.vpn).is_some_and(|hit| Some(hit.pfn) == ev.old_pfn));
     assert!(resident_moved, "a resident translation must have moved");
 
     // The oracle sees the staleness the miss counters never would.
     let pt = kernel.process(asid).unwrap().page_table();
     assert!(
-        !check::check_hierarchy(&tlb, pt).is_empty(),
+        !check::check_hierarchy(mmu.tlb(), pt).is_empty(),
         "stale post-migration entries must fail the oracle"
     );
 
     // Deliver each shootdown per-VPN: TLB entry plus the cached
     // paging-structure entries that led to it.
     for ev in &events {
-        tlb.invalidate(ev.vpn);
-        walker.invalidate_addrs(&ev.entry_addrs);
+        mmu.shootdown(ev);
         for &addr in &ev.entry_addrs {
             assert!(
-                !walker.mmu_contains(addr),
+                !mmu.walker().mmu_contains(addr),
                 "MMU cache must drop shot entry {addr:?}"
             );
         }
     }
     let pt = kernel.process(asid).unwrap().page_table();
-    assert_eq!(check::check_hierarchy(&tlb, pt), vec![]);
+    assert_eq!(check::check_hierarchy(mmu.tlb(), pt), vec![]);
 
     // Re-walks land on the migrated frames.
     for ev in &events {
-        let o = walker.walk(pt, ev.vpn, &mut caches).expect("still mapped");
-        assert_eq!(Some(o.translation.pfn), ev.new_pfn, "walk must see the new frame");
+        let walk = mmu.walk_fill(pt, ev.vpn, &mut caches).expect("still mapped");
+        assert_eq!(Some(walk.translation.pfn), ev.new_pfn, "walk must see the new frame");
     }
 }
 
@@ -145,7 +136,7 @@ fn fixed_interleavings_are_clean_across_configs_and_ths() {
                     KernelConfig { nr_frames: 1 << 14, ..KernelConfig::ths_off() }
                 };
                 for (i, events) in orderings.iter().enumerate() {
-                    let outcome = check::replay(cfg, kcfg, events);
+                    let outcome = check::replay(cfg, kcfg, events, None);
                     assert_eq!(
                         outcome.violations,
                         vec![],
@@ -164,8 +155,8 @@ fn fixed_interleavings_are_clean_across_configs_and_ths() {
 /// counts) must be byte-identical at any worker count.
 #[test]
 fn fuzz_report_is_identical_at_jobs_1_and_8() {
-    let serial = check::run_check(2, 48, 1);
-    let wide = check::run_check(2, 48, 8);
+    let serial = check::run_check(2, 48, 1, None, PolicyKind::Default);
+    let wide = check::run_check(2, 48, 8, None, PolicyKind::Default);
     assert_eq!(serial, wide);
     assert!(serial.is_clean(), "fuzz cases must be clean: {:?}", serial.cases);
 }
