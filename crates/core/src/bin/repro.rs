@@ -306,6 +306,10 @@ fn main() -> ExitCode {
                 let names = args.next().unwrap_or_else(|| usage());
                 opts.benchmarks =
                     Some(names.split(',').map(|s| s.trim().to_string()).collect());
+                if let Err(e) = opts.check_benchmarks() {
+                    eprintln!("--bench {names}: {e}");
+                    return ExitCode::from(2);
+                }
             }
             "--jobs" => {
                 let n = args.next().unwrap_or_else(|| usage());

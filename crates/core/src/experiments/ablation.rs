@@ -10,12 +10,12 @@
 //! * **FA resident merging** (§4.2.1 step 5): merging freshly coalesced
 //!   entries with residents.
 
-use super::{ExperimentOptions, ExperimentOutput};
+use super::{mean_elimination, ExperimentOptions, ExperimentOutput, Variant};
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
 use crate::sim::SimConfig;
+use colt_os_mem::page_table::PteFlags;
 use colt_tlb::config::TlbConfig;
-use colt_tlb::stats::pct_misses_eliminated;
+use colt_tlb::replacement::ReplacementPolicy;
 use colt_workloads::scenario::Scenario;
 
 /// One ablation variant's average eliminations across benchmarks.
@@ -29,97 +29,88 @@ pub struct AblationRow {
     pub l2_elim: f64,
 }
 
-/// Fans one ablation block out across the sweep runner: every selected
-/// benchmark × (baseline + each variant) is one cell; `make_cfg` maps a
-/// TLB config onto the block's simulation settings (e.g. shootdown
-/// churn). Returns per-variant averages of % misses eliminated. `block`
-/// names the block in its cells' labels: every block journals into the
-/// one `ablation` journal, and `--resume` keys on labels.
-fn average_elimination_with(
-    opts: &ExperimentOptions,
-    block: &str,
-    scenario: &Scenario,
-    make_cfg: impl Fn(TlbConfig) -> SimConfig,
-    variants: &[(String, TlbConfig)],
-) -> Vec<AblationRow> {
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for (i, tlb) in std::iter::once(TlbConfig::baseline())
-            .chain(variants.iter().map(|(_, t)| *t))
-            .enumerate()
-        {
-            cells.push(SweepCell::sim(
-                format!("ablation/{block}/{}/v{i}", spec.name),
-                scenario,
-                spec,
-                make_cfg(tlb),
-            ));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let mut sums = vec![(0.0f64, 0.0f64); variants.len()];
-    for chunk in results.chunks_exact(variants.len() + 1) {
-        let baseline = &chunk[0];
-        for (i, r) in chunk[1..].iter().enumerate() {
-            sums[i].0 += pct_misses_eliminated(baseline.tlb.l1_misses, r.tlb.l1_misses);
-            sums[i].1 += pct_misses_eliminated(baseline.tlb.l2_misses, r.tlb.l2_misses);
-        }
-    }
-    let n = specs.len().max(1) as f64;
-    variants
-        .iter()
-        .zip(sums)
-        .map(|((label, _), (l1, l2))| AblationRow {
-            label: label.clone(),
-            l1_elim: l1 / n,
-            l2_elim: l2 / n,
-        })
-        .collect()
+/// Variants measured against the baseline TLB, all under one scenario
+/// and one set of simulation settings (e.g. shootdown churn). `name`
+/// labels the block's cells: `ablation/{benchmark}/{name}/v{i}`, with
+/// the baseline as `v0`.
+#[derive(Clone)]
+struct Block {
+    name: &'static str,
+    scenario: Scenario,
+    /// The block's simulation settings, on the baseline TLB.
+    base: SimConfig,
+    variants: Vec<(String, TlbConfig)>,
 }
 
-fn average_elimination(
-    opts: &ExperimentOptions,
-    block: &str,
-    variants: &[(String, TlbConfig)],
-) -> Vec<AblationRow> {
-    average_elimination_with(
-        opts,
-        block,
-        &opts.scenario(Scenario::default_linux()),
-        |tlb| SimConfig {
-            pattern_seed: opts.seed,
-            ..SimConfig::new(tlb).with_accesses(opts.accesses)
-        },
-        variants,
-    )
+impl Block {
+    /// A block on the default scenario with plain simulation settings.
+    fn plain(opts: &ExperimentOptions, name: &'static str, variants: Vec<(String, TlbConfig)>)
+    -> Self {
+        Block {
+            name,
+            scenario: opts.scenario(Scenario::default_linux()),
+            base: opts.sim(TlbConfig::baseline()),
+            variants,
+        }
+    }
+}
+
+/// Runs every block in one grid and returns each variant's average %
+/// of its block's baseline misses eliminated, block after block. The
+/// blocks share their baselines and several variants (the stock
+/// CoLT-FA and CoLT-All designs recur), and the grid simulates each
+/// distinct cell once.
+fn measure(opts: &ExperimentOptions, blocks: &[Block]) -> Vec<AblationRow> {
+    let mut variants = Vec::new();
+    for b in blocks {
+        let tlbs = std::iter::once(TlbConfig::baseline()).chain(b.variants.iter().map(|v| v.1));
+        variants.extend(tlbs.enumerate().map(|(i, tlb)| Variant {
+            label: format!("{}/v{i}", b.name),
+            scenario: b.scenario.clone(),
+            cfg: SimConfig { tlb, ..b.base },
+        }));
+    }
+    let grid = opts.run_grid("ablation", &variants);
+    let mut rows = Vec::new();
+    let mut at = 0;
+    for b in blocks {
+        for (k, (label, _)) in b.variants.iter().enumerate() {
+            rows.push(AblationRow {
+                label: label.clone(),
+                l1_elim: mean_elimination(&grid, at, at + 1 + k, |r| r.tlb.l1_misses),
+                l2_elim: mean_elimination(&grid, at, at + 1 + k, |r| r.tlb.l2_misses),
+            });
+        }
+        at += b.variants.len() + 1;
+    }
+    rows
 }
 
 /// §7.1.3: the fill-to-L2 policy for CoLT-FA and CoLT-All.
-pub fn l2_fill_policy(opts: &ExperimentOptions) -> Vec<AblationRow> {
-    let variants = vec![
+fn l2_fill_blocks(opts: &ExperimentOptions) -> Vec<Block> {
+    let no_fill = |tlb| TlbConfig { fill_l2_on_fa: false, ..tlb };
+    vec![Block::plain(opts, "l2-fill", vec![
         ("CoLT-FA, fill L2 (paper)".to_string(), TlbConfig::colt_fa()),
-        ("CoLT-FA, no L2 fill".to_string(), TlbConfig { fill_l2_on_fa: false, ..TlbConfig::colt_fa() }),
+        ("CoLT-FA, no L2 fill".to_string(), no_fill(TlbConfig::colt_fa())),
         ("CoLT-All, fill L2 (paper)".to_string(), TlbConfig::colt_all()),
-        ("CoLT-All, no L2 fill".to_string(), TlbConfig { fill_l2_on_fa: false, ..TlbConfig::colt_all() }),
-    ];
-    average_elimination(opts, "l2-fill", &variants)
+        ("CoLT-All, no L2 fill".to_string(), no_fill(TlbConfig::colt_all())),
+    ])]
 }
 
 /// §4.2.4: the superpage-TLB size halving.
-pub fn fa_size(opts: &ExperimentOptions) -> Vec<AblationRow> {
-    let variants = vec![
+fn fa_size_blocks(opts: &ExperimentOptions) -> Vec<Block> {
+    let sp16 = |tlb| TlbConfig { sp_entries: 16, ..tlb };
+    vec![Block::plain(opts, "fa-size", vec![
         ("CoLT-FA, 8-entry SP (paper)".to_string(), TlbConfig::colt_fa()),
-        ("CoLT-FA, 16-entry SP".to_string(), TlbConfig { sp_entries: 16, ..TlbConfig::colt_fa() }),
+        ("CoLT-FA, 16-entry SP".to_string(), sp16(TlbConfig::colt_fa())),
         ("CoLT-All, 8-entry SP (paper)".to_string(), TlbConfig::colt_all()),
-        ("CoLT-All, 16-entry SP".to_string(), TlbConfig { sp_entries: 16, ..TlbConfig::colt_all() }),
-    ];
-    average_elimination(opts, "fa-size", &variants)
+        ("CoLT-All, 16-entry SP".to_string(), sp16(TlbConfig::colt_all())),
+    ])]
 }
 
 /// §4.3.1: CoLT-All's routing threshold.
-pub fn all_threshold(opts: &ExperimentOptions) -> Vec<AblationRow> {
-    let variants: Vec<(String, TlbConfig)> = [1u64, 2, 4, 8]
+fn all_threshold_blocks(opts: &ExperimentOptions) -> Vec<Block> {
+    let variants = [1u64, 2, 4, 8]
         .iter()
         .map(|&t| {
             (
@@ -128,19 +119,18 @@ pub fn all_threshold(opts: &ExperimentOptions) -> Vec<AblationRow> {
             )
         })
         .collect();
-    average_elimination(opts, "all-threshold", &variants)
+    vec![Block::plain(opts, "all-threshold", variants)]
 }
 
 /// §4.2.1 step 5: resident-entry merging in the superpage TLB.
-pub fn fa_merge(opts: &ExperimentOptions) -> Vec<AblationRow> {
-    let variants = vec![
+fn fa_merge_blocks(opts: &ExperimentOptions) -> Vec<Block> {
+    vec![Block::plain(opts, "fa-merge", vec![
         ("CoLT-FA, resident merge (paper)".to_string(), TlbConfig::colt_fa()),
         (
             "CoLT-FA, no resident merge".to_string(),
             TlbConfig { fa_resident_merge: false, ..TlbConfig::colt_fa() },
         ),
-    ];
-    average_elimination(opts, "fa-merge", &variants)
+    ])]
 }
 
 /// The §4.1.5/§4.2.3 future-work refinements, each measured against the
@@ -149,35 +139,20 @@ pub fn fa_merge(opts: &ExperimentOptions) -> Vec<AblationRow> {
 /// * coalescing-aware replacement — plain workload;
 /// * graceful invalidation — under TLB-shootdown churn;
 /// * attribute-tolerant coalescing — with a share of pages dirtied.
-pub fn future_work(opts: &ExperimentOptions) -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-
-    // (a) Replacement policy, plain conditions.
-    rows.extend(average_elimination(
-        opts,
-        "replacement",
-        &[
-            ("CoLT-All, LRU (paper)".to_string(), TlbConfig::colt_all()),
-            (
-                "CoLT-All, coalesced-first replacement".to_string(),
-                TlbConfig {
-                    replacement: colt_tlb::replacement::ReplacementPolicy::SmallestCoalescedFirst,
-                    ..TlbConfig::colt_all()
-                },
-            ),
-        ],
-    ));
-
-    // (b) Graceful invalidation, under shootdown churn.
-    rows.extend(average_elimination_with(
-        opts,
-        "shootdowns",
-        &opts.scenario(Scenario::default_linux()),
-        |tlb| SimConfig {
-            pattern_seed: opts.seed,
-            ..SimConfig::new(tlb).with_accesses(opts.accesses).with_invalidations(64)
-        },
-        &[
+fn future_work_blocks(opts: &ExperimentOptions) -> Vec<Block> {
+    let replacement = Block::plain(opts, "replacement", vec![
+        ("CoLT-All, LRU (paper)".to_string(), TlbConfig::colt_all()),
+        (
+            "CoLT-All, coalesced-first replacement".to_string(),
+            TlbConfig {
+                replacement: ReplacementPolicy::SmallestCoalescedFirst,
+                ..TlbConfig::colt_all()
+            },
+        ),
+    ]);
+    let shootdowns = Block {
+        base: opts.sim(TlbConfig::baseline()).with_invalidations(64),
+        ..Block::plain(opts, "shootdowns", vec![
             (
                 "CoLT-All + shootdowns, flush whole entries (paper)".to_string(),
                 TlbConfig::colt_all(),
@@ -186,19 +161,11 @@ pub fn future_work(opts: &ExperimentOptions) -> Vec<AblationRow> {
                 "CoLT-All + shootdowns, graceful uncoalescing".to_string(),
                 TlbConfig { graceful_invalidation: true, ..TlbConfig::colt_all() },
             ),
-        ],
-    ));
-
-    // (c) Attribute tolerance, with dirty pages breaking runs.
-    rows.extend(average_elimination_with(
-        opts,
-        "dirty",
-        &opts.scenario(Scenario::default_linux().with_dirty_fraction(0.3)),
-        |tlb| SimConfig {
-            pattern_seed: opts.seed,
-            ..SimConfig::new(tlb).with_accesses(opts.accesses)
-        },
-        &[
+        ])
+    };
+    let dirty = Block {
+        scenario: opts.scenario(Scenario::default_linux().with_dirty_fraction(0.3)),
+        ..Block::plain(opts, "dirty", vec![
             (
                 "CoLT-All + 30% dirty, strict attributes (paper)".to_string(),
                 TlbConfig::colt_all(),
@@ -206,25 +173,48 @@ pub fn future_work(opts: &ExperimentOptions) -> Vec<AblationRow> {
             (
                 "CoLT-All + 30% dirty, DIRTY/ACCESSED tolerated".to_string(),
                 TlbConfig {
-                    coalesce_ignore_flags: colt_os_mem::page_table::PteFlags::DIRTY
-                        .with(colt_os_mem::page_table::PteFlags::ACCESSED),
+                    coalesce_ignore_flags: PteFlags::DIRTY.with(PteFlags::ACCESSED),
                     ..TlbConfig::colt_all()
                 },
             ),
-        ],
-    ));
-    rows
+        ])
+    };
+    vec![replacement, shootdowns, dirty]
 }
 
-/// Runs all ablations and renders them.
+/// §7.1.3 on its own.
+pub fn l2_fill_policy(opts: &ExperimentOptions) -> Vec<AblationRow> {
+    measure(opts, &l2_fill_blocks(opts))
+}
+
+/// §4.2.4 on its own.
+pub fn fa_size(opts: &ExperimentOptions) -> Vec<AblationRow> {
+    measure(opts, &fa_size_blocks(opts))
+}
+
+/// The future-work refinements on their own.
+pub fn future_work(opts: &ExperimentOptions) -> Vec<AblationRow> {
+    measure(opts, &future_work_blocks(opts))
+}
+
+/// Runs all ablations as one grid and renders them.
 pub fn run(opts: &ExperimentOptions) -> (Vec<(String, Vec<AblationRow>)>, ExperimentOutput) {
-    let groups = vec![
-        ("Fill-to-L2 policy (sec 7.1.3)".to_string(), l2_fill_policy(opts)),
-        ("Superpage-TLB size (sec 4.2.4)".to_string(), fa_size(opts)),
-        ("CoLT-All threshold (sec 4.3.1)".to_string(), all_threshold(opts)),
-        ("FA resident merging (sec 4.2.1)".to_string(), fa_merge(opts)),
-        ("Future work (sec 4.1.5 / 4.2.3)".to_string(), future_work(opts)),
+    let declared = [
+        ("Fill-to-L2 policy (sec 7.1.3)", l2_fill_blocks(opts)),
+        ("Superpage-TLB size (sec 4.2.4)", fa_size_blocks(opts)),
+        ("CoLT-All threshold (sec 4.3.1)", all_threshold_blocks(opts)),
+        ("FA resident merging (sec 4.2.1)", fa_merge_blocks(opts)),
+        ("Future work (sec 4.1.5 / 4.2.3)", future_work_blocks(opts)),
     ];
+    let blocks: Vec<Block> = declared.iter().flat_map(|(_, b)| b.iter().cloned()).collect();
+    let mut rows = measure(opts, &blocks).into_iter();
+    let groups: Vec<(String, Vec<AblationRow>)> = declared
+        .into_iter()
+        .map(|(title, blocks)| {
+            let n = blocks.iter().map(|b| b.variants.len()).sum();
+            (title.to_string(), rows.by_ref().take(n).collect())
+        })
+        .collect();
     let mut tables = Vec::new();
     for (title, rows) in &groups {
         let mut table = Table::new(
@@ -242,6 +232,21 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<(String, Vec<AblationRow>)>, Experi
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_journals_each_distinct_cell_once() {
+        let opts = ExperimentOptions {
+            accesses: 4_000,
+            ..ExperimentOptions::quick().with_benchmarks(&["Gobmk"])
+        };
+        let (opts, journal, dir) = super::super::tests::journaled(opts, "ablation");
+        let (groups, _) = run(&opts);
+        // Seven blocks declare 27 cells (a baseline plus 20 variants);
+        // the shared baselines and stock designs leave 18 distinct.
+        assert_eq!(groups.iter().map(|(_, rows)| rows.len()).sum::<usize>(), 20);
+        assert_eq!(journal.appended(), 18);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn l2_fill_policy_helps_colt_fa() {

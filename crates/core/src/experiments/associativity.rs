@@ -7,11 +7,9 @@
 
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
-use crate::sim::{SimConfig, SimResult};
+use crate::sim::SimResult;
 use colt_tlb::config::TlbConfig;
 use colt_tlb::stats::pct_misses_eliminated;
-use colt_workloads::scenario::Scenario;
 
 /// Results for one benchmark across the associativity study.
 #[derive(Clone, Debug)]
@@ -36,55 +34,31 @@ pub const VARIANTS: [&str; 3] = ["4-way CoLT-SA", "8-way no CoLT", "8-way CoLT-S
 
 /// Runs the associativity study.
 pub fn run(opts: &ExperimentOptions) -> (Vec<AssocRow>, ExperimentOutput) {
-    let scenario = opts.scenario(Scenario::default_linux());
     let configs = [
+        TlbConfig::baseline(),
         TlbConfig::colt_sa(),
         TlbConfig::baseline().with_l2_ways(8),
         TlbConfig::colt_sa().with_l2_ways(8),
     ];
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for (i, tlb) in std::iter::once(TlbConfig::baseline()).chain(configs).enumerate() {
-            let cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(tlb).with_accesses(opts.accesses)
-            };
-            cells.push(SweepCell::sim(format!("fig20/{}/v{i}", spec.name), &scenario, spec, cfg));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let rows: Vec<AssocRow> = specs
-        .iter()
-        .zip(results.chunks_exact(4))
-        .map(|(spec, r)| AssocRow {
-            name: spec.name,
-            baseline: r[0],
-            variants: [r[1], r[2], r[3]],
-        })
+    let variants: Vec<_> = configs
+        .into_iter()
+        .enumerate()
+        .map(|(i, tlb)| opts.variant(format!("v{i}"), opts.sim(tlb)))
+        .collect();
+    let rows: Vec<AssocRow> = opts
+        .run_grid("fig20", &variants)
+        .into_iter()
+        .map(|(spec, r)| AssocRow { name: spec.name, baseline: r[0], variants: [r[1], r[2], r[3]] })
         .collect();
 
     let mut table = Table::new(
         "Figure 20: % of 4-way baseline L2 misses eliminated (paper avg: 40 / 10 / 60)",
         &["Benchmark", VARIANTS[0], VARIANTS[1], VARIANTS[2]],
     );
-    let mut sums = [0.0f64; 3];
-    for r in &rows {
-        let vals = [r.l2_elim(0), r.l2_elim(1), r.l2_elim(2)];
-        for (s, v) in sums.iter_mut().zip(vals) {
-            *s += v;
-        }
-        table.add_row(vec![r.name.to_string(), f1(vals[0]), f1(vals[1]), f1(vals[2])]);
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        table.add_row(vec![
-            "Average".to_string(),
-            f1(sums[0] / n),
-            f1(sums[1] / n),
-            f1(sums[2] / n),
-        ]);
-    }
+    table.add_rows_and_average(
+        rows.iter().map(|r| (r.name, [r.l2_elim(0), r.l2_elim(1), r.l2_elim(2)])),
+        f1,
+    );
     (rows, ExperimentOutput { id: "fig20", tables: vec![table] })
 }
 

@@ -9,11 +9,9 @@
 
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
 use crate::sim::SimConfig;
 use colt_tlb::config::TlbConfig;
 use colt_tlb::stats::pct_misses_eliminated;
-use colt_workloads::scenario::Scenario;
 
 /// The flush periods swept (accesses between context switches; `None` =
 /// never).
@@ -30,30 +28,16 @@ pub struct ContextSwitchRow {
 
 /// Runs the context-switch sweep.
 pub fn run(opts: &ExperimentOptions) -> (Vec<ContextSwitchRow>, ExperimentOutput) {
-    let scenario = opts.scenario(Scenario::default_linux());
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for (i, &period) in PERIODS.iter().enumerate() {
-            for tlb in [TlbConfig::baseline(), TlbConfig::colt_all()] {
-                let mut cfg = SimConfig {
-                    pattern_seed: opts.seed,
-                    ..SimConfig::new(tlb).with_accesses(opts.accesses)
-                };
-                cfg.flush_period = period;
-                cells.push(SweepCell::sim(
-                    format!("ctxswitch/{}/p{i}/{}", spec.name, tlb.mode.label()),
-                    &scenario,
-                    spec,
-                    cfg,
-                ));
-            }
+    let mut variants = Vec::new();
+    for (i, &period) in PERIODS.iter().enumerate() {
+        for tlb in [TlbConfig::baseline(), TlbConfig::colt_all()] {
+            let cfg = SimConfig { flush_period: period, ..opts.sim(tlb) };
+            variants.push(opts.variant(format!("p{i}/{}", tlb.mode.label()), cfg));
         }
     }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let rows: Vec<ContextSwitchRow> = specs
-        .iter()
-        .zip(results.chunks_exact(8))
+    let rows: Vec<ContextSwitchRow> = opts
+        .run_grid("ctxswitch", &variants)
+        .into_iter()
         .map(|(spec, r)| {
             let mut elim = [0.0f64; 4];
             for (i, pair) in r.chunks_exact(2).enumerate() {
@@ -67,21 +51,7 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<ContextSwitchRow>, ExperimentOutput
         "Context switches: CoLT-All L2 elimination vs flush period (extension)",
         &["Benchmark", "no flush", "per 50k", "per 10k", "per 2k"],
     );
-    let mut sums = [0.0f64; 4];
-    for r in &rows {
-        for (s, v) in sums.iter_mut().zip(r.elim) {
-            *s += v;
-        }
-        let mut cells = vec![r.name.to_string()];
-        cells.extend(r.elim.iter().map(|v| f1(*v)));
-        table.add_row(cells);
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        let mut cells = vec!["Average".to_string()];
-        cells.extend(sums.iter().map(|s| f1(s / n)));
-        table.add_row(cells);
-    }
+    table.add_rows_and_average(rows.iter().map(|r| (r.name, r.elim)), f1);
     (rows, ExperimentOutput { id: "ctxswitch", tables: vec![table] })
 }
 

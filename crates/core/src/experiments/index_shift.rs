@@ -7,11 +7,9 @@
 
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
-use crate::sim::{SimConfig, SimResult};
+use crate::sim::SimResult;
 use colt_tlb::config::TlbConfig;
 use colt_tlb::stats::pct_misses_eliminated;
-use colt_workloads::scenario::Scenario;
 
 /// The index shifts Figure 19 sweeps.
 pub const SHIFTS: [u32; 3] = [1, 2, 3];
@@ -41,56 +39,29 @@ impl ShiftRow {
 
 /// Runs the shift sweep.
 pub fn run(opts: &ExperimentOptions) -> (Vec<ShiftRow>, ExperimentOutput) {
-    let scenario = opts.scenario(Scenario::default_linux());
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        let mut configs = vec![("base".to_string(), TlbConfig::baseline())];
-        configs.extend(
-            SHIFTS.map(|s| (format!("shift{s}"), TlbConfig::colt_sa().with_shift(s))),
-        );
-        for (label, tlb) in configs {
-            let cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(tlb).with_accesses(opts.accesses)
-            };
-            cells.push(SweepCell::sim(format!("fig19/{}/{label}", spec.name), &scenario, spec, cfg));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let rows: Vec<ShiftRow> = specs
-        .iter()
-        .zip(results.chunks_exact(4))
-        .map(|(spec, r)| ShiftRow {
-            name: spec.name,
-            baseline: r[0],
-            shifted: [r[1], r[2], r[3]],
-        })
+    let mut variants = vec![opts.variant("base", opts.sim(TlbConfig::baseline()))];
+    variants.extend(SHIFTS.map(|s| {
+        opts.variant(format!("shift{s}"), opts.sim(TlbConfig::colt_sa().with_shift(s)))
+    }));
+    let rows: Vec<ShiftRow> = opts
+        .run_grid("fig19", &variants)
+        .into_iter()
+        .map(|(spec, r)| ShiftRow { name: spec.name, baseline: r[0], shifted: [r[1], r[2], r[3]] })
         .collect();
 
     let mut table = Table::new(
         "Figure 19: CoLT-SA miss elimination by index left-shift (paper: shift 2 is best)",
         &["Benchmark", "L1 s1", "L1 s2", "L1 s3", "L2 s1", "L2 s2", "L2 s3"],
     );
-    let mut sums = [0.0f64; 6];
-    for r in &rows {
-        let vals = [
-            r.l1_elim(0), r.l1_elim(1), r.l1_elim(2),
-            r.l2_elim(0), r.l2_elim(1), r.l2_elim(2),
-        ];
-        for (s, v) in sums.iter_mut().zip(vals) {
-            *s += v;
-        }
-        let mut cells = vec![r.name.to_string()];
-        cells.extend(vals.iter().map(|v| f1(*v)));
-        table.add_row(cells);
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        let mut cells = vec!["Average".to_string()];
-        cells.extend(sums.iter().map(|s| f1(s / n)));
-        table.add_row(cells);
-    }
+    table.add_rows_and_average(
+        rows.iter().map(|r| {
+            (
+                r.name,
+                [r.l1_elim(0), r.l1_elim(1), r.l1_elim(2), r.l2_elim(0), r.l2_elim(1), r.l2_elim(2)],
+            )
+        }),
+        f1,
+    );
     (rows, ExperimentOutput { id: "fig19", tables: vec![table] })
 }
 

@@ -9,11 +9,9 @@
 
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
-use crate::sim::{SimConfig, SimResult};
+use crate::sim::SimResult;
 use colt_tlb::config::TlbConfig;
 use colt_tlb::stats::pct_misses_eliminated;
-use colt_workloads::scenario::Scenario;
 
 /// Results of the four designs for one benchmark.
 #[derive(Clone, Debug)]
@@ -49,56 +47,30 @@ pub fn figure18_configs() -> [TlbConfig; 4] {
 
 /// Runs all four designs over one benchmark set.
 pub fn run(opts: &ExperimentOptions) -> (Vec<EliminationRow>, ExperimentOutput) {
-    let scenario = opts.scenario(Scenario::default_linux());
-    let configs = figure18_configs();
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for (label, tlb) in ["base", "SA", "FA", "All"].iter().zip(configs) {
-            let cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(tlb).with_accesses(opts.accesses)
-            };
-            cells.push(SweepCell::sim(format!("fig18/{}/{label}", spec.name), &scenario, spec, cfg));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let rows: Vec<EliminationRow> = specs
-        .iter()
-        .zip(results.chunks_exact(4))
-        .map(|(spec, r)| EliminationRow {
-            name: spec.name,
-            results: [r[0], r[1], r[2], r[3]],
-        })
+    let variants: Vec<_> = ["base", "SA", "FA", "All"]
+        .into_iter()
+        .zip(figure18_configs())
+        .map(|(label, tlb)| opts.variant(label, opts.sim(tlb)))
+        .collect();
+    let rows: Vec<EliminationRow> = opts
+        .run_grid("fig18", &variants)
+        .into_iter()
+        .map(|(spec, r)| EliminationRow { name: spec.name, results: [r[0], r[1], r[2], r[3]] })
         .collect();
 
     let mut table = Table::new(
         "Figure 18: % of baseline TLB misses eliminated (paper avg: SA 40, FA/All ~55)",
         &["Benchmark", "L1 SA", "L1 FA", "L1 All", "L2 SA", "L2 FA", "L2 All"],
     );
-    let mut sums = [0.0f64; 6];
-    for r in &rows {
-        let vals = [
-            r.l1_elim(1),
-            r.l1_elim(2),
-            r.l1_elim(3),
-            r.l2_elim(1),
-            r.l2_elim(2),
-            r.l2_elim(3),
-        ];
-        for (s, v) in sums.iter_mut().zip(vals) {
-            *s += v;
-        }
-        let mut cells = vec![r.name.to_string()];
-        cells.extend(vals.iter().map(|v| f1(*v)));
-        table.add_row(cells);
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        let mut cells = vec!["Average".to_string()];
-        cells.extend(sums.iter().map(|s| f1(s / n)));
-        table.add_row(cells);
-    }
+    table.add_rows_and_average(
+        rows.iter().map(|r| {
+            (
+                r.name,
+                [r.l1_elim(1), r.l1_elim(2), r.l1_elim(3), r.l2_elim(1), r.l2_elim(2), r.l2_elim(3)],
+            )
+        }),
+        f1,
+    );
     (rows, ExperimentOutput { id: "fig18", tables: vec![table] })
 }
 

@@ -25,6 +25,9 @@
 //! Every driver returns structured rows plus [`Table`]s whose columns
 //! include the paper's published values next to the measured ones, so
 //! the `repro` binary's output doubles as the EXPERIMENTS.md data source.
+//! The simulation drivers declare [`Variant`]s and run them through
+//! [`ExperimentOptions::run_grid`], which simulates each distinct cell
+//! once.
 
 pub mod ablation;
 pub mod associativity;
@@ -48,10 +51,14 @@ pub mod virtualization;
 
 use crate::journal::Journal;
 use crate::report::Table;
-use crate::runner::SweepOptions;
+use crate::runner::{self, SweepCell, SweepOptions};
+use crate::sim::{SimConfig, SimResult};
 use colt_os_mem::faults::FaultConfig;
 use colt_os_mem::policy::PolicyKind;
-use colt_workloads::spec::{all_benchmarks, BenchmarkSpec};
+use colt_tlb::config::TlbConfig;
+use colt_tlb::stats::pct_misses_eliminated;
+use colt_workloads::scenario::Scenario;
+use colt_workloads::spec::{all_benchmarks, benchmark, BenchmarkSpec};
 use std::sync::Arc;
 
 /// Options shared by all experiment drivers.
@@ -144,9 +151,65 @@ impl ExperimentOptions {
     /// here so `repro --policy NAME` governs the whole run; the default
     /// policy leaves the scenario (name and bytes) untouched.
     #[must_use]
-    pub fn scenario(&self, scenario: colt_workloads::scenario::Scenario)
-    -> colt_workloads::scenario::Scenario {
+    pub fn scenario(&self, scenario: Scenario) -> Scenario {
         scenario.with_policy(self.policy)
+    }
+
+    /// The simulation of `tlb` at this run's access budget and pattern
+    /// seed: the one place a cell's config picks the two up.
+    pub fn sim(&self, tlb: TlbConfig) -> SimConfig {
+        SimConfig { pattern_seed: self.seed, ..SimConfig::new(tlb).with_accesses(self.accesses) }
+    }
+
+    /// A variant on the default Linux scenario, under this run's policy.
+    pub fn variant(&self, label: impl Into<String>, cfg: SimConfig) -> Variant {
+        Variant { label: label.into(), scenario: self.scenario(Scenario::default_linux()), cfg }
+    }
+
+    /// Runs every selected benchmark under every variant as one sweep,
+    /// cells labelled `{experiment}/{benchmark}/{variant}`, and returns
+    /// each benchmark with one result per variant, in declaration
+    /// order. A variant whose scenario and config equal an earlier
+    /// one's (their `Debug` text, which is how
+    /// [`prep_key`](crate::snapshot_cache::prep_key) keys preparations)
+    /// is simulated once, under the earlier label, and shares its
+    /// result.
+    pub fn run_grid(
+        &self,
+        experiment: &str,
+        variants: &[Variant],
+    ) -> Vec<(BenchmarkSpec, Vec<SimResult>)> {
+        let keys: Vec<String> =
+            variants.iter().map(|v| format!("{:?}\u{1}{:?}", v.scenario, v.cfg)).collect();
+        // Each variant's position among the distinct variants.
+        let mut distinct: Vec<usize> = Vec::new();
+        let slots: Vec<usize> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                distinct.iter().position(|&d| keys[d] == *key).unwrap_or_else(|| {
+                    distinct.push(i);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let specs = self.selected_benchmarks();
+        let mut cells = Vec::new();
+        for spec in &specs {
+            for v in distinct.iter().map(|&d| &variants[d]) {
+                let label = format!("{experiment}/{}/{}", spec.name, v.label);
+                cells.push(SweepCell::sim(label, &v.scenario, spec, v.cfg));
+            }
+        }
+        let results = runner::expect_all(runner::run_cells_sweep(cells, &self.sweep()));
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(b, spec)| {
+                let row = &results[b * distinct.len()..];
+                (spec, slots.iter().map(|&s| row[s]).collect())
+            })
+            .collect()
     }
 
     /// The sweep options these describe, for the runner's
@@ -183,6 +246,24 @@ impl ExperimentOptions {
         crate::journal::fingerprint_of(&canonical)
     }
 
+    /// Checks that every name in [`benchmarks`](Self::benchmarks) names
+    /// a benchmark model, so a typo fails before anything runs instead
+    /// of printing empty tables. The error lists the valid names.
+    pub fn check_benchmarks(&self) -> Result<(), String> {
+        let unknown: Vec<String> = self
+            .benchmarks
+            .iter()
+            .flatten()
+            .filter(|name| benchmark(name).is_none())
+            .map(|name| format!("'{name}'"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        let valid: Vec<&str> = all_benchmarks().iter().map(|s| s.name).collect();
+        Err(format!("unknown benchmark {} (valid: {})", unknown.join(", "), valid.join(" ")))
+    }
+
     /// The benchmark models this run covers.
     pub fn selected_benchmarks(&self) -> Vec<BenchmarkSpec> {
         let specs = all_benchmarks();
@@ -194,6 +275,33 @@ impl ExperimentOptions {
                 .collect(),
         }
     }
+}
+
+/// The mean over a grid's benchmarks of the % of variant `base`'s
+/// misses (as `misses` counts them) that variant `variant` eliminates.
+pub(crate) fn mean_elimination(
+    grid: &[(BenchmarkSpec, Vec<SimResult>)],
+    base: usize,
+    variant: usize,
+    misses: fn(&SimResult) -> u64,
+) -> f64 {
+    let sum = grid
+        .iter()
+        .fold(0.0, |s, (_, r)| s + pct_misses_eliminated(misses(&r[base]), misses(&r[variant])));
+    sum / grid.len().max(1) as f64
+}
+
+/// One column of a driver's grid: the scenario and the simulation that
+/// every selected benchmark runs under. Drivers declare their variants
+/// and [`ExperimentOptions::run_grid`] runs them.
+#[derive(Clone, Debug)]
+pub struct Variant {
+    /// Names the variant's cells: `{experiment}/{benchmark}/{label}`.
+    pub label: String,
+    /// The machine each benchmark is prepared on.
+    pub scenario: Scenario,
+    /// The simulation each benchmark runs.
+    pub cfg: SimConfig,
 }
 
 /// A rendered experiment: its name and one or more output tables.
@@ -289,6 +397,64 @@ pub fn run_named(name: &str, opts: &ExperimentOptions) -> Option<NamedRun> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `opts` journaling `experiment` into a fresh temp directory, with
+    /// the journal (to count its records) and the directory.
+    pub(super) fn journaled(
+        opts: ExperimentOptions,
+        experiment: &str,
+    ) -> (ExperimentOptions, Arc<Journal>, std::path::PathBuf) {
+        let dir = std::env::temp_dir()
+            .join(format!("colt-experiments-{experiment}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Arc::new(
+            Journal::open(&dir, experiment, opts.fingerprint(experiment), false)
+                .expect("journal opens"),
+        );
+        (ExperimentOptions { journal: Some(Arc::clone(&journal)), ..opts }, journal, dir)
+    }
+
+    #[test]
+    fn run_grid_simulates_a_repeated_variant_once_and_shares_its_result() {
+        let opts = ExperimentOptions {
+            accesses: 4_000,
+            ..ExperimentOptions::quick().with_benchmarks(&["Gobmk", "Bzip2"])
+        };
+        let (opts, journal, dir) = journaled(opts, "grid-test");
+        let base = opts.sim(TlbConfig::baseline());
+        let variants = [
+            opts.variant("base", base),
+            opts.variant("all", opts.sim(TlbConfig::colt_all())),
+            opts.variant("base-again", base),
+            // Same config on another machine: a distinct cell.
+            Variant { label: "no-ths".into(), scenario: Scenario::no_ths(), cfg: base },
+        ];
+        let grid = opts.run_grid("grid-test", &variants);
+        assert_eq!(grid.len(), 2);
+        for (spec, r) in &grid {
+            assert_eq!(r.len(), variants.len());
+            assert_eq!(format!("{:?}", r[2]), format!("{:?}", r[0]), "{}", spec.name);
+        }
+        assert_eq!(journal.appended(), 6, "three distinct cells per benchmark, journaled once");
+        let records = std::fs::read_to_string(dir.join("grid-test.jsonl")).unwrap();
+        assert!(records.contains("grid-test/Gobmk/base"), "{records}");
+        assert!(!records.contains("base-again"), "a repeat runs under the first label");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn check_benchmarks_rejects_unknown_names_and_lists_the_valid_ones() {
+        assert!(ExperimentOptions::quick().check_benchmarks().is_ok());
+        let opts = ExperimentOptions::quick().with_benchmarks(&["gobmk", "Bzip2"]);
+        assert!(opts.check_benchmarks().is_ok(), "names match case-insensitively");
+        let err = ExperimentOptions::quick()
+            .with_benchmarks(&["Gobmk", "Nope", ""])
+            .check_benchmarks()
+            .expect_err("unknown names are rejected");
+        assert!(err.contains("'Nope', ''"), "{err}");
+        assert!(err.contains("Mcf") && err.contains("Milc"), "the valid names are listed: {err}");
+        assert!(!err.contains("'Gobmk'"), "{err}");
+    }
 
     #[test]
     fn run_named_rejects_unknown_names_without_side_effects() {

@@ -65,10 +65,7 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<MultiprogRow>, ExperimentOutput) {
     let tasks: Vec<SweepTask<MultiprogRow>> = PAIRS
         .iter()
         .map(|&(a, b)| {
-            let cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(TlbConfig::baseline()).with_accesses(opts.accesses)
-            };
+            let cfg = opts.sim(TlbConfig::baseline());
             let refs = 2 * (cfg.warmup + cfg.accesses);
             SweepTask::new(format!("multiprog/{a}+{b}"), refs, move || {
                 let scenario = Scenario::default_linux().with_policy(policy);

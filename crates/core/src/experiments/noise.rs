@@ -8,13 +8,10 @@
 //! * **scenario seeds** — the machine history (aging, interference,
 //!   memhog placement), i.e. a different memory layout.
 
-use super::{ExperimentOptions, ExperimentOutput};
+use super::{mean_elimination, ExperimentOptions, ExperimentOutput, Variant};
 use crate::metrics::mean;
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
 use crate::sim::SimConfig;
-use colt_tlb::config::TlbConfig;
-use colt_tlb::stats::pct_misses_eliminated;
 use colt_workloads::scenario::Scenario;
 
 /// Mean and spread of one design's average elimination across seeds.
@@ -32,62 +29,44 @@ pub struct NoiseRow {
     pub max_elim: f64,
 }
 
-fn elim_for(
-    opts: &ExperimentOptions,
-    scenario_seed: u64,
-    pattern_seed: u64,
-) -> [f64; 3] {
-    let scenario = opts.scenario(Scenario::default_linux().with_seed(scenario_seed));
-    let configs = [TlbConfig::colt_sa(), TlbConfig::colt_fa(), TlbConfig::colt_all()];
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for (i, tlb) in std::iter::once(TlbConfig::baseline()).chain(configs).enumerate() {
-            let cfg = SimConfig {
-                pattern_seed,
-                ..SimConfig::new(tlb).with_accesses(opts.accesses)
-            };
-            cells.push(SweepCell::sim(
-                format!("noise/{}/s{scenario_seed:x}/p{pattern_seed:x}/v{i}", spec.name),
-                &scenario,
-                spec,
-                cfg,
-            ));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let mut sums = [0.0f64; 3];
-    for chunk in results.chunks_exact(4) {
-        for (i, r) in chunk[1..].iter().enumerate() {
-            sums[i] += pct_misses_eliminated(chunk[0].tlb.l2_misses, r.tlb.l2_misses);
-        }
-    }
-    let n = specs.len().max(1) as f64;
-    [sums[0] / n, sums[1] / n, sums[2] / n]
-}
-
-/// Runs the seed-sensitivity study (3 pattern seeds × 3 scenario seeds).
+/// Runs the seed-sensitivity study (3 pattern seeds × 3 scenario seeds)
+/// as one grid: Figure 18's four designs under each (scenario seed,
+/// pattern seed) pair. The pair both axes start from is declared twice
+/// and simulated once.
 pub fn run(opts: &ExperimentOptions) -> (Vec<NoiseRow>, ExperimentOutput) {
     let designs = ["CoLT-SA", "CoLT-FA", "CoLT-All"];
-    let base_scenario_seed = 0xC011_7E57;
+    let base_scenario_seed: u64 = 0xC011_7E57;
+    let axes = [
+        (
+            "pattern seed",
+            [0, 1, 2].map(|i| (base_scenario_seed, opts.seed.wrapping_add(i * 7919))),
+        ),
+        (
+            "machine history",
+            [0, 1, 2].map(|i| (base_scenario_seed.wrapping_add(i * 104_729), opts.seed)),
+        ),
+    ];
+    let mut variants = Vec::new();
+    for (scenario_seed, pattern_seed) in axes.iter().flat_map(|(_, pairs)| pairs) {
+        let scenario = opts.scenario(Scenario::default_linux().with_seed(*scenario_seed));
+        for (i, tlb) in super::miss_elimination::figure18_configs().into_iter().enumerate() {
+            variants.push(Variant {
+                label: format!("s{scenario_seed:x}/p{pattern_seed:x}/v{i}"),
+                scenario: scenario.clone(),
+                cfg: SimConfig { pattern_seed: *pattern_seed, ..opts.sim(tlb) },
+            });
+        }
+    }
+    let grid = opts.run_grid("noise", &variants);
+    // Each pair's Figure-18 L2 averages, one per design.
+    let averages: Vec<[f64; 3]> = (0..variants.len() / 4)
+        .map(|p| [1, 2, 3].map(|d| mean_elimination(&grid, 4 * p, 4 * p + d, |r| r.tlb.l2_misses)))
+        .collect();
+
     let mut rows = Vec::new();
-
-    // Axis 1: pattern seeds over the fixed default layout.
-    let pattern_runs: Vec<[f64; 3]> = (0..3)
-        .map(|i| elim_for(opts, base_scenario_seed, opts.seed.wrapping_add(i * 7919)))
-        .collect();
-    // Axis 2: scenario seeds with the fixed default pattern seed. Its
-    // first run has axis 1's first seeds, so it is that run, not a
-    // second sweep of the same cells under the same labels.
-    let scenario_runs: Vec<[f64; 3]> = std::iter::once(pattern_runs[0])
-        .chain((1..3).map(|i| {
-            elim_for(opts, base_scenario_seed.wrapping_add(i * 104_729), opts.seed)
-        }))
-        .collect();
-
-    for (axis, runs) in [("pattern seed", &pattern_runs), ("machine history", &scenario_runs)] {
+    for (a, (axis, _)) in axes.iter().enumerate() {
         for (d, design) in designs.iter().enumerate() {
-            let vals: Vec<f64> = runs.iter().map(|r| r[d]).collect();
+            let vals: Vec<f64> = averages[3 * a..3 * a + 3].iter().map(|r| r[d]).collect();
             rows.push(NoiseRow {
                 axis: axis.to_string(),
                 design,

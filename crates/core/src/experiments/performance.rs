@@ -1,17 +1,16 @@
 //! Figure 21: performance improvement of CoLT-SA/FA/All against the
 //! baseline, with perfect (100%-hit) TLBs as the upper bound.
 //!
-//! Uses the paper's own interpolation method (§5.2.1): page walks are
-//! serialized on the critical path, so cycles saved on walks translate
-//! directly to runtime (see [`crate::perf`]).
+//! Uses the paper's own interpolation method (§5.2.1) over Figure 18's
+//! simulations: page walks are serialized on the critical path, so
+//! cycles saved on walks translate directly to runtime (see
+//! [`crate::perf`]).
 
+use super::miss_elimination::{self, EliminationRow};
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::perf::PerfModel;
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
-use crate::sim::{SimConfig, SimResult};
-use colt_tlb::config::TlbConfig;
-use colt_workloads::scenario::Scenario;
+use crate::sim::SimResult;
 
 /// Performance results for one benchmark.
 #[derive(Clone, Debug)]
@@ -27,79 +26,35 @@ pub struct PerfRow {
     pub results: [SimResult; 4],
 }
 
-/// Runs the performance study.
-pub fn run(opts: &ExperimentOptions) -> (Vec<PerfRow>, ExperimentOutput) {
-    let scenario = opts.scenario(Scenario::default_linux());
+/// Figure 21 from Figure 18's rows: the paper derives its speedups from
+/// the same simulations (§5.2.1), so Figure 21 runs no cells of its own.
+pub fn rows_from(elimination: &[EliminationRow]) -> Vec<PerfRow> {
     let model = PerfModel::default();
-    let configs = [
-        TlbConfig::baseline(),
-        TlbConfig::colt_sa(),
-        TlbConfig::colt_fa(),
-        TlbConfig::colt_all(),
-    ];
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for tlb in configs {
-            let cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(tlb).with_accesses(opts.accesses)
-            };
-            cells.push(SweepCell::sim(
-                format!("fig21/{}/{}", spec.name, tlb.mode.label()),
-                &scenario,
-                spec,
-                cfg,
-            ));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let rows: Vec<PerfRow> = specs
+    elimination
         .iter()
-        .zip(results.chunks_exact(4))
-        .map(|(spec, r)| {
-            let baseline = r[0];
+        .map(|e| {
+            let r = e.results;
             PerfRow {
-                name: spec.name,
-                perfect: model.perfect_improvement_pct(&baseline),
-                colt: [
-                    model.improvement_pct(&baseline, &r[1]),
-                    model.improvement_pct(&baseline, &r[2]),
-                    model.improvement_pct(&baseline, &r[3]),
-                ],
-                results: [r[0], r[1], r[2], r[3]],
+                name: e.name,
+                perfect: model.perfect_improvement_pct(&r[0]),
+                colt: [1, 2, 3].map(|i| model.improvement_pct(&r[0], &r[i])),
+                results: r,
             }
         })
-        .collect();
+        .collect()
+}
 
+/// Runs the performance study.
+pub fn run(opts: &ExperimentOptions) -> (Vec<PerfRow>, ExperimentOutput) {
+    let rows = rows_from(&miss_elimination::run(opts).0);
     let mut table = Table::new(
         "Figure 21: performance improvement % (paper avg: SA 12, FA 14, All 14)",
         &["Benchmark", "Perfect", "CoLT-SA", "CoLT-FA", "CoLT-All"],
     );
-    let mut sums = [0.0f64; 4];
-    for r in &rows {
-        let vals = [r.perfect, r.colt[0], r.colt[1], r.colt[2]];
-        for (s, v) in sums.iter_mut().zip(vals) {
-            *s += v;
-        }
-        table.add_row(vec![
-            r.name.to_string(),
-            f1(r.perfect),
-            f1(r.colt[0]),
-            f1(r.colt[1]),
-            f1(r.colt[2]),
-        ]);
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        table.add_row(vec![
-            "Average".to_string(),
-            f1(sums[0] / n),
-            f1(sums[1] / n),
-            f1(sums[2] / n),
-            f1(sums[3] / n),
-        ]);
-    }
+    table.add_rows_and_average(
+        rows.iter().map(|r| (r.name, [r.perfect, r.colt[0], r.colt[1], r.colt[2]])),
+        f1,
+    );
     (rows, ExperimentOutput { id: "fig21", tables: vec![table] })
 }
 

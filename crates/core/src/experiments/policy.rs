@@ -26,7 +26,7 @@ use super::{ExperimentOptions, ExperimentOutput};
 use crate::check::check_configs;
 use crate::report::Table;
 use crate::runner::{self, SweepCell};
-use crate::sim::{SimConfig, SimResult};
+use crate::sim::SimResult;
 use colt_os_mem::kernel::KernelStats;
 use colt_os_mem::policy::PolicyKind;
 use colt_workloads::scenario::Scenario;
@@ -188,10 +188,7 @@ pub fn run(opts: &ExperimentOptions) -> (PolicyReport, ExperimentOutput) {
         for spec in &specs {
             for (cname, tlb_cfg) in &configs {
                 let label = format!("policy/{}/{}/{cname}", kind.name(), spec.name);
-                let cfg = SimConfig {
-                    pattern_seed: opts.seed,
-                    ..SimConfig::new(*tlb_cfg).with_accesses(opts.accesses)
-                };
+                let cfg = opts.sim(*tlb_cfg);
                 meta.push((
                     kind.name().to_string(),
                     spec.name.to_string(),
@@ -354,7 +351,7 @@ mod tests {
             .with_policy(PolicyKind::GreedyContig)
             .prepare(&spec)
             .unwrap();
-        let cfg = SimConfig::new(colt_tlb::config::TlbConfig::colt_all())
+        let cfg = crate::sim::SimConfig::new(colt_tlb::config::TlbConfig::colt_all())
             .with_accesses(2_000);
         let payload = (
             crate::sim::run(&w, &cfg),

@@ -33,7 +33,6 @@ use super::{ExperimentOptions, ExperimentOutput};
 use crate::check::check_configs;
 use crate::report::Table;
 use crate::runner::{self, CellOutcome, SweepCell, SweepTask};
-use crate::sim::SimConfig;
 use colt_os_mem::faults::FaultConfig;
 use colt_os_mem::kernel::KernelStats;
 use colt_os_mem::policy::PolicyKind;
@@ -183,10 +182,7 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
             let scenario = scenario_for(rate, base_cfg, opts.policy);
             for (cname, tlb_cfg) in &configs {
                 let label = format!("pressure/{}/{cname}/r{rate:.3}", spec.name);
-                let cfg = SimConfig {
-                    pattern_seed: opts.seed,
-                    ..SimConfig::new(*tlb_cfg).with_accesses(opts.accesses)
-                };
+                let cfg = opts.sim(*tlb_cfg);
                 meta.push((spec.name.to_string(), cname.clone(), rate));
                 let refs = cfg.warmup + cfg.accesses;
                 cells.push(SweepCell::new(label, &scenario, spec, refs, move |w| {

@@ -11,12 +11,9 @@
 
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
-use crate::sim::SimConfig;
 use colt_tlb::config::TlbConfig;
 use colt_tlb::prefetch::PrefetchConfig;
 use colt_tlb::stats::pct_misses_eliminated;
-use colt_workloads::scenario::Scenario;
 
 /// Comparison results for one benchmark.
 #[derive(Clone, Debug)]
@@ -36,35 +33,19 @@ pub struct RelatedWorkRow {
 
 /// Runs the prefetcher-vs-CoLT comparison.
 pub fn run(opts: &ExperimentOptions) -> (Vec<RelatedWorkRow>, ExperimentOutput) {
-    let scenario = opts.scenario(Scenario::default_linux());
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for (label, tlb) in [
-            ("base", TlbConfig::baseline()),
-            (
-                "pf1",
-                TlbConfig::baseline()
-                    .with_prefetch(PrefetchConfig { buffer_entries: 16, degree: 1 }),
-            ),
-            (
-                "pf2",
-                TlbConfig::baseline()
-                    .with_prefetch(PrefetchConfig { buffer_entries: 16, degree: 2 }),
-            ),
-            ("colt", TlbConfig::colt_all()),
-        ] {
-            let cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(tlb).with_accesses(opts.accesses)
-            };
-            cells.push(SweepCell::sim(format!("related/{}/{label}", spec.name), &scenario, spec, cfg));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let rows: Vec<RelatedWorkRow> = specs
-        .iter()
-        .zip(results.chunks_exact(4))
+    let prefetch = |degree| {
+        TlbConfig::baseline().with_prefetch(PrefetchConfig { buffer_entries: 16, degree })
+    };
+    let variants = [
+        ("base", TlbConfig::baseline()),
+        ("pf1", prefetch(1)),
+        ("pf2", prefetch(2)),
+        ("colt", TlbConfig::colt_all()),
+    ]
+    .map(|(label, tlb)| opts.variant(label, opts.sim(tlb)));
+    let rows: Vec<RelatedWorkRow> = opts
+        .run_grid("related", &variants)
+        .into_iter()
         .map(|(spec, r)| {
             let (base, pf1, pf2, colt) = (&r[0], &r[1], &r[2], &r[3]);
             RelatedWorkRow {
@@ -82,26 +63,13 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<RelatedWorkRow>, ExperimentOutput) 
         "Related work: sequential TLB prefetching vs CoLT (L2 miss elimination %)",
         &["Benchmark", "prefetch d=1", "prefetch d=2", "CoLT-All", "pf d=2 walks/1k acc"],
     );
-    let mut sums = [0.0f64; 4];
-    for r in &rows {
-        let vals = [r.prefetch1_elim, r.prefetch2_elim, r.colt_elim, r.prefetch2_walk_overhead];
-        for (s, v) in sums.iter_mut().zip(vals) {
-            *s += v;
-        }
-        table.add_row(vec![
-            r.name.to_string(),
-            f1(r.prefetch1_elim),
-            f1(r.prefetch2_elim),
-            f1(r.colt_elim),
-            f1(r.prefetch2_walk_overhead),
-        ]);
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        let mut cells = vec!["Average".to_string()];
-        cells.extend(sums.iter().map(|s| f1(s / n)));
-        table.add_row(cells);
-    }
+    table.add_rows_and_average(
+        rows.iter().map(|r| {
+            let overhead = r.prefetch2_walk_overhead;
+            (r.name, [r.prefetch1_elim, r.prefetch2_elim, r.colt_elim, overhead])
+        }),
+        f1,
+    );
     (rows, ExperimentOutput { id: "related", tables: vec![table] })
 }
 

@@ -88,8 +88,8 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<SummaryRow>, ExperimentOutput) {
         ok: avg_assoc(0) > avg_assoc(1),
     });
 
-    // Figure 21 averages.
-    let (perf, _) = performance::run(opts);
+    // Figure 21 averages, from Figure 18's cells.
+    let perf = performance::rows_from(&elim);
     let paper21 = PAPER_AGGREGATES.fig21_avg_perf;
     let avg_perf = |i: usize| mean(&perf.iter().map(|r| r.colt[i]).collect::<Vec<_>>());
     rows.push(row("fig21 avg speedup, CoLT-SA (%)", paper21[0], avg_perf(0)));

@@ -6,10 +6,8 @@
 //! this experiment with real-system TLB sizes rather than the scaled
 //! simulation sizes used by Figures 18–21.
 
-use super::{ExperimentOptions, ExperimentOutput};
+use super::{ExperimentOptions, ExperimentOutput, Variant};
 use crate::report::{f0, Table};
-use crate::runner::{self, SweepCell};
-use crate::sim::SimConfig;
 use colt_tlb::config::TlbConfig;
 use colt_workloads::scenario::Scenario;
 
@@ -41,42 +39,30 @@ pub fn real_system_tlbs() -> TlbConfig {
 
 /// Runs the Table-1 experiment.
 pub fn run(opts: &ExperimentOptions) -> (Vec<Table1Row>, ExperimentOutput) {
-    let scenarios =
-        [opts.scenario(Scenario::default_linux()), opts.scenario(Scenario::no_ths())];
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for scenario in &scenarios {
-            let cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(real_system_tlbs()).with_accesses(opts.accesses)
-            };
-            cells.push(SweepCell::sim(
-                format!("table1/{}/{}", spec.name, scenario.name),
-                scenario,
-                spec,
-                cfg,
-            ));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let mut rows = Vec::new();
-    for (spec, r) in specs.iter().zip(results.chunks_exact(2)) {
-        let measured = [r[0].l1_mpmi(), r[0].l2_mpmi(), r[1].l1_mpmi(), r[1].l2_mpmi()];
-        rows.push(Table1Row {
+    let variants: Vec<Variant> = [Scenario::default_linux(), Scenario::no_ths()]
+        .into_iter()
+        .map(|scenario| {
+            let scenario = opts.scenario(scenario);
+            Variant { label: scenario.name.clone(), scenario, cfg: opts.sim(real_system_tlbs()) }
+        })
+        .collect();
+    let rows: Vec<Table1Row> = opts
+        .run_grid("table1", &variants)
+        .into_iter()
+        .map(|(spec, r)| Table1Row {
             name: spec.name,
-            l1_ths_on: measured[0],
-            l2_ths_on: measured[1],
-            l1_ths_off: measured[2],
-            l2_ths_off: measured[3],
+            l1_ths_on: r[0].l1_mpmi(),
+            l2_ths_on: r[0].l2_mpmi(),
+            l1_ths_off: r[1].l1_mpmi(),
+            l2_ths_off: r[1].l2_mpmi(),
             paper: [
                 spec.paper.l1_mpmi_ths_on,
                 spec.paper.l2_mpmi_ths_on,
                 spec.paper.l1_mpmi_ths_off,
                 spec.paper.l2_mpmi_ths_off,
             ],
-        });
-    }
+        })
+        .collect();
 
     let mut table = Table::new(
         "Table 1: TLB misses per million instructions (measured vs paper)",

@@ -11,10 +11,7 @@
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::perf::PerfModel;
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepCell};
-use crate::sim::SimConfig;
 use colt_tlb::config::TlbConfig;
-use colt_workloads::scenario::Scenario;
 
 /// Virtualization results for one benchmark.
 #[derive(Clone, Debug)]
@@ -33,31 +30,17 @@ pub struct VirtRow {
 
 /// Runs the virtualization study.
 pub fn run(opts: &ExperimentOptions) -> (Vec<VirtRow>, ExperimentOutput) {
-    let scenario = opts.scenario(Scenario::default_linux());
     let model = PerfModel::default();
-    let specs = opts.selected_benchmarks();
-    let mut cells = Vec::new();
-    for spec in &specs {
-        for (label, tlb, nested) in [
-            ("native-base", TlbConfig::baseline(), false),
-            ("native-colt", TlbConfig::colt_all(), false),
-            ("virt-base", TlbConfig::baseline(), true),
-            ("virt-colt", TlbConfig::colt_all(), true),
-        ] {
-            let mut cfg = SimConfig {
-                pattern_seed: opts.seed,
-                ..SimConfig::new(tlb).with_accesses(opts.accesses)
-            };
-            if nested {
-                cfg = cfg.virtualized();
-            }
-            cells.push(SweepCell::sim(format!("virt/{}/{label}", spec.name), &scenario, spec, cfg));
-        }
-    }
-    let results = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
-    let rows: Vec<VirtRow> = specs
-        .iter()
-        .zip(results.chunks_exact(4))
+    let (base, colt) = (opts.sim(TlbConfig::baseline()), opts.sim(TlbConfig::colt_all()));
+    let variants = [
+        opts.variant("native-base", base),
+        opts.variant("native-colt", colt),
+        opts.variant("virt-base", base.virtualized()),
+        opts.variant("virt-colt", colt.virtualized()),
+    ];
+    let rows: Vec<VirtRow> = opts
+        .run_grid("virt", &variants)
+        .into_iter()
         .map(|(spec, r)| VirtRow {
             name: spec.name,
             native_perfect: model.perfect_improvement_pct(&r[0]),
@@ -71,26 +54,11 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<VirtRow>, ExperimentOutput) {
         "Virtualization: CoLT-All improvement, native vs nested paging (paper sec 7.2 expectation)",
         &["Benchmark", "native perfect", "native CoLT-All", "virt perfect", "virt CoLT-All"],
     );
-    let mut sums = [0.0f64; 4];
-    for r in &rows {
-        let vals = [r.native_perfect, r.native_colt, r.virt_perfect, r.virt_colt];
-        for (s, v) in sums.iter_mut().zip(vals) {
-            *s += v;
-        }
-        table.add_row(vec![
-            r.name.to_string(),
-            f1(r.native_perfect),
-            f1(r.native_colt),
-            f1(r.virt_perfect),
-            f1(r.virt_colt),
-        ]);
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        let mut cells = vec!["Average".to_string()];
-        cells.extend(sums.iter().map(|s| f1(s / n)));
-        table.add_row(cells);
-    }
+    table.add_rows_and_average(
+        rows.iter()
+            .map(|r| (r.name, [r.native_perfect, r.native_colt, r.virt_perfect, r.virt_colt])),
+        f1,
+    );
     (rows, ExperimentOutput { id: "virt", tables: vec![table] })
 }
 

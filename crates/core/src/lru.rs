@@ -18,33 +18,14 @@ use std::collections::VecDeque;
 /// String-keyed LRU map. Front of the deque is least-recently-used,
 /// back is most-recently-used.
 pub struct LruMap<V> {
-    cap: Option<usize>,
+    cap: usize,
     entries: VecDeque<(String, V)>,
 }
 
 impl<V> LruMap<V> {
-    /// An unbounded map (capacity resolved later via [`set_cap`]).
-    ///
-    /// [`set_cap`]: LruMap::set_cap
-    pub const fn unbounded() -> Self {
-        LruMap { cap: None, entries: VecDeque::new() }
-    }
-
     /// A map that holds at most `cap` entries.
     pub const fn bounded(cap: usize) -> Self {
-        LruMap { cap: Some(cap), entries: VecDeque::new() }
-    }
-
-    /// Sets (or clears) the capacity, evicting LRU-first down to the new
-    /// bound. Returns how many entries were evicted.
-    pub fn set_cap(&mut self, cap: Option<usize>) -> u64 {
-        self.cap = cap;
-        self.trim()
-    }
-
-    /// The current capacity (`None` = unbounded).
-    pub fn cap(&self) -> Option<usize> {
-        self.cap
+        LruMap { cap, entries: VecDeque::new() }
     }
 
     /// Entries currently held.
@@ -94,9 +75,8 @@ impl<V> LruMap<V> {
     }
 
     fn trim(&mut self) -> u64 {
-        let Some(cap) = self.cap else { return 0 };
         let mut evicted = 0;
-        while self.entries.len() > cap {
+        while self.entries.len() > self.cap {
             self.entries.pop_front();
             evicted += 1;
         }
@@ -110,7 +90,7 @@ mod tests {
 
     #[test]
     fn insert_get_and_peek_round_trip() {
-        let mut m: LruMap<u32> = LruMap::unbounded();
+        let mut m: LruMap<u32> = LruMap::bounded(4);
         assert!(m.is_empty());
         assert_eq!(m.insert("a".into(), 1), 0);
         assert_eq!(m.insert("b".into(), 2), 0);
@@ -146,17 +126,5 @@ mod tests {
         m.insert("c".into(), 3);
         assert!(m.peek("b").is_none());
         assert!(m.peek("a").is_some());
-    }
-
-    #[test]
-    fn shrinking_the_capacity_trims_and_counts() {
-        let mut m: LruMap<u32> = LruMap::unbounded();
-        for i in 0..5 {
-            m.insert(format!("k{i}"), i);
-        }
-        assert_eq!(m.set_cap(Some(2)), 3);
-        assert_eq!(m.len(), 2);
-        assert!(m.peek("k3").is_some() && m.peek("k4").is_some());
-        assert_eq!(m.set_cap(None), 0);
     }
 }

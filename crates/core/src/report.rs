@@ -27,6 +27,30 @@ impl Table {
         self.rows.push(cells);
     }
 
+    /// Appends one row per `(name, values)`, each value rendered with
+    /// `fmt`, then (after at least one row) an "Average" row of the
+    /// column means.
+    pub fn add_rows_and_average<S: Into<String>, const N: usize>(
+        &mut self,
+        rows: impl IntoIterator<Item = (S, [f64; N])>,
+        fmt: fn(f64) -> String,
+    ) {
+        let mut sums = [0.0f64; N];
+        let mut n = 0usize;
+        for (name, values) in rows {
+            for (s, v) in sums.iter_mut().zip(values) {
+                *s += v;
+            }
+            n += 1;
+            self.add_row(std::iter::once(name.into()).chain(values.map(fmt)).collect());
+        }
+        if n > 0 {
+            let n = n as f64;
+            let averages = sums.map(|s| fmt(s / n));
+            self.add_row(std::iter::once("Average".to_string()).chain(averages).collect());
+        }
+    }
+
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

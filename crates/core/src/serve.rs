@@ -24,7 +24,8 @@
 //! rely on dying before its caches matter:
 //!
 //! * every cache is a bounded [`LruMap`] (the result cache, and the
-//!   snapshot cache's own `COLT_SNAPSHOT_MEM_CAP` bound),
+//!   snapshot cache's memory layer of
+//!   [`DEFAULT_MEM_CAP`](crate::snapshot_cache::DEFAULT_MEM_CAP) entries),
 //! * the dispatch queue is bounded; a full queue is a *polite* `busy`
 //!   rejection, not an unbounded pile-up (backpressure), and so is a
 //!   connection past [`MAX_CONNS`],
@@ -1417,6 +1418,9 @@ fn handle_sweep(
         state.cfg.jobs,
         state.cfg.max_accesses,
     );
+    if let Err(e) = opts.check_benchmarks() {
+        return err_line(&e);
+    }
     let fingerprint = opts.fingerprint(&experiment);
     let key = sweep_key(&experiment, &opts);
 

@@ -10,11 +10,11 @@
 //! invocations:
 //!
 //! 1. **Memory layer** — one `Arc<PreparedWorkload>` per preparation
-//!    key, shared by every sweep the process runs. The map is a
-//!    capacity-bounded LRU (`COLT_SNAPSHOT_MEM_CAP`, default
-//!    64 entries): one-shot invocations never come near the bound, but
-//!    a resident `repro serve` process cycling through configurations
-//!    would otherwise grow it forever. Evictions are counted in
+//!    key, shared by every sweep the process runs. The map is an LRU
+//!    of [`DEFAULT_MEM_CAP`] entries, so a resident `repro serve`
+//!    process cycling through configurations cannot grow it forever.
+//!    A one-shot `repro all` does pass the bound and sends some
+//!    preparations back to the disk layer. Evictions are counted in
 //!    [`CacheStats::mem_evictions`], never silent.
 //! 2. **Disk layer** — `results/snapshots/<fingerprint>.snap` (override
 //!    with `COLT_SNAPSHOT_DIR`), written atomically after each fresh
@@ -66,8 +66,7 @@ pub const DEFAULT_MEM_CAP: usize = 64;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 static DISK: AtomicBool = AtomicBool::new(false);
-static MEM: Mutex<LruMap<Arc<PreparedWorkload>>> = Mutex::new(LruMap::unbounded());
-static MEM_CAP_RESOLVED: Once = Once::new();
+static MEM: Mutex<LruMap<Arc<PreparedWorkload>>> = Mutex::new(LruMap::bounded(DEFAULT_MEM_CAP));
 static STATS: Mutex<CacheStats> = Mutex::new(CacheStats::zero());
 /// Snapshot directories whose disk layer failed a store and is disabled
 /// for the rest of the process (one loud warning per directory).
@@ -116,7 +115,7 @@ pub struct CacheStats {
     /// that [`get_or_prepare`] builds.
     pub agings: u64,
     /// Prepared workloads evicted from the in-memory LRU layer
-    /// (capacity `COLT_SNAPSHOT_MEM_CAP`). An evicted pair re-prepares
+    /// (capacity [`DEFAULT_MEM_CAP`]). An evicted pair re-prepares
     /// (or re-decodes its disk snapshot) on the next request.
     pub mem_evictions: u64,
     /// Wall-clock seconds spent encoding, writing, reading and decoding
@@ -155,46 +154,6 @@ fn bump(f: impl FnOnce(&mut CacheStats)) {
 /// Drains the counters accumulated since the last drain.
 pub fn take_stats() -> CacheStats {
     std::mem::take(&mut *relock(&STATS))
-}
-
-/// Resolves the memory layer's LRU capacity once per process:
-/// `COLT_SNAPSHOT_MEM_CAP` when set (garbage earns a loud warning and
-/// the default; 0 would make every preparation a miss and is clamped to
-/// 1, loudly), otherwise [`DEFAULT_MEM_CAP`].
-fn resolve_mem_cap() {
-    MEM_CAP_RESOLVED.call_once(|| {
-        let cap = match std::env::var("COLT_SNAPSHOT_MEM_CAP") {
-            Err(std::env::VarError::NotPresent) => DEFAULT_MEM_CAP,
-            Err(std::env::VarError::NotUnicode(_)) => {
-                eprintln!(
-                    "warning: COLT_SNAPSHOT_MEM_CAP is not valid UTF-8; using \
-                     the default of {DEFAULT_MEM_CAP} entries"
-                );
-                DEFAULT_MEM_CAP
-            }
-            Ok(raw) => match raw.trim().parse::<usize>() {
-                Ok(0) => {
-                    eprintln!(
-                        "warning: COLT_SNAPSHOT_MEM_CAP=0 would evict every \
-                         preparation immediately; clamping to 1"
-                    );
-                    1
-                }
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!(
-                        "warning: COLT_SNAPSHOT_MEM_CAP={raw:?} is not a \
-                         number; using the default of {DEFAULT_MEM_CAP} entries"
-                    );
-                    DEFAULT_MEM_CAP
-                }
-            },
-        };
-        let evicted = relock(&MEM).set_cap(Some(cap));
-        if evicted > 0 {
-            bump(|s| s.mem_evictions += evicted);
-        }
-    });
 }
 
 /// Drops every in-memory prepared workload; disk snapshots are
@@ -266,7 +225,6 @@ pub(crate) fn lookup(scenario: &Scenario, spec: &BenchmarkSpec) -> Option<Prepar
     if !enabled() {
         return None;
     }
-    resolve_mem_cap();
     let key = prep_key(scenario, spec);
     if let Some(w) = relock(&MEM).get(&key).map(Arc::clone) {
         bump(|s| s.mem_hits += 1);

@@ -236,6 +236,27 @@ fn served_translate_honors_the_policy_field_and_rejects_unknown_policies() {
 }
 
 #[test]
+fn served_sweep_rejects_unknown_benchmarks_and_caches_nothing() {
+    let _g = lock();
+    let handle = serve::start(test_config()).expect("server starts");
+    let mut client = Client::connect(handle.port);
+
+    let line = "{\"op\": \"sweep\", \"experiment\": \"fig18\", \"bench\": \"Gobmk,Nope\"}";
+    for _ in 0..2 {
+        let bad = client.request(line);
+        assert!(!ok(&bad), "{bad:?}");
+        let error = bad.get("error").and_then(json::Json::as_str).unwrap_or_default();
+        assert!(error.contains("'Nope'") && error.contains("Bzip2"), "{error}");
+    }
+    let stats = client.request("{\"op\": \"stats\"}");
+    assert_eq!(field(&stats, "sweeps"), 0, "nothing ran: {stats:?}");
+    assert_eq!(field(&stats, "result_cache_len"), 0, "nothing was cached: {stats:?}");
+
+    client.shutdown();
+    assert_eq!(handle.wait().failed_cells, 0);
+}
+
+#[test]
 fn backpressure_rejects_translates_busy_while_pings_survive_a_flood() {
     let _g = lock();
     // queue_cap 0: every translate meets a full dispatch queue.

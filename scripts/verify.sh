@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification: offline release build, the whole test suite
 # (which builds every target, examples included), a paper-table gate
-# (EXPERIMENTS.md's two documented commands rerun cold, byte-identical
-# to the committed results/sim_experiments.txt and
-# results/contiguity_and_ablation.txt), a quick 4-core SMP smoke run,
+# (EXPERIMENTS.md's three documented commands rerun cold, byte-identical
+# to the committed results/sim_experiments.txt,
+# results/contiguity_and_ablation.txt and results/extensions.txt), a
+# quick 4-core SMP smoke run,
 # a fault-injection pressure smoke (sweep plus oracle fuzz under a
 # seeded fault plan), a crash-recovery smoke (kill a sweep
 # mid-run, --resume, diff against an uninterrupted reference), a
@@ -88,30 +89,36 @@ same_as_committed() {
     fi
 }
 
-# Paper-table gate: EXPERIMENTS.md's two documented commands, rerun cold
-# in a scratch directory. Their tables (everything above the timing
+# Paper-table gate: EXPERIMENTS.md's three documented commands, rerun
+# cold in a scratch directory. Their tables (everything above the timing
 # footer, "== Sweep throughput") must equal the committed
-# results/sim_experiments.txt (Table 1, Figs 7-21) and
-# results/contiguity_and_ablation.txt (the ablations) byte for byte, so
-# every number EXPERIMENTS.md quotes is what this tree computes. To
-# regenerate them on purpose, rerun these commands from the repository
-# root with the footer dropped and say so in CHANGES.md.
+# results/sim_experiments.txt (Table 1, Figs 7-21),
+# results/contiguity_and_ablation.txt (the ablations) and
+# results/extensions.txt (virtualization, related work, context
+# switches, multiprogramming) byte for byte, so every number
+# EXPERIMENTS.md quotes is what this tree computes. To regenerate them
+# on purpose, rerun these commands from the repository root with the
+# footer dropped and say so in CHANGES.md.
 PAPER_TABLE_ARGS=(--jobs 2 --no-snapshot-cache --accesses 250000
                   table1 fig7-9 fig10-12 fig13-15 fig16-17 fig18 fig19 fig20 fig21)
 ABLATION_ARGS=(--jobs 2 --no-snapshot-cache --accesses 60000 ablation)
-echo "== paper-table gate: repro ${PAPER_TABLE_ARGS[*]}; repro ${ABLATION_ARGS[*]} =="
+EXTENSION_ARGS=(--jobs 2 --no-snapshot-cache --accesses 250000 virt related ctxswitch multiprog)
+echo "== paper-table gate: repro ${PAPER_TABLE_ARGS[*]}; repro ${ABLATION_ARGS[*]};" \
+     "repro ${EXTENSION_ARGS[*]} =="
 (cd "$PAPER_DIR" && "$REPRO" "${PAPER_TABLE_ARGS[@]}" \
     | sed '/^== Sweep throughput/,$d' > sim_experiments.txt)
 (cd "$PAPER_DIR" && "$REPRO" "${ABLATION_ARGS[@]}" \
     | sed '/^== Sweep throughput/,$d' > contiguity_and_ablation.txt)
-for f in sim_experiments.txt contiguity_and_ablation.txt; do
+(cd "$PAPER_DIR" && "$REPRO" "${EXTENSION_ARGS[@]}" \
+    | sed '/^== Sweep throughput/,$d' > extensions.txt)
+for f in sim_experiments.txt contiguity_and_ablation.txt extensions.txt; do
     if ! cmp -s "results/$f" "$PAPER_DIR/$f"; then
         echo "FAIL: the documented command's tables differ from the committed results/$f" >&2
         diff "results/$f" "$PAPER_DIR/$f" >&2 || true
         exit 1
     fi
 done
-echo "paper-table gate passed (both committed tables reproduced byte for byte)"
+echo "paper-table gate passed (all three committed tables reproduced byte for byte)"
 
 # SMP smoke: a quick 4-core mix + core-count sweep.
 SMP_ARGS=(--quick --cores 4 --jobs "$(nproc)" smp_mix smp_scaling)
