@@ -473,22 +473,6 @@ fn main() -> ExitCode {
                     );
                     return ExitCode::from(2);
                 }
-                if resume && !csv {
-                    println!(
-                        "resume({exp}): {} cell(s) replayed from {}, {} to re-run \
-                         ({} failed, {} flag-mismatched, {} corrupt, {} other-schema)",
-                        r.replayed,
-                        journal.path().display(),
-                        r.failed_records
-                            + r.fingerprint_mismatches
-                            + r.corrupt_lines
-                            + r.schema_skipped,
-                        r.failed_records,
-                        r.fingerprint_mismatches,
-                        r.corrupt_lines,
-                        r.schema_skipped,
-                    );
-                }
                 opts.journal = Some(Arc::new(journal));
             }
             Err(e) => eprintln!(
@@ -499,6 +483,22 @@ fn main() -> ExitCode {
         }
         let run = run_named(exp, &opts)
             .unwrap_or_else(|| unreachable!("experiment '{exp}' passed validation"));
+        // Counted after the sweep: a record whose label no cell asks for
+        // replays nothing. On stderr, so `--csv` runs keep it.
+        if let Some(journal) = opts.journal.as_deref().filter(|_| resume) {
+            let r = journal.open_report();
+            let (replayed, ran) = journal.swept();
+            eprintln!(
+                "resume({exp}): {replayed} cell(s) replayed from {}, {ran} re-run \
+                 (journal held {} failed, {} flag-mismatched, {} corrupt, {} other-schema \
+                 record(s))",
+                journal.path().display(),
+                r.failed_records,
+                r.fingerprint_mismatches,
+                r.corrupt_lines,
+                r.schema_skipped,
+            );
+        }
         smp_rows.extend(run.smp_rows);
         if let Some(report) = run.pressure {
             pressure_report = Some(report);

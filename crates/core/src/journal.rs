@@ -633,6 +633,10 @@ struct Inner {
     seq: u64,
     appended: u64,
     seen: HashSet<String>,
+    /// Cells the sweeps run against this journal replayed from it, and
+    /// cells they ran.
+    replayed_cells: u64,
+    ran_cells: u64,
 }
 
 /// Append-only, fsync-per-record journal for one experiment's sweep.
@@ -834,6 +838,8 @@ impl Journal {
                 seq: kept_lines.len() as u64,
                 appended: 0,
                 seen: HashSet::new(),
+                replayed_cells: 0,
+                ran_cells: 0,
             }),
         })
     }
@@ -857,6 +863,22 @@ impl Journal {
     /// record was replayed at open.
     pub fn completed(&self, label: &str) -> Option<&Replayed> {
         self.replayed.get(label)
+    }
+
+    /// Counts one sweep against this journal: `replayed` of its cells
+    /// came from the journal's records and `ran` ran.
+    pub fn note_sweep(&self, replayed: usize, ran: usize) {
+        let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner.replayed_cells += replayed as u64;
+        inner.ran_cells += ran as u64;
+    }
+
+    /// What the sweeps run against this journal did so far: cells
+    /// replayed from its records and cells run. A record no cell asks
+    /// for replays nothing, whatever [`Journal::open_report`] counted.
+    pub fn swept(&self) -> (u64, u64) {
+        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        (inner.replayed_cells, inner.ran_cells)
     }
 
     /// Appends one finished-cell record, fsyncing before returning, so

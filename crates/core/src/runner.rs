@@ -14,10 +14,10 @@
 //!    (scenario, benchmark) pair share one [`PreparedWorkload`], built
 //!    once (or decoded from the process-global
 //!    [`snapshot_cache`](crate::snapshot_cache)) by whichever worker
-//!    gets there first and handed out as an `Arc`; the preparations of
-//!    one scenario share one aged machine, aged once per sweep by the
-//!    first of them that the cache cannot answer and cloned by the
-//!    rest. A cell that finds its preparation or its machine *in
+//!    gets there first, handed out as an `Arc` and let go when the last
+//!    of those cells takes it; the preparations of one scenario share
+//!    one aged machine, aged once per sweep by the first of them that
+//!    the cache cannot answer and cloned by the rest. A cell that finds its preparation or its machine *in
 //!    flight* parks on the slot instead of blocking its worker: the
 //!    worker takes the next queued cell in the meantime, and the parked
 //!    cells re-enter the front of the queue the moment the build lands.
@@ -220,6 +220,12 @@ struct Slot<T, R> {
     /// Cells parked until the in-flight build lands; the builder puts
     /// them back on the queue, success and failure alike.
     waiting: Vec<Item<R>>,
+    /// Users that have not taken the value yet: a preparation's queued
+    /// cells, or the preparations of an aged machine's scenario that
+    /// have neither taken the machine nor found their workload in the
+    /// cache. When the last one is served the slot lets go of its
+    /// value, so no workload or aged kernel outlives its last user.
+    takers: usize,
 }
 
 enum SlotState<T> {
@@ -249,7 +255,7 @@ enum Claim<T, R> {
 
 impl<T: Clone, R> Slot<T, R> {
     fn new() -> Self {
-        Slot { state: SlotState::Empty, waiting: Vec::new() }
+        Slot { state: SlotState::Empty, waiting: Vec::new(), takers: 0 }
     }
 
     fn claim(&mut self, item: Item<R>) -> Claim<T, R> {
@@ -272,33 +278,25 @@ impl<T: Clone, R> Slot<T, R> {
         self.state = state;
         std::mem::take(&mut self.waiting)
     }
-}
 
-type PrepSlot<R> = Slot<Arc<PreparedWorkload>, R>;
-/// One slot per preparation key of a sweep's queued cells, with the
-/// index of its scenario's [`AgedSlot`].
-type PrepSlots<R> = HashMap<String, (Mutex<PrepSlot<R>>, usize)>;
-
-/// One scenario's aged machine, shared by the sweep's preparations of
-/// that scenario.
-struct AgedSlot<R> {
-    slot: Slot<Arc<AgedMachine>, R>,
-    /// Preparations of the scenario that have neither taken the machine
-    /// nor found their workload in the cache. Only builders hold the
-    /// machine, and only while cloning it; when the last preparation is
-    /// served the slot lets go, so no aged kernel outlives its last user.
-    takers: usize,
-}
-
-impl<R> AgedSlot<R> {
-    /// Counts one preparation as served; the last one empties the slot.
+    /// Counts one user as served; the last one empties a ready slot. A
+    /// failed slot stays failed.
     fn serve(&mut self) {
         self.takers -= 1;
-        if self.takers == 0 && matches!(self.slot.state, SlotState::Ready(_)) {
-            self.slot.state = SlotState::Empty;
+        if self.takers == 0 && matches!(self.state, SlotState::Ready(_)) {
+            self.state = SlotState::Empty;
         }
     }
 }
+
+type PrepSlot<R> = Slot<Arc<PreparedWorkload>, R>;
+/// One scenario's aged machine, shared by the sweep's preparations of
+/// that scenario. Only builders hold the machine, and only while
+/// cloning it.
+type AgedSlot<R> = Slot<Arc<AgedMachine>, R>;
+/// One slot per preparation key of a sweep's queued cells, with the
+/// index of its scenario's [`AgedSlot`].
+type PrepSlots<R> = HashMap<String, (Mutex<PrepSlot<R>>, usize)>;
 
 /// What a queue item runs.
 enum Work<R> {
@@ -440,7 +438,11 @@ impl<R> Pool<'_, R> {
                         let Work::Cell { job, .. } = item.work else {
                             unreachable!("only cells are prepared")
                         };
-                        let ran = run_job(&mut item.metric, move || job(&workload));
+                        let ran = run_job(&mut item.metric, || job(&workload));
+                        // After its slot lets go, the last cell of a pair
+                        // may hold the last handle to the workload (with
+                        // no snapshot cache): free it outside the timing.
+                        drop(workload);
                         self.finish(item.idx, item.metric, ran);
                     }
                 },
@@ -471,14 +473,17 @@ impl<R> Pool<'_, R> {
     fn acquire_prepared(&self, item: Item<R>) -> Acquired<R> {
         let (scenario, spec) = cell_of(&item);
         let (slot, machine) = &self.preps[&snapshot_cache::prep_key(scenario, spec)];
-        let item = match relock(slot).claim(item) {
+        let mut st = relock(slot);
+        let item = match st.claim(item) {
             Claim::Ready(item, workload) => {
+                st.serve();
                 return Acquired::Ready { item, workload, prep_seconds: 0.0 };
             }
             Claim::Failed(item, reason) => return Acquired::Failed { item, reason },
             Claim::Parked => return Acquired::Parked,
             Claim::Build(item) => item,
         };
+        drop(st);
         // This worker is the builder; no slot lock is held across the
         // build — arriving cells park instead of blocking.
         let (scenario, spec) = cell_of(&item);
@@ -503,10 +508,13 @@ impl<R> Pool<'_, R> {
                 }
             }
         };
-        let woken = relock(slot).settle(match &built {
+        let mut st = relock(slot);
+        let woken = st.settle(match &built {
             Ok(p) => SlotState::Ready(Arc::clone(&p.workload)),
             Err(reason) => SlotState::Failed(reason.clone()),
         });
+        st.serve();
+        drop(st);
         self.requeue(woken);
         match built {
             Ok(p) => Acquired::Ready { item, workload: p.workload, prep_seconds: p.prep_seconds },
@@ -529,12 +537,12 @@ impl<R> Pool<'_, R> {
     ) -> Claim<Arc<AgedMachine>, R> {
         let mut woken = Vec::new();
         let mut st = relock(aged);
-        let claim = match st.slot.claim(item) {
+        let claim = match st.claim(item) {
             Claim::Build(item) => {
                 drop(st);
                 let machine = snapshot_cache::age(cell_of(&item).0).map(Arc::new);
                 st = relock(aged);
-                woken = st.slot.settle(match &machine {
+                woken = st.settle(match &machine {
                     Ok(shared) => SlotState::Ready(Arc::clone(shared)),
                     Err(reason) => SlotState::Failed(reason.clone()),
                 });
@@ -545,7 +553,7 @@ impl<R> Pool<'_, R> {
             }
             Claim::Parked => {
                 let parked = relock(prep).settle(SlotState::Empty);
-                st.slot.waiting.extend(parked);
+                st.waiting.extend(parked);
                 Claim::Parked
             }
             claim => claim,
@@ -614,6 +622,7 @@ fn engine<R: Send>(
 ) -> Vec<CellOutcome<R>> {
     let mut results: Vec<Option<Finished<R>>> = items.iter().map(|_| None).collect();
     // Replay pass: cells the journal already holds never re-run.
+    let cells = items.len();
     let mut queue = VecDeque::new();
     for item in items {
         match hook.as_ref().and_then(|h| h.replay(&item)) {
@@ -622,6 +631,9 @@ fn engine<R: Send>(
         }
     }
     let total = queue.len();
+    if let Some(hook) = &hook {
+        hook.journal.note_sweep(cells - total, total);
+    }
     let (preps, machines) = slots(&queue);
     let pool = Pool {
         queue: Mutex::new(Queue { items: queue, finished: 0 }),
@@ -651,22 +663,24 @@ fn engine<R: Send>(
 }
 
 /// One preparation slot per distinct (scenario, spec) pair among the
-/// queued cells and one aged slot per distinct scenario, each aged slot
-/// counting its scenario's preparations as takers.
+/// queued cells and one aged slot per distinct scenario: each
+/// preparation slot counts its cells as takers, each aged slot its
+/// scenario's preparations.
 fn slots<R>(queue: &VecDeque<Item<R>>) -> (PrepSlots<R>, Vec<Mutex<AgedSlot<R>>>) {
-    let mut preps = HashMap::new();
+    let mut preps: PrepSlots<R> = HashMap::new();
     let mut scenarios = HashMap::new();
     let mut machines: Vec<AgedSlot<R>> = Vec::new();
     for item in queue {
         let Work::Cell { scenario, spec, .. } = &item.work else { continue };
-        preps.entry(snapshot_cache::prep_key(scenario, spec)).or_insert_with(|| {
+        let (prep, _) = preps.entry(snapshot_cache::prep_key(scenario, spec)).or_insert_with(|| {
             let m = *scenarios.entry(format!("{scenario:?}")).or_insert_with(|| {
-                machines.push(AgedSlot { slot: Slot::new(), takers: 0 });
+                machines.push(Slot::new());
                 machines.len() - 1
             });
             machines[m].takers += 1;
             (Mutex::new(Slot::new()), m)
         });
+        prep.get_mut().unwrap_or_else(PoisonError::into_inner).takers += 1;
     }
     (preps, machines.into_iter().map(Mutex::new).collect())
 }
@@ -1115,6 +1129,39 @@ mod tests {
         assert_eq!(second, first);
         assert_eq!(runs.load(Ordering::SeqCst), 4, "no cell re-ran");
         assert_eq!(journal.appended(), 0);
+        assert_eq!(journal.swept(), (4, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_no_cell_asks_for_counts_as_rerun_not_replayed() {
+        let _g = drain_lock();
+        let dir = std::env::temp_dir()
+            .join(format!("colt-runner-relabel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tasks = |prefix: &'static str| {
+            (0..4u64)
+                .map(move |i| SweepTask::new(format!("{prefix}/t{i}"), 0, move || i))
+                .collect::<Vec<_>>()
+        };
+        let journal = Journal::open(&dir, "relabel", "cafe0002".to_string(), false).unwrap();
+        let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
+        expect_all(run_tasks_sweep(tasks("old"), &opts));
+        let _ = take_metrics();
+        assert_eq!(journal.swept(), (0, 4));
+
+        // Resume after two cells were relabelled: every record is valid,
+        // but only the two labels still asked for replay.
+        let journal = Journal::open(&dir, "relabel", "cafe0002".to_string(), true).unwrap();
+        assert_eq!(journal.open_report().replayed, 4);
+        let mut cells = tasks("old");
+        cells.truncate(2);
+        cells.extend(tasks("new").into_iter().skip(2));
+        let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
+        assert_eq!(expect_all(run_tasks_sweep(cells, &opts)), vec![0, 1, 2, 3]);
+        let _ = take_metrics();
+        assert_eq!(journal.swept(), (2, 2), "relabelled records replay nothing");
+        assert_eq!(journal.appended(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

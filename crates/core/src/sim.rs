@@ -274,6 +274,7 @@ fn run_stream(
 mod tests {
     use super::*;
     use colt_tlb::prefetch::PrefetchConfig;
+    use colt_tlb::replacement::ReplacementPolicy;
     use colt_workloads::scenario::Scenario;
     use colt_workloads::spec::benchmark;
 
@@ -403,11 +404,20 @@ mod tests {
         // the oracle on every hit, shootdown churn with context-switch
         // flushes (SA), churn alone (baseline), nested walks under churn
         // (All), and the prefetch buffer's background walks across flushes.
+        // The last three reach the TLBs' other victim and merge paths:
+        // coalescing-aware replacement (All), graceful uncoalescing under
+        // churn with every future-work refinement (All), and CoLT-FA
+        // without resident merging.
         let spec = benchmark("Gobmk").unwrap();
         let w = Scenario::default_linux().prepare(&spec).unwrap();
         let prefetching =
             TlbConfig::baseline().with_prefetch(PrefetchConfig { buffer_entries: 16, degree: 2 });
-        let cases: [(SimConfig, [u64; 27]); 5] = [
+        let smallest_first = TlbConfig {
+            replacement: ReplacementPolicy::SmallestCoalescedFirst,
+            ..TlbConfig::colt_all()
+        };
+        let no_merge = TlbConfig { fa_resident_merge: false, ..TlbConfig::colt_fa() };
+        let cases: [(SimConfig, [u64; 27]); 8] = [
             (
                 SimConfig::new(TlbConfig::colt_all()).with_accesses(20_000).with_check(),
                 [
@@ -452,6 +462,32 @@ mod tests {
                     20_000, 19_486, 514, 285, 229, 229, 0, 195,
                     229, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                     229, 16_942, 0, 180_000, 16_942, 304_156, 3598, 0,
+                ],
+            ),
+            (
+                SimConfig::new(smallest_first).with_accesses(20_000),
+                [
+                    20_000, 19_911, 89, 16, 73, 73, 0, 0,
+                    2, 3, 3, 7, 7, 12, 8, 31, 0, 0, 0,
+                    73, 12_008, 0, 180_000, 12_008, 304_156, 623, 0,
+                ],
+            ),
+            (
+                SimConfig::new(TlbConfig::colt_all().with_future_work())
+                    .with_accesses(20_000)
+                    .with_invalidations(37),
+                [
+                    20_000, 19_346, 654, 79, 575, 575, 0, 0,
+                    2, 42, 64, 79, 87, 12, 9, 280, 0, 0, 0,
+                    575, 81_548, 0, 180_000, 81_548, 304_156, 4578, 0,
+                ],
+            ),
+            (
+                SimConfig::new(no_merge).with_accesses(20_000),
+                [
+                    20_000, 19_910, 90, 6, 84, 84, 0, 0,
+                    2, 3, 4, 8, 8, 14, 8, 37, 0, 0, 0,
+                    84, 12_426, 0, 180_000, 12_426, 304_156, 630, 0,
                 ],
             ),
         ];

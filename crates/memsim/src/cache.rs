@@ -1,8 +1,18 @@
 //! Generic set-associative cache with LRU replacement, used for the L1,
 //! L2, and last-level data caches of the simulated memory hierarchy
 //! (paper §5.2.1: 32KB L1 / 256KB L2 / 4MB LLC, Core-i7-like).
+//!
+//! The lines live in one flat `sets × ways` array, each set MRU first
+//! and padded with [`EMPTY`] behind its resident lines. An access
+//! inserts its line at the MRU end while it scans: each way takes its
+//! predecessor's line, a hit stops the shift where the line was, and on
+//! a miss the LRU way falls off.
 
 use colt_os_mem::addr::{PhysAddr, CACHE_LINE_SIZE};
+
+/// The line number of a way that holds no line. Line numbers are
+/// physical addresses divided by the line size, so none reaches it.
+const EMPTY: u64 = u64::MAX;
 
 /// Hit/miss counters for one cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -37,8 +47,11 @@ impl CacheStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // line numbers, MRU first
+    /// `sets × ways` line numbers, each set MRU first, `EMPTY`-padded.
+    lines: Vec<u64>,
     ways: usize,
+    /// `sets - 1`: the set-index bits of a line number.
+    set_mask: usize,
     stats: CacheStats,
 }
 
@@ -54,15 +67,16 @@ impl Cache {
         let num_sets = lines / ways;
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         Self {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            lines: vec![EMPTY; lines],
             ways,
+            set_mask: num_sets - 1,
             stats: CacheStats::default(),
         }
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.set_mask + 1
     }
 
     /// Associativity.
@@ -75,65 +89,157 @@ impl Cache {
         self.stats
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line as usize) & (self.sets.len() - 1)
+    /// The ways of the set `line` maps to.
+    fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+        let set = (line as usize) & self.set_mask;
+        set * self.ways..(set + 1) * self.ways
     }
 
     /// Accesses `addr`, returning `true` on a hit. Misses allocate the
     /// line (evicting LRU if needed).
     pub fn access(&mut self, addr: PhysAddr) -> bool {
         let line = addr.cache_line();
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.insert(0, l);
-            self.stats.hits += 1;
-            return true;
+        let ways = self.set_of(line);
+        let mut carry = line;
+        for way in &mut self.lines[ways] {
+            carry = std::mem::replace(way, carry);
+            if carry == line {
+                self.stats.hits += 1;
+                return true;
+            }
         }
+        // A miss: `carry` is what fell off the LRU way.
         self.stats.misses += 1;
-        if set.len() == self.ways {
-            set.pop();
+        if carry != EMPTY {
             self.stats.evictions += 1;
         }
-        set.insert(0, line);
         false
     }
 
     /// Checks residency without updating LRU or counters.
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let line = addr.cache_line();
-        self.sets[self.set_index(line)].contains(&line)
+        self.lines[self.set_of(line)].contains(&line)
     }
 
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: PhysAddr) -> bool {
         let line = addr.cache_line();
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
-            return true;
-        }
-        false
+        let ways = self.set_of(line);
+        let set = &mut self.lines[ways];
+        let Some(pos) = set.iter().position(|&l| l == line) else {
+            return false;
+        };
+        set.copy_within(pos + 1.., pos);
+        set[set.len() - 1] = EMPTY;
+        true
     }
 
     /// Empties the cache.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.lines.fill(EMPTY);
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lines.iter().filter(|&&l| l != EMPTY).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colt_prng::rngs::SmallRng;
+    use colt_prng::{Rng, SeedableRng};
+
+    /// The cache as it was before its sets became one flat array: a
+    /// `Vec` per set, `remove` + `insert` on every hit. Kept as the
+    /// reference model.
+    struct ReferenceCache {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        stats: CacheStats,
+    }
+
+    impl ReferenceCache {
+        fn new(size_bytes: usize, ways: usize) -> Self {
+            let num_sets = size_bytes / CACHE_LINE_SIZE as usize / ways;
+            let sets = vec![Vec::with_capacity(ways); num_sets];
+            Self { sets, ways, stats: CacheStats::default() }
+        }
+
+        fn set_index(&self, line: u64) -> usize {
+            (line as usize) & (self.sets.len() - 1)
+        }
+
+        fn access(&mut self, addr: PhysAddr) -> bool {
+            let line = addr.cache_line();
+            let idx = self.set_index(line);
+            let set = &mut self.sets[idx];
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                let l = set.remove(pos);
+                set.insert(0, l);
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            if set.len() == self.ways {
+                set.pop();
+                self.stats.evictions += 1;
+            }
+            set.insert(0, line);
+            false
+        }
+
+        fn invalidate(&mut self, addr: PhysAddr) -> bool {
+            let line = addr.cache_line();
+            let idx = self.set_index(line);
+            let set = &mut self.sets[idx];
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                set.remove(pos);
+                return true;
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn one_pass_shift_matches_the_reference_model() {
+        for (seed, (size, ways)) in [(256, 2), (512, 4), (1024, 1), (2048, 8), (1024, 16)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = SmallRng::seed_from_u64(0xCA ^ seed as u64);
+            let mut cache = Cache::new(size, ways);
+            let mut reference = ReferenceCache::new(size, ways);
+            // Twice as many distinct lines as the cache holds.
+            let span = 2 * (size as u64 / CACHE_LINE_SIZE);
+            for step in 0..5_000 {
+                let addr = PhysAddr::new(rng.gen_range(0..span * CACHE_LINE_SIZE));
+                match rng.gen_range(0..100u32) {
+                    0..=79 => assert_eq!(cache.access(addr), reference.access(addr)),
+                    80..=89 => {
+                        let set = &reference.sets[reference.set_index(addr.cache_line())];
+                        assert_eq!(cache.probe(addr), set.contains(&addr.cache_line()));
+                    }
+                    90..=98 => assert_eq!(cache.invalidate(addr), reference.invalidate(addr)),
+                    _ => {
+                        cache.flush();
+                        reference.sets.iter_mut().for_each(Vec::clear);
+                    }
+                }
+                let context = format!("{size} B / {ways} ways, step {step}");
+                assert_eq!(cache.stats(), reference.stats, "{context}");
+                let resident: usize = reference.sets.iter().map(Vec::len).sum();
+                assert_eq!(cache.occupancy(), resident, "{context}");
+                for (ways_of_set, set) in cache.lines.chunks(ways).zip(&reference.sets) {
+                    let (held, empty) = ways_of_set.split_at(set.len());
+                    assert_eq!(held, set.as_slice(), "{context}: lines or their order differ");
+                    assert!(empty.iter().all(|&l| l == EMPTY), "{context}: padding holds a line");
+                }
+            }
+        }
+    }
 
     #[test]
     fn geometry_is_derived_from_size_and_ways() {

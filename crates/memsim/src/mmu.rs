@@ -180,7 +180,7 @@ mod tests {
             mmu.set_current_asid(asid);
             mmu.walk_fill(&pt, vpn, &mut caches).unwrap();
         }
-        let entry_addrs = pt.walk(vpn).unwrap().entry_addrs;
+        let entry_addrs = pt.walk(vpn).unwrap().entry_addrs().to_vec();
         mmu.shootdown(&ShootdownEvent {
             asid: Asid(1),
             vpn,

@@ -6,8 +6,15 @@
 //! physical address of the entry. On a walk, the deepest cached entry
 //! lets the walker skip every level above it; the leaf PTE must always be
 //! fetched from the memory hierarchy.
+//!
+//! The entries are one list in recency order, MRU first, allocated at
+//! full capacity up front. A lookup hit moves the entries ahead of it
+//! down one slot; an insert shifts every entry down while it scans, so
+//! a resident key stops the shift where it was and a new one pushes
+//! the LRU entry off a full cache.
 
 use colt_os_mem::addr::{Asid, PhysAddr};
+use colt_tlb::replacement::promote;
 
 /// Hit/miss counters for the MMU cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -78,8 +85,7 @@ impl MmuCache {
     /// Tagged lookup: only `(asid, addr)` can hit.
     pub fn lookup_tagged(&mut self, addr: PhysAddr, asid: Asid) -> bool {
         if let Some(pos) = self.entries.iter().position(|&e| e == (asid, addr.raw())) {
-            let e = self.entries.remove(pos);
-            self.entries.insert(0, e);
+            promote(&mut self.entries, pos);
             self.stats.level_hits += 1;
             true
         } else {
@@ -95,15 +101,18 @@ impl MmuCache {
 
     /// Tagged insert: the entry is keyed `(asid, addr)`.
     pub fn insert_tagged(&mut self, addr: PhysAddr, asid: Asid) {
-        if let Some(pos) = self.entries.iter().position(|&e| e == (asid, addr.raw())) {
-            let e = self.entries.remove(pos);
-            self.entries.insert(0, e);
-            return;
+        let key = (asid, addr.raw());
+        let mut carry = key;
+        for slot in &mut self.entries {
+            let held = std::mem::replace(slot, carry);
+            if held == key {
+                return;
+            }
+            carry = held;
         }
-        if self.entries.len() == self.capacity {
-            self.entries.pop();
+        if self.entries.len() < self.capacity {
+            self.entries.push(carry);
         }
-        self.entries.insert(0, (asid, addr.raw()));
     }
 
     /// Removes one entry address if resident (the per-entry half of an
@@ -148,6 +157,107 @@ impl MmuCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colt_prng::rngs::SmallRng;
+    use colt_prng::{Rng, SeedableRng};
+
+    /// The page-walk cache as it was before its LRU bookkeeping ran in
+    /// place: `remove` + `insert` on every hit, `pop` + `insert` on every
+    /// fill of a full cache. Kept as the reference model.
+    struct ReferenceMmuCache {
+        entries: Vec<(Asid, u64)>,
+        capacity: usize,
+        stats: MmuCacheStats,
+    }
+
+    impl ReferenceMmuCache {
+        fn lookup_tagged(&mut self, addr: PhysAddr, asid: Asid) -> bool {
+            if let Some(pos) = self.entries.iter().position(|&e| e == (asid, addr.raw())) {
+                let e = self.entries.remove(pos);
+                self.entries.insert(0, e);
+                self.stats.level_hits += 1;
+                true
+            } else {
+                self.stats.level_misses += 1;
+                false
+            }
+        }
+
+        fn insert_tagged(&mut self, addr: PhysAddr, asid: Asid) {
+            if let Some(pos) = self.entries.iter().position(|&e| e == (asid, addr.raw())) {
+                let e = self.entries.remove(pos);
+                self.entries.insert(0, e);
+                return;
+            }
+            if self.entries.len() == self.capacity {
+                self.entries.pop();
+            }
+            self.entries.insert(0, (asid, addr.raw()));
+        }
+
+        fn invalidate_addr_tagged(&mut self, addr: PhysAddr, asid: Asid) -> bool {
+            if let Some(pos) = self.entries.iter().position(|&e| e == (asid, addr.raw())) {
+                self.entries.remove(pos);
+                true
+            } else {
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_lru_matches_the_reference_model() {
+        for capacity in [1, 3, 8, 22] {
+            let mut rng = SmallRng::seed_from_u64(0x33 ^ capacity as u64);
+            let mut cache = MmuCache::new(capacity);
+            let mut reference = ReferenceMmuCache {
+                entries: Vec::new(),
+                capacity,
+                stats: MmuCacheStats::default(),
+            };
+            for step in 0..5_000 {
+                let addr = PhysAddr::new(rng.gen_range(0..2 * capacity as u64 + 2) * 8);
+                let asid = Asid(rng.gen_range(0..2u32));
+                match rng.gen_range(0..100u32) {
+                    0..=14 => {
+                        assert_eq!(cache.lookup(addr), reference.lookup_tagged(addr, Asid(0)));
+                    }
+                    15..=44 => assert_eq!(
+                        cache.lookup_tagged(addr, asid),
+                        reference.lookup_tagged(addr, asid)
+                    ),
+                    45..=54 => {
+                        cache.insert(addr);
+                        reference.insert_tagged(addr, Asid(0));
+                    }
+                    55..=84 => {
+                        cache.insert_tagged(addr, asid);
+                        reference.insert_tagged(addr, asid);
+                    }
+                    85..=89 => assert_eq!(
+                        cache.invalidate_addr(addr),
+                        reference.invalidate_addr_tagged(addr, Asid(0))
+                    ),
+                    90..=94 => assert_eq!(
+                        cache.invalidate_addr_tagged(addr, asid),
+                        reference.invalidate_addr_tagged(addr, asid)
+                    ),
+                    95..=97 => {
+                        let before = reference.entries.len();
+                        reference.entries.retain(|&(a, _)| a != asid);
+                        assert_eq!(cache.flush_asid(asid), before - reference.entries.len());
+                    }
+                    _ => {
+                        cache.flush();
+                        reference.entries.clear();
+                    }
+                }
+                let context = format!("capacity {capacity}, step {step}");
+                assert_eq!(cache.stats(), reference.stats, "{context}");
+                assert_eq!(cache.occupancy(), reference.entries.len(), "{context}");
+                assert_eq!(cache.entries, reference.entries, "{context}: entries or order differ");
+            }
+        }
+    }
 
     #[test]
     fn lookup_counts_and_promotes() {

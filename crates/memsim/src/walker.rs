@@ -242,7 +242,8 @@ impl PageWalker {
             self.stats.faults += 1;
             return None;
         };
-        let levels = path.entry_addrs.len();
+        let entry_addrs = path.entry_addrs();
+        let levels = entry_addrs.len();
         debug_assert!(levels >= 2, "walks touch at least two levels");
 
         // Find the deepest non-leaf level whose entry the MMU cache
@@ -251,7 +252,7 @@ impl PageWalker {
         // deeper = closer to the leaf.)
         let mut start = 0usize;
         for i in (0..levels - 1).rev() {
-            if self.mmu_cache.lookup_tagged(path.entry_addrs[i], tag) {
+            if self.mmu_cache.lookup_tagged(entry_addrs[i], tag) {
                 start = i + 1;
                 break;
             }
@@ -259,7 +260,7 @@ impl PageWalker {
 
         let mut latency = 0u64;
         let mut memory_accesses = 0u64;
-        for (i, &addr) in path.entry_addrs.iter().enumerate().skip(start) {
+        for (i, &addr) in entry_addrs.iter().enumerate().skip(start) {
             if self.mode == WalkMode::Nested {
                 // Each guest page-table access is itself host-translated.
                 let (l, a) = self.charge_host_walk(addr, caches);
@@ -332,7 +333,7 @@ impl PageWalker {
     /// Returns how many cached levels were dropped.
     pub fn invalidate(&mut self, page_table: &PageTable, vpn: Vpn) -> usize {
         match page_table.walk(vpn) {
-            Some(path) => self.invalidate_addrs(&path.entry_addrs),
+            Some(path) => self.invalidate_addrs(path.entry_addrs()),
             None => 0,
         }
     }
@@ -515,7 +516,7 @@ mod tests {
         let o = w.walk(&pt, Vpn::new(0x1001), &mut caches).unwrap();
         assert_eq!(o.memory_accesses, 4, "full path re-fetched after shootdown");
         // A second shootdown finds nothing left to drop.
-        assert_eq!(w.invalidate_addrs(&pt.walk(Vpn::new(0x1000)).unwrap().entry_addrs), 3);
+        assert_eq!(w.invalidate_addrs(pt.walk(Vpn::new(0x1000)).unwrap().entry_addrs()), 3);
         assert_eq!(w.invalidate(&pt, Vpn::new(0x1000)), 0);
     }
 

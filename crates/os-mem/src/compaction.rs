@@ -204,7 +204,7 @@ pub fn compact_logged(
             let entry_addrs = process
                 .page_table
                 .walk(vpn)
-                .map(|p| p.entry_addrs)
+                .map(|p| p.entry_addrs().to_vec())
                 .unwrap_or_default();
             log.record(ShootdownEvent {
                 asid: owner,

@@ -824,7 +824,7 @@ impl Kernel {
                 continue;
             };
             let entry_addrs = if self.shootdowns.is_enabled() {
-                process.page_table.walk(vpn).map(|p| p.entry_addrs).unwrap_or_default()
+                process.page_table.walk(vpn).map(|p| p.entry_addrs().to_vec()).unwrap_or_default()
             } else {
                 Vec::new()
             };
@@ -974,7 +974,7 @@ impl Kernel {
                         process
                             .page_table
                             .walk(base_vpn)
-                            .map(|p| p.entry_addrs)
+                            .map(|p| p.entry_addrs().to_vec())
                             .unwrap_or_default()
                     } else {
                         Vec::new()
@@ -1001,7 +1001,8 @@ impl Kernel {
                 }
                 Some(Translation { kind: PageKind::Base, .. }) => {
                     let entry_addrs = if self.shootdowns.is_enabled() {
-                        process.page_table.walk(vpn).map(|p| p.entry_addrs).unwrap_or_default()
+                        let path = process.page_table.walk(vpn);
+                        path.map(|p| p.entry_addrs().to_vec()).unwrap_or_default()
                     } else {
                         Vec::new()
                     };
@@ -1174,7 +1175,7 @@ impl Kernel {
         for i in 0..SUPERPAGE_PAGES {
             let vpn = base_vpn.offset(i);
             let entry_addrs = if self.shootdowns.is_enabled() {
-                process.page_table.walk(vpn).map(|p| p.entry_addrs).unwrap_or_default()
+                process.page_table.walk(vpn).map(|p| p.entry_addrs().to_vec()).unwrap_or_default()
             } else {
                 Vec::new()
             };
@@ -1246,7 +1247,7 @@ impl Kernel {
             return false;
         };
         let pre_split = if self.shootdowns.is_enabled() {
-            process.page_table.walk(base_vpn).map(|p| (p.entry_addrs, p.translation.pfn))
+            process.page_table.walk(base_vpn).map(|p| (p.entry_addrs().to_vec(), p.translation.pfn))
         } else {
             None
         };
@@ -1282,7 +1283,8 @@ impl Kernel {
                 if let Some(run) = self.buddy.alloc_pages(1) {
                     let process = self.processes.get_mut(&asid).expect("checked above");
                     let entry_addrs = if self.shootdowns.is_enabled() {
-                        process.page_table.walk(vpn).map(|p| p.entry_addrs).unwrap_or_default()
+                        let path = process.page_table.walk(vpn);
+                        path.map(|p| p.entry_addrs().to_vec()).unwrap_or_default()
                     } else {
                         Vec::new()
                     };

@@ -149,13 +149,22 @@ pub struct Translation {
 /// The memory accesses a hardware walk of one virtual page would perform:
 /// the physical address of the page-table entry read at each level, from
 /// the root (level 3) down to the leaf.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WalkPath {
-    /// Entry addresses in root-to-leaf order (4 for a base page,
-    /// 3 for a superpage).
-    pub entry_addrs: Vec<PhysAddr>,
+    /// Entry addresses in root-to-leaf order; the first `levels` are
+    /// read (4 for a base page, 3 for a superpage).
+    addrs: [PhysAddr; PT_LEVELS],
+    levels: usize,
     /// The translation found at the leaf.
     pub translation: Translation,
+}
+
+impl WalkPath {
+    /// The entry addresses read, in root-to-leaf order (4 for a base
+    /// page, 3 for a superpage).
+    pub fn entry_addrs(&self) -> &[PhysAddr] {
+        &self.addrs[..self.levels]
+    }
 }
 
 /// A cache line's worth of final-level PTEs: the eight (possibly absent)
@@ -415,12 +424,13 @@ impl PageTable {
     /// address of the entry read at each level and the final translation.
     /// Returns `None` if the page is unmapped.
     pub fn walk(&self, vpn: Vpn) -> Option<WalkPath> {
-        let mut addrs = Vec::with_capacity(PT_LEVELS);
+        let mut addrs = [PhysAddr::default(); PT_LEVELS];
         let mut node = &self.root;
         let mut level = PT_LEVELS - 1;
         loop {
             let idx = level_index(vpn, level);
-            addrs.push(node.entry_addr(idx));
+            let levels = PT_LEVELS - level;
+            addrs[levels - 1] = node.entry_addr(idx);
             match &node.entries[idx] {
                 Entry::Empty => return None,
                 Entry::Table(child) => {
@@ -432,7 +442,8 @@ impl PageTable {
                 }
                 Entry::LeafBase(pte) => {
                     return Some(WalkPath {
-                        entry_addrs: addrs,
+                        addrs,
+                        levels,
                         translation: Translation {
                             pfn: pte.pfn,
                             flags: pte.flags,
@@ -447,7 +458,8 @@ impl PageTable {
                     let base_vpn = vpn.align_down(9);
                     let within = vpn.distance_from(base_vpn).expect("aligned down");
                     return Some(WalkPath {
-                        entry_addrs: addrs,
+                        addrs,
+                        levels,
                         translation: Translation {
                             pfn: pte.pfn.offset(within),
                             flags: pte.flags,
@@ -467,10 +479,18 @@ impl PageTable {
         let base_vpn = vpn.align_down(3);
         let mut ptes = [None; PTES_PER_LINE as usize];
         // All eight pages share the same level-0 node (its 512 entries
-        // cover 512 consecutive pages and 8 divides 512).
-        for (i, slot) in ptes.iter_mut().enumerate() {
-            let v = base_vpn.offset(i as u64);
-            if let Some((Entry::LeafBase(pte), _)) = self.leaf_entry(v) {
+        // cover 512 consecutive pages and 8 divides 512): descend to it
+        // once and read the eight slots.
+        let mut node = &self.root;
+        for level in (1..PT_LEVELS).rev() {
+            match &node.entries[level_index(base_vpn, level)] {
+                Entry::Table(child) => node = child,
+                _ => return PteLine { base_vpn, ptes },
+            }
+        }
+        let first = level_index(base_vpn, 0);
+        for (slot, entry) in ptes.iter_mut().zip(&node.entries[first..]) {
+            if let Entry::LeafBase(pte) = entry {
                 *slot = Some(*pte);
             }
         }
@@ -785,12 +805,12 @@ mod tests {
         let mut pt = PageTable::new();
         pt.map_base(Vpn::new(0x12345), Pte::new(Pfn::new(9), flags()));
         let w = pt.walk(Vpn::new(0x12345)).unwrap();
-        assert_eq!(w.entry_addrs.len(), 4);
+        assert_eq!(w.entry_addrs().len(), 4);
         assert_eq!(w.translation.pfn, Pfn::new(9));
         // All entry addresses are distinct and in the PT node region.
-        for (i, a) in w.entry_addrs.iter().enumerate() {
+        for (i, a) in w.entry_addrs().iter().enumerate() {
             assert!(a.raw() >= PT_NODE_REGION_BASE);
-            for b in &w.entry_addrs[i + 1..] {
+            for b in &w.entry_addrs()[i + 1..] {
                 assert_ne!(a, b);
             }
         }
@@ -801,7 +821,7 @@ mod tests {
         let mut pt = PageTable::new();
         pt.map_super(Vpn::new(1024), Pte::new(Pfn::new(2048), flags()));
         let w = pt.walk(Vpn::new(1024 + 3)).unwrap();
-        assert_eq!(w.entry_addrs.len(), 3);
+        assert_eq!(w.entry_addrs().len(), 3);
         assert_eq!(w.translation.pfn, Pfn::new(2051));
     }
 
@@ -814,9 +834,9 @@ mod tests {
         let w0 = pt.walk(Vpn::new(64)).unwrap();
         let w7 = pt.walk(Vpn::new(71)).unwrap();
         let w8 = pt.walk(Vpn::new(72)).unwrap();
-        let leaf0 = w0.entry_addrs.last().unwrap();
-        let leaf7 = w7.entry_addrs.last().unwrap();
-        let leaf8 = w8.entry_addrs.last().unwrap();
+        let leaf0 = w0.entry_addrs().last().unwrap();
+        let leaf7 = w7.entry_addrs().last().unwrap();
+        let leaf8 = w8.entry_addrs().last().unwrap();
         assert_eq!(leaf0.cache_line(), leaf7.cache_line(), "vpns 64..72 share a line");
         assert_ne!(leaf0.cache_line(), leaf8.cache_line(), "vpn 72 starts the next line");
     }
@@ -924,7 +944,7 @@ mod tests {
         for vpn in [Vpn::new(0x4000), Vpn::new(0x4000 + 63), Vpn::new(512 + 13)] {
             let a = pt.walk(vpn).unwrap();
             let b = back.walk(vpn).unwrap();
-            assert_eq!(a.entry_addrs, b.entry_addrs, "walk addresses must survive");
+            assert_eq!(a.entry_addrs(), b.entry_addrs(), "walk addresses must survive");
             assert_eq!(a.translation, b.translation);
         }
         assert!(back.walk(Vpn::new(0x4000 + 7)).is_none());

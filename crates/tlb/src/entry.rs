@@ -59,18 +59,19 @@ impl CoalescedRun {
 
     /// True when `vpn` is covered (the CoLT-FA range check:
     /// `base VPN <= request VPN <= base VPN + coal. length`, Figure 5).
+    /// One wrapping subtract and compare: a `vpn` below the run wraps
+    /// to a distance no run length reaches.
+    #[inline]
     pub fn contains(&self, vpn: Vpn) -> bool {
-        vpn >= self.start_vpn && vpn < self.end_vpn()
+        vpn.raw().wrapping_sub(self.start_vpn.raw()) < self.len
     }
 
     /// Translates `vpn` if covered: the PPN-generation logic subtracts the
     /// base virtual page and adds the stored base physical page (§4.2.2).
+    #[inline]
     pub fn translate(&self, vpn: Vpn) -> Option<Pfn> {
-        if !self.contains(vpn) {
-            return None;
-        }
-        let delta = vpn.distance_from(self.start_vpn).expect("contains checked");
-        Some(self.base_pfn.offset(delta))
+        let delta = vpn.raw().wrapping_sub(self.start_vpn.raw());
+        (delta < self.len).then(|| self.base_pfn.offset(delta))
     }
 
     /// True when the run lies entirely within one aligned group of

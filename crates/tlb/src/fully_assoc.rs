@@ -5,9 +5,13 @@
 //! an arbitrary-length coalesced run (up to 1024 pages). On fill, a newly
 //! coalesced entry may merge with resident entries that continue its run
 //! (§4.2.1 step 5), growing reach without extra entries.
+//!
+//! The entries are one list in recency order, MRU first, allocated at
+//! full capacity up front. A hit moves the entries ahead of it down one
+//! slot; a victim is chosen from the resident lengths in place.
 
 use crate::entry::{CoalescedRun, RangeEntry, RangeKind};
-use crate::replacement::ReplacementPolicy;
+use crate::replacement::{promote, ReplacementPolicy};
 use colt_os_mem::addr::{Asid, Pfn, Vpn};
 use colt_os_mem::page_table::PteFlags;
 
@@ -104,19 +108,21 @@ impl FullyAssocTlb {
     /// ASID-selective lookup (SMP tagged mode): only entries tagged
     /// `asid` can hit.
     pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<FaHit> {
-        if let Some(pos) =
-            self.entries.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some())
-        {
-            let entry = self.entries.remove(pos);
-            let hit = FaHit {
-                pfn: entry.lookup(vpn).expect("position found by lookup"),
-                flags: entry.flags(),
-                entry_len: entry.run().len,
-                superpage: entry.kind() == RangeKind::Superpage,
-            };
-            self.entries.insert(0, entry);
-            self.stats.hits += 1;
-            return Some(hit);
+        for (pos, &entry) in self.entries.iter().enumerate() {
+            if entry.asid() != asid {
+                continue;
+            }
+            if let Some(pfn) = entry.lookup(vpn) {
+                let hit = FaHit {
+                    pfn,
+                    flags: entry.flags(),
+                    entry_len: entry.run().len,
+                    superpage: entry.kind() == RangeKind::Superpage,
+                };
+                promote(&mut self.entries, pos);
+                self.stats.hits += 1;
+                return Some(hit);
+            }
         }
         self.stats.misses += 1;
         None
@@ -136,21 +142,16 @@ impl FullyAssocTlb {
     /// evicted entry, if any.
     pub fn insert(&mut self, entry: RangeEntry) -> Option<RangeEntry> {
         self.stats.insertions += 1;
-        let evicted = if self.entries.len() == self.capacity {
-            self.stats.evictions += 1;
-            let candidates: Vec<(usize, u64)> = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(rank, e)| (rank, e.run().len))
-                .collect();
-            let victim = self.policy.choose_victim(&candidates);
-            Some(self.entries.remove(victim))
-        } else {
-            None
-        };
-        self.entries.insert(0, entry);
-        evicted
+        if self.entries.len() < self.capacity {
+            self.entries.insert(0, entry);
+            return None;
+        }
+        self.stats.evictions += 1;
+        let victim = self.policy.choose_victim(self.entries.iter().map(|e| e.run().len), 0..0);
+        let evicted = self.entries[victim];
+        self.entries[victim] = entry;
+        promote(&mut self.entries, victim);
+        Some(evicted)
     }
 
     /// Gracefully uncoalesces on invalidation: coalesced ranges covering
@@ -189,17 +190,12 @@ impl FullyAssocTlb {
                     // policy rather than silently dropping a still-valid
                     // remnant, but never victimise a remnant just
                     // re-inserted (ranks `pos..insert_at`).
-                    let candidates: Vec<(usize, u64)> = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .filter(|(rank, _)| !(pos..insert_at).contains(rank))
-                        .map(|(rank, e)| (rank, e.run().len))
-                        .collect();
-                    if candidates.is_empty() {
+                    if self.entries.len() == insert_at - pos {
                         continue; // capacity-1 structure already holds a remnant
                     }
-                    let victim = candidates[self.policy.choose_victim(&candidates)].0;
+                    let victim = self
+                        .policy
+                        .choose_victim(self.entries.iter().map(|e| e.run().len), pos..insert_at);
                     self.stats.evictions += 1;
                     self.entries.remove(victim);
                     if victim < insert_at {
@@ -316,6 +312,9 @@ impl FullyAssocTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::reference_victim;
+    use colt_prng::rngs::SmallRng;
+    use colt_prng::{Rng, SeedableRng};
 
     fn flags() -> PteFlags {
         PteFlags::user_data()
@@ -490,6 +489,244 @@ mod tests {
         tlb.insert(RangeEntry::coalesced(run(400, 400, 8)));
         assert!(tlb.probe(Vpn::new(10)).is_some(), "64-page range survives");
         assert!(tlb.probe(Vpn::new(200)).is_none(), "2-page range evicted");
+    }
+
+    /// The fully-associative TLB as it was before its LRU bookkeeping
+    /// ran in place: `remove` + `insert` on every hit and a candidate
+    /// list per victim. Kept as the reference model.
+    struct ReferenceFullyAssocTlb {
+        entries: Vec<RangeEntry>,
+        capacity: usize,
+        policy: ReplacementPolicy,
+        stats: FaStats,
+    }
+
+    impl ReferenceFullyAssocTlb {
+        fn new(capacity: usize, policy: ReplacementPolicy) -> Self {
+            let entries = Vec::with_capacity(capacity);
+            Self { entries, capacity, policy, stats: FaStats::default() }
+        }
+
+        fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<FaHit> {
+            if let Some(pos) =
+                self.entries.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some())
+            {
+                let entry = self.entries.remove(pos);
+                let hit = FaHit {
+                    pfn: entry.lookup(vpn).expect("position found by lookup"),
+                    flags: entry.flags(),
+                    entry_len: entry.run().len,
+                    superpage: entry.kind() == RangeKind::Superpage,
+                };
+                self.entries.insert(0, entry);
+                self.stats.hits += 1;
+                return Some(hit);
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        fn insert(&mut self, entry: RangeEntry) -> Option<RangeEntry> {
+            self.stats.insertions += 1;
+            let evicted = if self.entries.len() == self.capacity {
+                self.stats.evictions += 1;
+                let candidates: Vec<(usize, u64)> = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, e)| (rank, e.run().len))
+                    .collect();
+                Some(self.entries.remove(reference_victim(self.policy, &candidates)))
+            } else {
+                None
+            };
+            self.entries.insert(0, entry);
+            evicted
+        }
+
+        fn invalidate_graceful_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
+            let mut affected = 0;
+            let mut pos = 0;
+            while pos < self.entries.len() {
+                if filter.is_some_and(|a| self.entries[pos].asid() != a)
+                    || self.entries[pos].lookup(vpn).is_none()
+                {
+                    pos += 1;
+                    continue;
+                }
+                affected += 1;
+                let entry = self.entries.remove(pos);
+                if entry.kind() == RangeKind::Superpage {
+                    continue;
+                }
+                let (left, right) = entry.run().split_at(vpn).expect("lookup hit");
+                let mut insert_at = pos;
+                for remnant in [left, right].into_iter().flatten() {
+                    if self.entries.len() >= self.capacity {
+                        let candidates: Vec<(usize, u64)> = self
+                            .entries
+                            .iter()
+                            .enumerate()
+                            .filter(|(rank, _)| !(pos..insert_at).contains(rank))
+                            .map(|(rank, e)| (rank, e.run().len))
+                            .collect();
+                        if candidates.is_empty() {
+                            continue;
+                        }
+                        let victim = candidates[reference_victim(self.policy, &candidates)].0;
+                        self.stats.evictions += 1;
+                        self.entries.remove(victim);
+                        if victim < insert_at {
+                            insert_at -= 1;
+                            if victim < pos {
+                                pos -= 1;
+                            }
+                        }
+                    }
+                    self.entries.insert(
+                        insert_at.min(self.entries.len()),
+                        RangeEntry::coalesced_tagged(remnant, entry.asid()),
+                    );
+                    insert_at += 1;
+                }
+            }
+            self.stats.invalidations += affected as u64;
+            affected
+        }
+
+        fn insert_coalesced_with_merge_tagged(
+            &mut self,
+            run: CoalescedRun,
+            asid: Asid,
+        ) -> Option<RangeEntry> {
+            let mut acc = run;
+            loop {
+                let mut merged_any = false;
+                let mut pos = 0;
+                while pos < self.entries.len() {
+                    if self.entries[pos].asid() == asid {
+                        if let Some(merged) = self.entries[pos].try_merge(&acc) {
+                            self.entries.remove(pos);
+                            acc = merged.run();
+                            self.stats.merges += 1;
+                            merged_any = true;
+                            continue;
+                        }
+                    }
+                    pos += 1;
+                }
+                if !merged_any {
+                    break;
+                }
+            }
+            self.insert(RangeEntry::coalesced_tagged(acc, asid))
+        }
+
+        fn retain(&mut self, keep: impl Fn(&RangeEntry) -> bool) -> usize {
+            let before = self.entries.len();
+            self.entries.retain(keep);
+            let removed = before - self.entries.len();
+            self.stats.invalidations += removed as u64;
+            removed
+        }
+    }
+
+    /// A coalesced run of up to 16 pages in the first 256, translated
+    /// under one of two anchors so that neighbours often merge.
+    fn random_run(rng: &mut SmallRng) -> CoalescedRun {
+        let start = rng.gen_range(0..256u64);
+        let anchor = if rng.gen_bool(0.8) { 4_096 } else { 8_192 };
+        run(start, anchor + start, rng.gen_range(1..=16u64))
+    }
+
+    #[test]
+    fn in_place_lru_matches_the_reference_model() {
+        let policies = [ReplacementPolicy::Lru, ReplacementPolicy::SmallestCoalescedFirst];
+        for policy in policies {
+            for capacity in [1, 2, 4, 8] {
+                let mut rng = SmallRng::seed_from_u64(0xFA ^ capacity as u64);
+                let mut tlb = FullyAssocTlb::new(capacity).with_policy(policy);
+                let mut reference = ReferenceFullyAssocTlb::new(capacity, policy);
+                let mut recent = [Vpn::new(0); 8];
+                for step in 0..4_000usize {
+                    // Look mostly at pages an earlier insert covered.
+                    let vpn = if rng.gen_bool(0.7) {
+                        recent[rng.gen_range(0..8usize)]
+                    } else {
+                        Vpn::new(rng.gen_range(0..1_024u64))
+                    };
+                    let asid = Asid(rng.gen_range(0..2u32));
+                    match rng.gen_range(0..100u32) {
+                        0..=9 => assert_eq!(tlb.lookup(vpn), reference.lookup_tagged(vpn, Asid(0))),
+                        10..=39 => assert_eq!(
+                            tlb.lookup_tagged(vpn, asid),
+                            reference.lookup_tagged(vpn, asid)
+                        ),
+                        40..=49 => {
+                            let entry = if rng.gen_bool(0.2) {
+                                let base = Vpn::new(rng.gen_range(0..2u64) * 512);
+                                RangeEntry::superpage(base, Pfn::new(base.raw() + 4_096), flags())
+                            } else {
+                                RangeEntry::coalesced(random_run(&mut rng))
+                            };
+                            recent[step % 8] = entry.run().start_vpn;
+                            assert_eq!(tlb.insert(entry), reference.insert(entry));
+                        }
+                        50..=59 => {
+                            let run = random_run(&mut rng);
+                            recent[step % 8] = run.start_vpn;
+                            assert_eq!(
+                                tlb.insert_coalesced_with_merge(run),
+                                reference.insert_coalesced_with_merge_tagged(run, Asid(0))
+                            );
+                        }
+                        60..=74 => {
+                            let run = random_run(&mut rng);
+                            recent[step % 8] = run.start_vpn;
+                            assert_eq!(
+                                tlb.insert_coalesced_with_merge_tagged(run, asid),
+                                reference.insert_coalesced_with_merge_tagged(run, asid)
+                            );
+                        }
+                        75..=78 => assert_eq!(
+                            tlb.invalidate(vpn),
+                            reference.retain(|e| e.lookup(vpn).is_none())
+                        ),
+                        79..=82 => assert_eq!(
+                            tlb.invalidate_asid(vpn, asid),
+                            reference.retain(|e| e.asid() != asid || e.lookup(vpn).is_none())
+                        ),
+                        83..=88 => assert_eq!(
+                            tlb.invalidate_graceful(vpn),
+                            reference.invalidate_graceful_filtered(vpn, None)
+                        ),
+                        89..=94 => assert_eq!(
+                            tlb.invalidate_graceful_asid(vpn, asid),
+                            reference.invalidate_graceful_filtered(vpn, Some(asid))
+                        ),
+                        95 => assert_eq!(
+                            tlb.flush_asid(asid),
+                            reference.retain(|e| e.asid() != asid)
+                        ),
+                        96 => {
+                            tlb.flush();
+                            reference.retain(|_| false);
+                        }
+                        _ => assert_eq!(
+                            tlb.probe(vpn),
+                            reference.entries.iter().find_map(|e| e.lookup(vpn))
+                        ),
+                    }
+                    let context = format!("{policy:?} capacity {capacity} step {step}");
+                    assert_eq!(tlb.stats(), reference.stats, "{context}");
+                    assert_eq!(tlb.occupancy(), reference.entries.len(), "{context}");
+                    assert!(
+                        tlb.iter().eq(reference.entries.iter()),
+                        "{context}: entries or their order differ"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

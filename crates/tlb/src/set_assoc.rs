@@ -7,9 +7,14 @@
 //! same set and can live in one entry (§4.1.2). `shift = 0` yields the
 //! baseline non-coalescing TLB; the paper's default is `shift = 2`
 //! (VPN[4-2] for the 8-set L1, VPN[6-2] for the 32-set L2).
+//!
+//! Each set is one list of at most `ways` entries in recency order, MRU
+//! first, allocated at its full size up front. A hit moves the entries
+//! ahead of it down one slot; a victim is chosen from the resident
+//! lengths in place.
 
 use crate::entry::{CoalescedRun, SaEntry};
-use crate::replacement::ReplacementPolicy;
+use crate::replacement::{promote, ReplacementPolicy};
 use colt_os_mem::addr::{Asid, Pfn, Vpn};
 use colt_os_mem::page_table::PteFlags;
 
@@ -79,7 +84,7 @@ impl SetAssocTlb {
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         assert!(shift <= 3, "coalescing beyond one cache line is not possible");
         Self {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
             shift,
             policy: ReplacementPolicy::Lru,
@@ -131,17 +136,21 @@ impl SetAssocTlb {
     pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<SaHit> {
         let idx = self.set_index(vpn);
         let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some()) {
-            let entry = set.remove(pos);
-            let hit = SaHit {
-                pfn: entry.lookup(vpn).expect("position found by lookup"),
-                flags: entry.flags(),
-                entry_len: entry.coalesced_len(),
-                run: entry.run(),
-            };
-            set.insert(0, entry);
-            self.stats.hits += 1;
-            return Some(hit);
+        for (pos, &entry) in set.iter().enumerate() {
+            if entry.asid() != asid {
+                continue;
+            }
+            if let Some(pfn) = entry.lookup(vpn) {
+                let hit = SaHit {
+                    pfn,
+                    flags: entry.flags(),
+                    entry_len: entry.coalesced_len(),
+                    run: entry.run(),
+                };
+                promote(set, pos);
+                self.stats.hits += 1;
+                return Some(hit);
+            }
         }
         self.stats.misses += 1;
         None
@@ -188,28 +197,24 @@ impl SetAssocTlb {
         for pos in 0..set.len() {
             if set[pos].asid() == asid && set[pos].group(shift) == entry.group(shift) {
                 if let Some(union) = set[pos].run().try_union(&run) {
-                    set.remove(pos);
-                    set.insert(0, SaEntry::new_tagged(union, shift, asid));
+                    set[pos] = SaEntry::new_tagged(union, shift, asid);
+                    promote(set, pos);
                     self.stats.merges += 1;
                     return None;
                 }
             }
         }
 
-        let evicted = if set.len() == self.ways {
-            self.stats.evictions += 1;
-            let candidates: Vec<(usize, u64)> = set
-                .iter()
-                .enumerate()
-                .map(|(rank, e)| (rank, e.coalesced_len()))
-                .collect();
-            let victim = self.policy.choose_victim(&candidates);
-            Some(set.remove(victim))
-        } else {
-            None
-        };
-        set.insert(0, entry);
-        evicted
+        if set.len() < self.ways {
+            set.insert(0, entry);
+            return None;
+        }
+        self.stats.evictions += 1;
+        let victim = self.policy.choose_victim(set.iter().map(SaEntry::coalesced_len), 0..0);
+        let evicted = set[victim];
+        set[victim] = entry;
+        promote(set, victim);
+        Some(evicted)
     }
 
     /// Gracefully uncoalesces on invalidation (§4.1.5 future work):
@@ -251,16 +256,13 @@ impl SetAssocTlb {
                         // instead of silently dropping a still-valid
                         // remnant — but never victimise a remnant just
                         // re-inserted (ranks `pos..insert_at`).
-                        let candidates: Vec<(usize, u64)> = set
-                            .iter()
-                            .enumerate()
-                            .filter(|(rank, _)| !(pos..insert_at).contains(rank))
-                            .map(|(rank, e)| (rank, e.coalesced_len()))
-                            .collect();
-                        if candidates.is_empty() {
+                        if set.len() == insert_at - pos {
                             continue; // one-way set already holds a remnant
                         }
-                        let victim = candidates[self.policy.choose_victim(&candidates)].0;
+                        let victim = self.policy.choose_victim(
+                            set.iter().map(SaEntry::coalesced_len),
+                            pos..insert_at,
+                        );
                         self.stats.evictions += 1;
                         set.remove(victim);
                         if victim < insert_at {
@@ -350,6 +352,9 @@ impl SetAssocTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::reference_victim;
+    use colt_prng::rngs::SmallRng;
+    use colt_prng::{Rng, SeedableRng};
 
     fn flags() -> PteFlags {
         PteFlags::user_data()
@@ -561,6 +566,238 @@ mod tests {
         assert!(tlb.probe(Vpn::new(0)).is_some(), "high-reach entry survives");
         assert!(tlb.probe(Vpn::new(16)).is_none(), "singleton evicted first");
         assert!(tlb.probe(Vpn::new(32)).is_some());
+    }
+
+    /// The set-associative TLB as it was before its LRU bookkeeping ran
+    /// in place: a `Vec` per set, `remove` + `insert` on every hit, and
+    /// a candidate list per victim. Kept as the reference model.
+    struct ReferenceSetAssocTlb {
+        sets: Vec<Vec<SaEntry>>,
+        ways: usize,
+        shift: u32,
+        policy: ReplacementPolicy,
+        stats: SaStats,
+    }
+
+    impl ReferenceSetAssocTlb {
+        fn new(entries: usize, ways: usize, shift: u32, policy: ReplacementPolicy) -> Self {
+            let sets = vec![Vec::with_capacity(ways); entries / ways];
+            Self { sets, ways, shift, policy, stats: SaStats::default() }
+        }
+
+        fn set_index(&self, vpn: Vpn) -> usize {
+            ((vpn.raw() >> self.shift) as usize) & (self.sets.len() - 1)
+        }
+
+        fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<SaHit> {
+            let idx = self.set_index(vpn);
+            let set = &mut self.sets[idx];
+            if let Some(pos) =
+                set.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some())
+            {
+                let entry = set.remove(pos);
+                let hit = SaHit {
+                    pfn: entry.lookup(vpn).expect("position found by lookup"),
+                    flags: entry.flags(),
+                    entry_len: entry.coalesced_len(),
+                    run: entry.run(),
+                };
+                set.insert(0, entry);
+                self.stats.hits += 1;
+                return Some(hit);
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        fn insert_tagged(&mut self, run: CoalescedRun, asid: Asid) -> Option<SaEntry> {
+            let entry = SaEntry::new_tagged(run, self.shift, asid);
+            let idx = self.set_index(run.start_vpn);
+            let shift = self.shift;
+            let set = &mut self.sets[idx];
+            self.stats.insertions += 1;
+            for pos in 0..set.len() {
+                if set[pos].asid() == asid && set[pos].group(shift) == entry.group(shift) {
+                    if let Some(union) = set[pos].run().try_union(&run) {
+                        set.remove(pos);
+                        set.insert(0, SaEntry::new_tagged(union, shift, asid));
+                        self.stats.merges += 1;
+                        return None;
+                    }
+                }
+            }
+            let evicted = if set.len() == self.ways {
+                self.stats.evictions += 1;
+                let candidates: Vec<(usize, u64)> =
+                    set.iter().enumerate().map(|(rank, e)| (rank, e.coalesced_len())).collect();
+                Some(set.remove(reference_victim(self.policy, &candidates)))
+            } else {
+                None
+            };
+            set.insert(0, entry);
+            evicted
+        }
+
+        fn invalidate_graceful_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
+            let idx = self.set_index(vpn);
+            let (shift, ways) = (self.shift, self.ways);
+            let set = &mut self.sets[idx];
+            let mut affected = 0;
+            let mut pos = 0;
+            while pos < set.len() {
+                if filter.is_some_and(|a| set[pos].asid() != a) {
+                    pos += 1;
+                    continue;
+                }
+                let entry_asid = set[pos].asid();
+                if let Some((left, right)) = set[pos].run().split_at(vpn) {
+                    affected += 1;
+                    set.remove(pos);
+                    let mut insert_at = pos;
+                    for remnant in [left, right].into_iter().flatten() {
+                        if set.len() >= ways {
+                            let candidates: Vec<(usize, u64)> = set
+                                .iter()
+                                .enumerate()
+                                .filter(|(rank, _)| !(pos..insert_at).contains(rank))
+                                .map(|(rank, e)| (rank, e.coalesced_len()))
+                                .collect();
+                            if candidates.is_empty() {
+                                continue;
+                            }
+                            let victim = candidates[reference_victim(self.policy, &candidates)].0;
+                            self.stats.evictions += 1;
+                            set.remove(victim);
+                            if victim < insert_at {
+                                insert_at -= 1;
+                                if victim < pos {
+                                    pos -= 1;
+                                }
+                            }
+                        }
+                        let remnant = SaEntry::new_tagged(remnant, shift, entry_asid);
+                        set.insert(insert_at.min(set.len()), remnant);
+                        insert_at += 1;
+                    }
+                } else {
+                    pos += 1;
+                }
+            }
+            self.stats.invalidations += affected as u64;
+            affected
+        }
+
+        fn invalidate_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
+            let idx = self.set_index(vpn);
+            let set = &mut self.sets[idx];
+            let before = set.len();
+            set.retain(|e| filter.is_some_and(|a| e.asid() != a) || e.lookup(vpn).is_none());
+            let removed = before - set.len();
+            self.stats.invalidations += removed as u64;
+            removed
+        }
+
+        fn flush(&mut self) {
+            for set in &mut self.sets {
+                self.stats.invalidations += set.len() as u64;
+                set.clear();
+            }
+        }
+
+        fn flush_asid(&mut self, asid: Asid) -> usize {
+            let mut removed = 0;
+            for set in &mut self.sets {
+                let before = set.len();
+                set.retain(|e| e.asid() != asid);
+                removed += before - set.len();
+            }
+            self.stats.invalidations += removed as u64;
+            removed
+        }
+
+        fn occupancy(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// A run confined to one `2^shift` group of the first 32 pages,
+    /// translated under one of two anchors so that neighbours often
+    /// merge and sometimes conflict.
+    fn random_run(rng: &mut SmallRng, shift: u32) -> CoalescedRun {
+        let group = 1u64 << shift;
+        let first = rng.gen_range(0..32u64) & !(group - 1);
+        let offset = rng.gen_range(0..group);
+        let len = rng.gen_range(1..=group - offset);
+        let start = first + offset;
+        let anchor = if rng.gen_bool(0.8) { 1_000 } else { 5_000 };
+        CoalescedRun::new(Vpn::new(start), Pfn::new(anchor + start), len, flags())
+    }
+
+    #[test]
+    fn in_place_lru_matches_the_reference_model() {
+        let policies = [ReplacementPolicy::Lru, ReplacementPolicy::SmallestCoalescedFirst];
+        let geometries = [(8, 2, 2), (4, 1, 2), (16, 4, 0), (8, 8, 3), (16, 4, 1), (4, 4, 2)];
+        for policy in policies {
+            for (seed, &(entries, ways, shift)) in geometries.iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(0x5A ^ seed as u64);
+                let mut tlb = SetAssocTlb::new(entries, ways, shift).with_policy(policy);
+                let mut reference = ReferenceSetAssocTlb::new(entries, ways, shift, policy);
+                for step in 0..4_000 {
+                    let vpn = Vpn::new(rng.gen_range(0..32u64));
+                    let asid = Asid(rng.gen_range(0..2u32));
+                    match rng.gen_range(0..100u32) {
+                        0..=9 => assert_eq!(tlb.lookup(vpn), reference.lookup_tagged(vpn, Asid(0))),
+                        10..=39 => assert_eq!(
+                            tlb.lookup_tagged(vpn, asid),
+                            reference.lookup_tagged(vpn, asid)
+                        ),
+                        40..=49 => {
+                            let run = random_run(&mut rng, shift);
+                            assert_eq!(tlb.insert(run), reference.insert_tagged(run, Asid(0)));
+                        }
+                        50..=74 => {
+                            let run = random_run(&mut rng, shift);
+                            assert_eq!(
+                                tlb.insert_tagged(run, asid),
+                                reference.insert_tagged(run, asid)
+                            );
+                        }
+                        75..=78 => assert_eq!(
+                            tlb.invalidate(vpn),
+                            reference.invalidate_filtered(vpn, None)
+                        ),
+                        79..=82 => assert_eq!(
+                            tlb.invalidate_asid(vpn, asid),
+                            reference.invalidate_filtered(vpn, Some(asid))
+                        ),
+                        83..=88 => assert_eq!(
+                            tlb.invalidate_graceful(vpn),
+                            reference.invalidate_graceful_filtered(vpn, None)
+                        ),
+                        89..=94 => assert_eq!(
+                            tlb.invalidate_graceful_asid(vpn, asid),
+                            reference.invalidate_graceful_filtered(vpn, Some(asid))
+                        ),
+                        95 => assert_eq!(tlb.flush_asid(asid), reference.flush_asid(asid)),
+                        96 => {
+                            tlb.flush();
+                            reference.flush();
+                        }
+                        _ => {
+                            let set = &reference.sets[reference.set_index(vpn)];
+                            assert_eq!(tlb.probe(vpn), set.iter().find_map(|e| e.lookup(vpn)));
+                        }
+                    }
+                    let context = format!("{policy:?} {entries}/{ways}/{shift} step {step}");
+                    assert_eq!(tlb.stats(), reference.stats, "{context}");
+                    assert_eq!(tlb.occupancy(), reference.occupancy(), "{context}");
+                    assert!(
+                        tlb.iter().eq(reference.sets.iter().flatten()),
+                        "{context}: entries or their order differ"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

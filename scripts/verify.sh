@@ -215,7 +215,8 @@ echo "policy smoke passed (5 policies swept, default byte-identical, contiguity 
 # journal fsync — a SIGKILL-equivalent death), then finish it with
 # --resume. The resumed run must leave BENCH_pressure.json and the CSV
 # output byte-identical to an uninterrupted reference run, with exactly
-# the k fsynced journal records surviving the crash.
+# the k fsynced journal records surviving the crash and exactly those k
+# cells reported (on stderr) as replayed.
 CRASH_ARGS=(--quick --bench Sjeng --faults rate=0.3,window=50,seed=11
             --jobs "$(nproc)" pressure --csv)
 echo "== crash-recovery smoke: kill mid-sweep, then --resume =="
@@ -232,7 +233,12 @@ if [[ "$crash_lines" -ne 5 ]]; then
     echo "FAIL: expected 5 fsynced journal records after the crash, got $crash_lines" >&2
     exit 1
 fi
-(cd "$CRASH_DIR" && "$REPRO" "${CRASH_ARGS[@]}" --resume > resume.csv)
+(cd "$CRASH_DIR" && "$REPRO" "${CRASH_ARGS[@]}" --resume > resume.csv 2> resume.err)
+if ! grep -q "^resume(pressure): 5 cell(s) replayed " "$CRASH_DIR/resume.err"; then
+    echo "FAIL: the resumed run must report exactly the 5 journaled cells as replayed:" >&2
+    cat "$CRASH_DIR/resume.err" >&2
+    exit 1
+fi
 if ! cmp -s "$CRASH_DIR/ref_pressure.json" "$CRASH_DIR/results/BENCH_pressure.json"; then
     echo "FAIL: resumed BENCH_pressure.json differs from the uninterrupted run" >&2
     exit 1
