@@ -27,7 +27,7 @@
 use crate::experiments::policy::PolicyReport;
 use crate::experiments::pressure::{FailedCell, PressureReport};
 use crate::experiments::smp::SmpRow;
-use crate::runner::CellMetric;
+use crate::runner::{CellMetric, StreamUse};
 use crate::serve::json::{self, obj, rounded, Json};
 use colt_os_mem::faults::FaultConfig;
 use std::io;
@@ -270,12 +270,22 @@ pub fn prep_amortized_refs_per_sec(metrics: &[CellMetric]) -> f64 {
     refs as f64 / sim.max(1e-9)
 }
 
+/// How many cells recorded a shared reference stream, and how many
+/// replayed one ([`StreamUse`]). Neither count depends on the worker
+/// count or the clock; cells replayed from the journal count in neither.
+pub fn stream_counts(metrics: &[CellMetric]) -> (usize, usize) {
+    let count = |used| metrics.iter().filter(|m| m.stream == used).count();
+    (count(StreamUse::Recorded), count(StreamUse::Replayed))
+}
+
 /// Machine-readable sweep throughput report (`BENCH_sweep.json`).
 /// Everything that varies with the wall clock or the cache temperature
 /// sits under `timing` — at top level and in each cell — so the rest is
 /// reproducible byte-for-byte. On a resumed run, replayed cells carry
 /// their original (journaled, bit-exact) timings while re-run cells time
 /// anew.
+///
+/// `recordings` and `cells_from_recordings` are [`stream_counts`].
 ///
 /// `speedup_vs_1_thread_estimate` compares the sum of per-cell
 /// (prep + sim) wall-clock against the sweep's wall time — an honest
@@ -290,6 +300,7 @@ pub fn sweep_json(
     cache: &crate::snapshot_cache::CacheStats,
 ) -> String {
     let total_refs: u64 = metrics.iter().map(|m| m.refs).sum();
+    let (recordings, cells_from_recordings) = stream_counts(metrics);
     let serial = serial_seconds_estimate(metrics);
     let prep_total: f64 = metrics.iter().map(|m| m.prep_seconds).sum();
     let cells: Vec<Json> = metrics
@@ -300,6 +311,7 @@ pub fn sweep_json(
                 "benchmark" => &m.benchmark,
                 "scenario" => &m.scenario,
                 "refs" => m.refs,
+                "stream" => m.stream.name(),
                 "timing" => obj! {
                     "prep_seconds" => rounded(m.prep_seconds, 6),
                     "sim_seconds" => rounded(m.sim_seconds, 6),
@@ -314,6 +326,8 @@ pub fn sweep_json(
     obj! {
         "jobs" => jobs,
         "total_refs" => total_refs,
+        "recordings" => recordings,
+        "cells_from_recordings" => cells_from_recordings,
         "timing" => obj! {
             "wall_seconds" => rounded(wall_seconds, 6),
             "aggregate_refs_per_sec" => rounded(total_refs as f64 / wall_seconds.max(1e-9), 1),
@@ -525,6 +539,7 @@ mod tests {
                 refs: 1000,
                 prep_seconds: 0.5,
                 sim_seconds: 0.25,
+                stream: StreamUse::Recorded,
             },
             // A contiguity probe: prepares a kernel, simulates nothing.
             // Its sim time must not dilute the amortized throughput.
@@ -535,6 +550,7 @@ mod tests {
                 refs: 0,
                 prep_seconds: 0.1,
                 sim_seconds: 42.0,
+                stream: StreamUse::Plain,
             },
         ];
         let cache = crate::snapshot_cache::CacheStats {
@@ -564,8 +580,11 @@ mod tests {
         assert!(text.contains("\"aggregate_refs_per_sec\": 2000,"), "{text}");
         // Nothing outside `timing` moves with the clock or the cache.
         assert_eq!(doc.get("total_refs").and_then(Json::as_u64), Some(1000));
+        assert_eq!(doc.get("recordings").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("cells_from_recordings").and_then(Json::as_u64), Some(0));
         let Some(Json::Arr(cells)) = doc.get("cells") else { panic!("cells array: {text}") };
         assert_eq!(cells[0].get("refs").and_then(Json::as_u64), Some(1000));
+        assert_eq!(cells[0].get("stream"), Some(&Json::Str("recorded".into())));
         assert_eq!(
             cells[1].get("timing").and_then(|t| t.get("sim_seconds")),
             Some(&Json::Num(42.0))

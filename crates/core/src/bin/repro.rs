@@ -751,6 +751,14 @@ fn throughput_table(
         "-".to_string(),
         "-".to_string(),
     ]);
+    let (recordings, replays) = artifact::stream_counts(metrics);
+    table.add_row(vec![
+        "shared streams".to_string(),
+        format!("{recordings} recorded"),
+        format!("{replays} replayed"),
+        "-".to_string(),
+        "-".to_string(),
+    ]);
     table.add_row(vec![
         "speedup vs 1 thread (est)".to_string(),
         "-".to_string(),

@@ -239,13 +239,12 @@ mod tests {
             accesses: 4_000,
             ..ExperimentOptions::quick().with_benchmarks(&["Gobmk"])
         };
-        let (opts, journal, dir) = super::super::tests::journaled(opts, "ablation");
+        let (opts, journal, _dir) = super::super::tests::journaled(opts, "ablation");
         let (groups, _) = run(&opts);
         // Seven blocks declare 27 cells (a baseline plus 20 variants);
         // the shared baselines and stock designs leave 18 distinct.
         assert_eq!(groups.iter().map(|(_, rows)| rows.len()).sum::<usize>(), 20);
         assert_eq!(journal.appended(), 18);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -399,14 +399,13 @@ mod tests {
     use super::*;
 
     /// `opts` journaling `experiment` into a fresh temp directory, with
-    /// the journal (to count its records) and the directory.
+    /// the journal (to count its records) and the directory, which holds
+    /// the test's I/O guard until dropped.
     pub(super) fn journaled(
         opts: ExperimentOptions,
         experiment: &str,
-    ) -> (ExperimentOptions, Arc<Journal>, std::path::PathBuf) {
-        let dir = std::env::temp_dir()
-            .join(format!("colt-experiments-{experiment}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    ) -> (ExperimentOptions, Arc<Journal>, crate::io_faults::TestDir) {
+        let dir = crate::io_faults::TestDir::new(&format!("experiments-{experiment}"));
         let journal = Arc::new(
             Journal::open(&dir, experiment, opts.fingerprint(experiment), false)
                 .expect("journal opens"),
@@ -439,7 +438,6 @@ mod tests {
         let records = std::fs::read_to_string(dir.join("grid-test.jsonl")).unwrap();
         assert!(records.contains("grid-test/Gobmk/base"), "{records}");
         assert!(!records.contains("base-again"), "a repeat runs under the first label");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -194,13 +194,8 @@ pub fn run(opts: &ExperimentOptions) -> (PolicyReport, ExperimentOutput) {
                     spec.name.to_string(),
                     cname.clone(),
                 ));
-                let refs = cfg.warmup + cfg.accesses;
-                cells.push(SweepCell::new(label, &scenario, spec, refs, move |w| {
-                    (
-                        crate::sim::run(w, &cfg),
-                        w.kernel.stats(),
-                        w.contiguity().average_contiguity(),
-                    )
+                cells.push(SweepCell::sim_then(label, &scenario, spec, cfg, |w, sim| {
+                    (sim, w.kernel.stats(), w.contiguity().average_contiguity())
                 }));
             }
         }

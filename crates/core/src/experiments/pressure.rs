@@ -184,9 +184,8 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
                 let label = format!("pressure/{}/{cname}/r{rate:.3}", spec.name);
                 let cfg = opts.sim(*tlb_cfg);
                 meta.push((spec.name.to_string(), cname.clone(), rate));
-                let refs = cfg.warmup + cfg.accesses;
-                cells.push(SweepCell::new(label, &scenario, spec, refs, move |w| {
-                    (crate::sim::run(w, &cfg), w.kernel.stats())
+                cells.push(SweepCell::sim_then(label, &scenario, spec, cfg, |w, sim| {
+                    (sim, w.kernel.stats())
                 }));
             }
         }

@@ -278,12 +278,60 @@ pub fn confirm_flip(path: &Path) -> bool {
     })
 }
 
-/// Serialises tests that touch the process-global ledger (or install a
-/// process-global `Vfs`); `cargo test` runs modules concurrently.
+/// Serialises tests that touch the process-global ledger, install a
+/// process-global `Vfs`, or reach the installed one (anything that opens
+/// a journal, writes an artifact or a snapshot); `cargo test` runs
+/// modules concurrently. Tests that need a scratch directory take it
+/// through [`TestDir`].
 #[cfg(test)]
 pub(crate) fn ledger_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A fresh scratch directory for a test that reaches the process-global
+/// `Vfs`: it holds [`ledger_test_guard`] while it lives, so no test can
+/// install a faulty seam underneath it, and it is removed on drop.
+#[cfg(test)]
+pub(crate) struct TestDir {
+    path: std::path::PathBuf,
+    _guard: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl TestDir {
+    /// Takes the guard, then creates an empty `colt-{tag}-{pid}` in the
+    /// temp directory.
+    pub(crate) fn new(tag: &str) -> Self {
+        let guard = ledger_test_guard();
+        let path = std::env::temp_dir().join(format!("colt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("the test directory is created");
+        Self { path, _guard: guard }
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+#[cfg(test)]
+impl AsRef<Path> for TestDir {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
 }
 
 /// Current ledger contents.

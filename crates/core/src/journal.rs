@@ -1002,12 +1002,8 @@ pub(crate) fn assert_open_rejects_every_truncation(sealed: &str, schema: &str) {
 mod tests {
     use super::*;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("colt-journal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpdir(tag: &str) -> crate::io_faults::TestDir {
+        crate::io_faults::TestDir::new(&format!("journal-{tag}"))
     }
 
     fn append_ok(j: &Journal, label: &str, payload: &str) {
@@ -1090,7 +1086,6 @@ mod tests {
 
     #[test]
     fn truncated_garbage_flipped_crc_and_version_bump_are_quarantined() {
-        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("robust");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1152,12 +1147,10 @@ mod tests {
         let clean = std::fs::read_to_string(&path).unwrap();
         assert_eq!(clean.lines().count(), 1);
         parse_record(clean.lines().next().unwrap()).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fingerprint_mismatch_is_ignored_never_reused() {
-        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("fp");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1166,12 +1159,10 @@ mod tests {
         let j = Journal::open(&dir, "exp", "bbbb0002".into(), true).unwrap();
         assert_eq!(j.open_report().fingerprint_mismatches, 1);
         assert!(j.completed("cell/one").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn failed_and_quarantined_records_rerun_on_resume() {
-        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("failed");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1185,12 +1176,10 @@ mod tests {
         assert_eq!(j.open_report().failed_records, 2);
         assert!(j.completed("cell/bad").is_none());
         assert!(j.completed("cell/worse").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fresh_open_truncates_but_resume_keeps() {
-        let _guard = crate::io_faults::ledger_test_guard();
         let dir = tmpdir("fresh");
         {
             let j = Journal::open(&dir, "exp", "aaaa0001".into(), false).unwrap();
@@ -1208,7 +1197,6 @@ mod tests {
             0,
             "fresh open starts an empty journal"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn torture_record() -> Record {

@@ -17,10 +17,18 @@
 //!    gets there first, handed out as an `Arc` and let go when the last
 //!    of those cells takes it; the preparations of one scenario share
 //!    one aged machine, aged once per sweep by the first of them that
-//!    the cache cannot answer and cloned by the rest. A cell that finds its preparation or its machine *in
-//!    flight* parks on the slot instead of blocking its worker: the
-//!    worker takes the next queued cell in the meantime, and the parked
-//!    cells re-enter the front of the queue the moment the build lands.
+//!    the cache cannot answer and cloned by the rest. Sim cells
+//!    ([`SweepCell::sim`], [`SweepCell::sim_then`]) that also share a pattern seed and `warmup +
+//!    accesses` share one reference stream: the first of them to run
+//!    records it with its L1/L2 outcomes ([`sim::Source::Record`]), the
+//!    rest replay the recording under their own TLB configurations,
+//!    bit-identically, and the recording is let go after the last of
+//!    them. A stream of one cell runs plain; a recording that panics
+//!    fails only its own cell, and the next cell records. A cell that
+//!    finds its preparation, its machine or its recording *in flight*
+//!    parks on the slot instead of blocking its worker: the worker takes
+//!    the next queued cell in the meantime, and the parked cells re-enter
+//!    the front of the queue the moment the build lands.
 //! 3. **Failure isolation** — a cell whose job panics or whose
 //!    preparation fails becomes [`CellOutcome::Failed`] while every
 //!    other cell still completes. Cells are seeded simulations on
@@ -39,7 +47,7 @@
 //! the build must work offline, so no rayon or crates.io dependency.
 
 use crate::journal::{Journal, JournalPayload};
-use crate::sim::{self, SimConfig, SimResult};
+use crate::sim::{self, Recording, SimConfig, SimResult, Source};
 use crate::snapshot_cache::{self, Prepared};
 use crate::{panic_message, relock};
 use colt_workloads::scenario::{AgedMachine, PreparedWorkload, Scenario};
@@ -49,7 +57,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-type CellJob<R> = Box<dyn FnOnce(&PreparedWorkload) -> R + Send>;
+type CellJob<R> = Box<dyn FnOnce(&PreparedWorkload, Source<'_>) -> R + Send>;
 type TaskJob<R> = Box<dyn FnOnce() -> R + Send>;
 /// A finished cell: its outcome and its throughput record.
 type Finished<R> = (CellOutcome<R>, CellMetric);
@@ -63,6 +71,9 @@ pub struct SweepCell<R> {
     /// Memory references the job will simulate (0 for analysis-only
     /// cells such as contiguity scans) — feeds the throughput report.
     refs: u64,
+    /// A sim cell's pattern seed and `warmup + accesses`: with its
+    /// preparation, the reference stream it generates.
+    pattern: Option<(u64, u64)>,
     job: CellJob<R>,
 }
 
@@ -80,7 +91,32 @@ impl<R> SweepCell<R> {
             scenario: scenario.clone(),
             spec: spec.clone(),
             refs,
-            job: Box::new(job),
+            pattern: None,
+            job: Box::new(move |w: &PreparedWorkload, _: Source<'_>| job(w)),
+        }
+    }
+
+    /// A simulation of the workload under `cfg`, whose result `then`
+    /// turns into the cell's, given the workload too. Sim cells of one
+    /// sweep with the same preparation, pattern seed and `warmup +
+    /// accesses` share one reference stream (guarantee 2).
+    pub fn sim_then(
+        label: impl Into<String>,
+        scenario: &Scenario,
+        spec: &BenchmarkSpec,
+        cfg: SimConfig,
+        then: impl FnOnce(&PreparedWorkload, SimResult) -> R + Send + 'static,
+    ) -> Self {
+        let refs = cfg.warmup + cfg.accesses;
+        Self {
+            label: label.into(),
+            scenario: scenario.clone(),
+            spec: spec.clone(),
+            refs,
+            pattern: Some((cfg.pattern_seed, refs)),
+            job: Box::new(move |w: &PreparedWorkload, source: Source<'_>| {
+                then(w, sim::run_from(w, &cfg, source))
+            }),
         }
     }
 }
@@ -93,8 +129,7 @@ impl SweepCell<SimResult> {
         spec: &BenchmarkSpec,
         cfg: SimConfig,
     ) -> Self {
-        let refs = cfg.warmup + cfg.accesses;
-        Self::new(label, scenario, spec, refs, move |w| sim::run(w, &cfg))
+        Self::sim_then(label, scenario, spec, cfg, |_, r| r)
     }
 }
 
@@ -189,6 +224,33 @@ pub struct CellMetric {
     pub prep_seconds: f64,
     /// Seconds the job itself ran.
     pub sim_seconds: f64,
+    /// How a sim cell came by its reference stream.
+    pub stream: StreamUse,
+}
+
+/// How a cell came by its reference stream and L1/L2 outcomes
+/// (guarantee 2).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum StreamUse {
+    /// Generated its own: a group of one, a cell that simulates nothing
+    /// or that failed, or one replayed from the journal.
+    #[default]
+    Plain,
+    /// Generated it and recorded it for the rest of its group.
+    Recorded,
+    /// Replayed another cell's recording.
+    Replayed,
+}
+
+impl StreamUse {
+    /// The lower-case name reports print.
+    pub fn name(self) -> &'static str {
+        match self {
+            StreamUse::Plain => "plain",
+            StreamUse::Recorded => "recorded",
+            StreamUse::Replayed => "replayed",
+        }
+    }
 }
 
 static METRICS: Mutex<Vec<CellMetric>> = Mutex::new(Vec::new());
@@ -209,8 +271,9 @@ pub struct SweepOptions<'a> {
 }
 
 /// A sweep-local slot for a value one worker at a time builds: a
-/// preparation (one per (scenario, spec) pair) or an aged machine (one
-/// per scenario). Cells that need the value while it is being built
+/// preparation (one per (scenario, spec) pair), an aged machine (one
+/// per scenario) or a recording (one per group of sim cells sharing a
+/// reference stream). Cells that need the value while it is being built
 /// *park* on the slot (their worker moves on to other work) instead of
 /// blocking behind a lock. The building itself — memory cache, disk
 /// snapshot, aging or a fresh preparation — is delegated to
@@ -220,11 +283,12 @@ struct Slot<T, R> {
     /// Cells parked until the in-flight build lands; the builder puts
     /// them back on the queue, success and failure alike.
     waiting: Vec<Item<R>>,
-    /// Users that have not taken the value yet: a preparation's queued
-    /// cells, or the preparations of an aged machine's scenario that
-    /// have neither taken the machine nor found their workload in the
-    /// cache. When the last one is served the slot lets go of its
-    /// value, so no workload or aged kernel outlives its last user.
+    /// Users that have not taken the value yet: a preparation's or a
+    /// recording's queued cells, or the preparations of an aged
+    /// machine's scenario that have neither taken the machine nor found
+    /// their workload in the cache. When the last one is served the slot
+    /// lets go of its value, so no workload, aged kernel or recording
+    /// outlives its last user.
     takers: usize,
 }
 
@@ -236,7 +300,9 @@ enum SlotState<T> {
     /// The value is ready for every future cell of the sweep.
     Ready(T),
     /// The build failed. It was seeded, so it would only fail again:
-    /// every later cell of the slot fails at once with this reason.
+    /// every later cell of the slot fails at once with this reason. A
+    /// recording never fails its slot: its panic may be specific to its
+    /// cell's config, so the slot empties and the next cell records.
     Failed(String),
 }
 
@@ -297,10 +363,21 @@ type AgedSlot<R> = Slot<Arc<AgedMachine>, R>;
 /// One slot per preparation key of a sweep's queued cells, with the
 /// index of its scenario's [`AgedSlot`].
 type PrepSlots<R> = HashMap<String, (Mutex<PrepSlot<R>>, usize)>;
+/// One slot per reference stream that two or more queued sim cells
+/// generate, keyed by [`stream_key`].
+type StreamSlots<R> = HashMap<String, Mutex<Slot<Arc<Recording>, R>>>;
 
 /// What a queue item runs.
 enum Work<R> {
-    Cell { scenario: Scenario, spec: BenchmarkSpec, job: CellJob<R> },
+    Cell {
+        scenario: Scenario,
+        spec: BenchmarkSpec,
+        pattern: Option<(u64, u64)>,
+        job: CellJob<R>,
+        /// The cell's workload once taken; a cell parked on a recording
+        /// keeps it, so its preparation counts it once.
+        workload: Option<Arc<PreparedWorkload>>,
+    },
     Task(TaskJob<R>),
 }
 
@@ -415,6 +492,7 @@ struct Pool<'a, R> {
     total: usize,
     preps: PrepSlots<R>,
     machines: Vec<Mutex<AgedSlot<R>>>,
+    streams: StreamSlots<R>,
     hook: Option<Hook<'a, R>>,
     results: Mutex<Vec<Option<Finished<R>>>>,
 }
@@ -428,6 +506,7 @@ impl<R> Pool<'_, R> {
                     let ran = run_job(&mut item.metric, job);
                     self.finish(item.idx, item.metric, ran);
                 }
+                Work::Cell { workload: Some(_), .. } => self.run_cell(item),
                 Work::Cell { .. } => match self.acquire_prepared(item) {
                     Acquired::Parked => {}
                     Acquired::Failed { item, reason } => {
@@ -435,19 +514,51 @@ impl<R> Pool<'_, R> {
                     }
                     Acquired::Ready { mut item, workload, prep_seconds } => {
                         item.metric.prep_seconds = prep_seconds;
-                        let Work::Cell { job, .. } = item.work else {
-                            unreachable!("only cells are prepared")
-                        };
-                        let ran = run_job(&mut item.metric, || job(&workload));
-                        // After its slot lets go, the last cell of a pair
-                        // may hold the last handle to the workload (with
-                        // no snapshot cache): free it outside the timing.
-                        drop(workload);
-                        self.finish(item.idx, item.metric, ran);
+                        if let Work::Cell { workload: taken, .. } = &mut item.work {
+                            *taken = Some(workload);
+                        }
+                        self.run_cell(item);
                     }
                 },
             }
         }
+    }
+
+    /// Runs a cell that holds its workload. A cell of a shared stream
+    /// replays the recording when it is ready, parks while another cell
+    /// records it, or records it itself; any other cell runs plain.
+    fn run_cell(&self, item: Item<R>) {
+        let Some(slot) = stream_key(&item).and_then(|key| self.streams.get(&key)) else {
+            let (idx, metric, ran) = run_prepared(item, Source::Generate, StreamUse::Plain);
+            return self.finish(idx, metric, ran);
+        };
+        let mut st = relock(slot);
+        let (idx, metric, ran) = match st.claim(item) {
+            Claim::Parked => return,
+            Claim::Ready(item, recording) => {
+                st.serve();
+                drop(st);
+                run_prepared(item, Source::Replay(&recording), StreamUse::Replayed)
+            }
+            Claim::Build(item) => {
+                drop(st);
+                let mut recording = Recording::default();
+                let done = run_prepared(item, Source::Record(&mut recording), StreamUse::Recorded);
+                let mut st = relock(slot);
+                // A recording that panicked fails only its own cell: the
+                // slot empties and the first parked cell records instead.
+                let woken = st.settle(match &done.2 {
+                    Ok(_) => SlotState::Ready(Arc::new(recording)),
+                    Err(_) => SlotState::Empty,
+                });
+                st.serve();
+                drop(st);
+                self.requeue(woken);
+                done
+            }
+            Claim::Failed(..) => unreachable!("a recording slot never fails"),
+        };
+        self.finish(idx, metric, ran);
     }
 
     /// The next queued item, waiting while others are still running or
@@ -599,6 +710,28 @@ impl<R> Pool<'_, R> {
     }
 }
 
+/// Runs a cell that holds its workload from `source`; on success its
+/// metric records `used`. Returns the cell's index, metric and outcome.
+fn run_prepared<R>(
+    item: Item<R>,
+    source: Source<'_>,
+    used: StreamUse,
+) -> (usize, CellMetric, Result<R, String>) {
+    let Item { idx, mut metric, work } = item;
+    let Work::Cell { job, workload: Some(workload), .. } = work else {
+        unreachable!("only cells holding a workload run")
+    };
+    let ran = run_job(&mut metric, || job(&workload, source));
+    // After its slot lets go, the last cell of a pair may hold the last
+    // handle to the workload (with no snapshot cache): free it outside
+    // the timing.
+    drop(workload);
+    if ran.is_ok() {
+        metric.stream = used;
+    }
+    (idx, metric, ran)
+}
+
 /// Runs one job under `catch_unwind`, charging its wall time to
 /// `metric`.
 fn run_job<R>(metric: &mut CellMetric, job: impl FnOnce() -> R) -> Result<R, String> {
@@ -635,12 +768,14 @@ fn engine<R: Send>(
         hook.journal.note_sweep(cells - total, total);
     }
     let (preps, machines) = slots(&queue);
+    let streams = stream_slots(&queue);
     let pool = Pool {
         queue: Mutex::new(Queue { items: queue, finished: 0 }),
         wake: Condvar::new(),
         total,
         preps,
         machines,
+        streams,
         hook,
         results: Mutex::new(results),
     };
@@ -685,6 +820,31 @@ fn slots<R>(queue: &VecDeque<Item<R>>) -> (PrepSlots<R>, Vec<Mutex<AgedSlot<R>>>
     (preps, machines.into_iter().map(Mutex::new).collect())
 }
 
+/// One recording slot per reference stream that two or more queued sim
+/// cells generate, counting those cells as takers. A stream of one cell
+/// gets no slot and runs plain: recording only pays from a group's
+/// second cell.
+fn stream_slots<R>(queue: &VecDeque<Item<R>>) -> StreamSlots<R> {
+    let mut streams: StreamSlots<R> = HashMap::new();
+    for key in queue.iter().filter_map(stream_key) {
+        let slot = streams.entry(key).or_insert_with(|| Mutex::new(Slot::new()));
+        slot.get_mut().unwrap_or_else(PoisonError::into_inner).takers += 1;
+    }
+    streams.retain(|_, slot| slot.get_mut().unwrap_or_else(PoisonError::into_inner).takers > 1);
+    streams
+}
+
+/// The reference stream a sim cell generates: its preparation key,
+/// pattern seed and `warmup + accesses`. `None` for any other item.
+fn stream_key<R>(item: &Item<R>) -> Option<String> {
+    match &item.work {
+        Work::Cell { scenario, spec, pattern: Some((seed, refs)), .. } => {
+            Some(format!("{}\u{1}{seed}\u{1}{refs}", snapshot_cache::prep_key(scenario, spec)))
+        }
+        _ => None,
+    }
+}
+
 /// The scenario and benchmark of a cell item.
 fn cell_of<R>(item: &Item<R>) -> (&Scenario, &BenchmarkSpec) {
     match &item.work {
@@ -706,8 +866,15 @@ fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
                 refs: cell.refs,
                 prep_seconds: 0.0,
                 sim_seconds: 0.0,
+                stream: StreamUse::Plain,
             },
-            work: Work::Cell { scenario: cell.scenario, spec: cell.spec, job: cell.job },
+            work: Work::Cell {
+                scenario: cell.scenario,
+                spec: cell.spec,
+                pattern: cell.pattern,
+                job: cell.job,
+                workload: None,
+            },
         })
         .collect()
 }
@@ -725,6 +892,7 @@ fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<R>> {
                 refs: task.refs,
                 prep_seconds: 0.0,
                 sim_seconds: 0.0,
+                stream: StreamUse::Plain,
             },
             work: Work::Task(task.job),
         })
@@ -776,6 +944,7 @@ pub fn run_tasks_service<R: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io_faults::TestDir;
     use colt_tlb::config::TlbConfig;
     use colt_workloads::spec::benchmark;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -1091,10 +1260,7 @@ mod tests {
     #[test]
     fn journaled_sweep_replays_completed_cells_without_rerunning() {
         let _g = drain_lock();
-        let dir = std::env::temp_dir()
-            .join(format!("colt-runner-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("runner-journal");
 
         let runs = Arc::new(AtomicU32::new(0));
         let make_tasks = |runs: &Arc<AtomicU32>| {
@@ -1130,15 +1296,12 @@ mod tests {
         assert_eq!(runs.load(Ordering::SeqCst), 4, "no cell re-ran");
         assert_eq!(journal.appended(), 0);
         assert_eq!(journal.swept(), (4, 0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_record_no_cell_asks_for_counts_as_rerun_not_replayed() {
         let _g = drain_lock();
-        let dir = std::env::temp_dir()
-            .join(format!("colt-runner-relabel-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("runner-relabel");
         let tasks = |prefix: &'static str| {
             (0..4u64)
                 .map(move |i| SweepTask::new(format!("{prefix}/t{i}"), 0, move || i))
@@ -1162,7 +1325,6 @@ mod tests {
         let _ = take_metrics();
         assert_eq!(journal.swept(), (2, 2), "relabelled records replay nothing");
         assert_eq!(journal.appended(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1210,10 +1372,7 @@ mod tests {
     #[test]
     fn resume_with_a_warm_cache_stays_byte_identical() {
         let _g = drain_lock();
-        let dir = std::env::temp_dir()
-            .join(format!("colt-runner-warm-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("runner-warm-resume");
 
         let scenario = Scenario::default_linux().with_seed(0x00D1_5C01);
         let spec = benchmark("Bzip2").unwrap();
@@ -1244,6 +1403,170 @@ mod tests {
         let first_bytes: Vec<String> = first.iter().map(JournalPayload::encode).collect();
         let second_bytes: Vec<String> = second.iter().map(JournalPayload::encode).collect();
         assert_eq!(first_bytes, second_bytes);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The metrics of this test's cells, by label prefix: concurrent
+    /// driver tests push their own.
+    fn metrics_of(prefix: &str) -> Vec<CellMetric> {
+        take_metrics().into_iter().filter(|m| m.label.starts_with(prefix)).collect()
+    }
+
+    fn count(metrics: &[CellMetric], used: StreamUse) -> usize {
+        metrics.iter().filter(|m| m.stream == used).count()
+    }
+
+    /// Each result equals a plain `sim::run` of its config, byte for byte.
+    fn assert_plain(results: &[SimResult], cells: &[(Scenario, SimConfig)], spec: &BenchmarkSpec) {
+        for (i, (r, (scenario, cfg))) in results.iter().zip(cells).enumerate() {
+            let w = snapshot_cache::get_or_prepare(scenario, spec).unwrap().workload;
+            assert_eq!(r.encode(), sim::run(&w, cfg).encode(), "cell {i}");
+        }
+    }
+
+    #[test]
+    fn a_stream_group_records_once_and_every_result_equals_a_plain_run() {
+        let _g = drain_lock();
+        let scenario = Scenario::default_linux();
+        let spec = benchmark("Gobmk").unwrap();
+        let quick = quick_cfg(TlbConfig::colt_all());
+        let cells: Vec<(Scenario, SimConfig)> = [
+            quick_cfg(TlbConfig::baseline()),
+            quick_cfg(TlbConfig::colt_sa()).with_invalidations(37).with_context_switches(4_999),
+            quick.virtualized().with_invalidations(101),
+            quick_cfg(TlbConfig::colt_fa()).with_check(),
+            // Another warmup split of the same stream.
+            SimConfig { warmup: 0, accesses: 11_000, ..quick },
+        ]
+        .into_iter()
+        .map(|cfg| (scenario.clone(), cfg))
+        .collect();
+        for jobs in [1, 3] {
+            let sweep = cells
+                .iter()
+                .enumerate()
+                .map(|(i, (s, cfg))| SweepCell::sim(format!("group/{i}"), s, &spec, *cfg))
+                .collect();
+            let results = expect_all(run_cells_outcomes(sweep, jobs));
+            let metrics = metrics_of("group/");
+            assert_eq!(count(&metrics, StreamUse::Recorded), 1, "jobs {jobs}: {metrics:?}");
+            assert_eq!(count(&metrics, StreamUse::Replayed), cells.len() - 1, "jobs {jobs}");
+            assert_plain(&results, &cells, &spec);
+        }
+    }
+
+    #[test]
+    fn cells_of_different_streams_never_share() {
+        let _g = drain_lock();
+        let spec = benchmark("Gobmk").unwrap();
+        let default = Scenario::default_linux();
+        let other = Scenario::default_linux().with_seed(0x57E4_0001);
+        let base = quick_cfg(TlbConfig::baseline());
+        // Four streams of two cells each (baseline and CoLT-All): the
+        // default, another pattern seed, another `warmup + accesses`,
+        // and another scenario. Each pair shares; no two pairs do.
+        let streams = [
+            (default.clone(), base),
+            (default.clone(), SimConfig { pattern_seed: 7, ..base }),
+            (default, base.with_accesses(12_000)),
+            (other, base),
+        ];
+        let cells: Vec<(Scenario, SimConfig)> = streams
+            .iter()
+            .flat_map(|(s, cfg)| {
+                [TlbConfig::baseline(), TlbConfig::colt_all()]
+                    .map(|tlb| (s.clone(), SimConfig { tlb, ..*cfg }))
+            })
+            .collect();
+        let sweep = cells
+            .iter()
+            .enumerate()
+            .map(|(i, (s, cfg))| SweepCell::sim(format!("apart/{i}"), s, &spec, *cfg))
+            .collect();
+        let results = expect_all(run_cells_outcomes(sweep, 2));
+        let metrics = metrics_of("apart/");
+        for pair in metrics.chunks_exact(2) {
+            let mut uses = [pair[0].stream, pair[1].stream];
+            uses.sort_by_key(|u| *u as u8);
+            assert_eq!(uses, [StreamUse::Recorded, StreamUse::Replayed], "{pair:?}");
+        }
+        assert_plain(&results, &cells, &spec);
+        // A lone cell runs plain.
+        let lone = vec![SweepCell::sim("lone/0", &Scenario::default_linux(), &spec, base)];
+        expect_all(run_cells_outcomes(lone, 2));
+        assert_eq!(metrics_of("lone/")[0].stream, StreamUse::Plain);
+    }
+
+    #[test]
+    fn a_recording_that_panics_fails_alone_and_the_next_cell_records() {
+        let _g = drain_lock();
+        let scenario = Scenario::default_linux();
+        let spec = benchmark("Gobmk").unwrap();
+        // Rejected by `SetAssocTlb::new` (32 entries do not divide into
+        // 3 ways) when the run builds its MMU, before any reference.
+        let broken = TlbConfig { l1_entries: 32, l1_ways: 3, ..TlbConfig::baseline() };
+        let good = [TlbConfig::baseline(), TlbConfig::colt_sa(), TlbConfig::colt_all()];
+        let cells: Vec<(Scenario, SimConfig)> =
+            good.iter().map(|tlb| (scenario.clone(), quick_cfg(*tlb))).collect();
+        for jobs in [1, 2] {
+            let broken_cell = SweepCell::sim("panic/broken", &scenario, &spec, quick_cfg(broken));
+            let mut sweep = vec![broken_cell];
+            sweep.extend(
+                cells
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (s, cfg))| SweepCell::sim(format!("panic/{i}"), s, &spec, *cfg)),
+            );
+            let mut outcomes = run_cells_outcomes(sweep, jobs);
+            let metrics = metrics_of("panic/");
+            match outcomes.remove(0) {
+                CellOutcome::Failed { payload, .. } => {
+                    assert!(payload.contains("entries must divide into ways"), "{payload}");
+                }
+                other => panic!("the broken cell must fail, got {other:?}"),
+            }
+            let results = expect_all(outcomes);
+            assert_eq!(metrics[0].stream, StreamUse::Plain, "a failed cell shares nothing");
+            assert_eq!(count(&metrics, StreamUse::Recorded), 1, "jobs {jobs}: {metrics:?}");
+            assert_eq!(count(&metrics, StreamUse::Replayed), good.len() - 1, "jobs {jobs}");
+            assert_plain(&results, &cells, &spec);
+        }
+    }
+
+    #[test]
+    fn a_resume_after_the_recording_cell_records_again_with_identical_results() {
+        let _g = drain_lock();
+        let dir = TestDir::new("runner-stream-resume");
+        let scenario = Scenario::default_linux();
+        let spec = benchmark("Bzip2").unwrap();
+        let tlbs = [TlbConfig::baseline(), TlbConfig::colt_fa(), TlbConfig::colt_all()];
+        let sweep = |n: usize| -> Vec<SweepCell<SimResult>> {
+            tlbs.iter()
+                .take(n)
+                .enumerate()
+                .map(|(i, tlb)| {
+                    SweepCell::sim(format!("sresume/{i}"), &scenario, &spec, quick_cfg(*tlb))
+                })
+                .collect()
+        };
+        let journal = Journal::open(&dir, "sresume", "cafe0003".to_string(), false).unwrap();
+        let opts = SweepOptions { jobs: 1, journal: Some(&journal) };
+        let uninterrupted = expect_all(run_cells_sweep(sweep(3), &opts));
+        assert_eq!(metrics_of("sresume/")[0].stream, StreamUse::Recorded);
+
+        // Cut the journal after the first record, the recording cell's,
+        // as a kill after that cell would.
+        let path = dir.join("sresume.jsonl");
+        let records = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{}\n", records.lines().next().unwrap())).unwrap();
+        let journal = Journal::open(&dir, "sresume", "cafe0003".to_string(), true).unwrap();
+        let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
+        let resumed = expect_all(run_cells_sweep(sweep(3), &opts));
+        let metrics = metrics_of("sresume/");
+        assert_eq!(journal.swept(), (1, 2));
+        assert_eq!(metrics[0].stream, StreamUse::Plain, "replayed from the journal");
+        assert_eq!(count(&metrics, StreamUse::Recorded), 1, "{metrics:?}");
+        assert_eq!(count(&metrics, StreamUse::Replayed), 1, "{metrics:?}");
+        let bytes = |rs: &[SimResult]| rs.iter().map(JournalPayload::encode).collect::<Vec<_>>();
+        assert_eq!(bytes(&resumed), bytes(&uninterrupted));
     }
 }

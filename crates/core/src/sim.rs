@@ -8,8 +8,20 @@
 //! simulator" (§5.2.1): trace-driven, with 32/128-entry L1/L2 TLBs by
 //! default, a 16-entry superpage TLB, 22-entry MMU caches, and a
 //! three-level cache hierarchy.
+//!
+//! A run splits into two halves. The reference stream and where each
+//! data access hits in the private L1/L2 caches are the same under every
+//! TLB configuration: PTE fetches stop at the LLC (§4.1.1), flushes and
+//! shootdowns reach only the TLBs and MMU caches, and translation is
+//! exact, so the L1/L2 see the same data lines whatever translates
+//! them. The TLB lookup, the walk through the MMU caches and the LLC
+//! (shared by PTE fetches and L2 misses) are not. [`run_from`] can
+//! record the first half ([`Source::Record`], one `u64` per reference)
+//! and replay it under another configuration ([`Source::Replay`]); the
+//! sweep runner does so for cells with the same workload, pattern seed
+//! and length, and every result stays bit-identical to [`run`].
 
-use colt_memsim::hierarchy::CacheHierarchy;
+use colt_memsim::hierarchy::{PrivateCaches, SharedLlc};
 use colt_memsim::mmu::Mmu;
 use colt_memsim::walker::WalkerStats;
 use colt_os_mem::addr::{PhysAddr, Vpn};
@@ -17,6 +29,7 @@ use colt_tlb::config::TlbConfig;
 use colt_tlb::hierarchy::TlbLevel;
 use colt_tlb::stats::HierarchyStats;
 use colt_workloads::scenario::PreparedWorkload;
+use colt_workloads::MemRef;
 
 /// Simulation parameters.
 #[derive(Clone, Copy, Debug)]
@@ -154,8 +167,73 @@ fn mpmi(misses: u64, instructions: u64) -> f64 {
 /// allocation, exactly as the paper replays one trace through each
 /// configuration.
 pub fn run(workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
-    let mut pattern = workload.pattern(config.pattern_seed);
-    run_stream(workload, config, || pattern.next_ref())
+    run_from(workload, config, Source::Generate)
+}
+
+/// The half of a run every TLB configuration shares: the reference
+/// stream and where each data access hit in the private L1/L2 caches,
+/// one `u64` per reference (8 bytes). Made by [`Source::Record`],
+/// replayed by [`Source::Replay`].
+#[derive(Clone, Debug, Default)]
+pub struct Recording {
+    pattern_seed: u64,
+    /// Per reference: the page above bit 9, the store flag at bit 8,
+    /// the line at bits 2–7, and the private level that hit at bits 0–1
+    /// (0 when the access went on to the LLC).
+    words: Vec<u64>,
+}
+
+/// Where a run's reference stream, and each reference's outcome in the
+/// private L1/L2 data caches, come from.
+pub enum Source<'a> {
+    /// Generate the benchmark's pattern and simulate the private caches.
+    Generate,
+    /// As `Generate`, and record the shared half into the recording
+    /// (replacing what it held).
+    Record(&'a mut Recording),
+    /// Replay a recording of the same workload, pattern seed and
+    /// `warmup + accesses`, made under any configuration: only the TLBs,
+    /// the walk and the LLC are simulated.
+    ///
+    /// A recording of another workload gives wrong results; the seed
+    /// and length are checked.
+    Replay(&'a Recording),
+}
+
+/// Runs one simulation of `workload` under `config`, taking the
+/// reference stream and its L1/L2 outcomes from `source`. Every source
+/// gives the same [`SimResult`].
+///
+/// # Panics
+/// Panics if a replayed recording's pattern seed or length differs from
+/// `config`'s.
+pub fn run_from(workload: &PreparedWorkload, config: &SimConfig, source: Source<'_>) -> SimResult {
+    let generated = || {
+        let mut pattern = workload.pattern(config.pattern_seed);
+        Generated::new(move || pattern.next_ref())
+    };
+    match source {
+        Source::Generate => run_stream(workload, config, generated()),
+        Source::Record(recording) => {
+            recording.pattern_seed = config.pattern_seed;
+            recording.words.clear();
+            recording.words.reserve_exact((config.warmup + config.accesses) as usize);
+            let recorder = Recorder { inner: generated(), words: &mut recording.words };
+            run_stream(workload, config, recorder)
+        }
+        Source::Replay(recording) => {
+            assert_eq!(
+                recording.pattern_seed, config.pattern_seed,
+                "a recording of another pattern seed"
+            );
+            assert_eq!(
+                recording.words.len() as u64,
+                config.warmup + config.accesses,
+                "a recording of another length"
+            );
+            run_stream(workload, config, Replayed { words: recording.words.iter(), hit: None })
+        }
+    }
 }
 
 /// Replays an explicit reference trace (e.g. loaded with
@@ -166,33 +244,118 @@ pub fn run(workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
 /// # Panics
 /// Panics if `refs` is empty or touches pages outside the workload's
 /// mapped footprint.
-pub fn run_trace(
-    workload: &PreparedWorkload,
-    config: &SimConfig,
-    refs: &[colt_workloads::MemRef],
-) -> SimResult {
+pub fn run_trace(workload: &PreparedWorkload, config: &SimConfig, refs: &[MemRef]) -> SimResult {
     assert!(!refs.is_empty(), "trace must contain at least one reference");
     let mut i = 0usize;
-    run_stream(workload, config, move || {
-        let r = refs[i % refs.len()];
-        i += 1;
-        r
-    })
+    run_stream(
+        workload,
+        config,
+        Generated::new(move || {
+            let r = refs[i % refs.len()];
+            i += 1;
+            r
+        }),
+    )
+}
+
+/// A reference stream, with where each reference's data access hits in
+/// the private L1/L2 caches.
+trait Stream {
+    /// The next reference.
+    fn next_ref(&mut self) -> MemRef;
+    /// The private level (1 or 2) that `r`'s data access to `phys` hit,
+    /// or `None` when it goes on to the LLC. `r` is the reference
+    /// [`next_ref`](Stream::next_ref) just returned.
+    fn private_hit(&mut self, r: MemRef, phys: PhysAddr) -> Option<u8>;
+}
+
+/// A generated stream through simulated private caches.
+struct Generated<F> {
+    next: F,
+    caches: PrivateCaches,
+}
+
+impl<F> Generated<F> {
+    fn new(next: F) -> Self {
+        Self { next, caches: PrivateCaches::core_i7() }
+    }
+}
+
+impl<F: FnMut() -> MemRef> Stream for Generated<F> {
+    #[inline]
+    fn next_ref(&mut self) -> MemRef {
+        (self.next)()
+    }
+
+    #[inline]
+    fn private_hit(&mut self, _: MemRef, phys: PhysAddr) -> Option<u8> {
+        self.caches.access_private(phys)
+    }
+}
+
+/// A stream that records another as it runs.
+struct Recorder<'a, S> {
+    inner: S,
+    words: &'a mut Vec<u64>,
+}
+
+impl<S: Stream> Stream for Recorder<'_, S> {
+    #[inline]
+    fn next_ref(&mut self) -> MemRef {
+        self.inner.next_ref()
+    }
+
+    #[inline]
+    fn private_hit(&mut self, r: MemRef, phys: PhysAddr) -> Option<u8> {
+        let hit = self.inner.private_hit(r, phys);
+        assert!(r.vpn.raw() < 1 << 55, "a page number wider than a recording word");
+        self.words.push(
+            r.vpn.raw() << 9
+                | u64::from(r.write) << 8
+                | u64::from(r.line) << 2
+                | u64::from(hit.unwrap_or(0)),
+        );
+        hit
+    }
+}
+
+/// A recorded stream.
+struct Replayed<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// The private outcome of the reference last returned.
+    hit: Option<u8>,
+}
+
+impl Stream for Replayed<'_> {
+    #[inline]
+    fn next_ref(&mut self) -> MemRef {
+        let word = *self.words.next().expect("the recording covers the run");
+        self.hit = match word & 3 {
+            0 => None,
+            level => Some(level as u8),
+        };
+        MemRef { vpn: Vpn::new(word >> 9), line: (word >> 2 & 63) as u8, write: word >> 8 & 1 == 1 }
+    }
+
+    #[inline]
+    fn private_hit(&mut self, _: MemRef, _: PhysAddr) -> Option<u8> {
+        self.hit
+    }
 }
 
 fn run_stream(
     workload: &PreparedWorkload,
     config: &SimConfig,
-    mut next_ref: impl FnMut() -> colt_workloads::MemRef,
+    mut stream: impl Stream,
 ) -> SimResult {
     let mut mmu = Mmu::new(config.tlb, config.nested_paging);
-    let mut caches = CacheHierarchy::core_i7();
+    let mut llc = SharedLlc::core_i7();
     let page_table = workload
         .kernel
         .process(workload.asid)
         .expect("workload process is live")
         .page_table();
-    let latency = *caches.latency_model();
+    let latency = *llc.latency_model();
 
     let mut walk_cycles = 0u64;
     let mut data_stall_cycles = 0u64;
@@ -215,7 +378,7 @@ fn run_stream(
             measured = 0;
             oracle_mismatches = 0;
         }
-        let r = next_ref();
+        let r = stream.next_ref();
         let pfn = match mmu.lookup(r.vpn) {
             Some(hit) => {
                 if hit.level == TlbLevel::L2 {
@@ -231,14 +394,18 @@ fn run_stream(
             None => {
                 l2_tlb_cycles += latency.l2_tlb;
                 let walk = mmu
-                    .walk_fill(page_table, r.vpn, &mut caches)
+                    .walk_fill(page_table, r.vpn, &mut llc)
                     .expect("footprint pages are always mapped");
                 walk_cycles += walk.latency;
                 walk.translation.pfn
             }
         };
         let phys = PhysAddr::new(pfn.raw() * 4096 + r.line as u64 * 64);
-        data_stall_cycles += caches.access_data(phys).saturating_sub(latency.l1);
+        let data_cycles = match stream.private_hit(r, phys) {
+            Some(level) => latency.data_hit_at(level),
+            None => llc.access_data(phys),
+        };
+        data_stall_cycles += data_cycles.saturating_sub(latency.l1);
         recent[(i % 64) as usize] = r.vpn;
         measured += 1;
 
@@ -493,6 +660,37 @@ mod tests {
         ];
         for (i, (cfg, pinned)) in cases.iter().enumerate() {
             assert_eq!(every_field(&run(&w, cfg)), *pinned, "case {i}");
+            // Again from a recording made under the next case's config
+            // with this case's seed and budget: flushes, churn, nested
+            // walks and prefetches there must not leak into the replay.
+            let (next, next_pinned) = &cases[(i + 1) % cases.len()];
+            let recorder = SimConfig {
+                pattern_seed: cfg.pattern_seed,
+                warmup: cfg.warmup,
+                accesses: cfg.accesses,
+                ..*next
+            };
+            let mut recording = Recording::default();
+            let recorded = run_from(&w, &recorder, Source::Record(&mut recording));
+            if next.accesses == cfg.accesses {
+                assert_eq!(every_field(&recorded), *next_pinned, "case {} recording", i + 1);
+            }
+            let replayed = run_from(&w, cfg, Source::Replay(&recording));
+            assert_eq!(every_field(&replayed), *pinned, "case {i} replayed");
+        }
+    }
+
+    #[test]
+    fn a_replay_checks_the_recordings_seed_and_length() {
+        let spec = benchmark("Gobmk").unwrap();
+        let w = Scenario::default_linux().prepare(&spec).unwrap();
+        let cfg = SimConfig::new(TlbConfig::baseline()).with_accesses(2_000);
+        let mut recording = Recording::default();
+        run_from(&w, &cfg, Source::Record(&mut recording));
+        assert_eq!(recording.words.len(), 2_200);
+        for other in [SimConfig { pattern_seed: 7, ..cfg }, cfg.with_accesses(3_000)] {
+            let replay = || run_from(&w, &other, Source::Replay(&recording));
+            assert!(std::panic::catch_unwind(replay).is_err(), "{other:?}");
         }
     }
 

@@ -541,12 +541,8 @@ mod tests {
     use super::*;
     use colt_workloads::spec::benchmark;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("colt-snapcache-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpdir(tag: &str) -> crate::io_faults::TestDir {
+        crate::io_faults::TestDir::new(&format!("snapcache-{tag}"))
     }
 
     fn prepared_pair() -> (Scenario, BenchmarkSpec, PreparedWorkload) {
@@ -586,7 +582,6 @@ mod tests {
                 "{name}: the loaded workload re-encodes differently"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -602,7 +597,6 @@ mod tests {
         assert!(load_from(&dir, other_key, &spec).is_none());
         // The mismatched file is left in place (a miss, not quarantined).
         assert!(snapshot_path(&dir, other_key).exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -643,7 +637,6 @@ mod tests {
             .unwrap();
         assert!(load_from(&dir, &default_key, &spec).is_none());
         assert!(snapshot_path(&dir, &default_key).exists(), "miss, not quarantine");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -674,7 +667,6 @@ mod tests {
         // Truncation and garbage never parse.
         std::fs::write(&path, b"COLT").unwrap();
         assert!(load_from(&dir, &key, &spec).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -692,7 +684,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp"))
             .collect();
         assert!(strays.is_empty(), "temp files must be renamed away");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -711,7 +702,6 @@ mod tests {
         assert!(note_disk_failure(&dir), "first failure earns the warning");
         assert!(!note_disk_failure(&dir), "repeat failures stay quiet");
         assert!(disk_dir_disabled(&dir));
-        let _ = std::fs::remove_dir_all(&parent);
     }
 
     #[test]
@@ -778,7 +768,6 @@ mod tests {
             );
             bytes[bit / 8] ^= mask;
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Truncation at every header prefix (exhaustive) and at strided
@@ -800,6 +789,5 @@ mod tests {
                 "a {len}-byte prefix parsed as a whole snapshot"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,7 +15,8 @@ pub trait PteFetch {
     fn access_pte(&mut self, addr: PhysAddr) -> u64;
 }
 
-/// The simulated cache hierarchy.
+/// The simulated cache hierarchy: one core's [`PrivateCaches`] over a
+/// last-level cache of its own.
 ///
 /// ```
 /// use colt_memsim::hierarchy::CacheHierarchy;
@@ -27,70 +28,48 @@ pub trait PteFetch {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CacheHierarchy {
-    l1: Cache,
-    l2: Cache,
-    llc: Cache,
-    latency: LatencyModel,
+    private: PrivateCaches,
+    llc: SharedLlc,
 }
 
 impl CacheHierarchy {
     /// Builds a hierarchy with explicit geometries:
     /// `(size_bytes, ways)` per level.
     pub fn new(l1: (usize, usize), l2: (usize, usize), llc: (usize, usize), latency: LatencyModel) -> Self {
-        Self {
-            l1: Cache::new(l1.0, l1.1),
-            l2: Cache::new(l2.0, l2.1),
-            llc: Cache::new(llc.0, llc.1),
-            latency,
-        }
+        Self { private: PrivateCaches::new(l1, l2, latency), llc: SharedLlc::new(llc, latency) }
     }
 
     /// The paper's Core-i7-like configuration: 32KB/8-way L1,
     /// 256KB/8-way L2, 4MB/16-way LLC.
     pub fn core_i7() -> Self {
-        Self::new(
-            (32 * 1024, 8),
-            (256 * 1024, 8),
-            (4 * 1024 * 1024, 16),
-            LatencyModel::default(),
-        )
+        Self { private: PrivateCaches::core_i7(), llc: SharedLlc::core_i7() }
     }
 
     /// The latency model in use.
     pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
+        self.private.latency_model()
     }
 
     /// A data access: probes L1 → L2 → LLC, fills all levels on the way
     /// back. Returns the access latency in cycles.
     pub fn access_data(&mut self, addr: PhysAddr) -> u64 {
-        if self.l1.access(addr) {
-            return self.latency.data_hit_at(1);
-        }
-        if self.l2.access(addr) {
-            return self.latency.data_hit_at(2);
-        }
-        if self.llc.access(addr) {
-            return self.latency.data_hit_at(3);
-        }
-        self.latency.data_hit_at(4)
+        self.private.access_data(addr, &mut self.llc)
     }
 
     /// A page-table-entry fetch during a walk: the LLC is the highest
     /// cache level for PTEs (§4.1.1). Returns the fetch latency.
     pub fn access_pte(&mut self, addr: PhysAddr) -> u64 {
-        let hit = self.llc.access(addr);
-        self.latency.pte_fetch(hit)
+        self.llc.access_pte(addr)
     }
 
     /// L1 data-cache counters.
     pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
+        self.private.l1_stats()
     }
 
     /// L2 cache counters.
     pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
+        self.private.l2_stats()
     }
 
     /// LLC counters (data + PTE traffic).
@@ -100,8 +79,7 @@ impl CacheHierarchy {
 
     /// Flushes all levels.
     pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
+        self.private.flush();
         self.llc.flush();
     }
 }
@@ -145,6 +123,12 @@ impl SharedLlc {
     /// The latency model in use.
     pub fn latency_model(&self) -> &LatencyModel {
         &self.latency
+    }
+
+    /// A data access that missed the private levels: probes the LLC,
+    /// filling it on a miss. Returns the access latency in cycles.
+    pub fn access_data(&mut self, addr: PhysAddr) -> u64 {
+        self.latency.data_hit_at(if self.llc.access(addr) { 3 } else { 4 })
     }
 
     /// LLC counters (data + PTE traffic from all cores).
@@ -194,16 +178,26 @@ impl PrivateCaches {
     /// filling all levels on the way back. Returns the latency in
     /// cycles.
     pub fn access_data(&mut self, addr: PhysAddr, llc: &mut SharedLlc) -> u64 {
+        match self.access_private(addr) {
+            Some(level) => self.latency.data_hit_at(level),
+            None => llc.access_data(addr),
+        }
+    }
+
+    /// The private half of a data access: probes L1 → L2, filling both
+    /// on the way back. Returns the level that hit (1 or 2), or `None`
+    /// when the access goes on to the LLC ([`SharedLlc::access_data`]).
+    /// Nothing else reaches these levels, so their outcomes depend only
+    /// on the sequence of data addresses.
+    #[inline]
+    pub fn access_private(&mut self, addr: PhysAddr) -> Option<u8> {
         if self.l1.access(addr) {
-            return self.latency.data_hit_at(1);
+            return Some(1);
         }
         if self.l2.access(addr) {
-            return self.latency.data_hit_at(2);
+            return Some(2);
         }
-        if llc.llc.access(addr) {
-            return self.latency.data_hit_at(3);
-        }
-        self.latency.data_hit_at(4)
+        None
     }
 
     /// Private L1 counters.

@@ -238,7 +238,7 @@ impl PageWalker {
     ) -> Option<WalkOutcome> {
         let tag = self.tag();
         self.stats.walks += 1;
-        let Some(path) = page_table.walk(vpn) else {
+        let Some((path, line)) = page_table.walk_with_line(vpn) else {
             self.stats.faults += 1;
             return None;
         };
@@ -283,7 +283,9 @@ impl PageWalker {
         }
 
         let leaf = match path.translation.kind {
-            PageKind::Base => WalkFill::Base { line: page_table.pte_line(vpn) },
+            PageKind::Base => {
+                WalkFill::Base { line: line.expect("a base-page walk reads its PTE line") }
+            }
             PageKind::Super { base_vpn } => {
                 let within = vpn.distance_from(base_vpn).expect("vpn within superpage");
                 WalkFill::Super {

@@ -224,6 +224,20 @@ impl Node {
     }
 }
 
+/// The eight base-page slots around `vpn` in `node`, the level-0 node
+/// covering it.
+fn line_in(node: &Node, vpn: Vpn) -> PteLine {
+    let base_vpn = vpn.align_down(3);
+    let mut ptes = [None; PTES_PER_LINE as usize];
+    let first = level_index(base_vpn, 0);
+    for (slot, entry) in ptes.iter_mut().zip(&node.entries[first..]) {
+        if let Entry::LeafBase(pte) = entry {
+            *slot = Some(*pte);
+        }
+    }
+    PteLine { base_vpn, ptes }
+}
+
 /// Index of `vpn` at radix `level` (level 3 = root, level 0 = last).
 fn level_index(vpn: Vpn, level: usize) -> usize {
     ((vpn.raw() >> (9 * level)) & (PT_FANOUT - 1)) as usize
@@ -424,6 +438,28 @@ impl PageTable {
     /// address of the entry read at each level and the final translation.
     /// Returns `None` if the page is unmapped.
     pub fn walk(&self, vpn: Vpn) -> Option<WalkPath> {
+        self.walk_to_leaf(vpn).map(|(path, _)| path)
+    }
+
+    /// [`walk`](Self::walk) plus, for a base-page leaf, its
+    /// [`pte_line`](Self::pte_line), read from the level-0 node the walk
+    /// reached instead of descending from the root again. The line is
+    /// `None` for a superpage leaf.
+    pub fn walk_with_line(&self, vpn: Vpn) -> Option<(WalkPath, Option<PteLine>)> {
+        let (path, leaf_node) = self.walk_to_leaf(vpn)?;
+        let line = match path.translation.kind {
+            PageKind::Base => Some(match leaf_node {
+                Some(node) => line_in(node, vpn),
+                None => self.pte_line(vpn),
+            }),
+            PageKind::Super { .. } => None,
+        };
+        Some((path, line))
+    }
+
+    /// The walk of `vpn`, with the level-0 node holding its leaf (`None`
+    /// for a leaf higher up).
+    fn walk_to_leaf(&self, vpn: Vpn) -> Option<(WalkPath, Option<&Node>)> {
         let mut addrs = [PhysAddr::default(); PT_LEVELS];
         let mut node = &self.root;
         let mut level = PT_LEVELS - 1;
@@ -441,7 +477,7 @@ impl PageTable {
                     level -= 1;
                 }
                 Entry::LeafBase(pte) => {
-                    return Some(WalkPath {
+                    let path = WalkPath {
                         addrs,
                         levels,
                         translation: Translation {
@@ -449,7 +485,8 @@ impl PageTable {
                             flags: pte.flags,
                             kind: PageKind::Base,
                         },
-                    });
+                    };
+                    return Some((path, (level == 0).then_some(node)));
                 }
                 Entry::LeafSuper(pte) => {
                     if level != 1 {
@@ -457,7 +494,7 @@ impl PageTable {
                     }
                     let base_vpn = vpn.align_down(9);
                     let within = vpn.distance_from(base_vpn).expect("aligned down");
-                    return Some(WalkPath {
+                    let path = WalkPath {
                         addrs,
                         levels,
                         translation: Translation {
@@ -465,7 +502,8 @@ impl PageTable {
                             flags: pte.flags,
                             kind: PageKind::Super { base_vpn },
                         },
-                    });
+                    };
+                    return Some((path, None));
                 }
             }
         }
@@ -476,25 +514,22 @@ impl PageTable {
     /// Slots that are unmapped, or that fall under a superpage (whose
     /// translation lives one level up), read as `None`.
     pub fn pte_line(&self, vpn: Vpn) -> PteLine {
-        let base_vpn = vpn.align_down(3);
-        let mut ptes = [None; PTES_PER_LINE as usize];
         // All eight pages share the same level-0 node (its 512 entries
         // cover 512 consecutive pages and 8 divides 512): descend to it
         // once and read the eight slots.
         let mut node = &self.root;
         for level in (1..PT_LEVELS).rev() {
-            match &node.entries[level_index(base_vpn, level)] {
+            match &node.entries[level_index(vpn, level)] {
                 Entry::Table(child) => node = child,
-                _ => return PteLine { base_vpn, ptes },
+                _ => {
+                    return PteLine {
+                        base_vpn: vpn.align_down(3),
+                        ptes: [None; PTES_PER_LINE as usize],
+                    }
+                }
             }
         }
-        let first = level_index(base_vpn, 0);
-        for (slot, entry) in ptes.iter_mut().zip(&node.entries[first..]) {
-            if let Entry::LeafBase(pte) = entry {
-                *slot = Some(*pte);
-            }
-        }
-        PteLine { base_vpn, ptes }
+        line_in(node, vpn)
     }
 
     /// Removes the base-page mapping of `vpn`, returning its PTE.
@@ -857,6 +892,25 @@ mod tests {
         assert!(line.ptes[4].is_none());
         assert_eq!(line.ptes[5].unwrap().pfn, Pfn::new(55));
         assert!(line.ptes[6].is_none());
+    }
+
+    #[test]
+    fn walk_with_line_matches_walk_and_pte_line() {
+        let mut pt = PageTable::new();
+        for i in [0u64, 1, 2, 5, 9, 600] {
+            pt.map_base(Vpn::new(8 + i), Pte::new(Pfn::new(50 + i), flags()));
+        }
+        pt.map_super(Vpn::new(1024), Pte::new(Pfn::new(2048), flags()));
+        for vpn in [8u64, 10, 11, 13, 17, 608, 1024, 1030, 4000].map(Vpn::new) {
+            let walked = pt.walk_with_line(vpn);
+            let path = pt.walk(vpn);
+            assert_eq!(walked.is_some(), path.is_some(), "{vpn:?}");
+            let (Some((with_line, line)), Some(path)) = (walked, path) else { continue };
+            assert_eq!(with_line.entry_addrs(), path.entry_addrs(), "{vpn:?}");
+            assert_eq!(with_line.translation, path.translation, "{vpn:?}");
+            let expected = (path.translation.kind == PageKind::Base).then(|| pt.pte_line(vpn));
+            assert_eq!(line, expected, "{vpn:?}");
+        }
     }
 
     #[test]

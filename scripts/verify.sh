@@ -299,14 +299,18 @@ echo "storage-fault crash smoke passed (resume byte-identical under injected ENO
 # of the committed results/smoke_snapshots.sha256: their names are CRC32
 # fingerprints of the preparation keys and their bytes the whole
 # snapshot encoding, so a drift in either the format or the CRC fails
-# here.
-SWEEP_ARGS=(--quick --bench Gobmk,Bzip2 --jobs "$(nproc)" fig18 fig7-9 --csv)
+# here. A third, serial run repeats the warm one at --jobs 1. Every run
+# must record each benchmark's reference stream once and replay it for
+# the other three fig18 configurations: 2 recordings, 6 replays.
+SWEEP_ARGS=(--quick --bench Gobmk,Bzip2 fig18 fig7-9 --csv)
 echo "== snapshot-cache smoke: cold vs warm sweep =="
 json_field() {
     grep -o "\"$1\": [0-9.]*" "$2" | head -n1 | awk '{print $2}'
 }
-for run in cold warm; do
-    (cd "$CACHE_DIR" && "$REPRO" "${SWEEP_ARGS[@]}" > "$run.csv")
+for run in cold warm serial; do
+    jobs=$(nproc)
+    [[ "$run" == serial ]] && jobs=1
+    (cd "$CACHE_DIR" && "$REPRO" --jobs "$jobs" "${SWEEP_ARGS[@]}" > "$run.csv")
     cp "$CACHE_DIR/results/BENCH_sweep.json" "$CACHE_DIR/$run.json"
     if ! cmp -s results/smoke_sweep.csv "$CACHE_DIR/$run.csv"; then
         echo "FAIL: $run smoke sweep tables differ from results/smoke_sweep.csv" >&2
@@ -345,7 +349,15 @@ if [[ "$warm_decoded" != "2" ]]; then
     echo "FAIL: warm-cache sweep decoded $warm_decoded snapshot(s), expected 2 (one per benchmark)" >&2
     exit 1
 fi
-echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, snapshot files match results/smoke_snapshots.sha256, 2 cold / 0 warm preparations, 1 cold / 0 warm machines aged, 2 snapshots decoded warm)"
+for run in cold warm serial; do
+    recorded=$(json_field recordings "$CACHE_DIR/$run.json")
+    replayed=$(json_field cells_from_recordings "$CACHE_DIR/$run.json")
+    if [[ "$recorded $replayed" != "2 6" ]]; then
+        echo "FAIL: the $run smoke sweep recorded ${recorded:-no} reference stream(s) and replayed ${replayed:-no} cell(s), expected 2 and 6 (fig18: 2 benchmarks x 4 configs)" >&2
+        exit 1
+    fi
+done
+echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, snapshot files match results/smoke_snapshots.sha256, 2 cold / 0 warm preparations, 1 cold / 0 warm machines aged, 2 snapshots decoded warm, 2 streams recorded and 6 cells replayed at $(nproc) and 1 job(s))"
 
 # Serve smoke: a resident `repro serve` plus the serve-bench load
 # generator in a scratch directory. The bench drives mixed
