@@ -15,11 +15,14 @@
 //!    once (or decoded from the process-global
 //!    [`snapshot_cache`](crate::snapshot_cache)) by whichever worker
 //!    gets there first, handed out as an `Arc` and let go when the last
-//!    of those cells takes it; the preparations of one scenario share
-//!    one aged machine, aged once per sweep by the first of them that
-//!    the cache cannot answer and cloned by the rest. Sim cells
-//!    ([`SweepCell::sim`], [`SweepCell::sim_then`]) that also share a pattern seed and `warmup +
-//!    accesses` share one reference stream: the first of them to run
+//!    of those cells takes it; the preparations of one machine (a
+//!    [`MachineSpec`]: scenarios that differ only in memhog, pressure,
+//!    dirty fraction or name share one) share one aged machine, aged
+//!    once per sweep by the first of them that the cache cannot answer
+//!    and cloned by the rest, each preparing under its own cell's
+//!    scenario. Sim cells ([`SweepCell::sim`], [`SweepCell::sim_then`])
+//!    that also share a pattern seed and `warmup + accesses` share one
+//!    reference stream: the first of them to run
 //!    records it with its L1/L2 outcomes ([`sim::Source::Record`]), the
 //!    rest replay the recording under their own TLB configurations,
 //!    bit-identically, and the recording is let go after the last of
@@ -34,7 +37,7 @@
 //!    other cell still completes. Cells are seeded simulations on
 //!    seeded kernels, so a failure would only repeat: nothing is
 //!    retried, and a failed aging or preparation fails every later cell
-//!    of its scenario or pair at once with the same reason.
+//!    of its machine or pair at once with the same reason.
 //!    [`expect_all`] turns failures back into a panic for drivers whose
 //!    sweeps must be all-or-nothing.
 //! 4. **Durable progress** — the `*_sweep` entry points append one
@@ -45,6 +48,8 @@
 //!
 //! Implementation is std-only (`std::thread::scope`, locks, a condvar):
 //! the build must work offline, so no rayon or crates.io dependency.
+//!
+//! [`MachineSpec`]: colt_workloads::scenario::MachineSpec
 
 use crate::journal::{Journal, JournalPayload};
 use crate::sim::{self, Recording, SimConfig, SimResult, Source};
@@ -272,11 +277,11 @@ pub struct SweepOptions<'a> {
 
 /// A sweep-local slot for a value one worker at a time builds: a
 /// preparation (one per (scenario, spec) pair), an aged machine (one
-/// per scenario) or a recording (one per group of sim cells sharing a
-/// reference stream). Cells that need the value while it is being built
-/// *park* on the slot (their worker moves on to other work) instead of
-/// blocking behind a lock. The building itself — memory cache, disk
-/// snapshot, aging or a fresh preparation — is delegated to
+/// per [`MachineSpec`]) or a recording (one per group of sim cells
+/// sharing a reference stream). Cells that need the value while it is
+/// being built *park* on the slot (their worker moves on to other work)
+/// instead of blocking behind a lock. The building itself — memory
+/// cache, disk snapshot, aging or a fresh preparation — is delegated to
 /// [`snapshot_cache`].
 struct Slot<T, R> {
     state: SlotState<T>,
@@ -285,7 +290,7 @@ struct Slot<T, R> {
     waiting: Vec<Item<R>>,
     /// Users that have not taken the value yet: a preparation's or a
     /// recording's queued cells, or the preparations of an aged
-    /// machine's scenario that have neither taken the machine nor found
+    /// machine's scenarios that have neither taken the machine nor found
     /// their workload in the cache. When the last one is served the slot
     /// lets go of its value, so no workload, aged kernel or recording
     /// outlives its last user.
@@ -356,12 +361,12 @@ impl<T: Clone, R> Slot<T, R> {
 }
 
 type PrepSlot<R> = Slot<Arc<PreparedWorkload>, R>;
-/// One scenario's aged machine, shared by the sweep's preparations of
-/// that scenario. Only builders hold the machine, and only while
-/// cloning it.
+/// One aged machine, shared by the sweep's preparations of every
+/// scenario of that machine. Only builders hold the machine, and only
+/// while cloning it.
 type AgedSlot<R> = Slot<Arc<AgedMachine>, R>;
 /// One slot per preparation key of a sweep's queued cells, with the
-/// index of its scenario's [`AgedSlot`].
+/// index of its scenario's machine's [`AgedSlot`].
 type PrepSlots<R> = HashMap<String, (Mutex<PrepSlot<R>>, usize)>;
 /// One slot per reference stream that two or more queued sim cells
 /// generate, keyed by [`stream_key`].
@@ -580,7 +585,7 @@ impl<R> Pool<'_, R> {
     /// worker: a ready slot is a free hit, an in-flight slot parks the
     /// item, an empty slot makes this worker the builder. The builder
     /// asks the process-global [`snapshot_cache`] first and, on a miss,
-    /// prepares the pair on a machine of its scenario's aged slot.
+    /// prepares the pair on a clone of its machine's aged slot.
     fn acquire_prepared(&self, item: Item<R>) -> Acquired<R> {
         let (scenario, spec) = cell_of(&item);
         let (slot, machine) = &self.preps[&snapshot_cache::prep_key(scenario, spec)];
@@ -609,7 +614,8 @@ impl<R> Pool<'_, R> {
                     Claim::Ready(item, shared) => {
                         let machine = Arc::unwrap_or_clone(shared);
                         let machine_seconds = start.elapsed().as_secs_f64();
-                        let built = snapshot_cache::build(machine, cell_of(&item).1)
+                        let (scenario, spec) = cell_of(&item);
+                        let built = snapshot_cache::build(machine, scenario, spec)
                             .map(|p| Prepared { prep_seconds: p.prep_seconds + machine_seconds, ..p });
                         (item, built)
                     }
@@ -633,7 +639,7 @@ impl<R> Pool<'_, R> {
         }
     }
 
-    /// The scenario's aged machine for the builder of a preparation, as
+    /// The cell's aged machine for the builder of a preparation, as
     /// an `Arc` the builder clones (or, as its last holder, moves out
     /// of): the first builder to get here ages it, later ones share it.
     /// A builder that arrives while the machine is aging parks its cell
@@ -651,7 +657,7 @@ impl<R> Pool<'_, R> {
         let claim = match st.claim(item) {
             Claim::Build(item) => {
                 drop(st);
-                let machine = snapshot_cache::age(cell_of(&item).0).map(Arc::new);
+                let machine = snapshot_cache::age(cell_of(&item).0.machine()).map(Arc::new);
                 st = relock(aged);
                 woken = st.settle(match &machine {
                     Ok(shared) => SlotState::Ready(Arc::clone(shared)),
@@ -798,17 +804,17 @@ fn engine<R: Send>(
 }
 
 /// One preparation slot per distinct (scenario, spec) pair among the
-/// queued cells and one aged slot per distinct scenario: each
-/// preparation slot counts its cells as takers, each aged slot its
-/// scenario's preparations.
+/// queued cells and one aged slot per distinct [`MachineSpec`] of their
+/// scenarios: each preparation slot counts its cells as takers, each
+/// aged slot the preparations of its machine's scenarios.
 fn slots<R>(queue: &VecDeque<Item<R>>) -> (PrepSlots<R>, Vec<Mutex<AgedSlot<R>>>) {
     let mut preps: PrepSlots<R> = HashMap::new();
-    let mut scenarios = HashMap::new();
+    let mut by_machine = HashMap::new();
     let mut machines: Vec<AgedSlot<R>> = Vec::new();
     for item in queue {
         let Work::Cell { scenario, spec, .. } = &item.work else { continue };
         let (prep, _) = preps.entry(snapshot_cache::prep_key(scenario, spec)).or_insert_with(|| {
-            let m = *scenarios.entry(format!("{scenario:?}")).or_insert_with(|| {
+            let m = *by_machine.entry(format!("{:?}", scenario.machine())).or_insert_with(|| {
                 machines.push(Slot::new());
                 machines.len() - 1
             });

@@ -4,10 +4,11 @@
 //! aging a kernel (59–127 ms in a release build on a 2-CPU host), then
 //! memhog, the allocation phase and pressure (under 50 ms for most
 //! pairs): far more than simulating a sweep cell against the result.
-//! The runner shares preparations, and each scenario's aged machine,
-//! *within* one sweep; this module extends the sharing of preparations
-//! to the whole process and, through disk snapshots, to future
-//! invocations:
+//! The runner shares preparations, and each aged machine (one per
+//! [`MachineSpec`], shared by scenarios that differ only in memhog,
+//! pressure, dirty fraction or name), *within* one sweep; this module
+//! extends the sharing of preparations to the whole process and,
+//! through disk snapshots, to future invocations:
 //!
 //! 1. **Memory layer** — one `Arc<PreparedWorkload>` per preparation
 //!    key, shared by every sweep the process runs. The map is an LRU
@@ -32,7 +33,8 @@
 //!
 //! [`get_or_prepare`] is `lookup` (memory, then disk) followed, on a
 //! miss, by `age` and `build`; the runner calls the three itself so
-//! that one aged machine serves every preparation of its scenario.
+//! that one aged machine serves every preparation of its machine, each
+//! built, keyed and named under its own cell's scenario.
 //!
 //! `repro --no-snapshot-cache` (→ [`set_enabled`]) disables both
 //! layers; intra-sweep sharing in the runner, of preparations and of
@@ -42,7 +44,7 @@ use crate::journal::{crc32, fingerprint_of};
 use crate::lru::LruMap;
 use crate::{panic_message, relock};
 use colt_os_mem::snapshot::{Dec, Enc};
-use colt_workloads::scenario::{AgedMachine, PreparedWorkload, Scenario};
+use colt_workloads::scenario::{AgedMachine, MachineSpec, PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,9 +112,9 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Preparations actually built from an aged machine.
     pub misses: u64,
-    /// Machines booted and aged by `age`: one per scenario per sweep
-    /// that builds any of its preparations, and one per preparation
-    /// that [`get_or_prepare`] builds.
+    /// Machines booted and aged by `age`: one per [`MachineSpec`] per
+    /// sweep that builds any of its preparations, and one per
+    /// preparation that [`get_or_prepare`] builds.
     pub agings: u64,
     /// Prepared workloads evicted from the in-memory LRU layer
     /// (capacity [`DEFAULT_MEM_CAP`]). An evicted pair re-prepares
@@ -211,9 +213,9 @@ pub fn get_or_prepare(
         return Ok(found);
     }
     let start = Instant::now();
-    let machine = age(scenario)?;
+    let machine = age(scenario.machine())?;
     let aging_seconds = start.elapsed().as_secs_f64();
-    let mut built = build(machine, spec)?;
+    let mut built = build(machine, scenario, spec)?;
     built.prep_seconds += aging_seconds;
     Ok(built)
 }
@@ -243,47 +245,52 @@ pub(crate) fn lookup(scenario: &Scenario, spec: &BenchmarkSpec) -> Option<Prepar
     Some(Prepared { workload: w, prep_seconds: secs, source: PrepSource::Disk })
 }
 
-/// Boots and ages `scenario`'s machine, counted in
-/// [`CacheStats::agings`]. Every machine a sweep or [`get_or_prepare`]
-/// ages goes through here.
+/// Boots and ages `machine`, counted in [`CacheStats::agings`]. Every
+/// machine a sweep or [`get_or_prepare`] ages goes through here.
 ///
 /// # Errors
-/// A human-readable description when aging fails or panics.
-pub(crate) fn age(scenario: &Scenario) -> Result<AgedMachine, String> {
-    let machine = match catch_unwind(AssertUnwindSafe(|| scenario.age())) {
-        Ok(Ok(machine)) => machine,
-        Ok(Err(e)) => return Err(format!("scenario '{}' failed to age: {e}", scenario.name)),
+/// A human-readable description naming the machine (several scenarios
+/// may share it) when aging fails or panics.
+pub(crate) fn age(machine: MachineSpec) -> Result<AgedMachine, String> {
+    let aged = match catch_unwind(AssertUnwindSafe(|| machine.age())) {
+        Ok(Ok(aged)) => aged,
+        Ok(Err(e)) => return Err(format!("machine '{machine}' failed to age: {e}")),
         Err(payload) => {
             return Err(format!(
-                "scenario '{}' panicked while aging: {}",
-                scenario.name,
+                "machine '{machine}' panicked while aging: {}",
                 panic_message(payload)
             ));
         }
     };
     bump(|s| s.agings += 1);
-    Ok(machine)
+    Ok(aged)
 }
 
-/// Prepares `spec` on `machine`, then enters the workload in the memory
-/// layer and persists its snapshot, when the cache is enabled.
-/// `prep_seconds` covers the preparation alone.
+/// Prepares `spec` under `scenario` on `machine`, an aged machine of the
+/// scenario's [`MachineSpec`], then enters the workload in the memory
+/// layer under the scenario's key and persists its snapshot, when the
+/// cache is enabled. `prep_seconds` covers the preparation alone.
 ///
 /// # Errors
 /// A human-readable description when preparation fails or panics (cache
 /// failures are never errors).
-pub(crate) fn build(machine: AgedMachine, spec: &BenchmarkSpec) -> Result<Prepared, String> {
-    let scenario = machine.scenario().name.clone();
-    let key = prep_key(machine.scenario(), spec);
+pub(crate) fn build(
+    machine: AgedMachine,
+    scenario: &Scenario,
+    spec: &BenchmarkSpec,
+) -> Result<Prepared, String> {
+    let key = prep_key(scenario, spec);
     let start = Instant::now();
-    let workload = match catch_unwind(AssertUnwindSafe(|| machine.into_prepared(spec))) {
+    let prepared = catch_unwind(AssertUnwindSafe(|| machine.into_prepared(scenario, spec)));
+    let workload = match prepared {
         Ok(Ok(w)) => Arc::new(w),
         Ok(Err(e)) => {
-            return Err(format!("scenario '{scenario}' failed for {}: {e}", spec.name));
+            return Err(format!("scenario '{}' failed for {}: {e}", scenario.name, spec.name));
         }
         Err(payload) => {
             return Err(format!(
-                "scenario '{scenario}' panicked for {}: {}",
+                "scenario '{}' panicked for {}: {}",
+                scenario.name,
                 spec.name,
                 panic_message(payload)
             ));
@@ -311,9 +318,10 @@ pub(crate) fn build(machine: AgedMachine, spec: &BenchmarkSpec) -> Result<Prepar
                 if note_disk_failure(&dir) {
                     eprintln!(
                         "warning: could not persist preparation snapshot for \
-                         '{scenario}'/{} under {} ({why}); the sweep continues with the \
+                         '{}'/{} under {} ({why}); the sweep continues with the \
                          memory layer only and snapshot persistence under this \
                          directory is disabled for the rest of the process",
+                        scenario.name,
                         spec.name,
                         dir.display()
                     );

@@ -2,15 +2,18 @@
 //!
 //! The paper studies twelve configurations (THS on/off × compaction
 //! normal/low × memhog 0/25/50%) and focuses on five. [`Scenario`]
-//! captures one configuration. [`Scenario::age`] boots its kernel and
-//! ages it into an [`AgedMachine`]; [`AgedMachine::into_prepared`]
-//! then applies memhog load and performs one benchmark's allocation
-//! phase (with interleaved background traffic) — producing a
-//! [`PreparedWorkload`] whose page table carries exactly the contiguity
-//! that configuration generates. Aging reads only the scenario, so one
-//! aged machine (cloned per benchmark) serves every benchmark of its
-//! scenario, as one machine serves every benchmark in the paper;
-//! [`Scenario::prepare`] ages and prepares one benchmark in one call.
+//! captures one configuration. [`Scenario::machine`] is the part of it
+//! that aging reads, a [`MachineSpec`]; [`MachineSpec::age`] boots that
+//! kernel and ages it into an [`AgedMachine`];
+//! [`AgedMachine::into_prepared`] then applies one scenario's memhog
+//! load and performs one benchmark's allocation phase (with interleaved
+//! background traffic) — producing a [`PreparedWorkload`] whose page
+//! table carries exactly the contiguity that configuration generates. Scenarios that differ only in memhog,
+//! pressure, dirty fraction or name share one machine, so one aged
+//! machine (cloned per preparation) serves every benchmark of all of
+//! them, as one machine serves every benchmark in the paper (the twelve
+//! configurations age four machines); [`Scenario::prepare`] ages and
+//! prepares one benchmark in one call.
 
 use crate::background::{age_system, AgingConfig, Interferer};
 use crate::pattern::PatternGen;
@@ -26,6 +29,7 @@ use colt_os_mem::snapshot::{Dec, Enc, SnapResult, Snapshot, SnapshotError};
 use colt_os_mem::vma::VmaKind;
 use colt_prng::rngs::StdRng;
 use colt_prng::{Rng, SeedableRng};
+use std::fmt;
 use std::sync::Arc;
 
 /// One system configuration.
@@ -210,7 +214,7 @@ impl Scenario {
     /// Propagates kernel errors; the combined footprints plus load must
     /// fit the configured memory.
     pub fn prepare_many(&self, specs: &[BenchmarkSpec]) -> MemResult<MultiWorkload> {
-        let mut kernel = self.age()?.kernel;
+        let mut kernel = self.machine().age()?.kernel;
         let memhog = self.engage_memhog(
             &mut kernel,
             specs.iter().map(|s| s.footprint_pages).sum::<u64>(),
@@ -252,23 +256,17 @@ impl Scenario {
         })
     }
 
-    /// Boots the scenario's kernel and ages it the way two months of use
-    /// would (§5.1.1). Nothing here depends on a benchmark, so one aged
-    /// machine can prepare every benchmark of the scenario.
-    ///
-    /// # Errors
-    /// Propagates kernel errors from the aging pass.
-    pub fn age(&self) -> MemResult<AgedMachine> {
-        let mut kernel = Kernel::new(KernelConfig {
+    /// The machine this scenario boots and ages: every field aging reads.
+    pub fn machine(&self) -> MachineSpec {
+        MachineSpec {
             nr_frames: self.nr_frames,
-            ths_enabled: self.ths,
+            ths: self.ths,
             compaction: self.compaction,
             faults: self.faults,
             policy: self.policy,
-            ..KernelConfig::default()
-        });
-        age_system(&mut kernel, self.aging, self.seed)?;
-        Ok(AgedMachine { scenario: self.clone(), kernel })
+            aging: self.aging,
+            seed: self.seed,
+        }
     }
 
     /// Boots, ages, loads, and allocates: produces the benchmark's
@@ -278,7 +276,7 @@ impl Scenario {
     /// Propagates kernel errors (the scenario is sized so that genuine
     /// OOM indicates a configuration mistake).
     pub fn prepare(&self, spec: &BenchmarkSpec) -> MemResult<PreparedWorkload> {
-        self.age()?.into_prepared(spec)
+        self.machine().age()?.into_prepared(self, spec)
     }
 
     /// Engages memhog (capped to what physical memory can satisfy
@@ -420,35 +418,107 @@ impl Scenario {
     }
 }
 
-/// A scenario's kernel, booted and aged but not yet loaded for any
-/// benchmark. It keeps the scenario that aged it, so it is always
-/// prepared under that scenario's memhog fraction, pressure, dirty
-/// fraction and seed.
+/// What aging reads of a [`Scenario`] ([`Scenario::machine`]): the
+/// fields of the same names, which fix the kernel it boots and how that
+/// kernel is aged. Memhog, pressure, the dirty fraction and the name are
+/// applied only after aging and are not here, so scenarios that differ
+/// only in those share one machine.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MachineSpec {
+    nr_frames: u64,
+    ths: bool,
+    compaction: CompactionMode,
+    faults: Option<FaultConfig>,
+    policy: PolicyKind,
+    aging: AgingConfig,
+    seed: u64,
+}
+
+impl MachineSpec {
+    /// Boots the kernel and ages it the way two months of use would
+    /// (§5.1.1). Nothing here depends on a benchmark or on the load
+    /// applied later, so one aged machine can prepare every benchmark of
+    /// every scenario of this machine.
+    ///
+    /// # Errors
+    /// Propagates kernel errors from the aging pass.
+    pub fn age(self) -> MemResult<AgedMachine> {
+        let mut kernel = Kernel::new(KernelConfig {
+            nr_frames: self.nr_frames,
+            ths_enabled: self.ths,
+            compaction: self.compaction,
+            faults: self.faults,
+            policy: self.policy,
+            ..KernelConfig::default()
+        });
+        age_system(&mut kernel, self.aging, self.seed)?;
+        Ok(AgedMachine { machine: self, kernel })
+    }
+}
+
+impl fmt::Display for MachineSpec {
+    /// THS, compaction, memory and seed, then the policy, the fault plan
+    /// and the aging churn where they are not the defaults.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "THS {}, {} compaction, {} frames, seed {:#x}",
+            if self.ths { "on" } else { "off" },
+            if self.compaction == CompactionMode::Normal { "normal" } else { "low" },
+            self.nr_frames,
+            self.seed
+        )?;
+        if self.policy != PolicyKind::Default {
+            write!(f, ", policy={}", self.policy)?;
+        }
+        if let Some(FaultConfig { rate, window, seed }) = self.faults {
+            write!(f, ", faults rate={rate},window={window},seed={seed}")?;
+        }
+        if self.aging != AgingConfig::default() {
+            write!(f, ", {:?}", self.aging)?;
+        }
+        Ok(())
+    }
+}
+
+/// A machine's kernel, booted and aged but not yet loaded for any
+/// benchmark. It keeps its [`MachineSpec`] and prepares only scenarios
+/// of that machine.
 ///
 /// Cloning deep-copies the kernel, its fault plan's PRNG state and its
 /// policy counters included, so a benchmark prepared on a clone is
 /// byte-identical to one prepared on a freshly aged machine.
 #[derive(Clone, Debug)]
 pub struct AgedMachine {
-    scenario: Scenario,
+    machine: MachineSpec,
     kernel: Kernel,
 }
 
 impl AgedMachine {
-    /// The scenario that aged this machine.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// Prepares `spec` on the machine itself: loads the system with
-    /// memhog, runs the benchmark's allocation phase, applies long-run
-    /// pressure and dirties its pages.
+    /// Prepares `spec` under `scenario` on the machine itself: loads the
+    /// system with the scenario's memhog, runs the benchmark's allocation
+    /// phase, applies the scenario's long-run pressure and dirties its
+    /// pages. The workload carries `scenario`'s name.
     ///
     /// # Errors
     /// Propagates kernel errors (the scenario is sized so that genuine
     /// OOM indicates a configuration mistake).
-    pub fn into_prepared(self, spec: &BenchmarkSpec) -> MemResult<PreparedWorkload> {
-        let AgedMachine { scenario, mut kernel } = self;
+    ///
+    /// # Panics
+    /// If `scenario` ages another machine ([`Scenario::machine`]).
+    pub fn into_prepared(
+        self,
+        scenario: &Scenario,
+        spec: &BenchmarkSpec,
+    ) -> MemResult<PreparedWorkload> {
+        assert!(
+            scenario.machine() == self.machine,
+            "scenario '{}' ages machine '{}', not '{}'",
+            scenario.name,
+            scenario.machine(),
+            self.machine
+        );
+        let mut kernel = self.kernel;
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0xA6E5);
 
         // 1. System load + background-daemon settling.
@@ -479,7 +549,7 @@ impl AgedMachine {
         scenario.mark_dirty_fraction(&mut kernel, asid, &footprint);
 
         Ok(PreparedWorkload {
-            scenario_name: scenario.name,
+            scenario_name: scenario.name.clone(),
             spec: spec.clone(),
             kernel,
             asid,
@@ -825,30 +895,80 @@ mod tests {
 
     #[test]
     fn one_aged_machine_prepares_each_benchmark_as_a_fresh_boot_does() {
-        // Each scenario ages once; one benchmark is prepared on a clone
-        // of the machine and the next on the machine itself. Both must
-        // encode to the bytes of a direct `Scenario::prepare`, so a
-        // clone must carry the fault plan's PRNG state and the policy
-        // counters along with the memory map.
+        // Each distinct machine ages once: the twelve configurations'
+        // four (memhog 0/25/50% share one), plus a fault plan's and a
+        // policy's. Every benchmark of every scenario of the machine is
+        // prepared on a clone of it, the last on the machine itself. Each
+        // must encode to the bytes of that scenario's own
+        // `Scenario::prepare`, so a clone must carry the fault plan's PRNG
+        // state and the policy counters along with the memory map, and the
+        // memhog, pressure, dirtying and name must come from the scenario.
         let specs = [benchmark("Gobmk").unwrap(), benchmark("Povray").unwrap()];
-        let scenarios = Scenario::all_twelve().into_iter().chain([
+        let mut machines: Vec<(MachineSpec, Vec<Scenario>)> = Vec::new();
+        for scenario in Scenario::all_twelve().into_iter().chain([
             Scenario::default_linux().with_faults(FaultConfig::default()),
             Scenario::default_linux().with_policy(PolicyKind::GreedyContig),
-        ]);
-        for scenario in scenarios {
-            let aged = scenario.age().unwrap();
-            let cloned = aged.clone().into_prepared(&specs[0]).unwrap();
-            let moved = aged.into_prepared(&specs[1]).unwrap();
-            for (w, spec) in [(cloned, &specs[0]), (moved, &specs[1])] {
-                let direct = scenario.prepare(spec).unwrap();
+        ]) {
+            match machines.iter_mut().find(|(m, _)| *m == scenario.machine()) {
+                Some((_, sharing)) => sharing.push(scenario),
+                None => machines.push((scenario.machine(), vec![scenario])),
+            }
+        }
+        assert_eq!(machines.len(), 6);
+        for (machine, sharing) in machines {
+            let mut aged = Some(machine.age().unwrap());
+            let preps: Vec<_> =
+                sharing.iter().flat_map(|s| specs.iter().map(move |spec| (s, spec))).collect();
+            for (i, &(scenario, spec)) in preps.iter().enumerate() {
+                let from = if i + 1 == preps.len() { aged.take() } else { aged.clone() };
+                let w = from.unwrap().into_prepared(scenario, spec).unwrap();
                 assert!(
-                    enc_of(&w) == enc_of(&direct),
+                    enc_of(&w) == enc_of(&scenario.prepare(spec).unwrap()),
                     "{} / {}: preparing from the shared aged machine changed the snapshot",
                     scenario.name,
                     spec.name
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_machine_is_exactly_what_aging_reads() {
+        let base = Scenario::default_linux();
+        let one_aging_field_changed = [
+            Scenario { nr_frames: base.nr_frames / 2, ..base.clone() },
+            Scenario { ths: false, ..base.clone() },
+            Scenario { compaction: CompactionMode::Low, ..base.clone() },
+            base.clone().with_faults(FaultConfig::default()),
+            base.clone().with_policy(PolicyKind::GreedyContig),
+            Scenario { aging: AgingConfig { churn_ops: 601, ..base.aging }, ..base.clone() },
+            base.clone().with_seed(base.seed + 1),
+        ];
+        for (i, a) in one_aging_field_changed.iter().enumerate() {
+            assert!(a.machine() != base.machine(), "change {i} kept the machine");
+            for b in &one_aging_field_changed[i + 1..] {
+                assert!(a.machine() != b.machine(), "{} shares {}", a.machine(), b.machine());
+            }
+        }
+
+        let applied_after_aging = [
+            Scenario { name: "renamed".into(), ..base.clone() },
+            Scenario::default_with_memhog(0.5),
+            Scenario { pressure_split_fraction: 0.1, ..base.clone() },
+            base.clone().with_dirty_fraction(0.3),
+        ];
+        for s in &applied_after_aging {
+            assert!(s.machine() == base.machine(), "'{}' ages another machine", s.name);
+        }
+
+        // The refusal comes before any work, so a tiny machine will do.
+        let small = |s: Scenario| Scenario { nr_frames: 4096, ..s };
+        let aged = small(Scenario::no_ths()).machine().age().unwrap();
+        let spec = benchmark("Povray").unwrap();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            aged.into_prepared(&small(Scenario::default_linux()), &spec)
+        }));
+        assert!(refused.is_err(), "a scenario of another machine must be refused");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p colt-core --example contiguity_study`
 
 use colt_os_mem::contiguity::PAPER_CDF_POINTS;
-use colt_workloads::scenario::Scenario;
+use colt_workloads::scenario::{AgedMachine, MachineSpec, Scenario};
 use colt_workloads::spec::benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,6 +17,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Scenario::default_with_memhog(0.25),
         Scenario::default_with_memhog(0.50),
     ];
+    // Aging reads only a scenario's machine (memhog is applied after
+    // it), so the five scenarios age three machines, once each; every
+    // preparation starts from a clone of its scenario's.
+    let mut machines: Vec<(MachineSpec, AgedMachine)> = Vec::new();
+    for machine in scenarios.iter().map(Scenario::machine) {
+        if machines.iter().all(|(m, _)| *m != machine) {
+            machines.push((machine, machine.age()?));
+        }
+    }
 
     for name in names {
         let spec = benchmark(name).expect("a Table-1 benchmark");
@@ -26,7 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             spec.paper.contig_low_compaction
         );
         for scenario in &scenarios {
-            let workload = scenario.prepare(&spec)?;
+            let (_, aged) = machines
+                .iter()
+                .find(|(m, _)| *m == scenario.machine())
+                .expect("every scenario's machine is aged above");
+            let workload = aged.clone().into_prepared(scenario, &spec)?;
             let report = workload.contiguity();
             let cdf = report.cdf(&PAPER_CDF_POINTS);
             let cdf_str: Vec<String> = PAPER_CDF_POINTS

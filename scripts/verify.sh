@@ -11,8 +11,10 @@
 # snapshot-cache smoke (a cold and a warm smoke sweep, each
 # byte-identical to the committed results/smoke_sweep.csv, with exact
 # preparation and aging counts, leaving the snapshot files of the
-# committed results/smoke_snapshots.sha256), a serve smoke (resident
-# server + load generator, with a served-vs-direct byte-identity check),
+# committed results/smoke_snapshots.sha256), a shared-aging gate (a
+# cold one-benchmark `grid` ages 4 machines for its 12 scenarios), a
+# serve smoke (resident server + load generator, with a
+# served-vs-direct byte-identity check),
 # a chaos smoke (the seeded network-fault soak; every verdict in
 # BENCH_chaos.json must hold),
 # a storage-torture smoke (seeded I/O fault schedules x simulated
@@ -73,7 +75,8 @@ SMP_DIR=$(mktemp -d)
 FAULT_DIR=$(mktemp -d)
 TORTURE_DIR=$(mktemp -d)
 PAPER_DIR=$(mktemp -d)
-trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR" "$SMP_DIR" "$FAULT_DIR" "$TORTURE_DIR" "$PAPER_DIR"' EXIT
+AGING_DIR=$(mktemp -d)
+trap 'rm -rf "$CRASH_DIR" "$IOCRASH_DIR" "$CACHE_DIR" "$SERVE_DIR" "$POLICY_DIR" "$CHAOS_DIR" "$SMP_DIR" "$FAULT_DIR" "$TORTURE_DIR" "$PAPER_DIR" "$AGING_DIR"' EXIT
 REPRO="$PWD/target/release/repro"
 
 # The SMP, fault-injection and policy smokes each run cold in a scratch
@@ -358,6 +361,22 @@ for run in cold warm serial; do
     fi
 done
 echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, snapshot files match results/smoke_snapshots.sha256, 2 cold / 0 warm preparations, 1 cold / 0 warm machines aged, 2 snapshots decoded warm, 2 streams recorded and 6 cells replayed at $(nproc) and 1 job(s))"
+
+# Shared-aging gate: aging reads only a scenario's machine (THS,
+# compaction, memory, fault plan, policy, aging churn, seed); memhog is
+# applied after it. So the twelve §5.1.1 scenarios (THS on/off x
+# compaction normal/low x memhog 0/25/50%) age four machines, and a cold
+# one-benchmark `grid` must build its 12 preparations from exactly 4.
+AGING_ARGS=(--quick --no-snapshot-cache --jobs 2 --bench Gobmk grid)
+echo "== shared-aging gate: repro ${AGING_ARGS[*]} =="
+(cd "$AGING_DIR" && "$REPRO" "${AGING_ARGS[@]}" > grid.txt)
+grid_misses=$(json_field prep_cache_misses "$AGING_DIR/results/BENCH_sweep.json")
+grid_aged=$(json_field machines_aged "$AGING_DIR/results/BENCH_sweep.json")
+if [[ "$grid_aged $grid_misses" != "4 12" ]]; then
+    echo "FAIL: the grid aged ${grid_aged:-no} machine(s) for ${grid_misses:-no} preparation(s), expected 4 for 12 (one per THS x compaction machine)" >&2
+    exit 1
+fi
+echo "shared-aging gate passed (4 machines aged for 12 preparations)"
 
 # Serve smoke: a resident `repro serve` plus the serve-bench load
 # generator in a scratch directory. The bench drives mixed
