@@ -488,7 +488,7 @@ pub fn run_smp_check(
             }));
         }
     }
-    let cases = runner::expect_all(runner::run_tasks_service(tasks, jobs));
+    let cases = runner::expect_all(runner::run_tasks_outcomes(tasks, jobs));
     let translations = cases.iter().map(|c| c.translations).sum();
     CheckReport { cases, translations }
 }
@@ -893,7 +893,7 @@ pub fn run_check(
             }
         }
     }
-    let cases = runner::expect_all(runner::run_tasks_service(tasks, jobs));
+    let cases = runner::expect_all(runner::run_tasks_outcomes(tasks, jobs));
     let translations = cases.iter().map(|c| c.translations).sum();
     CheckReport { cases, translations }
 }

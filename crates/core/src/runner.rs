@@ -1,6 +1,6 @@
 //! Parallel sweep runner: fans independent (benchmark × scenario ×
 //! TLB-config) simulation cells out across a fixed pool of scoped
-//! worker threads that pull from one FIFO queue.
+//! worker threads that pull from one queue.
 //!
 //! Every experiment driver is a sweep over cells that share nothing but
 //! a prepared workload, so the runner provides exactly four guarantees:
@@ -10,34 +10,34 @@
 //!    streams, so the rendered tables are byte-identical regardless of
 //!    `jobs` (and regardless of how many cells were replayed from a
 //!    journal rather than executed).
-//! 2. **Shared preparation, no convoying** — cells that name the same
-//!    (scenario, benchmark) pair share one [`PreparedWorkload`], built
-//!    once (or decoded from the process-global
-//!    [`snapshot_cache`](crate::snapshot_cache)) by whichever worker
-//!    gets there first, handed out as an `Arc` and let go when the last
-//!    of those cells takes it; the preparations of one machine (a
-//!    [`MachineSpec`]: scenarios that differ only in memhog, pressure,
-//!    dirty fraction or name share one) share one aged machine, aged
-//!    once per sweep by the first of them that the cache cannot answer
-//!    and cloned by the rest, each preparing under its own cell's
-//!    scenario. Sim cells ([`SweepCell::sim`], [`SweepCell::sim_then`])
-//!    that also share a pattern seed and `warmup + accesses` share one
-//!    reference stream: the first of them to run
-//!    records it with its L1/L2 outcomes ([`sim::Source::Record`]), the
-//!    rest replay the recording under their own TLB configurations,
-//!    bit-identically, and the recording is let go after the last of
-//!    them. A stream of one cell runs plain; a recording that panics
-//!    fails only its own cell, and the next cell records. A cell that
-//!    finds its preparation, its machine or its recording *in flight*
-//!    parks on the slot instead of blocking its worker: the worker takes
-//!    the next queued cell in the meantime, and the parked cells re-enter
-//!    the front of the queue the moment the build lands.
+//! 2. **Shared preparation, planned** — every cell of a sweep is known
+//!    before it starts, so the sweep is planned up front: one
+//!    preparation step per (scenario, benchmark) pair, in the order the
+//!    pairs first appear, holding the pair's cells. A worker answers the
+//!    step from the process-global [`snapshot_cache`](crate::snapshot_cache)
+//!    or builds the pair's [`PreparedWorkload`] on a clone of its aged
+//!    machine. A machine (a [`MachineSpec`]: scenarios that differ only
+//!    in memhog, pressure, dirty fraction or name share one) is aged once
+//!    per sweep by the first of its preparations that the cache cannot
+//!    answer and let go after the last. A preparation that finds its
+//!    machine aging waits on it, the one wait in the runner, while its
+//!    worker takes the next step. The pair's cells then go to the front
+//!    of the queue, each holding the workload as an `Arc`, so they run
+//!    together and the workload is let go after the last of them. Sim
+//!    cells ([`SweepCell::sim`], [`SweepCell::sim_then`]) of a pair that
+//!    also share a pattern seed and `warmup + accesses` share one
+//!    reference stream: the first of them records it with its L1/L2
+//!    outcomes ([`sim::Source::Record`]), then queues the rest at the
+//!    front to replay the recording under their own TLB configurations,
+//!    bit-identically; the recording is let go after the last replay. A
+//!    stream of one cell runs plain; a recording that panics fails only
+//!    its own cell, and the next cell of the group records instead.
 //! 3. **Failure isolation** — a cell whose job panics or whose
 //!    preparation fails becomes [`CellOutcome::Failed`] while every
 //!    other cell still completes. Cells are seeded simulations on
 //!    seeded kernels, so a failure would only repeat: nothing is
-//!    retried, and a failed aging or preparation fails every later cell
-//!    of its machine or pair at once with the same reason.
+//!    retried, and a failed aging or preparation fails every cell of its
+//!    machine or pair with the same reason.
 //!    [`expect_all`] turns failures back into a panic for drivers whose
 //!    sweeps must be all-or-nothing.
 //! 4. **Durable progress** — the `*_sweep` entry points append one
@@ -66,6 +66,8 @@ type CellJob<R> = Box<dyn FnOnce(&PreparedWorkload, Source<'_>) -> R + Send>;
 type TaskJob<R> = Box<dyn FnOnce() -> R + Send>;
 /// A finished cell: its outcome and its throughput record.
 type Finished<R> = (CellOutcome<R>, CellMetric);
+/// A cell that has run: its index, its metric and what its job returned.
+type Done<R> = (usize, CellMetric, Result<R, String>);
 
 /// One unit of parallel work: a job run once against a prepared
 /// workload.
@@ -275,122 +277,96 @@ pub struct SweepOptions<'a> {
     pub journal: Option<&'a Journal>,
 }
 
-/// A sweep-local slot for a value one worker at a time builds: a
-/// preparation (one per (scenario, spec) pair), an aged machine (one
-/// per [`MachineSpec`]) or a recording (one per group of sim cells
-/// sharing a reference stream). Cells that need the value while it is
-/// being built *park* on the slot (their worker moves on to other work)
-/// instead of blocking behind a lock. The building itself — memory
-/// cache, disk snapshot, aging or a fresh preparation — is delegated to
-/// [`snapshot_cache`].
-struct Slot<T, R> {
-    state: SlotState<T>,
-    /// Cells parked until the in-flight build lands; the builder puts
-    /// them back on the queue, success and failure alike.
-    waiting: Vec<Item<R>>,
-    /// Users that have not taken the value yet: a preparation's or a
-    /// recording's queued cells, or the preparations of an aged
-    /// machine's scenarios that have neither taken the machine nor found
-    /// their workload in the cache. When the last one is served the slot
-    /// lets go of its value, so no workload, aged kernel or recording
-    /// outlives its last user.
-    takers: usize,
+/// A submitted cell or task: where its outcome goes, its throughput
+/// record (the worker fills in the timings) and what it runs.
+struct Item<J> {
+    idx: usize,
+    metric: CellMetric,
+    job: J,
 }
 
-enum SlotState<T> {
-    /// Nobody has built this slot's value yet.
-    Empty,
-    /// A worker is building right now; arriving cells park in `waiting`.
-    Building,
-    /// The value is ready for every future cell of the sweep.
-    Ready(T),
-    /// The build failed. It was seeded, so it would only fail again:
-    /// every later cell of the slot fails at once with this reason. A
-    /// recording never fails its slot: its panic may be specific to its
-    /// cell's config, so the slot empties and the next cell records.
-    Failed(String),
-}
-
-/// What a cell found in a slot.
-enum Claim<T, R> {
-    /// The value, with the cell handed back.
-    Ready(Item<R>, T),
-    /// The stored failure, with the cell handed back.
-    Failed(Item<R>, String),
-    /// Another worker is building the value; the cell is parked.
-    Parked,
-    /// The slot was empty and is now `Building`: the caller builds the
-    /// value and [`settle`](Slot::settle)s the slot.
-    Build(Item<R>),
-}
-
-impl<T: Clone, R> Slot<T, R> {
-    fn new() -> Self {
-        Slot { state: SlotState::Empty, waiting: Vec::new(), takers: 0 }
-    }
-
-    fn claim(&mut self, item: Item<R>) -> Claim<T, R> {
-        match &self.state {
-            SlotState::Ready(value) => Claim::Ready(item, value.clone()),
-            SlotState::Failed(reason) => Claim::Failed(item, reason.clone()),
-            SlotState::Building => {
-                self.waiting.push(item);
-                Claim::Parked
-            }
-            SlotState::Empty => {
-                self.state = SlotState::Building;
-                Claim::Build(item)
-            }
-        }
-    }
-
-    /// Ends a build: stores its outcome and hands back the parked cells.
-    fn settle(&mut self, state: SlotState<T>) -> Vec<Item<R>> {
-        self.state = state;
-        std::mem::take(&mut self.waiting)
-    }
-
-    /// Counts one user as served; the last one empties a ready slot. A
-    /// failed slot stays failed.
-    fn serve(&mut self) {
-        self.takers -= 1;
-        if self.takers == 0 && matches!(self.state, SlotState::Ready(_)) {
-            self.state = SlotState::Empty;
-        }
-    }
-}
-
-type PrepSlot<R> = Slot<Arc<PreparedWorkload>, R>;
-/// One aged machine, shared by the sweep's preparations of every
-/// scenario of that machine. Only builders hold the machine, and only
-/// while cloning it.
-type AgedSlot<R> = Slot<Arc<AgedMachine>, R>;
-/// One slot per preparation key of a sweep's queued cells, with the
-/// index of its scenario's machine's [`AgedSlot`].
-type PrepSlots<R> = HashMap<String, (Mutex<PrepSlot<R>>, usize)>;
-/// One slot per reference stream that two or more queued sim cells
-/// generate, keyed by [`stream_key`].
-type StreamSlots<R> = HashMap<String, Mutex<Slot<Arc<Recording>, R>>>;
-
-/// What a queue item runs.
+/// What a submitted item runs.
 enum Work<R> {
-    Cell {
-        scenario: Scenario,
-        spec: BenchmarkSpec,
-        pattern: Option<(u64, u64)>,
-        job: CellJob<R>,
-        /// The cell's workload once taken; a cell parked on a recording
-        /// keeps it, so its preparation counts it once.
-        workload: Option<Arc<PreparedWorkload>>,
-    },
+    Cell { scenario: Scenario, spec: BenchmarkSpec, pattern: Option<(u64, u64)>, job: CellJob<R> },
     Task(TaskJob<R>),
 }
 
-struct Item<R> {
-    idx: usize,
-    /// This item's throughput record; the worker fills in the timings.
-    metric: CellMetric,
-    work: Work<R>,
+/// A cell of the plan: its job runs on the pair's workload.
+type Cell<R> = Item<CellJob<R>>;
+/// The cells of a pair that generate one reference stream, keyed by
+/// their pattern seed and `warmup + accesses`; a cell that generates
+/// none is a group of its own.
+type Group<R> = (Option<(u64, u64)>, Vec<Cell<R>>);
+
+/// One step of a sweep's queue.
+enum Step<R> {
+    Task(Item<TaskJob<R>>),
+    /// Obtains one pair's workload, then queues its cells.
+    Prepare(Prepare<R>),
+    /// Runs the first cell of a stream group on the workload. It records
+    /// the stream for the rest of the group, or runs plain when alone.
+    Run(Arc<PreparedWorkload>, Vec<Cell<R>>),
+    /// Runs a cell on a recording of its stream.
+    Replay(Arc<PreparedWorkload>, Arc<Recording>, Cell<R>),
+}
+
+/// The preparation of one (scenario, benchmark) pair and the cells that
+/// run on it.
+struct Prepare<R> {
+    scenario: Scenario,
+    spec: BenchmarkSpec,
+    /// Index of the scenario's machine in [`Pool::machines`].
+    machine: usize,
+    /// The pair's cells by stream, in submission order.
+    groups: Vec<Group<R>>,
+}
+
+/// One aged machine of a sweep, shared by the preparations of every
+/// scenario of that machine.
+struct Machine<R> {
+    state: Aged,
+    /// Preparations that found the machine aging: queued again, at the
+    /// front, when it lands.
+    waiting: Vec<Prepare<R>>,
+    /// Preparations of this machine that have neither taken it nor
+    /// found their workload in the cache. The last one takes the
+    /// machine's own handle, so no aged kernel outlives its last user.
+    to_serve: usize,
+}
+
+/// How far a machine's aging has got.
+enum Aged {
+    /// Not aged, or let go after its last preparation.
+    Idle,
+    /// A worker is aging it; preparations that need it wait.
+    Aging,
+    Ready(Arc<AgedMachine>),
+    /// Aging failed. It was seeded, so it would only fail again: every
+    /// preparation of the machine fails with this reason.
+    Failed(String),
+}
+
+impl<R> Machine<R> {
+    /// Serves one preparation with the aged machine or the reason it
+    /// failed to age. Only called once the machine has aged.
+    fn take(&mut self) -> Result<Arc<AgedMachine>, String> {
+        let taken = match &self.state {
+            Aged::Ready(machine) => Ok(Arc::clone(machine)),
+            Aged::Failed(reason) => Err(reason.clone()),
+            Aged::Idle | Aged::Aging => unreachable!("only an aged machine is taken"),
+        };
+        self.serve();
+        taken
+    }
+
+    /// Counts one preparation as served; after the last one, a ready
+    /// machine is let go.
+    fn serve(&mut self) {
+        self.to_serve -= 1;
+        if self.to_serve == 0 && matches!(self.state, Aged::Ready(_)) {
+            self.state = Aged::Idle;
+        }
+    }
 }
 
 /// Journal plumbing for one sweep: where to append finished cells and
@@ -408,15 +384,15 @@ impl<'a, R: JournalPayload> Hook<'a, R> {
 }
 
 impl<R> Hook<'_, R> {
-    /// The journaled outcome of `item`, if a valid record for it decodes
-    /// as this sweep's result type.
-    fn replay(&self, item: &Item<R>) -> Option<Finished<R>> {
-        let rep = self.journal.completed(&item.metric.label)?;
+    /// The journaled outcome of the item `metric` describes, if a valid
+    /// record for it decodes as this sweep's result type.
+    fn replay(&self, metric: &CellMetric) -> Option<Finished<R>> {
+        let rep = self.journal.completed(&metric.label)?;
         let Some(r) = (self.decode)(&rep.payload) else {
             eprintln!(
                 "note: journal record for '{}' does not decode as this sweep's \
                  result type; re-running the cell",
-                item.metric.label
+                metric.label
             );
             return None;
         };
@@ -424,7 +400,7 @@ impl<R> Hook<'_, R> {
             refs: rep.refs,
             prep_seconds: rep.prep_seconds,
             sim_seconds: rep.sim_seconds,
-            ..item.metric.clone()
+            ..metric.clone()
         };
         Some((CellOutcome::Ok(r), metric))
     }
@@ -463,29 +439,12 @@ impl<R> Hook<'_, R> {
     }
 }
 
-/// What came of trying to obtain a cell's shared preparation.
-enum Acquired<R> {
-    /// Another worker is mid-build; the item is parked on the slot and
-    /// this worker should pick up other work.
-    Parked,
-    /// This worker built (or fetched) the workload.
-    Ready {
-        item: Item<R>,
-        workload: Arc<PreparedWorkload>,
-        /// Seconds this cell spent building or decoding the workload
-        /// (0 when another cell, sweep, or invocation already paid).
-        prep_seconds: f64,
-    },
-    /// The build failed (or panicked), now or earlier in the sweep; the
-    /// failure is charged to this cell.
-    Failed { item: Item<R>, reason: String },
-}
-
 /// The queue and its completion count share one lock, so a worker that
 /// finds the queue empty can wait on the condvar without missing a
 /// requeue or the last completion.
 struct Queue<R> {
-    items: VecDeque<Item<R>>,
+    steps: VecDeque<Step<R>>,
+    /// Cells and tasks finished so far.
     finished: usize,
 }
 
@@ -493,86 +452,61 @@ struct Queue<R> {
 struct Pool<'a, R> {
     queue: Mutex<Queue<R>>,
     wake: Condvar,
-    /// Items the workers must finish (journal replays excluded).
+    /// Cells and tasks the workers must finish (journal replays
+    /// excluded).
     total: usize,
-    preps: PrepSlots<R>,
-    machines: Vec<Mutex<AgedSlot<R>>>,
-    streams: StreamSlots<R>,
+    machines: Vec<Mutex<Machine<R>>>,
     hook: Option<Hook<'a, R>>,
     results: Mutex<Vec<Option<Finished<R>>>>,
 }
 
 impl<R> Pool<'_, R> {
-    /// One worker: runs items until every item has finished.
+    /// One worker: runs steps until every cell and task has finished.
     fn work(&self) {
-        while let Some(mut item) = self.next() {
-            match item.work {
-                Work::Task(job) => {
-                    let ran = run_job(&mut item.metric, job);
-                    self.finish(item.idx, item.metric, ran);
+        while let Some(step) = self.next() {
+            match step {
+                Step::Task(Item { idx, mut metric, job }) => {
+                    let ran = run_job(&mut metric, job);
+                    self.finish((idx, metric, ran));
                 }
-                Work::Cell { workload: Some(_), .. } => self.run_cell(item),
-                Work::Cell { .. } => match self.acquire_prepared(item) {
-                    Acquired::Parked => {}
-                    Acquired::Failed { item, reason } => {
-                        self.finish(item.idx, item.metric, Err(reason));
+                Step::Prepare(prep) => self.prepare(prep),
+                Step::Run(workload, mut cells) => {
+                    let cell = cells.remove(0);
+                    if cells.is_empty() {
+                        self.finish(run_cell(cell, workload, Source::Generate, StreamUse::Plain));
+                        continue;
                     }
-                    Acquired::Ready { mut item, workload, prep_seconds } => {
-                        item.metric.prep_seconds = prep_seconds;
-                        if let Work::Cell { workload: taken, .. } = &mut item.work {
-                            *taken = Some(workload);
-                        }
-                        self.run_cell(item);
-                    }
-                },
+                    let mut recording = Recording::default();
+                    let source = Source::Record(&mut recording);
+                    let done = run_cell(cell, Arc::clone(&workload), source, StreamUse::Recorded);
+                    // A recording that panicked fails only its own cell:
+                    // the next cell of the group records instead.
+                    self.requeue(if done.2.is_ok() {
+                        let recording = Arc::new(recording);
+                        cells
+                            .into_iter()
+                            .map(|c| Step::Replay(Arc::clone(&workload), Arc::clone(&recording), c))
+                            .collect()
+                    } else {
+                        vec![Step::Run(workload, cells)]
+                    });
+                    self.finish(done);
+                }
+                Step::Replay(workload, recording, cell) => {
+                    let source = Source::Replay(&recording);
+                    self.finish(run_cell(cell, workload, source, StreamUse::Replayed));
+                }
             }
         }
     }
 
-    /// Runs a cell that holds its workload. A cell of a shared stream
-    /// replays the recording when it is ready, parks while another cell
-    /// records it, or records it itself; any other cell runs plain.
-    fn run_cell(&self, item: Item<R>) {
-        let Some(slot) = stream_key(&item).and_then(|key| self.streams.get(&key)) else {
-            let (idx, metric, ran) = run_prepared(item, Source::Generate, StreamUse::Plain);
-            return self.finish(idx, metric, ran);
-        };
-        let mut st = relock(slot);
-        let (idx, metric, ran) = match st.claim(item) {
-            Claim::Parked => return,
-            Claim::Ready(item, recording) => {
-                st.serve();
-                drop(st);
-                run_prepared(item, Source::Replay(&recording), StreamUse::Replayed)
-            }
-            Claim::Build(item) => {
-                drop(st);
-                let mut recording = Recording::default();
-                let done = run_prepared(item, Source::Record(&mut recording), StreamUse::Recorded);
-                let mut st = relock(slot);
-                // A recording that panicked fails only its own cell: the
-                // slot empties and the first parked cell records instead.
-                let woken = st.settle(match &done.2 {
-                    Ok(_) => SlotState::Ready(Arc::new(recording)),
-                    Err(_) => SlotState::Empty,
-                });
-                st.serve();
-                drop(st);
-                self.requeue(woken);
-                done
-            }
-            Claim::Failed(..) => unreachable!("a recording slot never fails"),
-        };
-        self.finish(idx, metric, ran);
-    }
-
-    /// The next queued item, waiting while others are still running or
-    /// parked; `None` once every item has finished.
-    fn next(&self) -> Option<Item<R>> {
+    /// The next queued step, waiting while others are still running or
+    /// waiting on a machine; `None` once every item has finished.
+    fn next(&self) -> Option<Step<R>> {
         let mut queue = relock(&self.queue);
         loop {
-            if let Some(item) = queue.items.pop_front() {
-                return Some(item);
+            if let Some(step) = queue.steps.pop_front() {
+                return Some(step);
             }
             if queue.finished == self.total {
                 return None;
@@ -581,117 +515,88 @@ impl<R> Pool<'_, R> {
         }
     }
 
-    /// Obtains the shared workload for a cell without ever blocking the
-    /// worker: a ready slot is a free hit, an in-flight slot parks the
-    /// item, an empty slot makes this worker the builder. The builder
-    /// asks the process-global [`snapshot_cache`] first and, on a miss,
-    /// prepares the pair on a clone of its machine's aged slot.
-    fn acquire_prepared(&self, item: Item<R>) -> Acquired<R> {
-        let (scenario, spec) = cell_of(&item);
-        let (slot, machine) = &self.preps[&snapshot_cache::prep_key(scenario, spec)];
-        let mut st = relock(slot);
-        let item = match st.claim(item) {
-            Claim::Ready(item, workload) => {
-                st.serve();
-                return Acquired::Ready { item, workload, prep_seconds: 0.0 };
-            }
-            Claim::Failed(item, reason) => return Acquired::Failed { item, reason },
-            Claim::Parked => return Acquired::Parked,
-            Claim::Build(item) => item,
-        };
-        drop(st);
-        // This worker is the builder; no slot lock is held across the
-        // build — arriving cells park instead of blocking.
-        let (scenario, spec) = cell_of(&item);
-        let (item, built) = match snapshot_cache::lookup(scenario, spec) {
+    /// Obtains a pair's workload, from the process-global
+    /// [`snapshot_cache`] or built on a clone of its aged machine, and
+    /// queues its cells at the front; the pair's first cell is charged
+    /// the time. A failed build fails every cell of the pair with its
+    /// reason. A step whose machine is aging waits on the machine.
+    fn prepare(&self, prep: Prepare<R>) {
+        let (prep, built) = match snapshot_cache::lookup(&prep.scenario, &prep.spec) {
             Some(found) => {
-                relock(&self.machines[*machine]).serve();
-                (item, Ok(found))
+                relock(&self.machines[prep.machine]).serve();
+                (prep, Ok(found))
             }
             None => {
                 let start = Instant::now();
-                match self.take_machine(&self.machines[*machine], slot, item) {
-                    Claim::Ready(item, shared) => {
-                        let machine = Arc::unwrap_or_clone(shared);
-                        let machine_seconds = start.elapsed().as_secs_f64();
-                        let (scenario, spec) = cell_of(&item);
-                        let built = snapshot_cache::build(machine, scenario, spec)
-                            .map(|p| Prepared { prep_seconds: p.prep_seconds + machine_seconds, ..p });
-                        (item, built)
-                    }
-                    Claim::Failed(item, reason) => (item, Err(reason)),
-                    Claim::Parked => return Acquired::Parked,
-                    Claim::Build(_) => unreachable!("take_machine builds the machine itself"),
-                }
+                let Some((prep, machine)) = self.take_machine(prep) else { return };
+                let machine_seconds = start.elapsed().as_secs_f64();
+                let built = machine
+                    .and_then(|machine| snapshot_cache::build(machine, &prep.scenario, &prep.spec))
+                    .map(|p| Prepared { prep_seconds: p.prep_seconds + machine_seconds, ..p });
+                (prep, built)
             }
         };
-        let mut st = relock(slot);
-        let woken = st.settle(match &built {
-            Ok(p) => SlotState::Ready(Arc::clone(&p.workload)),
-            Err(reason) => SlotState::Failed(reason.clone()),
-        });
-        st.serve();
-        drop(st);
-        self.requeue(woken);
+        let mut groups = prep.groups;
         match built {
-            Ok(p) => Acquired::Ready { item, workload: p.workload, prep_seconds: p.prep_seconds },
-            Err(reason) => Acquired::Failed { item, reason },
-        }
-    }
-
-    /// The cell's aged machine for the builder of a preparation, as
-    /// an `Arc` the builder clones (or, as its last holder, moves out
-    /// of): the first builder to get here ages it, later ones share it.
-    /// A builder that arrives while the machine is aging parks its cell
-    /// on the aged slot together with the cells parked on its
-    /// preparation, whose slot empties so that whichever comes back
-    /// first rebuilds it.
-    fn take_machine(
-        &self,
-        aged: &Mutex<AgedSlot<R>>,
-        prep: &Mutex<PrepSlot<R>>,
-        item: Item<R>,
-    ) -> Claim<Arc<AgedMachine>, R> {
-        let mut woken = Vec::new();
-        let mut st = relock(aged);
-        let claim = match st.claim(item) {
-            Claim::Build(item) => {
-                drop(st);
-                let machine = snapshot_cache::age(cell_of(&item).0.machine()).map(Arc::new);
-                st = relock(aged);
-                woken = st.settle(match &machine {
-                    Ok(shared) => SlotState::Ready(Arc::clone(shared)),
-                    Err(reason) => SlotState::Failed(reason.clone()),
-                });
-                match machine {
-                    Ok(shared) => Claim::Ready(item, shared),
-                    Err(reason) => Claim::Failed(item, reason),
+            Ok(p) => {
+                groups[0].1[0].metric.prep_seconds = p.prep_seconds;
+                self.requeue(
+                    groups
+                        .into_iter()
+                        .map(|(_, cells)| Step::Run(Arc::clone(&p.workload), cells))
+                        .collect(),
+                );
+            }
+            Err(reason) => {
+                for Item { idx, metric, .. } in groups.into_iter().flat_map(|(_, cells)| cells) {
+                    self.finish((idx, metric, Err(reason.clone())));
                 }
             }
-            Claim::Parked => {
-                let parked = relock(prep).settle(SlotState::Empty);
-                st.waiting.extend(parked);
-                Claim::Parked
-            }
-            claim => claim,
-        };
-        if matches!(claim, Claim::Ready(..)) {
-            st.serve();
         }
-        drop(st);
-        self.requeue(woken);
-        claim
     }
 
-    /// Puts parked items back at the front of the queue, in parking
-    /// order, so cells with the same key run together.
-    fn requeue(&self, woken: Vec<Item<R>>) {
-        if woken.is_empty() {
+    /// The aged machine for a preparation the cache cannot answer, as a
+    /// clone (or, for the machine's last preparation, the machine
+    /// itself): the first preparation to get here ages it. `None` while
+    /// another worker ages it: the step then waits on the machine, which
+    /// queues it again when it lands.
+    fn take_machine(&self, prep: Prepare<R>) -> Option<(Prepare<R>, Result<AgedMachine, String>)> {
+        let shared = &self.machines[prep.machine];
+        let mut machine = relock(shared);
+        let mut woken = Vec::new();
+        match machine.state {
+            Aged::Aging => {
+                machine.waiting.push(prep);
+                return None;
+            }
+            Aged::Idle => {
+                machine.state = Aged::Aging;
+                drop(machine);
+                let aged = snapshot_cache::age(prep.scenario.machine());
+                machine = relock(shared);
+                machine.state = match aged {
+                    Ok(aged) => Aged::Ready(Arc::new(aged)),
+                    Err(reason) => Aged::Failed(reason),
+                };
+                woken = std::mem::take(&mut machine.waiting);
+            }
+            Aged::Ready(_) | Aged::Failed(_) => {}
+        }
+        let taken = machine.take();
+        drop(machine);
+        self.requeue(woken.into_iter().map(Step::Prepare).collect());
+        Some((prep, taken.map(Arc::unwrap_or_clone)))
+    }
+
+    /// Puts steps at the front of the queue, in order, so that a pair's
+    /// cells, and the replays of a recording, run together.
+    fn requeue(&self, steps: Vec<Step<R>>) {
+        if steps.is_empty() {
             return;
         }
         let mut queue = relock(&self.queue);
-        for parked in woken.into_iter().rev() {
-            queue.items.push_front(parked);
+        for step in steps.into_iter().rev() {
+            queue.steps.push_front(step);
         }
         drop(queue);
         self.wake.notify_all();
@@ -699,7 +604,7 @@ impl<R> Pool<'_, R> {
 
     /// Journals one finished item and records its outcome; the last one
     /// wakes the idle workers so they exit.
-    fn finish(&self, idx: usize, metric: CellMetric, ran: Result<R, String>) {
+    fn finish(&self, (idx, metric, ran): Done<R>) {
         let outcome = match ran {
             Ok(r) => CellOutcome::Ok(r),
             Err(payload) => CellOutcome::Failed { label: metric.label.clone(), payload },
@@ -716,21 +621,18 @@ impl<R> Pool<'_, R> {
     }
 }
 
-/// Runs a cell that holds its workload from `source`; on success its
-/// metric records `used`. Returns the cell's index, metric and outcome.
-fn run_prepared<R>(
-    item: Item<R>,
+/// Runs a cell on its workload from `source`; on success its metric
+/// records `used`.
+fn run_cell<R>(
+    cell: Cell<R>,
+    workload: Arc<PreparedWorkload>,
     source: Source<'_>,
     used: StreamUse,
-) -> (usize, CellMetric, Result<R, String>) {
-    let Item { idx, mut metric, work } = item;
-    let Work::Cell { job, workload: Some(workload), .. } = work else {
-        unreachable!("only cells holding a workload run")
-    };
+) -> Done<R> {
+    let Item { idx, mut metric, job } = cell;
     let ran = run_job(&mut metric, || job(&workload, source));
-    // After its slot lets go, the last cell of a pair may hold the last
-    // handle to the workload (with no snapshot cache): free it outside
-    // the timing.
+    // The last cell of a pair may hold the last handle to the workload
+    // (with no snapshot cache): free it outside the timing.
     drop(workload);
     if ran.is_ok() {
         metric.stream = used;
@@ -747,41 +649,35 @@ fn run_job<R>(metric: &mut CellMetric, job: impl FnOnce() -> R) -> Result<R, Str
     ran
 }
 
-/// The sweep engine: replays journaled cells, runs the rest on `jobs`
-/// workers, and returns one outcome per item in submission order.
-/// `collect_metrics` says whether finished cells push their
-/// [`CellMetric`]s into the process-global registry. Sweeps do (the
-/// BENCH reports drain it); one-shot checkers do not — nothing drains
-/// the registry on their path.
+/// The sweep engine: replays journaled items, plans the rest, runs the
+/// plan on `jobs` workers, and returns one outcome per item in
+/// submission order. Finished items' [`CellMetric`]s go to the
+/// process-global registry that [`take_metrics`] drains.
 fn engine<R: Send>(
-    items: Vec<Item<R>>,
+    items: Vec<Item<Work<R>>>,
     jobs: usize,
     hook: Option<Hook<'_, R>>,
-    collect_metrics: bool,
 ) -> Vec<CellOutcome<R>> {
     let mut results: Vec<Option<Finished<R>>> = items.iter().map(|_| None).collect();
     // Replay pass: cells the journal already holds never re-run.
     let cells = items.len();
-    let mut queue = VecDeque::new();
+    let mut queue = Vec::new();
     for item in items {
-        match hook.as_ref().and_then(|h| h.replay(&item)) {
+        match hook.as_ref().and_then(|h| h.replay(&item.metric)) {
             Some(replayed) => results[item.idx] = Some(replayed),
-            None => queue.push_back(item),
+            None => queue.push(item),
         }
     }
     let total = queue.len();
     if let Some(hook) = &hook {
         hook.journal.note_sweep(cells - total, total);
     }
-    let (preps, machines) = slots(&queue);
-    let streams = stream_slots(&queue);
+    let (steps, machines) = plan(queue);
     let pool = Pool {
-        queue: Mutex::new(Queue { items: queue, finished: 0 }),
+        queue: Mutex::new(Queue { steps, finished: 0 }),
         wake: Condvar::new(),
         total,
-        preps,
         machines,
-        streams,
         hook,
         results: Mutex::new(results),
     };
@@ -797,69 +693,52 @@ fn engine<R: Send>(
         .into_iter()
         .map(|slot| slot.expect("every cell reports exactly once"))
         .unzip();
-    if collect_metrics {
-        relock(&METRICS).extend(metrics);
-    }
+    relock(&METRICS).extend(metrics);
     outcomes
 }
 
-/// One preparation slot per distinct (scenario, spec) pair among the
-/// queued cells and one aged slot per distinct [`MachineSpec`] of their
-/// scenarios: each preparation slot counts its cells as takers, each
-/// aged slot the preparations of its machine's scenarios.
-fn slots<R>(queue: &VecDeque<Item<R>>) -> (PrepSlots<R>, Vec<Mutex<AgedSlot<R>>>) {
-    let mut preps: PrepSlots<R> = HashMap::new();
+/// Plans a sweep. Each task is a step of its own. Cells become one
+/// [`Prepare`] step per distinct (scenario, benchmark) pair, in the
+/// order the pairs first appear, with the pair's cells grouped by
+/// stream; each distinct [`MachineSpec`] of their scenarios gets one
+/// [`Machine`], counting its pairs.
+///
+/// [`MachineSpec`]: colt_workloads::scenario::MachineSpec
+fn plan<R>(items: Vec<Item<Work<R>>>) -> (VecDeque<Step<R>>, Vec<Mutex<Machine<R>>>) {
+    let mut steps = VecDeque::new();
+    let mut pairs = HashMap::new();
     let mut by_machine = HashMap::new();
-    let mut machines: Vec<AgedSlot<R>> = Vec::new();
-    for item in queue {
-        let Work::Cell { scenario, spec, .. } = &item.work else { continue };
-        let (prep, _) = preps.entry(snapshot_cache::prep_key(scenario, spec)).or_insert_with(|| {
-            let m = *by_machine.entry(format!("{:?}", scenario.machine())).or_insert_with(|| {
-                machines.push(Slot::new());
-                machines.len() - 1
-            });
-            machines[m].takers += 1;
-            (Mutex::new(Slot::new()), m)
+    let mut machines = Vec::new();
+    for Item { idx, metric, job } in items {
+        let (scenario, spec, pattern, job) = match job {
+            Work::Task(job) => {
+                steps.push_back(Step::Task(Item { idx, metric, job }));
+                continue;
+            }
+            Work::Cell { scenario, spec, pattern, job } => (scenario, spec, pattern, job),
+        };
+        let key = snapshot_cache::prep_key(&scenario, &spec);
+        let at = *pairs.entry(key).or_insert_with(|| {
+            let machine =
+                *by_machine.entry(format!("{:?}", scenario.machine())).or_insert_with(|| {
+                    machines.push(Machine { state: Aged::Idle, waiting: Vec::new(), to_serve: 0 });
+                    machines.len() - 1
+                });
+            machines[machine].to_serve += 1;
+            steps.push_back(Step::Prepare(Prepare { scenario, spec, machine, groups: Vec::new() }));
+            steps.len() - 1
         });
-        prep.get_mut().unwrap_or_else(PoisonError::into_inner).takers += 1;
-    }
-    (preps, machines.into_iter().map(Mutex::new).collect())
-}
-
-/// One recording slot per reference stream that two or more queued sim
-/// cells generate, counting those cells as takers. A stream of one cell
-/// gets no slot and runs plain: recording only pays from a group's
-/// second cell.
-fn stream_slots<R>(queue: &VecDeque<Item<R>>) -> StreamSlots<R> {
-    let mut streams: StreamSlots<R> = HashMap::new();
-    for key in queue.iter().filter_map(stream_key) {
-        let slot = streams.entry(key).or_insert_with(|| Mutex::new(Slot::new()));
-        slot.get_mut().unwrap_or_else(PoisonError::into_inner).takers += 1;
-    }
-    streams.retain(|_, slot| slot.get_mut().unwrap_or_else(PoisonError::into_inner).takers > 1);
-    streams
-}
-
-/// The reference stream a sim cell generates: its preparation key,
-/// pattern seed and `warmup + accesses`. `None` for any other item.
-fn stream_key<R>(item: &Item<R>) -> Option<String> {
-    match &item.work {
-        Work::Cell { scenario, spec, pattern: Some((seed, refs)), .. } => {
-            Some(format!("{}\u{1}{seed}\u{1}{refs}", snapshot_cache::prep_key(scenario, spec)))
+        let Step::Prepare(prep) = &mut steps[at] else { unreachable!("a pair's step prepares") };
+        let cell = Item { idx, metric, job };
+        match prep.groups.iter_mut().find(|(p, _)| pattern.is_some() && *p == pattern) {
+            Some((_, cells)) => cells.push(cell),
+            None => prep.groups.push((pattern, vec![cell])),
         }
-        _ => None,
     }
+    (steps, machines.into_iter().map(Mutex::new).collect())
 }
 
-/// The scenario and benchmark of a cell item.
-fn cell_of<R>(item: &Item<R>) -> (&Scenario, &BenchmarkSpec) {
-    match &item.work {
-        Work::Cell { scenario, spec, .. } => (scenario, spec),
-        Work::Task(_) => unreachable!("only cells are prepared"),
-    }
-}
-
-fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
+fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<Work<R>>> {
     cells
         .into_iter()
         .enumerate()
@@ -874,18 +753,17 @@ fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<R>> {
                 sim_seconds: 0.0,
                 stream: StreamUse::Plain,
             },
-            work: Work::Cell {
+            job: Work::Cell {
                 scenario: cell.scenario,
                 spec: cell.spec,
                 pattern: cell.pattern,
                 job: cell.job,
-                workload: None,
             },
         })
         .collect()
 }
 
-fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<R>> {
+fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<Work<R>>> {
     tasks
         .into_iter()
         .enumerate()
@@ -900,7 +778,7 @@ fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<R>> {
                 sim_seconds: 0.0,
                 stream: StreamUse::Plain,
             },
-            work: Work::Task(task.job),
+            job: Work::Task(task.job),
         })
         .collect()
 }
@@ -913,7 +791,7 @@ pub fn run_cells_sweep<R: Send + JournalPayload + 'static>(
     cells: Vec<SweepCell<R>>,
     opts: &SweepOptions<'_>,
 ) -> Vec<CellOutcome<R>> {
-    engine(cell_items(cells), opts.jobs, Hook::of(opts), true)
+    engine(cell_items(cells), opts.jobs, Hook::of(opts))
 }
 
 /// Runs self-contained tasks like [`run_cells_sweep`].
@@ -921,7 +799,7 @@ pub fn run_tasks_sweep<R: Send + JournalPayload + 'static>(
     tasks: Vec<SweepTask<R>>,
     opts: &SweepOptions<'_>,
 ) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), opts.jobs, Hook::of(opts), true)
+    engine(task_items(tasks), opts.jobs, Hook::of(opts))
 }
 
 /// Runs every cell across at most `jobs` worker threads and returns one
@@ -932,19 +810,16 @@ pub fn run_cells_outcomes<R: Send + 'static>(
     cells: Vec<SweepCell<R>>,
     jobs: usize,
 ) -> Vec<CellOutcome<R>> {
-    engine(cell_items(cells), jobs, None, true)
+    engine(cell_items(cells), jobs, None)
 }
 
-/// Runs self-contained tasks for one-shot checkers (`repro --check`):
-/// panic isolation and submission-order results, no journal, and
-/// finished tasks do *not* accumulate in the global metrics registry —
-/// only sweep entry points have a matching [`take_metrics`] drain, and
-/// a checker's tasks must not show up in a sweep's throughput report.
-pub fn run_tasks_service<R: Send + 'static>(
+/// Runs self-contained tasks like [`run_cells_outcomes`]: panic
+/// isolation and submission-order results, without a journal.
+pub fn run_tasks_outcomes<R: Send + 'static>(
     tasks: Vec<SweepTask<R>>,
     jobs: usize,
 ) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), jobs, None, false)
+    engine(task_items(tasks), jobs, None)
 }
 
 #[cfg(test)]
@@ -952,6 +827,7 @@ mod tests {
     use super::*;
     use crate::io_faults::TestDir;
     use colt_tlb::config::TlbConfig;
+    use colt_workloads::background::AgingConfig;
     use colt_workloads::spec::benchmark;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -968,25 +844,11 @@ mod tests {
     }
 
     #[test]
-    fn service_entry_point_records_no_global_metrics() {
+    fn a_task_sweep_records_its_metrics() {
         let _g = drain_lock();
-        let _ = take_metrics();
-        let tasks: Vec<SweepTask<u32>> = (0..6)
-            .map(|i| SweepTask::new(format!("svc-{i}"), 0, move || i * 2))
-            .collect();
-        let out = run_tasks_service(tasks, 3);
-        assert_eq!(out.len(), 6);
-        for (i, o) in out.into_iter().enumerate() {
-            assert_eq!(o.ok(), Some(i as u32 * 2));
-        }
-        assert!(
-            take_metrics().is_empty(),
-            "service dispatch must not leak into the sweep metrics registry"
-        );
-        // The sweep path still records (BENCH reports depend on it).
-        let plain: Vec<SweepTask<u64>> = vec![SweepTask::new("plain".to_string(), 0, || 7)];
+        let plain: Vec<SweepTask<u64>> = vec![SweepTask::new("metrics/plain", 0, || 7)];
         let _ = run_tasks_sweep(plain, &SweepOptions { jobs: 1, journal: None });
-        assert_eq!(take_metrics().len(), 1);
+        assert_eq!(metrics_of("metrics/").len(), 1, "the BENCH reports depend on it");
     }
 
     #[test]
@@ -1050,11 +912,11 @@ mod tests {
     fn parked_cells_complete_when_the_shared_build_lands() {
         let _g = drain_lock();
         // Eight cells, one cold (scenario, benchmark) pair, four
-        // workers: one worker builds while the others park their cells
-        // on the slot and take other work; every cell must still
-        // complete with exactly one build. A scheduler that loses parked
-        // items hangs here; one that blocks workers merely serializes
-        // (the next test catches that).
+        // workers: one worker builds while the others find the queue
+        // empty and wait; every cell must still complete with exactly
+        // one build. A scheduler that loses the pair's cells hangs here;
+        // one that blocks workers merely serializes (the next test
+        // catches that).
         let scenario = Scenario::default_linux().with_seed(0xBA1C_0DE5);
         let spec = benchmark("Povray").unwrap();
         let cells: Vec<SweepCell<u64>> = (0..8)
@@ -1077,7 +939,7 @@ mod tests {
         assert_eq!(
             metrics.iter().filter(|m| m.prep_seconds > 0.0).count(),
             1,
-            "exactly one cell builds; the parked ones ride along free"
+            "exactly one cell builds; the rest ride along free"
         );
     }
 
@@ -1087,18 +949,18 @@ mod tests {
         // Two cells need cold preparations of one cold scenario (a seed
         // no other test uses); the third cell's key is prepared before
         // the sweep starts. At two workers, one worker builds while the
-        // other parks the second cold cell and runs the warm one, so the
-        // warm job runs before either cold job starts. In the first case
-        // the cold cells share their (scenario, benchmark) pair and the
-        // second parks on the preparation slot; in the second they are
-        // different benchmarks, and it parks on the aged slot while the
-        // first builder ages the machine. A runner that blocks on the
-        // in-flight build instead of parking, or that ages a machine per
-        // preparation, reaches the warm cell only after a cold job has
-        // begun. No barrier forces the interleaving (the build runs
-        // inside the snapshot cache, which has no hook); the cold build
-        // is a whole kernel preparation, while parking and the warm
-        // lookup take microseconds.
+        // other runs the warm cell, so the warm job runs before either
+        // cold job starts. In the first case the cold cells share their
+        // (scenario, benchmark) pair, so they wait in its one
+        // preparation step; in the second they are different
+        // benchmarks, and the second's preparation waits on the machine
+        // while the first ages it. A runner that blocks on the in-flight
+        // build instead, or that ages a machine per preparation, reaches
+        // the warm cell only after a cold job has begun. No barrier
+        // forces the interleaving (the build runs inside the snapshot
+        // cache, which has no hook); the cold build is a whole kernel
+        // preparation, while queueing and the warm lookup take
+        // microseconds.
         let povray = benchmark("Povray").unwrap();
         let gobmk = benchmark("Gobmk").unwrap();
         for (seed, second) in [(0x9A2C_0C01, &povray), (0x9A2C_0C03, &gobmk)] {
@@ -1137,7 +999,7 @@ mod tests {
         let tasks: Vec<SweepTask<usize>> = (0..16)
             .map(|i| SweepTask::new(format!("t{i}"), 0, move || i * i))
             .collect();
-        let out = expect_all(run_tasks_service(tasks, 4));
+        let out = expect_all(run_tasks_outcomes(tasks, 4));
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -1207,7 +1069,7 @@ mod tests {
                 })
             })
             .collect();
-        let outcomes = run_tasks_service(tasks, 3);
+        let outcomes = run_tasks_outcomes(tasks, 3);
         assert_eq!(outcomes.iter().filter(|o| o.is_failed()).count(), 1);
         match &outcomes[5] {
             CellOutcome::Failed { label, payload } => {
@@ -1261,6 +1123,45 @@ mod tests {
         assert!(reasons.iter().all(|r| *r == reasons[0]), "one reason: {reasons:?}");
         assert!(matches!(&outcomes[1], CellOutcome::Ok(pages) if *pages > 0));
         assert!(matches!(&outcomes[4], CellOutcome::Ok(pages) if *pages > 0));
+    }
+
+    #[test]
+    fn a_machine_that_fails_to_age_fails_each_of_its_cells_with_one_reason() {
+        let _g = drain_lock();
+        // No aging chunk size can be sampled from an empty range, so the
+        // machine panics while aging. Both benchmarks' cells must fail
+        // with the one reason, which names the machine, and the healthy
+        // cell of the same sweep must still run.
+        let broken = Scenario {
+            aging: AgingConfig { max_chunk_pages: 0, ..AgingConfig::default() },
+            ..Scenario::default_linux().with_seed(0xA6E1_0BAD)
+        };
+        let healthy = Scenario::default_linux();
+        let (gobmk, povray) = (benchmark("Gobmk").unwrap(), benchmark("Povray").unwrap());
+        let pages = |w: &PreparedWorkload| w.contiguity().total_pages();
+        for jobs in [1, 2] {
+            let cells = vec![
+                SweepCell::new("age-fail/gobmk-0", &broken, &gobmk, 0, pages),
+                SweepCell::new("age-fail/povray-0", &broken, &povray, 0, pages),
+                SweepCell::new("age-fail/healthy", &healthy, &gobmk, 0, pages),
+                SweepCell::new("age-fail/gobmk-1", &broken, &gobmk, 0, pages),
+                SweepCell::new("age-fail/povray-1", &broken, &povray, 0, pages),
+            ];
+            let mut outcomes = run_cells_outcomes(cells, jobs);
+            let _ = take_metrics();
+            let healthy = outcomes.remove(2);
+            assert!(matches!(healthy, CellOutcome::Ok(pages) if pages > 0), "jobs {jobs}");
+            let reasons: Vec<String> = outcomes
+                .into_iter()
+                .map(|outcome| match outcome {
+                    CellOutcome::Failed { payload, .. } => payload,
+                    other => panic!("jobs {jobs}: a cell of the broken machine ran: {other:?}"),
+                })
+                .collect();
+            let machine = format!("machine '{}' panicked while aging", broken.machine());
+            assert!(reasons[0].starts_with(&machine), "jobs {jobs}: {}", reasons[0]);
+            assert!(reasons.iter().all(|r| *r == reasons[0]), "jobs {jobs}: {reasons:?}");
+        }
     }
 
     #[test]

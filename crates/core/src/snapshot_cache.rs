@@ -179,7 +179,7 @@ pub fn prep_key(scenario: &Scenario, spec: &BenchmarkSpec) -> String {
 /// How `get_or_prepare` obtained the workload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PrepSource {
-    /// Served from the in-memory map (or the runner's sweep slot).
+    /// Served from the in-memory map.
     Memory,
     /// Decoded from a disk snapshot.
     Disk,
@@ -199,7 +199,8 @@ pub struct Prepared {
 
 /// Fetches (memory, then disk) or builds the prepared workload for one
 /// (scenario, spec) pair, persisting fresh builds to disk. A build ages
-/// a machine of its own; the runner shares one per scenario instead.
+/// a machine of its own; the runner shares one per [`MachineSpec`]
+/// instead.
 ///
 /// # Errors
 /// A human-readable description when aging or preparation fails or

@@ -1,12 +1,15 @@
-//! A sweep lets go of each preparation when its last cell takes it.
-//! With the snapshot cache off nothing else holds a prepared workload,
-//! so an earlier pair's preparation is freed before a later pair's cell
-//! runs. This binary counts live heap bytes with its own global
-//! allocator, so the file holds a single test and runs in a process of
-//! its own.
+//! A sweep lets go of each preparation after its last cell, and of each
+//! recorded reference stream after its last replay. With the snapshot
+//! cache off nothing else holds a prepared workload, so an earlier
+//! pair's preparation is freed before a later pair's cell runs, and an
+//! earlier stream's recording before a later stream records. This
+//! binary counts live heap bytes with its own global allocator, so the
+//! file holds a single test and runs in a process of its own.
 
 use colt_core::runner::{run_cells_outcomes, CellOutcome, SweepCell};
+use colt_core::sim::SimConfig;
 use colt_core::snapshot_cache;
+use colt_tlb::config::TlbConfig;
 use colt_workloads::scenario::Scenario;
 use colt_workloads::spec::benchmark;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,13 +67,7 @@ fn an_earlier_preparation_is_dropped_before_a_later_pair_runs() {
         SweepCell::new(label, &scenario, spec, 0, move |_| live().saturating_sub(base))
     };
     let cells = vec![cell("first/0", &first), cell("first/1", &first), cell("second/0", &second)];
-    let seen: Vec<usize> = run_cells_outcomes(cells, 1)
-        .into_iter()
-        .map(|o| match o {
-            CellOutcome::Ok(bytes) => bytes,
-            other => panic!("a cell failed: {other:?}"),
-        })
-        .collect();
+    let seen = live_seen(run_cells_outcomes(cells, 1));
     assert!(
         seen[1] >= first_bytes,
         "the first pair's last cell runs beside its preparation ({} of {first_bytes} bytes)",
@@ -82,4 +79,41 @@ fn an_earlier_preparation_is_dropped_before_a_later_pair_runs() {
          ({} bytes live; {second_bytes} per second, {first_bytes} per first preparation)",
         seen[2]
     );
+
+    // Two stream groups of one pair, one after the other: each group's
+    // first cell records 220k references (8 B each), its second
+    // replays them. Each reports the heap beside it once its simulation
+    // has ended, the recording included.
+    let recording_bytes = 8 * 220_000;
+    let base = live();
+    let sim_cell = |label: &str, seed: u64, tlb: TlbConfig| {
+        let cfg = SimConfig { pattern_seed: seed, ..SimConfig::new(tlb).with_accesses(200_000) };
+        SweepCell::sim_then(label, &scenario, &first, cfg, move |_, _| live().saturating_sub(base))
+    };
+    let cells = vec![
+        sim_cell("stream1/record", 1, TlbConfig::baseline()),
+        sim_cell("stream1/replay", 1, TlbConfig::colt_all()),
+        sim_cell("stream2/record", 2, TlbConfig::baseline()),
+        sim_cell("stream2/replay", 2, TlbConfig::colt_all()),
+    ];
+    let seen = live_seen(run_cells_outcomes(cells, 1));
+    assert!(
+        seen[2] < seen[0] + recording_bytes / 2,
+        "the second group's recorder must not run beside the first group's \
+         recording ({} bytes live; {} beside the first recorder, {recording_bytes} \
+         per recording)",
+        seen[2],
+        seen[0]
+    );
+}
+
+/// Each cell's reported live bytes, in submission order.
+fn live_seen(outcomes: Vec<CellOutcome<usize>>) -> Vec<usize> {
+    outcomes
+        .into_iter()
+        .map(|o| match o {
+            CellOutcome::Ok(bytes) => bytes,
+            other => panic!("a cell failed: {other:?}"),
+        })
+        .collect()
 }

@@ -207,53 +207,13 @@ impl Scenario {
     }
 
     /// Boots one kernel and allocates *several* benchmarks into it, for
-    /// multiprogrammed simulation. Allocation phases run one benchmark
-    /// after another (as staggered program starts would).
+    /// multiprogrammed simulation ([`AgedMachine::into_prepared_many`]).
     ///
     /// # Errors
     /// Propagates kernel errors; the combined footprints plus load must
     /// fit the configured memory.
     pub fn prepare_many(&self, specs: &[BenchmarkSpec]) -> MemResult<MultiWorkload> {
-        let mut kernel = self.machine().age()?.kernel;
-        let memhog = self.engage_memhog(
-            &mut kernel,
-            specs.iter().map(|s| s.footprint_pages).sum::<u64>(),
-        )?;
-        let mut parts = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let asid = kernel.spawn();
-            let mut interferer = Interferer::new(&mut kernel, self.seed ^ (0x1F + i as u64));
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0xA6E5 ^ (i as u64) << 32);
-            let footprint =
-                self.allocate_benchmark(&mut kernel, asid, spec, &mut interferer, &mut rng)?;
-            parts.push((spec.clone(), asid, Arc::new(footprint)));
-        }
-        self.apply_pressure(&mut kernel)?;
-        for (_, asid, footprint) in &parts {
-            for &vpn in footprint.iter() {
-                kernel.touch(*asid, vpn)?;
-            }
-        }
-        kernel.tick();
-        // An injected reclaim spike in that tick may have evicted clean
-        // file-backed footprint pages; fault them back in (the
-        // simulation assumes a fully mapped footprint).
-        if self.faults.is_some() {
-            for (_, asid, footprint) in &parts {
-                for &vpn in footprint.iter() {
-                    kernel.touch(*asid, vpn)?;
-                }
-            }
-        }
-        for (_, asid, footprint) in &parts {
-            self.mark_dirty_fraction(&mut kernel, *asid, footprint);
-        }
-        Ok(MultiWorkload {
-            scenario_name: self.name.clone(),
-            kernel,
-            parts,
-            _memhog: memhog,
-        })
+        self.machine().age()?.into_prepared_many(self, specs)
     }
 
     /// The machine this scenario boots and ages: every field aging reads.
@@ -495,10 +455,9 @@ pub struct AgedMachine {
 }
 
 impl AgedMachine {
-    /// Prepares `spec` under `scenario` on the machine itself: loads the
-    /// system with the scenario's memhog, runs the benchmark's allocation
-    /// phase, applies the scenario's long-run pressure and dirties its
-    /// pages. The workload carries `scenario`'s name.
+    /// Prepares `spec` under `scenario` on the machine itself
+    /// ([`Self::into_prepared_many`] with one benchmark). The workload
+    /// carries `scenario`'s name.
     ///
     /// # Errors
     /// Propagates kernel errors (the scenario is sized so that genuine
@@ -511,6 +470,29 @@ impl AgedMachine {
         scenario: &Scenario,
         spec: &BenchmarkSpec,
     ) -> MemResult<PreparedWorkload> {
+        let MultiWorkload { scenario_name, kernel, mut parts, _memhog } =
+            self.into_prepared_many(scenario, std::slice::from_ref(spec))?;
+        let (spec, asid, footprint) = parts.pop().expect("one benchmark was prepared");
+        Ok(PreparedWorkload { scenario_name, spec, kernel, asid, footprint, _memhog })
+    }
+
+    /// Prepares `specs` under `scenario` on the machine itself: loads the
+    /// system with the scenario's memhog, runs each benchmark's
+    /// allocation phase in turn (as staggered program starts would),
+    /// applies the scenario's long-run pressure and dirties the
+    /// benchmarks' pages. The workload carries `scenario`'s name.
+    ///
+    /// # Errors
+    /// Propagates kernel errors; the combined footprints plus load must
+    /// fit the configured memory.
+    ///
+    /// # Panics
+    /// If `scenario` ages another machine ([`Scenario::machine`]).
+    pub fn into_prepared_many(
+        self,
+        scenario: &Scenario,
+        specs: &[BenchmarkSpec],
+    ) -> MemResult<MultiWorkload> {
         assert!(
             scenario.machine() == self.machine,
             "scenario '{}' ages machine '{}', not '{}'",
@@ -519,43 +501,46 @@ impl AgedMachine {
             self.machine
         );
         let mut kernel = self.kernel;
-        let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0xA6E5);
 
         // 1. System load + background-daemon settling.
-        let memhog = scenario.engage_memhog(&mut kernel, spec.footprint_pages)?;
+        let memhog = scenario
+            .engage_memhog(&mut kernel, specs.iter().map(|s| s.footprint_pages).sum::<u64>())?;
 
-        // 2. The benchmark process plus its interfering neighbor.
-        let asid = kernel.spawn();
-        let mut interferer = Interferer::new(&mut kernel, scenario.seed ^ 0x1F);
-        let footprint =
-            scenario.allocate_benchmark(&mut kernel, asid, spec, &mut interferer, &mut rng)?;
+        // 2. Each benchmark process plus its interfering neighbor.
+        let mut parts = Vec::with_capacity(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let asid = kernel.spawn();
+            let mut interferer = Interferer::new(&mut kernel, scenario.seed ^ (0x1F + i as u64));
+            let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0xA6E5 ^ (i as u64) << 32);
+            let footprint =
+                scenario.allocate_benchmark(&mut kernel, asid, spec, &mut interferer, &mut rng)?;
+            parts.push((spec.clone(), asid, Arc::new(footprint)));
+        }
 
         // 3. Long-run pressure: superpage splits with punctured residue.
         scenario.apply_pressure(&mut kernel)?;
-        for &vpn in &footprint {
-            kernel.touch(asid, vpn)?;
+        for (_, asid, footprint) in &parts {
+            for &vpn in footprint.iter() {
+                kernel.touch(*asid, vpn)?;
+            }
         }
         kernel.tick();
         // An injected reclaim spike in that tick may have evicted clean
         // file-backed footprint pages; fault them back in (the
         // simulation assumes a fully mapped footprint).
         if scenario.faults.is_some() {
-            for &vpn in &footprint {
-                kernel.touch(asid, vpn)?;
+            for (_, asid, footprint) in &parts {
+                for &vpn in footprint.iter() {
+                    kernel.touch(*asid, vpn)?;
+                }
             }
         }
 
         // 4. Write traffic: dirty a deterministic subset of pages.
-        scenario.mark_dirty_fraction(&mut kernel, asid, &footprint);
-
-        Ok(PreparedWorkload {
-            scenario_name: scenario.name.clone(),
-            spec: spec.clone(),
-            kernel,
-            asid,
-            footprint: Arc::new(footprint),
-            _memhog: memhog,
-        })
+        for (_, asid, footprint) in &parts {
+            scenario.mark_dirty_fraction(&mut kernel, *asid, footprint);
+        }
+        Ok(MultiWorkload { scenario_name: scenario.name.clone(), kernel, parts, _memhog: memhog })
     }
 }
 

@@ -12,7 +12,8 @@
 # byte-identical to the committed results/smoke_sweep.csv, with exact
 # preparation and aging counts, leaving the snapshot files of the
 # committed results/smoke_snapshots.sha256), a shared-aging gate (a
-# cold one-benchmark `grid` ages 4 machines for its 12 scenarios), a
+# cold one-benchmark `grid` ages 4 machines for its 12 scenarios, at
+# two jobs and at one, with the same tables), a
 # serve smoke (resident server + load generator, with a
 # served-vs-direct byte-identity check),
 # a chaos smoke (the seeded network-fault soak; every verdict in
@@ -366,17 +367,27 @@ echo "snapshot-cache smoke passed (tables match results/smoke_sweep.csv, snapsho
 # compaction, memory, fault plan, policy, aging churn, seed); memhog is
 # applied after it. So the twelve §5.1.1 scenarios (THS on/off x
 # compaction normal/low x memhog 0/25/50%) age four machines, and a cold
-# one-benchmark `grid` must build its 12 preparations from exactly 4.
-AGING_ARGS=(--quick --no-snapshot-cache --jobs 2 --bench Gobmk grid)
-echo "== shared-aging gate: repro ${AGING_ARGS[*]} =="
-(cd "$AGING_DIR" && "$REPRO" "${AGING_ARGS[@]}" > grid.txt)
-grid_misses=$(json_field prep_cache_misses "$AGING_DIR/results/BENCH_sweep.json")
-grid_aged=$(json_field machines_aged "$AGING_DIR/results/BENCH_sweep.json")
-if [[ "$grid_aged $grid_misses" != "4 12" ]]; then
-    echo "FAIL: the grid aged ${grid_aged:-no} machine(s) for ${grid_misses:-no} preparation(s), expected 4 for 12 (one per THS x compaction machine)" >&2
+# one-benchmark `grid` must build its 12 preparations from exactly 4, at
+# two jobs (where preparations wait on a machine another worker ages)
+# and at one, with the same tables.
+for jobs in 2 1; do
+    AGING_ARGS=(--quick --no-snapshot-cache --jobs "$jobs" --bench Gobmk grid)
+    echo "== shared-aging gate: repro ${AGING_ARGS[*]} =="
+    (cd "$AGING_DIR" && "$REPRO" "${AGING_ARGS[@]}" \
+        | sed '/^== Sweep throughput/,$d' > "grid-$jobs.txt")
+    grid_misses=$(json_field prep_cache_misses "$AGING_DIR/results/BENCH_sweep.json")
+    grid_aged=$(json_field machines_aged "$AGING_DIR/results/BENCH_sweep.json")
+    if [[ "$grid_aged $grid_misses" != "4 12" ]]; then
+        echo "FAIL: the grid at $jobs job(s) aged ${grid_aged:-no} machine(s) for ${grid_misses:-no} preparation(s), expected 4 for 12 (one per THS x compaction machine)" >&2
+        exit 1
+    fi
+done
+if ! cmp -s "$AGING_DIR/grid-2.txt" "$AGING_DIR/grid-1.txt"; then
+    echo "FAIL: the grid's tables differ between 2 jobs and 1" >&2
+    diff "$AGING_DIR/grid-2.txt" "$AGING_DIR/grid-1.txt" | head -20 >&2
     exit 1
 fi
-echo "shared-aging gate passed (4 machines aged for 12 preparations)"
+echo "shared-aging gate passed (4 machines aged for 12 preparations at 2 jobs and at 1, same tables)"
 
 # Serve smoke: a resident `repro serve` plus the serve-bench load
 # generator in a scratch directory. The bench drives mixed
