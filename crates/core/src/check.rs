@@ -30,7 +30,7 @@
 //! disabled.
 
 use crate::experiments::smp::MIX_LIGHT;
-use crate::runner::{self, SweepTask};
+use crate::runner::{self, SweepCell};
 use colt_memsim::hierarchy::CacheHierarchy;
 use colt_memsim::mmu::Mmu;
 use colt_os_mem::addr::{Asid, Pfn, PhysAddr, Vpn, SUPERPAGE_PAGES};
@@ -303,39 +303,14 @@ fn coverage_conflicts(structure: &'static str, runs: &[CoalescedRun], out: &mut 
     }
 }
 
-/// Runs the full oracle + structural sweep of `tlb` against `pt`.
+/// Runs the full oracle + structural sweep of `tlb` against `pt`: every
+/// entry is checked against `pt`, and coverage conflicts are sought
+/// among the entries of one tag, which in an untagged TLB are all of
+/// them.
 pub fn check_hierarchy(tlb: &TlbHierarchy, pt: &PageTable) -> Vec<Violation> {
     let mut out = Vec::new();
-    check_hierarchy_into(tlb, pt, &mut out);
+    check_entries(tlb, |_| Some(Some(pt)), &mut out);
     out
-}
-
-fn check_hierarchy_into(tlb: &TlbHierarchy, pt: &PageTable, out: &mut Vec<Violation>) {
-    let ignore = tlb.config().coalesce_ignore_flags;
-    let shift = tlb.l1().shift();
-    let l1: Vec<CoalescedRun> = tlb.l1().iter().map(|e| e.run()).collect();
-    let l2: Vec<CoalescedRun> = tlb.l2().iter().map(|e| e.run()).collect();
-    let sp: Vec<(CoalescedRun, RangeKind)> = tlb.sp().iter().map(|e| (e.run(), e.kind())).collect();
-
-    for (structure, runs) in [("L1", &l1), ("L2", &l2)] {
-        for run in runs.iter() {
-            check_sa_shape(structure, run, shift, out);
-            check_arithmetic(structure, run, out);
-            oracle_scan(structure, run, pt, ignore, out);
-        }
-        coverage_conflicts(structure, runs, out);
-    }
-    let sp_runs: Vec<CoalescedRun> = sp.iter().map(|(r, _)| *r).collect();
-    for (run, kind) in &sp {
-        check_fa_shape(run, *kind, tlb.config(), out);
-        check_arithmetic("SP", run, out);
-        oracle_scan("SP", run, pt, ignore, out);
-    }
-    coverage_conflicts("SP", &sp_runs, out);
-    let overflow = tlb.stats().coalesce_overflow;
-    if overflow != 0 {
-        out.push(Violation::OverflowedFills { count: overflow });
-    }
 }
 
 /// Cross-core oracle: validates every entry resident in one core's TLB
@@ -355,6 +330,25 @@ pub fn check_core_hierarchy(
     out: &mut Vec<Violation>,
 ) {
     let tagged = tlb.config().asid_tagged;
+    let owner_table = |tag| {
+        let owner = if tagged { Some(tag) } else { running };
+        Some(kernel.process(owner?).ok().map(|p| p.page_table()))
+    };
+    check_entries(tlb, owner_table, out);
+}
+
+/// The resident-entry sweep of both oracles: each entry's shape and
+/// arithmetic, its translations against its owner's page table,
+/// coverage conflicts among one structure's entries of one tag, and
+/// overflowed fills. `owner_table(tag)` answers for an entry tagged
+/// `tag`: `None` when its owner is unknown (its translations go
+/// unchecked), `Some(None)` when the owner is gone, else the owner's
+/// page table.
+fn check_entries<'a>(
+    tlb: &TlbHierarchy,
+    owner_table: impl Fn(Asid) -> Option<Option<&'a PageTable>>,
+    out: &mut Vec<Violation>,
+) {
     let ignore = tlb.config().coalesce_ignore_flags;
     let shift = tlb.l1().shift();
     let mut runs: Vec<(&'static str, Asid, CoalescedRun, Option<RangeKind>)> = Vec::new();
@@ -373,11 +367,10 @@ pub fn check_core_hierarchy(
             Some(k) => check_fa_shape(run, *k, tlb.config(), out),
         }
         check_arithmetic(structure, run, out);
-        let owner = if tagged { Some(*tag) } else { running };
-        let Some(owner) = owner else { continue };
-        match kernel.process(owner) {
-            Ok(p) => oracle_scan(structure, run, p.page_table(), ignore, out),
-            Err(_) => out.push(Violation::OracleMismatch {
+        match owner_table(*tag) {
+            None => {}
+            Some(Some(pt)) => oracle_scan(structure, run, pt, ignore, out),
+            Some(None) => out.push(Violation::OracleMismatch {
                 structure,
                 vpn: run.start_vpn,
                 cached: run.base_pfn,
@@ -434,7 +427,7 @@ pub fn run_smp_check(
 ) -> CheckReport {
     let cores = cores.max(2);
     let pseg = policy_label_segment(policy);
-    let mut tasks: Vec<SweepTask<CaseReport>> = Vec::new();
+    let mut cells = Vec::new();
     for seed in 0..seeds {
         for (cname, tlb_cfg) in [
             ("untagged-all", TlbConfig::colt_all()),
@@ -443,17 +436,17 @@ pub fn run_smp_check(
         ] {
             let label = format!("smpcheck/{cname}/{cores}c{pseg}/seed{seed}");
             let case_seed = fnv1a(&label) ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let task_label = label.clone();
-            tasks.push(SweepTask::new(task_label, 0, move || {
+            // Each case's seed ages a machine of its own.
+            let scenario = Scenario::default_linux().with_policy(policy).with_seed(case_seed);
+            let on = scenario.clone();
+            cells.push(SweepCell::on_machine(label.clone(), &scenario, 0, move |aged| {
                 let specs: Vec<_> = MIX_LIGHT
                     .iter()
                     .map(|n| benchmark(n).expect("Table-1 benchmark"))
                     .collect();
-                let multi = Scenario::default_linux()
-                    .with_policy(policy)
-                    .with_seed(case_seed)
-                    .prepare_many(&specs)
-                    .unwrap_or_else(|e| panic!("prepare_many(smpcheck): {e}"));
+                let multi = aged
+                    .into_prepared_many(&on, &specs)
+                    .unwrap_or_else(|e| panic!("into_prepared_many(smpcheck): {e}"));
                 let cfg = SmpConfig::new(cores, tlb_cfg)
                     .with_quantum(400)
                     .with_churn_period(Some(271));
@@ -479,7 +472,7 @@ pub fn run_smp_check(
                 let translations =
                     machine.result().aggregate().counters.accesses;
                 CaseReport {
-                    label: label.clone(),
+                    label,
                     seed: case_seed,
                     violations,
                     minimized: Vec::new(),
@@ -488,7 +481,7 @@ pub fn run_smp_check(
             }));
         }
     }
-    let cases = runner::expect_all(runner::run_tasks_outcomes(tasks, jobs));
+    let cases = runner::expect_all(runner::run_cells_outcomes(cells, jobs));
     let translations = cases.iter().map(|c| c.translations).sum();
     CheckReport { cases, translations }
 }
@@ -763,7 +756,7 @@ pub fn replay(
             .process(asids[current])
             .expect("fuzz processes stay live")
             .page_table();
-        check_hierarchy_into(mmu.tlb(), pt, &mut violations);
+        check_entries(mmu.tlb(), |_| Some(Some(pt)), &mut violations);
         if !violations.is_empty() {
             break;
         }
@@ -862,7 +855,7 @@ pub fn run_check(
 ) -> CheckReport {
 
     let pseg = policy_label_segment(policy);
-    let mut tasks: Vec<SweepTask<CaseReport>> = Vec::new();
+    let mut cells = Vec::new();
     for seed in 0..seeds {
         for (label, tlb_cfg) in check_configs() {
             for (kname, base_cfg) in [("ths-on", fuzz_kernel(true)), ("ths-off", fuzz_kernel(false))] {
@@ -870,8 +863,7 @@ pub fn run_check(
                 let case_label = format!("check/{label}/{kname}{pseg}/seed{seed}");
                 let case_seed = fnv1a(&case_label) ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let events = gen_events(case_seed, events_per_case);
-                let task_label = case_label.clone();
-                tasks.push(SweepTask::new(task_label, 0, move || {
+                cells.push(SweepCell::task(case_label.clone(), 0, move || {
                     let outcome = replay(tlb_cfg, kernel_cfg, &events, faults);
                     let minimized = if outcome.violations.is_empty() {
                         Vec::new()
@@ -883,7 +875,7 @@ pub fn run_check(
                         })
                     };
                     CaseReport {
-                        label: case_label.clone(),
+                        label: case_label,
                         seed: case_seed,
                         violations: outcome.violations,
                         minimized,
@@ -893,7 +885,7 @@ pub fn run_check(
             }
         }
     }
-    let cases = runner::expect_all(runner::run_tasks_outcomes(tasks, jobs));
+    let cases = runner::expect_all(runner::run_cells_outcomes(cells, jobs));
     let translations = cases.iter().map(|c| c.translations).sum();
     CheckReport { cases, translations }
 }

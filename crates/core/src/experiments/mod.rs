@@ -213,7 +213,7 @@ impl ExperimentOptions {
     }
 
     /// The sweep options these describe, for the runner's
-    /// `run_cells_sweep`/`run_tasks_sweep` entry points.
+    /// `run_cells_sweep` entry point.
     pub fn sweep(&self) -> SweepOptions<'_> {
         SweepOptions { jobs: self.jobs, journal: self.journal.as_deref() }
     }

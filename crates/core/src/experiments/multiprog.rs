@@ -10,7 +10,7 @@
 
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::{f1, Table};
-use crate::runner::{self, SweepTask};
+use crate::runner::{self, SweepCell};
 use crate::sim::SimConfig;
 use colt_smp::{CoreResult, SmpConfig, SmpMachine};
 use colt_tlb::config::TlbConfig;
@@ -59,23 +59,23 @@ impl crate::journal::JournalPayload for MultiprogRow {
 /// Runs the multiprogramming study.
 pub fn run(opts: &ExperimentOptions) -> (Vec<MultiprogRow>, ExperimentOutput) {
     let quantum = 10_000;
-    let policy = opts.policy;
-    // Each pair's preparation (prepare_many) is itself per-cell state,
-    // so these run as self-contained tasks rather than shared-prep cells.
-    let tasks: Vec<SweepTask<MultiprogRow>> = PAIRS
+    let scenario = Scenario::default_linux().with_policy(opts.policy);
+    // One machine cell per pair: the sweep ages the default machine once
+    // and each pair loads its two benchmarks on its own copy.
+    let cells = PAIRS
         .iter()
         .map(|&(a, b)| {
             let cfg = opts.sim(TlbConfig::baseline());
             let refs = 2 * (cfg.warmup + cfg.accesses);
-            SweepTask::new(format!("multiprog/{a}+{b}"), refs, move || {
-                let scenario = Scenario::default_linux().with_policy(policy);
+            let on = scenario.clone();
+            SweepCell::on_machine(format!("multiprog/{a}+{b}"), &scenario, refs, move |aged| {
                 let specs = [
                     benchmark(a).expect("Table-1 benchmark"),
                     benchmark(b).expect("Table-1 benchmark"),
                 ];
-                let multi = scenario
-                    .prepare_many(&specs)
-                    .unwrap_or_else(|e| panic!("prepare_many({a}, {b}): {e}"));
+                let multi = aged
+                    .into_prepared_many(&on, &specs)
+                    .unwrap_or_else(|e| panic!("into_prepared_many({a}, {b}): {e}"));
                 let base = run_machine(multi.clone(), &cfg, quantum);
                 let colt =
                     run_machine(multi, &SimConfig { tlb: TlbConfig::colt_all(), ..cfg }, quantum);
@@ -88,7 +88,7 @@ pub fn run(opts: &ExperimentOptions) -> (Vec<MultiprogRow>, ExperimentOutput) {
             })
         })
         .collect();
-    let rows = runner::expect_all(runner::run_tasks_sweep(tasks, &opts.sweep()));
+    let rows = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
 
     let mut table = Table::new(
         "Multiprogramming (extension): two benchmarks sharing one machine, 10k-access quanta",

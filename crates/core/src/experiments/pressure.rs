@@ -28,15 +28,14 @@
 //! installed in the shared kernel *after* preparation, so kernel churn
 //! degrades (and OOM-kills) live under cross-core shootdown traffic.
 
-use super::smp::MIX_LIGHT;
+use super::smp::{window_cell, MIX_LIGHT};
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::check::check_configs;
 use crate::report::Table;
-use crate::runner::{self, CellOutcome, SweepCell, SweepTask};
+use crate::runner::{self, CellOutcome, SweepCell};
 use colt_os_mem::faults::FaultConfig;
 use colt_os_mem::kernel::KernelStats;
 use colt_os_mem::policy::PolicyKind;
-use colt_smp::{SmpConfig, SmpMachine};
 use colt_workloads::scenario::Scenario;
 use colt_workloads::spec::{benchmark, BenchmarkSpec};
 
@@ -232,31 +231,12 @@ fn run_smp_leg(
     report: &mut PressureReport,
 ) {
     let cores = opts.cores;
-    let accesses = opts.accesses;
-    let seed = opts.seed;
-    let policy = opts.policy;
-    let tasks: Vec<SweepTask<SmpPressureRow>> = rates
+    let cells = rates
         .iter()
         .map(|&rate| {
-            let refs = cores as u64 * (accesses + accesses / 10);
-            SweepTask::new(format!("pressure/smp/{cores}c/r{rate:.3}"), refs, move || {
-                let specs: Vec<_> = MIX_LIGHT
-                    .iter()
-                    .map(|n| benchmark(n).expect("Table-1 benchmark"))
-                    .collect();
-                let multi = Scenario::default_linux()
-                    .with_policy(policy)
-                    .prepare_many(&specs)
-                    .unwrap_or_else(|e| panic!("prepare_many(pressure/smp): {e}"));
-                let cfg = SmpConfig::new(cores, colt_tlb::config::TlbConfig::colt_all())
-                    .tagged();
-                let mut machine = SmpMachine::new(multi, cfg, seed);
-                if rate > 0.0 {
-                    machine.install_fault_plan(FaultConfig { rate, ..base_cfg });
-                }
-                machine.run(accesses / 10);
-                machine.mark();
-                machine.run(accesses);
+            let label = format!("pressure/smp/{cores}c/r{rate:.3}");
+            let faults = (rate > 0.0).then_some(FaultConfig { rate, ..base_cfg });
+            window_cell(label, opts, &MIX_LIGHT, cores, true, faults, move |machine| {
                 let agg = machine.result().aggregate();
                 SmpPressureRow {
                     rate,
@@ -269,7 +249,7 @@ fn run_smp_leg(
             })
         })
         .collect();
-    for outcome in runner::run_tasks_sweep(tasks, &opts.sweep()) {
+    for outcome in runner::run_cells_sweep(cells, &opts.sweep()) {
         if let Some(row) = ok_or_record(outcome, &mut report.failures) {
             report.smp_rows.push(row);
         }

@@ -15,11 +15,15 @@
 //!   on, showing how per-core TLB pressure and IPI traffic change as
 //!   the same work spreads over more private hierarchies contending on
 //!   one LLC.
+//!
+//! Each row is one machine cell (`window_cell`): the sweep ages the
+//! default scenario's machine once, and every cell loads its mix on its
+//! own copy.
 
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::report::Table;
-use crate::runner::{self, SweepTask};
-use colt_os_mem::policy::PolicyKind;
+use crate::runner::{self, SweepCell};
+use colt_os_mem::faults::FaultConfig;
 use colt_smp::{SmpConfig, SmpMachine};
 use colt_tlb::config::TlbConfig;
 use colt_workloads::scenario::Scenario;
@@ -118,38 +122,51 @@ impl crate::journal::JournalPayload for SmpRow {
     }
 }
 
-fn measure(
-    experiment: &'static str,
-    mix_name: &str,
-    names: &[&str],
+/// One SMP measurement as a machine cell on the default scenario's
+/// machine under `opts.policy`: the cell loads the benchmarks `names` on
+/// its copy, runs them on `cores` CoLT-All cores, ASID-`tagged` or not,
+/// seeded with `opts.seed` and with `faults` armed in the kernel if
+/// given, for a tenth of `opts.accesses` as warm-up and `opts.accesses`
+/// measured, then returns what `read` takes from the machine.
+pub(crate) fn window_cell<R>(
+    label: String,
+    opts: &ExperimentOptions,
+    names: &'static [&'static str],
     cores: usize,
     tagged: bool,
-    accesses: u64,
-    seed: u64,
-    policy: PolicyKind,
-) -> SmpRow {
-    let specs: Vec<_> = names
-        .iter()
-        .map(|n| benchmark(n).expect("Table-1 benchmark"))
-        .collect();
-    let multi = Scenario::default_linux()
-        .with_policy(policy)
-        .prepare_many(&specs)
-        .unwrap_or_else(|e| panic!("prepare_many({mix_name}): {e}"));
-    let mut cfg = SmpConfig::new(cores, TlbConfig::colt_all());
-    if tagged {
-        cfg = cfg.tagged();
-    }
-    let mut machine = SmpMachine::new(multi, cfg, seed);
-    machine.run(accesses / 10);
-    machine.mark();
-    machine.run(accesses);
+    faults: Option<FaultConfig>,
+    read: impl FnOnce(&SmpMachine) -> R + Send + 'static,
+) -> SweepCell<R> {
+    let scenario = Scenario::default_linux().with_policy(opts.policy);
+    let (accesses, seed) = (opts.accesses, opts.seed);
+    let refs = cores as u64 * (accesses + accesses / 10);
+    let on = scenario.clone();
+    SweepCell::on_machine(label, &scenario, refs, move |aged| {
+        let specs: Vec<_> =
+            names.iter().map(|n| benchmark(n).expect("Table-1 benchmark")).collect();
+        let multi = aged
+            .into_prepared_many(&on, &specs)
+            .unwrap_or_else(|e| panic!("into_prepared_many({names:?}): {e}"));
+        let cfg = SmpConfig::new(cores, TlbConfig::colt_all());
+        let mut machine = SmpMachine::new(multi, if tagged { cfg.tagged() } else { cfg }, seed);
+        if let Some(faults) = faults {
+            machine.install_fault_plan(faults);
+        }
+        machine.run(accesses / 10);
+        machine.mark();
+        machine.run(accesses);
+        read(&machine)
+    })
+}
+
+/// The row an `experiment` cell measured on the mix `mix`.
+fn row(experiment: &'static str, mix: &'static str, machine: &SmpMachine) -> SmpRow {
     let agg = machine.result().aggregate();
     SmpRow {
         experiment,
-        mix: mix_name.to_string(),
-        mode: if tagged { "tagged" } else { "untagged" },
-        cores,
+        mix: mix.to_string(),
+        mode: if machine.is_tagged() { "tagged" } else { "untagged" },
+        cores: machine.cores(),
         accesses: agg.counters.accesses,
         l1_misses: agg.tlb.l1_misses,
         walks: agg.tlb.l2_misses,
@@ -189,29 +206,15 @@ fn mix_table(title: String, rows: &[SmpRow]) -> Table {
 /// Runs the tagged-vs-untagged mix study at `opts.cores` cores.
 pub fn run_mix(opts: &ExperimentOptions) -> (Vec<SmpRow>, ExperimentOutput) {
     let cores = opts.cores.max(1);
-    let accesses = opts.accesses;
-    let seed = opts.seed;
-    let policy = opts.policy;
-    let mixes: [(&str, &[&str]); 2] = [("light8", &MIX_LIGHT), ("heavy8", &MIX_HEAVY)];
-    let tasks: Vec<SweepTask<Vec<SmpRow>>> = mixes
-        .iter()
-        .map(|&(mix_name, names)| {
-            let refs = 2 * cores as u64 * (accesses + accesses / 10);
-            SweepTask::new(format!("smp_mix/{mix_name}"), refs, move || {
-                [false, true]
-                    .iter()
-                    .map(|&tagged| {
-                        measure(
-                            "smp_mix", mix_name, names, cores, tagged, accesses, seed,
-                            policy,
-                        )
-                    })
-                    .collect()
-            })
-        })
-        .collect();
-    let rows: Vec<SmpRow> =
-        runner::expect_all(runner::run_tasks_sweep(tasks, &opts.sweep())).into_iter().flatten().collect();
+    let mut cells = Vec::new();
+    for (mix, names) in [("light8", &MIX_LIGHT), ("heavy8", &MIX_HEAVY)] {
+        for (mode, tagged) in [("untagged", false), ("tagged", true)] {
+            let read = move |machine: &SmpMachine| row("smp_mix", mix, machine);
+            let label = format!("smp_mix/{mix}/{mode}");
+            cells.push(window_cell(label, opts, names, cores, tagged, None, read));
+        }
+    }
+    let rows = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
     let table = mix_table(
         format!(
             "SMP mixes (extension): {cores} core(s), CoLT-All per core, shared LLC, \
@@ -233,21 +236,15 @@ fn scaling_core_counts(requested: usize) -> Vec<usize> {
 
 /// Runs the core-count scaling study (ASID-tagged CoLT-All).
 pub fn run_scaling(opts: &ExperimentOptions) -> (Vec<SmpRow>, ExperimentOutput) {
-    let accesses = opts.accesses;
-    let seed = opts.seed;
-    let policy = opts.policy;
-    let tasks: Vec<SweepTask<SmpRow>> = scaling_core_counts(opts.cores)
+    let cells = scaling_core_counts(opts.cores)
         .into_iter()
         .map(|cores| {
-            let refs = cores as u64 * (accesses + accesses / 10);
-            SweepTask::new(format!("smp_scaling/{cores}c"), refs, move || {
-                measure(
-                    "smp_scaling", "light8", &MIX_LIGHT, cores, true, accesses, seed, policy,
-                )
-            })
+            let read = |machine: &SmpMachine| row("smp_scaling", "light8", machine);
+            let label = format!("smp_scaling/{cores}c");
+            window_cell(label, opts, &MIX_LIGHT, cores, true, None, read)
         })
         .collect();
-    let rows = runner::expect_all(runner::run_tasks_sweep(tasks, &opts.sweep()));
+    let rows = runner::expect_all(runner::run_cells_sweep(cells, &opts.sweep()));
     let table = mix_table(
         "SMP scaling (extension): light8 mix, ASID-tagged CoLT-All, cores swept".to_string(),
         &rows,

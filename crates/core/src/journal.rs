@@ -345,26 +345,6 @@ impl JournalPayload for f64 {
     }
 }
 
-/// Vectors journal as `vecN;elem;elem;...` — element payloads escape
-/// `;`, so the join is unambiguous.
-impl<T: JournalPayload> JournalPayload for Vec<T> {
-    fn encode(&self) -> String {
-        let mut out = format!("vec{}", self.len());
-        for item in self {
-            out.push(';');
-            out.push_str(&item.encode());
-        }
-        out
-    }
-    fn decode(s: &str) -> Option<Self> {
-        let mut parts = s.split(';');
-        let head = parts.next()?;
-        let n: usize = head.strip_prefix("vec")?.parse().ok()?;
-        let items: Vec<T> = parts.map(T::decode).collect::<Option<Vec<T>>>()?;
-        (items.len() == n).then_some(items)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Payload impls for the simulation result types every driver sweeps
 // over. Encodings are flat field lists — bump RECORD_SCHEMA (or the
@@ -1080,8 +1060,6 @@ mod tests {
         assert_eq!(d.s().as_deref(), Some("a|b;c\\d"));
         assert!(d.exhausted());
         assert!(Dec::new(&s, "t2").is_none(), "wrong tag must not decode");
-        let v: Vec<u64> = vec![1, 2, 3];
-        assert_eq!(Vec::<u64>::decode(&v.encode()), Some(v));
     }
 
     #[test]

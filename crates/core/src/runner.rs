@@ -2,45 +2,59 @@
 //! TLB-config) simulation cells out across a fixed pool of scoped
 //! worker threads that pull from one queue.
 //!
-//! Every experiment driver is a sweep over cells that share nothing but
-//! a prepared workload, so the runner provides exactly four guarantees:
+//! A sweep is a list of [`SweepCell`]s of three kinds:
+//!
+//! * **Pair cells** ([`SweepCell::new`], [`SweepCell::sim`],
+//!   [`SweepCell::sim_then`]) run on the prepared workload of one
+//!   (scenario, benchmark) pair.
+//! * **Machine cells** ([`SweepCell::on_machine`]) run on their own copy
+//!   of a scenario's aged machine and load it themselves, as the SMP and
+//!   multiprogramming drivers do with several benchmarks on one kernel.
+//! * **Self-contained cells** ([`SweepCell::task`]) share nothing with
+//!   the sweep, like `--check`'s fuzz cases, which boot kernels of their
+//!   own.
+//!
+//! Cells share nothing but an aged machine or a prepared workload, so
+//! the runner provides exactly four guarantees:
 //!
 //! 1. **Determinism** — results come back in submission order, and each
 //!    cell's simulation consumes only its own [`SimConfig`]-seeded RNG
 //!    streams, so the rendered tables are byte-identical regardless of
 //!    `jobs` (and regardless of how many cells were replayed from a
 //!    journal rather than executed).
-//! 2. **Shared preparation, planned** — every cell of a sweep is known
-//!    before it starts, so the sweep is planned up front: one
+//! 2. **Shared aging and preparation, planned** — every cell of a sweep
+//!    is known before it starts, so the sweep is planned up front: one
 //!    preparation step per (scenario, benchmark) pair, in the order the
-//!    pairs first appear, holding the pair's cells. A worker answers the
-//!    step from the process-global [`snapshot_cache`](crate::snapshot_cache)
-//!    or builds the pair's [`PreparedWorkload`] on a clone of its aged
-//!    machine. A machine (a [`MachineSpec`]: scenarios that differ only
-//!    in memhog, pressure, dirty fraction or name share one) is aged once
-//!    per sweep by the first of its preparations that the cache cannot
-//!    answer and let go after the last. A preparation that finds its
-//!    machine aging waits on it, the one wait in the runner, while its
-//!    worker takes the next step. The pair's cells then go to the front
-//!    of the queue, each holding the workload as an `Arc`, so they run
-//!    together and the workload is let go after the last of them. Sim
-//!    cells ([`SweepCell::sim`], [`SweepCell::sim_then`]) of a pair that
-//!    also share a pattern seed and `warmup + accesses` share one
-//!    reference stream: the first of them records it with its L1/L2
-//!    outcomes ([`sim::Source::Record`]), then queues the rest at the
-//!    front to replay the recording under their own TLB configurations,
+//!    pairs first appear, holding the pair's cells, and one step per
+//!    machine cell. A machine (a [`MachineSpec`]: scenarios that differ
+//!    only in memhog, pressure, dirty fraction or name share one) is aged
+//!    once per sweep by the first of its users, the machine cells and the
+//!    preparations that the process-global
+//!    [`snapshot_cache`](crate::snapshot_cache) cannot answer, and let go
+//!    after the last. Each user gets a clone of it, except the last,
+//!    which gets the machine itself. A user that finds its machine aging
+//!    waits on it, the one wait in the runner, while its worker takes the
+//!    next step. A preparation builds the pair's [`PreparedWorkload`] on
+//!    its copy; the pair's cells then go to the front of the queue, each
+//!    holding the workload as an `Arc`, so they run together and the
+//!    workload is let go after the last of them. Sim cells
+//!    ([`SweepCell::sim`], [`SweepCell::sim_then`]) of a pair that also
+//!    share a pattern seed and `warmup + accesses` share one reference
+//!    stream: the first of them records it with its L1/L2 outcomes
+//!    ([`sim::Source::Record`]), then queues the rest at the front to
+//!    replay the recording under their own TLB configurations,
 //!    bit-identically; the recording is let go after the last replay. A
 //!    stream of one cell runs plain; a recording that panics fails only
 //!    its own cell, and the next cell of the group records instead.
-//! 3. **Failure isolation** — a cell whose job panics or whose
-//!    preparation fails becomes [`CellOutcome::Failed`] while every
+//! 3. **Failure isolation** — a cell whose job panics or whose machine
+//!    or preparation fails becomes [`CellOutcome::Failed`] while every
 //!    other cell still completes. Cells are seeded simulations on
 //!    seeded kernels, so a failure would only repeat: nothing is
 //!    retried, and a failed aging or preparation fails every cell of its
 //!    machine or pair with the same reason.
 //!    [`expect_all`] turns failures back into a panic for drivers whose
 //!    sweeps must be all-or-nothing.
-//! 4. **Durable progress** — the `*_sweep` entry points append one
+//! 4. **Durable progress** — [`run_cells_sweep`] appends one
 //!    checksummed record per finished cell to the experiment's
 //!    [`Journal`](crate::journal), fsynced before the result is even
 //!    reported, so a `SIGKILL` at any instant loses at most the cells
@@ -48,40 +62,46 @@
 //!
 //! Implementation is std-only (`std::thread::scope`, locks, a condvar):
 //! the build must work offline, so no rayon or crates.io dependency.
-//!
-//! [`MachineSpec`]: colt_workloads::scenario::MachineSpec
 
 use crate::journal::{Journal, JournalPayload};
 use crate::sim::{self, Recording, SimConfig, SimResult, Source};
 use crate::snapshot_cache::{self, Prepared};
 use crate::{panic_message, relock};
-use colt_workloads::scenario::{AgedMachine, PreparedWorkload, Scenario};
+use colt_workloads::scenario::{AgedMachine, MachineSpec, PreparedWorkload, Scenario};
 use colt_workloads::spec::BenchmarkSpec;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-type CellJob<R> = Box<dyn FnOnce(&PreparedWorkload, Source<'_>) -> R + Send>;
+type PairJob<R> = Box<dyn FnOnce(&PreparedWorkload, Source<'_>) -> R + Send>;
+type MachineJob<R> = Box<dyn FnOnce(AgedMachine) -> R + Send>;
 type TaskJob<R> = Box<dyn FnOnce() -> R + Send>;
 /// A finished cell: its outcome and its throughput record.
 type Finished<R> = (CellOutcome<R>, CellMetric);
 /// A cell that has run: its index, its metric and what its job returned.
 type Done<R> = (usize, CellMetric, Result<R, String>);
 
-/// One unit of parallel work: a job run once against a prepared
-/// workload.
+/// One unit of parallel work: a job run once on what its kind of cell
+/// gets (see the module documentation).
 pub struct SweepCell<R> {
     label: String,
-    scenario: Scenario,
-    spec: BenchmarkSpec,
     /// Memory references the job will simulate (0 for analysis-only
     /// cells such as contiguity scans) — feeds the throughput report.
     refs: u64,
-    /// A sim cell's pattern seed and `warmup + accesses`: with its
-    /// preparation, the reference stream it generates.
-    pattern: Option<(u64, u64)>,
-    job: CellJob<R>,
+    job: Job<R>,
+}
+
+/// A cell's job and what it runs on.
+enum Job<R> {
+    /// The prepared workload of one (scenario, benchmark) pair.
+    /// `pattern` is a sim cell's pattern seed and `warmup + accesses`:
+    /// with its preparation, the reference stream it generates.
+    Pair { scenario: Scenario, spec: BenchmarkSpec, pattern: Option<(u64, u64)>, run: PairJob<R> },
+    /// A copy of the scenario's aged machine.
+    Machine { scenario: Scenario, run: MachineJob<R> },
+    /// Nothing the sweep shares.
+    Task(TaskJob<R>),
 }
 
 impl<R> SweepCell<R> {
@@ -95,11 +115,13 @@ impl<R> SweepCell<R> {
     ) -> Self {
         Self {
             label: label.into(),
-            scenario: scenario.clone(),
-            spec: spec.clone(),
             refs,
-            pattern: None,
-            job: Box::new(move |w: &PreparedWorkload, _: Source<'_>| job(w)),
+            job: Job::Pair {
+                scenario: scenario.clone(),
+                spec: spec.clone(),
+                pattern: None,
+                run: Box::new(move |w: &PreparedWorkload, _: Source<'_>| job(w)),
+            },
         }
     }
 
@@ -117,14 +139,43 @@ impl<R> SweepCell<R> {
         let refs = cfg.warmup + cfg.accesses;
         Self {
             label: label.into(),
-            scenario: scenario.clone(),
-            spec: spec.clone(),
             refs,
-            pattern: Some((cfg.pattern_seed, refs)),
-            job: Box::new(move |w: &PreparedWorkload, source: Source<'_>| {
-                then(w, sim::run_from(w, &cfg, source))
-            }),
+            job: Job::Pair {
+                scenario: scenario.clone(),
+                spec: spec.clone(),
+                pattern: Some((cfg.pattern_seed, refs)),
+                run: Box::new(move |w: &PreparedWorkload, source: Source<'_>| {
+                    then(w, sim::run_from(w, &cfg, source))
+                }),
+            },
         }
+    }
+
+    /// A cell running `job` on its own copy of `scenario`'s aged machine,
+    /// shared with the sweep's other users of that machine (guarantee
+    /// 2); the job loads it, for instance with
+    /// [`AgedMachine::into_prepared_many`] under `scenario`.
+    pub fn on_machine(
+        label: impl Into<String>,
+        scenario: &Scenario,
+        refs: u64,
+        job: impl FnOnce(AgedMachine) -> R + Send + 'static,
+    ) -> Self {
+        Self {
+            label: label.into(),
+            refs,
+            job: Job::Machine { scenario: scenario.clone(), run: Box::new(job) },
+        }
+    }
+
+    /// A cell that shares nothing with the sweep: `job` brings all it
+    /// needs.
+    pub fn task(
+        label: impl Into<String>,
+        refs: u64,
+        job: impl FnOnce() -> R + Send + 'static,
+    ) -> Self {
+        Self { label: label.into(), refs, job: Job::Task(Box::new(job)) }
     }
 }
 
@@ -140,33 +191,14 @@ impl SweepCell<SimResult> {
     }
 }
 
-/// One unit of parallel work that owns its whole job (no shared
-/// preparation) — for drivers like `multiprog` whose preparation is
-/// itself per-cell.
-pub struct SweepTask<R> {
-    label: String,
-    refs: u64,
-    job: TaskJob<R>,
-}
-
-impl<R> SweepTask<R> {
-    /// Creates a self-contained task.
-    pub fn new(
-        label: impl Into<String>,
-        refs: u64,
-        job: impl FnOnce() -> R + Send + 'static,
-    ) -> Self {
-        Self { label: label.into(), refs, job: Box::new(job) }
-    }
-}
-
 /// What became of one sweep cell: its result, or a description of why
 /// it died while the rest of the sweep carried on.
 #[derive(Debug)]
 pub enum CellOutcome<R> {
     /// The cell ran to completion (or was replayed from the journal).
     Ok(R),
-    /// Preparation failed or the job panicked; `payload` is the cause.
+    /// Aging or preparation failed or the job panicked; `payload` is the
+    /// cause.
     Failed {
         /// Label of the failed cell ("fig18/Mcf/CoLT-All").
         label: String,
@@ -220,14 +252,15 @@ pub fn expect_all<R>(outcomes: Vec<CellOutcome<R>>) -> Vec<R> {
 pub struct CellMetric {
     /// Cell label ("fig18/Mcf/CoLT-All").
     pub label: String,
-    /// Benchmark name ("" for self-contained tasks).
+    /// Benchmark name ("" for machine cells and self-contained cells).
     pub benchmark: String,
-    /// Scenario name ("" for self-contained tasks).
+    /// Scenario name ("" for self-contained cells).
     pub scenario: String,
     /// Memory references simulated (0 for analysis-only cells).
     pub refs: u64,
     /// Seconds this cell spent building the shared workload (0 when it
-    /// reused another cell's preparation).
+    /// reused another cell's preparation), or, for a machine cell,
+    /// getting its copy of the machine.
     pub prep_seconds: f64,
     /// Seconds the job itself ran.
     pub sim_seconds: f64,
@@ -277,22 +310,16 @@ pub struct SweepOptions<'a> {
     pub journal: Option<&'a Journal>,
 }
 
-/// A submitted cell or task: where its outcome goes, its throughput
-/// record (the worker fills in the timings) and what it runs.
+/// A submitted cell: where its outcome goes, its throughput record (the
+/// worker fills in the timings) and what it runs.
 struct Item<J> {
     idx: usize,
     metric: CellMetric,
     job: J,
 }
 
-/// What a submitted item runs.
-enum Work<R> {
-    Cell { scenario: Scenario, spec: BenchmarkSpec, pattern: Option<(u64, u64)>, job: CellJob<R> },
-    Task(TaskJob<R>),
-}
-
-/// A cell of the plan: its job runs on the pair's workload.
-type Cell<R> = Item<CellJob<R>>;
+/// A pair cell of the plan: its job runs on the pair's workload.
+type Cell<R> = Item<PairJob<R>>;
 /// The cells of a pair that generate one reference stream, keyed by
 /// their pattern seed and `warmup + accesses`; a cell that generates
 /// none is a group of its own.
@@ -300,9 +327,13 @@ type Group<R> = (Option<(u64, u64)>, Vec<Cell<R>>);
 
 /// One step of a sweep's queue.
 enum Step<R> {
+    /// Runs a self-contained cell.
     Task(Item<TaskJob<R>>),
     /// Obtains one pair's workload, then queues its cells.
     Prepare(Prepare<R>),
+    /// Runs a machine cell on its copy of the machine at this index of
+    /// [`Pool::machines`].
+    OnMachine(usize, Item<MachineJob<R>>),
     /// Runs the first cell of a stream group on the workload. It records
     /// the stream for the rest of the group, or runs plain when alone.
     Run(Arc<PreparedWorkload>, Vec<Cell<R>>),
@@ -321,14 +352,16 @@ struct Prepare<R> {
     groups: Vec<Group<R>>,
 }
 
-/// One aged machine of a sweep, shared by the preparations of every
-/// scenario of that machine.
+/// One aged machine of a sweep, shared by its users: the preparations
+/// of every scenario of that machine, and its machine cells.
 struct Machine<R> {
+    /// What aging reads.
+    spec: MachineSpec,
     state: Aged,
-    /// Preparations that found the machine aging: queued again, at the
-    /// front, when it lands.
-    waiting: Vec<Prepare<R>>,
-    /// Preparations of this machine that have neither taken it nor
+    /// Users that found the machine aging: queued again, at the front,
+    /// when it lands.
+    waiting: Vec<Step<R>>,
+    /// Users that have neither taken the machine nor, for a preparation,
     /// found their workload in the cache. The last one takes the
     /// machine's own handle, so no aged kernel outlives its last user.
     to_serve: usize,
@@ -336,19 +369,19 @@ struct Machine<R> {
 
 /// How far a machine's aging has got.
 enum Aged {
-    /// Not aged, or let go after its last preparation.
+    /// Not aged, or let go after its last user.
     Idle,
-    /// A worker is aging it; preparations that need it wait.
+    /// A worker is aging it; users that need it wait.
     Aging,
     Ready(Arc<AgedMachine>),
     /// Aging failed. It was seeded, so it would only fail again: every
-    /// preparation of the machine fails with this reason.
+    /// user of the machine fails with this reason.
     Failed(String),
 }
 
 impl<R> Machine<R> {
-    /// Serves one preparation with the aged machine or the reason it
-    /// failed to age. Only called once the machine has aged.
+    /// Serves one user with the aged machine or the reason it failed to
+    /// age. Only called once the machine has aged.
     fn take(&mut self) -> Result<Arc<AgedMachine>, String> {
         let taken = match &self.state {
             Aged::Ready(machine) => Ok(Arc::clone(machine)),
@@ -359,8 +392,8 @@ impl<R> Machine<R> {
         taken
     }
 
-    /// Counts one preparation as served; after the last one, a ready
-    /// machine is let go.
+    /// Counts one user as served; after the last one, a ready machine is
+    /// let go.
     fn serve(&mut self) {
         self.to_serve -= 1;
         if self.to_serve == 0 && matches!(self.state, Aged::Ready(_)) {
@@ -384,7 +417,7 @@ impl<'a, R: JournalPayload> Hook<'a, R> {
 }
 
 impl<R> Hook<'_, R> {
-    /// The journaled outcome of the item `metric` describes, if a valid
+    /// The journaled outcome of the cell `metric` describes, if a valid
     /// record for it decodes as this sweep's result type.
     fn replay(&self, metric: &CellMetric) -> Option<Finished<R>> {
         let rep = self.journal.completed(&metric.label)?;
@@ -444,7 +477,7 @@ impl<R> Hook<'_, R> {
 /// requeue or the last completion.
 struct Queue<R> {
     steps: VecDeque<Step<R>>,
-    /// Cells and tasks finished so far.
+    /// Cells finished so far.
     finished: usize,
 }
 
@@ -452,8 +485,7 @@ struct Queue<R> {
 struct Pool<'a, R> {
     queue: Mutex<Queue<R>>,
     wake: Condvar,
-    /// Cells and tasks the workers must finish (journal replays
-    /// excluded).
+    /// Cells the workers must finish (journal replays excluded).
     total: usize,
     machines: Vec<Mutex<Machine<R>>>,
     hook: Option<Hook<'a, R>>,
@@ -461,7 +493,7 @@ struct Pool<'a, R> {
 }
 
 impl<R> Pool<'_, R> {
-    /// One worker: runs steps until every cell and task has finished.
+    /// One worker: runs steps until every cell has finished.
     fn work(&self) {
         while let Some(step) = self.next() {
             match step {
@@ -470,6 +502,7 @@ impl<R> Pool<'_, R> {
                     self.finish((idx, metric, ran));
                 }
                 Step::Prepare(prep) => self.prepare(prep),
+                Step::OnMachine(at, cell) => self.run_on_machine(at, cell),
                 Step::Run(workload, mut cells) => {
                     let cell = cells.remove(0);
                     if cells.is_empty() {
@@ -501,7 +534,7 @@ impl<R> Pool<'_, R> {
     }
 
     /// The next queued step, waiting while others are still running or
-    /// waiting on a machine; `None` once every item has finished.
+    /// waiting on a machine; `None` once every cell has finished.
     fn next(&self) -> Option<Step<R>> {
         let mut queue = relock(&self.queue);
         loop {
@@ -516,7 +549,7 @@ impl<R> Pool<'_, R> {
     }
 
     /// Obtains a pair's workload, from the process-global
-    /// [`snapshot_cache`] or built on a clone of its aged machine, and
+    /// [`snapshot_cache`] or built on a copy of its aged machine, and
     /// queues its cells at the front; the pair's first cell is charged
     /// the time. A failed build fails every cell of the pair with its
     /// reason. A step whose machine is aging waits on the machine.
@@ -528,7 +561,9 @@ impl<R> Pool<'_, R> {
             }
             None => {
                 let start = Instant::now();
-                let Some((prep, machine)) = self.take_machine(prep) else { return };
+                let Some((prep, machine)) = self.take_machine(prep.machine, prep, Step::Prepare) else {
+                    return;
+                };
                 let machine_seconds = start.elapsed().as_secs_f64();
                 let built = machine
                     .and_then(|machine| snapshot_cache::build(machine, &prep.scenario, &prep.spec))
@@ -555,24 +590,45 @@ impl<R> Pool<'_, R> {
         }
     }
 
-    /// The aged machine for a preparation the cache cannot answer, as a
-    /// clone (or, for the machine's last preparation, the machine
-    /// itself): the first preparation to get here ages it. `None` while
-    /// another worker ages it: the step then waits on the machine, which
-    /// queues it again when it lands.
-    fn take_machine(&self, prep: Prepare<R>) -> Option<(Prepare<R>, Result<AgedMachine, String>)> {
-        let shared = &self.machines[prep.machine];
+    /// Runs a machine cell on its copy of the machine, charging it the
+    /// time it spent getting the copy: the aging, or the clone. A machine
+    /// that failed to age fails the cell with its reason. A step whose
+    /// machine is aging waits on the machine.
+    fn run_on_machine(&self, at: usize, cell: Item<MachineJob<R>>) {
+        let start = Instant::now();
+        let wait = |cell| Step::OnMachine(at, cell);
+        let Some((Item { idx, mut metric, job }, machine)) = self.take_machine(at, cell, wait) else {
+            return;
+        };
+        metric.prep_seconds = start.elapsed().as_secs_f64();
+        let ran = machine.and_then(|machine| run_job(&mut metric, || job(machine)));
+        self.finish((idx, metric, ran));
+    }
+
+    /// The aged machine `at` for `user`, a machine cell or a preparation
+    /// the cache cannot answer: a clone or, for the machine's last user,
+    /// the machine itself. The first user to get here ages it. `None`
+    /// while another worker ages it: `user` then waits on the machine as
+    /// the step `wait` makes of it, queued again when the machine lands.
+    fn take_machine<U>(
+        &self,
+        at: usize,
+        user: U,
+        wait: impl FnOnce(U) -> Step<R>,
+    ) -> Option<(U, Result<AgedMachine, String>)> {
+        let shared = &self.machines[at];
         let mut machine = relock(shared);
         let mut woken = Vec::new();
         match machine.state {
             Aged::Aging => {
-                machine.waiting.push(prep);
+                machine.waiting.push(wait(user));
                 return None;
             }
             Aged::Idle => {
                 machine.state = Aged::Aging;
+                let spec = machine.spec;
                 drop(machine);
-                let aged = snapshot_cache::age(prep.scenario.machine());
+                let aged = snapshot_cache::age(spec);
                 machine = relock(shared);
                 machine.state = match aged {
                     Ok(aged) => Aged::Ready(Arc::new(aged)),
@@ -584,8 +640,8 @@ impl<R> Pool<'_, R> {
         }
         let taken = machine.take();
         drop(machine);
-        self.requeue(woken.into_iter().map(Step::Prepare).collect());
-        Some((prep, taken.map(Arc::unwrap_or_clone)))
+        self.requeue(woken);
+        Some((user, taken.map(Arc::unwrap_or_clone)))
     }
 
     /// Puts steps at the front of the queue, in order, so that a pair's
@@ -602,7 +658,7 @@ impl<R> Pool<'_, R> {
         self.wake.notify_all();
     }
 
-    /// Journals one finished item and records its outcome; the last one
+    /// Journals one finished cell and records its outcome; the last one
     /// wakes the idle workers so they exit.
     fn finish(&self, (idx, metric, ran): Done<R>) {
         let outcome = match ran {
@@ -649,20 +705,20 @@ fn run_job<R>(metric: &mut CellMetric, job: impl FnOnce() -> R) -> Result<R, Str
     ran
 }
 
-/// The sweep engine: replays journaled items, plans the rest, runs the
-/// plan on `jobs` workers, and returns one outcome per item in
-/// submission order. Finished items' [`CellMetric`]s go to the
+/// The sweep engine: replays journaled cells, plans the rest, runs the
+/// plan on `jobs` workers, and returns one outcome per cell in
+/// submission order. Finished cells' [`CellMetric`]s go to the
 /// process-global registry that [`take_metrics`] drains.
 fn engine<R: Send>(
-    items: Vec<Item<Work<R>>>,
+    cells: Vec<SweepCell<R>>,
     jobs: usize,
     hook: Option<Hook<'_, R>>,
 ) -> Vec<CellOutcome<R>> {
-    let mut results: Vec<Option<Finished<R>>> = items.iter().map(|_| None).collect();
+    let mut results: Vec<Option<Finished<R>>> = cells.iter().map(|_| None).collect();
     // Replay pass: cells the journal already holds never re-run.
-    let cells = items.len();
+    let submitted = cells.len();
     let mut queue = Vec::new();
-    for item in items {
+    for item in cell_items(cells) {
         match hook.as_ref().and_then(|h| h.replay(&item.metric)) {
             Some(replayed) => results[item.idx] = Some(replayed),
             None => queue.push(item),
@@ -670,7 +726,7 @@ fn engine<R: Send>(
     }
     let total = queue.len();
     if let Some(hook) = &hook {
-        hook.journal.note_sweep(cells - total, total);
+        hook.journal.note_sweep(submitted - total, total);
     }
     let (steps, machines) = plan(queue);
     let pool = Pool {
@@ -697,39 +753,47 @@ fn engine<R: Send>(
     outcomes
 }
 
-/// Plans a sweep. Each task is a step of its own. Cells become one
-/// [`Prepare`] step per distinct (scenario, benchmark) pair, in the
-/// order the pairs first appear, with the pair's cells grouped by
-/// stream; each distinct [`MachineSpec`] of their scenarios gets one
-/// [`Machine`], counting its pairs.
-///
-/// [`MachineSpec`]: colt_workloads::scenario::MachineSpec
-fn plan<R>(items: Vec<Item<Work<R>>>) -> (VecDeque<Step<R>>, Vec<Mutex<Machine<R>>>) {
+/// Plans a sweep. Each self-contained cell and each machine cell is a
+/// step of its own. Pair cells become one [`Prepare`] step per distinct
+/// (scenario, benchmark) pair, in the order the pairs first appear, with
+/// the pair's cells grouped by stream. Each distinct [`MachineSpec`] of
+/// the machine cells' and the pairs' scenarios gets one [`Machine`],
+/// counting its users.
+fn plan<R>(items: Vec<Item<Job<R>>>) -> (VecDeque<Step<R>>, Vec<Mutex<Machine<R>>>) {
     let mut steps = VecDeque::new();
     let mut pairs = HashMap::new();
     let mut by_machine = HashMap::new();
     let mut machines = Vec::new();
+    // The index of the scenario's machine, counting one more user.
+    let mut user_of = |scenario: &Scenario| {
+        let spec = scenario.machine();
+        let at = *by_machine.entry(format!("{spec:?}")).or_insert_with(|| {
+            machines.push(Machine { spec, state: Aged::Idle, waiting: Vec::new(), to_serve: 0 });
+            machines.len() - 1
+        });
+        machines[at].to_serve += 1;
+        at
+    };
     for Item { idx, metric, job } in items {
-        let (scenario, spec, pattern, job) = match job {
-            Work::Task(job) => {
+        let (scenario, spec, pattern, run) = match job {
+            Job::Task(job) => {
                 steps.push_back(Step::Task(Item { idx, metric, job }));
                 continue;
             }
-            Work::Cell { scenario, spec, pattern, job } => (scenario, spec, pattern, job),
+            Job::Machine { scenario, run } => {
+                steps.push_back(Step::OnMachine(user_of(&scenario), Item { idx, metric, job: run }));
+                continue;
+            }
+            Job::Pair { scenario, spec, pattern, run } => (scenario, spec, pattern, run),
         };
         let key = snapshot_cache::prep_key(&scenario, &spec);
         let at = *pairs.entry(key).or_insert_with(|| {
-            let machine =
-                *by_machine.entry(format!("{:?}", scenario.machine())).or_insert_with(|| {
-                    machines.push(Machine { state: Aged::Idle, waiting: Vec::new(), to_serve: 0 });
-                    machines.len() - 1
-                });
-            machines[machine].to_serve += 1;
+            let machine = user_of(&scenario);
             steps.push_back(Step::Prepare(Prepare { scenario, spec, machine, groups: Vec::new() }));
             steps.len() - 1
         });
         let Step::Prepare(prep) = &mut steps[at] else { unreachable!("a pair's step prepares") };
-        let cell = Item { idx, metric, job };
+        let cell = Item { idx, metric, job: run };
         match prep.groups.iter_mut().find(|(p, _)| pattern.is_some() && *p == pattern) {
             Some((_, cells)) => cells.push(cell),
             None => prep.groups.push((pattern, vec![cell])),
@@ -738,47 +802,27 @@ fn plan<R>(items: Vec<Item<Work<R>>>) -> (VecDeque<Step<R>>, Vec<Mutex<Machine<R
     (steps, machines.into_iter().map(Mutex::new).collect())
 }
 
-fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<Work<R>>> {
+/// Numbers the cells in submission order and opens their metrics.
+fn cell_items<R>(cells: Vec<SweepCell<R>>) -> Vec<Item<Job<R>>> {
     cells
         .into_iter()
         .enumerate()
-        .map(|(idx, cell)| Item {
-            idx,
-            metric: CellMetric {
-                label: cell.label,
-                benchmark: cell.spec.name.to_string(),
-                scenario: cell.scenario.name.clone(),
-                refs: cell.refs,
+        .map(|(idx, SweepCell { label, refs, job })| {
+            let (benchmark, scenario) = match &job {
+                Job::Pair { scenario, spec, .. } => (spec.name.to_string(), scenario.name.clone()),
+                Job::Machine { scenario, .. } => (String::new(), scenario.name.clone()),
+                Job::Task(_) => (String::new(), String::new()),
+            };
+            let metric = CellMetric {
+                label,
+                benchmark,
+                scenario,
+                refs,
                 prep_seconds: 0.0,
                 sim_seconds: 0.0,
                 stream: StreamUse::Plain,
-            },
-            job: Work::Cell {
-                scenario: cell.scenario,
-                spec: cell.spec,
-                pattern: cell.pattern,
-                job: cell.job,
-            },
-        })
-        .collect()
-}
-
-fn task_items<R>(tasks: Vec<SweepTask<R>>) -> Vec<Item<Work<R>>> {
-    tasks
-        .into_iter()
-        .enumerate()
-        .map(|(idx, task)| Item {
-            idx,
-            metric: CellMetric {
-                label: task.label,
-                benchmark: String::new(),
-                scenario: String::new(),
-                refs: task.refs,
-                prep_seconds: 0.0,
-                sim_seconds: 0.0,
-                stream: StreamUse::Plain,
-            },
-            job: Work::Task(task.job),
+            };
+            Item { idx, metric, job }
         })
         .collect()
 }
@@ -791,35 +835,18 @@ pub fn run_cells_sweep<R: Send + JournalPayload + 'static>(
     cells: Vec<SweepCell<R>>,
     opts: &SweepOptions<'_>,
 ) -> Vec<CellOutcome<R>> {
-    engine(cell_items(cells), opts.jobs, Hook::of(opts))
-}
-
-/// Runs self-contained tasks like [`run_cells_sweep`].
-pub fn run_tasks_sweep<R: Send + JournalPayload + 'static>(
-    tasks: Vec<SweepTask<R>>,
-    opts: &SweepOptions<'_>,
-) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), opts.jobs, Hook::of(opts))
+    engine(cells, opts.jobs, Hook::of(opts))
 }
 
 /// Runs every cell across at most `jobs` worker threads and returns one
 /// [`CellOutcome`] per cell, in submission order, without a journal: a
-/// panicking cell (or a failing preparation) yields `Failed` for that
-/// cell only; all other cells still complete.
+/// panicking cell (or a failing aging or preparation) yields `Failed`
+/// for that cell only; all other cells still complete.
 pub fn run_cells_outcomes<R: Send + 'static>(
     cells: Vec<SweepCell<R>>,
     jobs: usize,
 ) -> Vec<CellOutcome<R>> {
-    engine(cell_items(cells), jobs, None)
-}
-
-/// Runs self-contained tasks like [`run_cells_outcomes`]: panic
-/// isolation and submission-order results, without a journal.
-pub fn run_tasks_outcomes<R: Send + 'static>(
-    tasks: Vec<SweepTask<R>>,
-    jobs: usize,
-) -> Vec<CellOutcome<R>> {
-    engine(task_items(tasks), jobs, None)
+    engine(cells, jobs, None)
 }
 
 #[cfg(test)]
@@ -846,8 +873,8 @@ mod tests {
     #[test]
     fn a_task_sweep_records_its_metrics() {
         let _g = drain_lock();
-        let plain: Vec<SweepTask<u64>> = vec![SweepTask::new("metrics/plain", 0, || 7)];
-        let _ = run_tasks_sweep(plain, &SweepOptions { jobs: 1, journal: None });
+        let plain = vec![SweepCell::task("metrics/plain", 0, || 7u64)];
+        let _ = run_cells_sweep(plain, &SweepOptions { jobs: 1, journal: None });
         assert_eq!(metrics_of("metrics/").len(), 1, "the BENCH reports depend on it");
     }
 
@@ -996,10 +1023,10 @@ mod tests {
     #[test]
     fn tasks_run_and_keep_order() {
         let _g = drain_lock();
-        let tasks: Vec<SweepTask<usize>> = (0..16)
-            .map(|i| SweepTask::new(format!("t{i}"), 0, move || i * i))
+        let tasks: Vec<SweepCell<usize>> = (0..16)
+            .map(|i| SweepCell::task(format!("t{i}"), 0, move || i * i))
             .collect();
-        let out = expect_all(run_tasks_outcomes(tasks, 4));
+        let out = expect_all(run_cells_outcomes(tasks, 4));
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -1059,9 +1086,9 @@ mod tests {
     #[test]
     fn a_panicking_task_fails_alone_while_the_rest_complete() {
         let _g = drain_lock();
-        let tasks: Vec<SweepTask<usize>> = (0..8)
+        let tasks: Vec<SweepCell<usize>> = (0..8)
             .map(|i| {
-                SweepTask::new(format!("tiso{i}"), 0, move || {
+                SweepCell::task(format!("tiso{i}"), 0, move || {
                     if i == 5 {
                         panic!("task {i} exploded");
                     }
@@ -1069,7 +1096,7 @@ mod tests {
                 })
             })
             .collect();
-        let outcomes = run_tasks_outcomes(tasks, 3);
+        let outcomes = run_cells_outcomes(tasks, 3);
         assert_eq!(outcomes.iter().filter(|o| o.is_failed()).count(), 1);
         match &outcomes[5] {
             CellOutcome::Failed { label, payload } => {
@@ -1129,9 +1156,9 @@ mod tests {
     fn a_machine_that_fails_to_age_fails_each_of_its_cells_with_one_reason() {
         let _g = drain_lock();
         // No aging chunk size can be sampled from an empty range, so the
-        // machine panics while aging. Both benchmarks' cells must fail
-        // with the one reason, which names the machine, and the healthy
-        // cell of the same sweep must still run.
+        // machine panics while aging. Both benchmarks' cells and the
+        // machine cells must fail with the one reason, which names the
+        // machine, and the healthy cell of the same sweep must still run.
         let broken = Scenario {
             aging: AgingConfig { max_chunk_pages: 0, ..AgingConfig::default() },
             ..Scenario::default_linux().with_seed(0xA6E1_0BAD)
@@ -1139,17 +1166,20 @@ mod tests {
         let healthy = Scenario::default_linux();
         let (gobmk, povray) = (benchmark("Gobmk").unwrap(), benchmark("Povray").unwrap());
         let pages = |w: &PreparedWorkload| w.contiguity().total_pages();
+        let loaded = |_: AgedMachine| -> u64 { panic!("a machine cell of the broken machine ran") };
         for jobs in [1, 2] {
             let cells = vec![
+                SweepCell::on_machine("age-fail/machine-0", &broken, 0, loaded),
                 SweepCell::new("age-fail/gobmk-0", &broken, &gobmk, 0, pages),
                 SweepCell::new("age-fail/povray-0", &broken, &povray, 0, pages),
                 SweepCell::new("age-fail/healthy", &healthy, &gobmk, 0, pages),
                 SweepCell::new("age-fail/gobmk-1", &broken, &gobmk, 0, pages),
                 SweepCell::new("age-fail/povray-1", &broken, &povray, 0, pages),
+                SweepCell::on_machine("age-fail/machine-1", &broken, 0, loaded),
             ];
             let mut outcomes = run_cells_outcomes(cells, jobs);
             let _ = take_metrics();
-            let healthy = outcomes.remove(2);
+            let healthy = outcomes.remove(3);
             assert!(matches!(healthy, CellOutcome::Ok(pages) if pages > 0), "jobs {jobs}");
             let reasons: Vec<String> = outcomes
                 .into_iter()
@@ -1174,7 +1204,7 @@ mod tests {
             (0..4u64)
                 .map(|i| {
                     let r = Arc::clone(runs);
-                    SweepTask::new(format!("jrnl/t{i}"), 0, move || {
+                    SweepCell::task(format!("jrnl/t{i}"), 0, move || {
                         r.fetch_add(1, Ordering::SeqCst);
                         i * 100
                     })
@@ -1185,7 +1215,7 @@ mod tests {
         let journal =
             Journal::open(&dir, "jrnl", "cafe0001".to_string(), false).unwrap();
         let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
-        let first = expect_all(run_tasks_sweep(make_tasks(&runs), &opts));
+        let first = expect_all(run_cells_sweep(make_tasks(&runs), &opts));
         let _ = take_metrics();
         assert_eq!(first, vec![0, 100, 200, 300]);
         assert_eq!(runs.load(Ordering::SeqCst), 4);
@@ -1197,7 +1227,7 @@ mod tests {
             Journal::open(&dir, "jrnl", "cafe0001".to_string(), true).unwrap();
         assert_eq!(journal.open_report().replayed, 4);
         let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
-        let second = expect_all(run_tasks_sweep(make_tasks(&runs), &opts));
+        let second = expect_all(run_cells_sweep(make_tasks(&runs), &opts));
         let _ = take_metrics();
         assert_eq!(second, first);
         assert_eq!(runs.load(Ordering::SeqCst), 4, "no cell re-ran");
@@ -1211,12 +1241,12 @@ mod tests {
         let dir = TestDir::new("runner-relabel");
         let tasks = |prefix: &'static str| {
             (0..4u64)
-                .map(move |i| SweepTask::new(format!("{prefix}/t{i}"), 0, move || i))
+                .map(move |i| SweepCell::task(format!("{prefix}/t{i}"), 0, move || i))
                 .collect::<Vec<_>>()
         };
         let journal = Journal::open(&dir, "relabel", "cafe0002".to_string(), false).unwrap();
         let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
-        expect_all(run_tasks_sweep(tasks("old"), &opts));
+        expect_all(run_cells_sweep(tasks("old"), &opts));
         let _ = take_metrics();
         assert_eq!(journal.swept(), (0, 4));
 
@@ -1228,7 +1258,7 @@ mod tests {
         cells.truncate(2);
         cells.extend(tasks("new").into_iter().skip(2));
         let opts = SweepOptions { jobs: 2, journal: Some(&journal) };
-        assert_eq!(expect_all(run_tasks_sweep(cells, &opts)), vec![0, 1, 2, 3]);
+        assert_eq!(expect_all(run_cells_sweep(cells, &opts)), vec![0, 1, 2, 3]);
         let _ = take_metrics();
         assert_eq!(journal.swept(), (2, 2), "relabelled records replay nothing");
         assert_eq!(journal.appended(), 2);

@@ -4,7 +4,7 @@
 # (EXPERIMENTS.md's three documented commands rerun cold, byte-identical
 # to the committed results/sim_experiments.txt,
 # results/contiguity_and_ablation.txt and results/extensions.txt), a
-# quick 4-core SMP smoke run,
+# quick 4-core SMP smoke run (one aged machine per sweep),
 # a fault-injection pressure smoke (sweep plus oracle fuzz under a
 # seeded fault plan), a crash-recovery smoke (kill a sweep
 # mid-run, --resume, diff against an uninterrupted reference), a
@@ -93,6 +93,11 @@ same_as_committed() {
     fi
 }
 
+# The first value of a numeric member in a result file.
+json_field() {
+    grep -o "\"$1\": [0-9.]*" "$2" | head -n1 | awk '{print $2}'
+}
+
 # Paper-table gate: EXPERIMENTS.md's three documented commands, rerun
 # cold in a scratch directory. Their tables (everything above the timing
 # footer, "== Sweep throughput") must equal the committed
@@ -137,6 +142,14 @@ if ! grep -q '"mode": "tagged"' "$SMP_DIR/results/BENCH_smp.json"; then
     exit 1
 fi
 same_as_committed BENCH_smp.json "$SMP_DIR"
+# smp_mix and smp_scaling are a sweep each, and every cell of both is a
+# machine cell of the default scenario: each sweep ages that machine
+# once, and the cells load their mixes on copies of it.
+smp_aged=$(json_field machines_aged "$SMP_DIR/results/BENCH_sweep.json")
+if [[ "$smp_aged" != "2" ]]; then
+    echo "FAIL: the SMP smoke aged ${smp_aged:-no} machine(s), expected 2 (one per sweep)" >&2
+    exit 1
+fi
 
 # Fault-injection smoke: a quick pressure sweep with a seeded fault
 # plan. Every cell must complete (panic isolation reports failures in
@@ -308,9 +321,6 @@ echo "storage-fault crash smoke passed (resume byte-identical under injected ENO
 # the other three fig18 configurations: 2 recordings, 6 replays.
 SWEEP_ARGS=(--quick --bench Gobmk,Bzip2 fig18 fig7-9 --csv)
 echo "== snapshot-cache smoke: cold vs warm sweep =="
-json_field() {
-    grep -o "\"$1\": [0-9.]*" "$2" | head -n1 | awk '{print $2}'
-}
 for run in cold warm serial; do
     jobs=$(nproc)
     [[ "$run" == serial ]] && jobs=1
