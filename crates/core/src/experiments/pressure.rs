@@ -23,16 +23,20 @@
 //! fsynced to `results/journal/pressure.jsonl` and `--resume` replays
 //! them.
 //!
-//! With `--cores N` (N > 1) an SMP leg rides along: the light
-//! eight-benchmark mix on N ASID-tagged cores, with the fault plan
-//! installed in the shared kernel *after* preparation, so kernel churn
-//! degrades (and OOM-kills) live under cross-core shootdown traffic.
+//! With `--cores N` (N > 1) an SMP leg rides along in the same sweep:
+//! the light eight-benchmark mix on N ASID-tagged cores, loaded on the
+//! default machine the clean single-core cells share, with the fault
+//! plan installed in the shared kernel *after* preparation, so kernel
+//! churn degrades (and OOM-kills) live under cross-core shootdown
+//! traffic.
 
 use super::smp::{window_cell, MIX_LIGHT};
 use super::{ExperimentOptions, ExperimentOutput};
 use crate::check::check_configs;
 use crate::report::Table;
+use crate::journal::JournalPayload;
 use crate::runner::{self, CellOutcome, SweepCell};
+use crate::sim::SimResult;
 use colt_os_mem::faults::FaultConfig;
 use colt_os_mem::kernel::KernelStats;
 use colt_os_mem::policy::PolicyKind;
@@ -82,7 +86,7 @@ pub struct SmpPressureRow {
     pub kernel: KernelStats,
 }
 
-impl crate::journal::JournalPayload for SmpPressureRow {
+impl JournalPayload for SmpPressureRow {
     fn encode(&self) -> String {
         let e = crate::journal::Enc::new("smpress2")
             .f(self.rate)
@@ -103,6 +107,30 @@ impl crate::journal::JournalPayload for SmpPressureRow {
             kernel: crate::journal::dec_kernel(&mut d)?,
         };
         d.exhausted().then_some(row)
+    }
+}
+
+/// What one cell of the sweep measured: a single-core cell's
+/// simulation and preparation-phase kernel counters, or an SMP leg row.
+/// Both legs are one sweep, so the machine they share is aged once.
+enum PressureCell {
+    Single((SimResult, KernelStats)),
+    Smp(SmpPressureRow),
+}
+
+/// Journaled as its leg's own payload (`simker2` or `smpress2`), so a
+/// journal written while the legs were two sweeps still replays.
+impl JournalPayload for PressureCell {
+    fn encode(&self) -> String {
+        match self {
+            PressureCell::Single(pair) => pair.encode(),
+            PressureCell::Smp(row) => row.encode(),
+        }
+    }
+    fn decode(s: &str) -> Option<Self> {
+        JournalPayload::decode(s)
+            .map(PressureCell::Single)
+            .or_else(|| SmpPressureRow::decode(s).map(PressureCell::Smp))
     }
 }
 
@@ -175,7 +203,7 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
     let configs = check_configs();
 
     let mut meta: Vec<(String, String, f64)> = Vec::new();
-    let mut cells: Vec<SweepCell<(crate::sim::SimResult, KernelStats)>> = Vec::new();
+    let mut cells: Vec<SweepCell<PressureCell>> = Vec::new();
     for spec in &specs {
         for &rate in &rates {
             let scenario = scenario_for(rate, base_cfg, opts.policy);
@@ -184,32 +212,36 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
                 let cfg = opts.sim(*tlb_cfg);
                 meta.push((spec.name.to_string(), cname.clone(), rate));
                 cells.push(SweepCell::sim_then(label, &scenario, spec, cfg, |w, sim| {
-                    (sim, w.kernel.stats())
+                    PressureCell::Single((sim, w.kernel.stats()))
                 }));
             }
         }
     }
-
-    let mut report = PressureReport::default();
-    for (outcome, (bench, cname, rate)) in
-        runner::run_cells_sweep(cells, &opts.sweep()).into_iter().zip(meta)
-    {
-        if let Some((sim, kernel)) = ok_or_record(outcome, &mut report.failures) {
-            report.rows.push(PressureRow {
-                benchmark: bench,
-                config: cname,
-                rate,
-                accesses: sim.tlb.accesses,
-                l1_misses: sim.tlb.l1_misses,
-                walks: sim.tlb.l2_misses,
-                walk_cycles: sim.walk_cycles,
-                kernel,
-            });
-        }
+    if opts.cores > 1 {
+        cells.extend(smp_cells(opts, base_cfg, &rates));
     }
 
-    if opts.cores > 1 {
-        run_smp_leg(opts, base_cfg, &rates, &mut report);
+    let mut report = PressureReport::default();
+    // The single-core cells come first, in `meta` order.
+    let metas = meta.into_iter().map(Some).chain(std::iter::repeat(None));
+    for (outcome, meta) in runner::run_cells_sweep(cells, &opts.sweep()).into_iter().zip(metas) {
+        match ok_or_record(outcome, &mut report.failures) {
+            Some(PressureCell::Single((sim, kernel))) => {
+                let (bench, cname, rate) = meta.expect("a single-core cell");
+                report.rows.push(PressureRow {
+                    benchmark: bench,
+                    config: cname,
+                    rate,
+                    accesses: sim.tlb.accesses,
+                    l1_misses: sim.tlb.l1_misses,
+                    walks: sim.tlb.l2_misses,
+                    walk_cycles: sim.walk_cycles,
+                    kernel,
+                });
+            }
+            Some(PressureCell::Smp(row)) => report.smp_rows.push(row),
+            None => {}
+        }
     }
 
     let mut tables = vec![sweep_table(&report, base_cfg)];
@@ -222,38 +254,29 @@ pub fn run(opts: &ExperimentOptions) -> (PressureReport, ExperimentOutput) {
     (report, ExperimentOutput { id: "pressure", tables })
 }
 
-/// The SMP leg: the light mix at `opts.cores` tagged cores per
+/// The SMP leg's cells: the light mix at `opts.cores` tagged cores per
 /// intensity, fault plan armed after preparation.
-fn run_smp_leg(
-    opts: &ExperimentOptions,
+fn smp_cells<'a>(
+    opts: &'a ExperimentOptions,
     base_cfg: FaultConfig,
-    rates: &[f64],
-    report: &mut PressureReport,
-) {
+    rates: &'a [f64],
+) -> impl Iterator<Item = SweepCell<PressureCell>> + 'a {
     let cores = opts.cores;
-    let cells = rates
-        .iter()
-        .map(|&rate| {
-            let label = format!("pressure/smp/{cores}c/r{rate:.3}");
-            let faults = (rate > 0.0).then_some(FaultConfig { rate, ..base_cfg });
-            window_cell(label, opts, &MIX_LIGHT, cores, true, faults, move |machine| {
-                let agg = machine.result().aggregate();
-                SmpPressureRow {
-                    rate,
-                    cores,
-                    accesses: agg.counters.accesses,
-                    walks: agg.tlb.l2_misses,
-                    ipis_sent: agg.counters.ipis_sent,
-                    kernel: machine.kernel_stats(),
-                }
+    rates.iter().map(move |&rate| {
+        let label = format!("pressure/smp/{cores}c/r{rate:.3}");
+        let faults = (rate > 0.0).then_some(FaultConfig { rate, ..base_cfg });
+        window_cell(label, opts, &MIX_LIGHT, cores, true, faults, move |machine| {
+            let agg = machine.result().aggregate();
+            PressureCell::Smp(SmpPressureRow {
+                rate,
+                cores,
+                accesses: agg.counters.accesses,
+                walks: agg.tlb.l2_misses,
+                ipis_sent: agg.counters.ipis_sent,
+                kernel: machine.kernel_stats(),
             })
         })
-        .collect();
-    for outcome in runner::run_cells_sweep(cells, &opts.sweep()) {
-        if let Some(row) = ok_or_record(outcome, &mut report.failures) {
-            report.smp_rows.push(row);
-        }
-    }
+    })
 }
 
 /// Walks eliminated vs the baseline TLB at the *same* (benchmark,

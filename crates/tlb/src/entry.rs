@@ -1,6 +1,7 @@
-//! TLB entry types: coalesced runs, set-associative entries with valid
-//! bitmaps (CoLT-SA, paper §4.1.3 / Figure 4), and fully-associative
-//! range entries (CoLT-FA, §4.2.2 / Figure 5).
+//! TLB entries: coalesced runs, and the one entry type every TLB
+//! structure holds — a run with its kind and address-space tag, which
+//! is both CoLT-SA's valid-bitmap entry (paper §4.1.3 / Figure 4) and
+//! CoLT-FA's range entry (§4.2.2 / Figure 5).
 
 use colt_os_mem::addr::{Asid, Pfn, Vpn, SUPERPAGE_PAGES};
 use colt_os_mem::page_table::PteFlags;
@@ -161,106 +162,33 @@ impl CoalescedRun {
     }
 }
 
-/// An entry of a (possibly coalescing) set-associative TLB. The hardware
-/// form (Figure 4) is tag bits + one valid bit per slot + base PPN +
-/// shared attributes; because coalesced runs are contiguous, that is
-/// exactly a [`CoalescedRun`] confined to one index group, which is how we
-/// store it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SaEntry {
-    run: CoalescedRun,
-    asid: Asid,
-}
-
-impl SaEntry {
-    /// Wraps a run, checking it fits a single `2^shift` index group.
-    /// The entry is untagged (ASID 0 — the shared global tag used when
-    /// the hierarchy runs in full-flush mode).
-    ///
-    /// # Panics
-    /// Panics when the run crosses a group boundary — hardware could not
-    /// represent it in one entry.
-    pub fn new(run: CoalescedRun, shift: u32) -> Self {
-        Self::new_tagged(run, shift, Asid(0))
-    }
-
-    /// Wraps a run with an explicit ASID tag (SMP tagged mode).
-    ///
-    /// # Panics
-    /// Panics when the run crosses a group boundary.
-    pub fn new_tagged(run: CoalescedRun, shift: u32, asid: Asid) -> Self {
-        assert!(
-            run.fits_group(shift),
-            "run {run:?} does not fit one 2^{shift} group"
-        );
-        Self { run, asid }
-    }
-
-    /// The address-space tag (ASID 0 in untagged mode).
-    pub fn asid(&self) -> Asid {
-        self.asid
-    }
-
-    /// The underlying run.
-    pub fn run(&self) -> CoalescedRun {
-        self.run
-    }
-
-    /// The group number (tag + index bits) for a TLB with `2^shift`-page
-    /// groups.
-    pub fn group(&self, shift: u32) -> u64 {
-        self.run.group(shift)
-    }
-
-    /// The valid bitmap over the group's slots (bit `i` = slot `i` holds a
-    /// translation), as the hardware would store it.
-    pub fn valid_bits(&self, shift: u32) -> u8 {
-        let first = (self.run.start_vpn.raw() & ((1 << shift) - 1)) as u32;
-        let mut bits = 0u8;
-        for i in 0..self.run.len as u32 {
-            bits |= 1 << (first + i);
-        }
-        bits
-    }
-
-    /// Looks up `vpn`: tag/group match, valid-bit select, then PPN
-    /// generation (base PPN + distance from the first set valid bit,
-    /// §4.1.3 steps a/b).
-    pub fn lookup(&self, vpn: Vpn) -> Option<Pfn> {
-        self.run.translate(vpn)
-    }
-
-    /// Shared attribute bits.
-    pub fn flags(&self) -> PteFlags {
-        self.run.flags
-    }
-
-    /// Number of coalesced translations.
-    pub fn coalesced_len(&self) -> u64 {
-        self.run.len
-    }
-}
-
-/// What a fully-associative entry holds: a coalesced range or a superpage.
+/// What an entry holds: a coalesced run of base pages or a superpage.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RangeKind {
-    /// A CoLT coalesced range of base pages.
+    /// A CoLT coalesced run of base pages (one page when uncoalesced).
     Coalesced,
-    /// A 2MB superpage entry (the structure's original occupant).
+    /// A 2MB superpage entry (the fully-associative TLB's original
+    /// occupant).
     Superpage,
 }
 
-/// An entry of the fully-associative (superpage) TLB: base VPN tag,
-/// coalescing length, base PPN, shared attributes (Figure 5).
+/// An entry of any TLB structure: a run of translations, its kind and
+/// its address-space tag. Both hardware forms store a run. CoLT-SA's
+/// entry (Figure 4) is tag bits, one valid bit per slot of its index
+/// group, a base PPN and shared attributes: a coalesced run confined to
+/// one group, which the set-associative TLB checks on insertion.
+/// CoLT-FA's (Figure 5) is a base VPN tag, a coalescing length, a base
+/// PPN and shared attributes: a coalesced run or a superpage.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RangeEntry {
+pub struct TlbEntry {
     run: CoalescedRun,
     kind: RangeKind,
     asid: Asid,
 }
 
-impl RangeEntry {
-    /// A coalesced range entry, untagged (ASID 0).
+impl TlbEntry {
+    /// A coalesced entry, untagged (ASID 0 — the shared global tag used
+    /// when the hierarchy runs in full-flush mode).
     ///
     /// # Panics
     /// Panics if the run exceeds [`MAX_RANGE_LEN`].
@@ -268,7 +196,7 @@ impl RangeEntry {
         Self::coalesced_tagged(run, Asid(0))
     }
 
-    /// A coalesced range entry with an explicit ASID tag.
+    /// A coalesced entry with an explicit ASID tag (SMP tagged mode).
     ///
     /// # Panics
     /// Panics if the run exceeds [`MAX_RANGE_LEN`].
@@ -308,29 +236,40 @@ impl RangeEntry {
         self.run
     }
 
-    /// Coalesced range or superpage.
+    /// Coalesced run or superpage.
     pub fn kind(&self) -> RangeKind {
         self.kind
     }
 
-    /// Range-check lookup (Figure 5 step a) plus PPN generation (step b).
+    /// Looks up `vpn`: the range check (Figure 5 step a; a tag match
+    /// and valid-bit select in Figure 4) plus PPN generation, the base
+    /// PPN plus the distance from the base VPN (§4.1.3, §4.2.2).
     pub fn lookup(&self, vpn: Vpn) -> Option<Pfn> {
         self.run.translate(vpn)
     }
 
-    /// Shared attribute bits.
-    pub fn flags(&self) -> PteFlags {
-        self.run.flags
+    /// The valid bitmap over the slots of a `2^shift`-page index group
+    /// (bit `i` = slot `i` holds a translation), as CoLT-SA's hardware
+    /// stores it. Meaningful for an entry that fits one group.
+    pub fn valid_bits(&self, shift: u32) -> u8 {
+        let first = (self.run.start_vpn.raw() & ((1 << shift) - 1)) as u32;
+        let mut bits = 0u8;
+        for i in 0..self.run.len as u32 {
+            bits |= 1 << (first + i);
+        }
+        bits
     }
 
-    /// Attempts to merge a *coalesced* entry with another coalesced run
-    /// (superpage entries never merge). The merged entry keeps this
-    /// entry's ASID tag; tagged containers only offer same-ASID runs.
-    pub fn try_merge(&self, other: &CoalescedRun) -> Option<RangeEntry> {
-        if self.kind != RangeKind::Coalesced {
+    /// Merges two coalesced entries of one tag whose runs form one
+    /// contiguous, consistent run (superpage entries never merge).
+    pub fn try_merge(&self, other: &TlbEntry) -> Option<TlbEntry> {
+        if self.kind != RangeKind::Coalesced
+            || other.kind != RangeKind::Coalesced
+            || self.asid != other.asid
+        {
             return None;
         }
-        self.run.try_union(other).map(|u| RangeEntry::coalesced_tagged(u, self.asid))
+        self.run.try_union(&other.run).map(|u| TlbEntry::coalesced_tagged(u, self.asid))
     }
 }
 
@@ -453,17 +392,17 @@ mod tests {
     #[test]
     fn sa_entry_valid_bits_match_slots() {
         // Run covering slots 1..3 of a 4-slot group (vpns 9,10 of group 8..12).
-        let e = SaEntry::new(run(9, 109, 2), 2);
+        let e = TlbEntry::coalesced(run(9, 109, 2));
         assert_eq!(e.valid_bits(2), 0b0110);
-        assert_eq!(e.group(2), 2);
+        assert_eq!(e.run().group(2), 2);
         assert_eq!(e.lookup(Vpn::new(10)), Some(Pfn::new(110)));
         assert_eq!(e.lookup(Vpn::new(8)), None);
-        assert_eq!(e.coalesced_len(), 2);
+        assert_eq!(e.run().len, 2);
     }
 
     #[test]
     fn sa_entry_full_group() {
-        let e = SaEntry::new(run(8, 200, 4), 2);
+        let e = TlbEntry::coalesced(run(8, 200, 4));
         assert_eq!(e.valid_bits(2), 0b1111);
         for i in 0..4 {
             assert_eq!(e.lookup(Vpn::new(8 + i)), Some(Pfn::new(200 + i)));
@@ -471,14 +410,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not fit")]
-    fn sa_entry_rejects_group_crossing_run() {
-        let _ = SaEntry::new(run(9, 0, 4), 2);
-    }
-
-    #[test]
     fn range_entry_superpage_requires_alignment() {
-        let e = RangeEntry::superpage(Vpn::new(512), Pfn::new(1024), flags());
+        let e = TlbEntry::superpage(Vpn::new(512), Pfn::new(1024), flags());
         assert_eq!(e.kind(), RangeKind::Superpage);
         assert_eq!(e.lookup(Vpn::new(512 + 100)), Some(Pfn::new(1124)));
         assert_eq!(e.run().len, 512);
@@ -487,21 +420,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "misaligned")]
     fn misaligned_superpage_entry_panics() {
-        let _ = RangeEntry::superpage(Vpn::new(5), Pfn::new(1024), flags());
+        let _ = TlbEntry::superpage(Vpn::new(5), Pfn::new(1024), flags());
     }
 
     #[test]
     fn superpage_entries_never_merge() {
-        let sp = RangeEntry::superpage(Vpn::new(512), Pfn::new(1024), flags());
+        let sp = TlbEntry::superpage(Vpn::new(512), Pfn::new(1024), flags());
         let adjacent = CoalescedRun::new(Vpn::new(1024), Pfn::new(1536), 4, flags());
-        assert!(sp.try_merge(&adjacent).is_none());
+        assert!(sp.try_merge(&TlbEntry::coalesced(adjacent)).is_none());
     }
 
     #[test]
     fn coalesced_entries_merge_with_adjacent_runs() {
-        let e = RangeEntry::coalesced(run(16, 300, 8));
-        let merged = e.try_merge(&run(24, 308, 8)).unwrap();
+        let e = TlbEntry::coalesced(run(16, 300, 8));
+        let merged = e.try_merge(&TlbEntry::coalesced(run(24, 308, 8))).unwrap();
         assert_eq!(merged.run(), run(16, 300, 16));
         assert_eq!(merged.kind(), RangeKind::Coalesced);
+        let other_tag = TlbEntry::coalesced_tagged(run(24, 308, 8), Asid(1));
+        assert!(e.try_merge(&other_tag).is_none(), "entries of two tags never merge");
     }
 }

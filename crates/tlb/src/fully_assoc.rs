@@ -1,4 +1,5 @@
-//! Fully-associative range TLB (CoLT-FA, paper §4.2 / Figure 5).
+//! Fully-associative range TLB (CoLT-FA, paper §4.2 / Figure 5), and the
+//! one entry list every TLB structure is built from.
 //!
 //! The small fully-associative structure processors dedicate to
 //! superpages, extended with range-check lookup so each entry can cover
@@ -8,61 +9,33 @@
 //!
 //! The entries are one list in recency order, MRU first, allocated at
 //! full capacity up front. A hit moves the entries ahead of it down one
-//! slot; a victim is chosen from the resident lengths in place.
+//! slot; a victim is chosen from the resident lengths in place. Each set
+//! of a [`SetAssocTlb`](crate::set_assoc::SetAssocTlb) is one such list,
+//! `ways` entries long, so every list operation lives here.
 
-use crate::entry::{CoalescedRun, RangeEntry, RangeKind};
+use crate::entry::{CoalescedRun, RangeKind, TlbEntry};
 use crate::replacement::{promote, ReplacementPolicy};
+use crate::stats::StructureStats;
 use colt_os_mem::addr::{Asid, Pfn, Vpn};
-use colt_os_mem::page_table::PteFlags;
-
-/// A hit in the fully-associative TLB.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FaHit {
-    /// The translated frame.
-    pub pfn: Pfn,
-    /// Attribute bits.
-    pub flags: PteFlags,
-    /// Length of the hit range (512 for superpages).
-    pub entry_len: u64,
-    /// Whether the hit entry was a superpage.
-    pub superpage: bool,
-}
-
-/// Per-structure counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct FaStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
-    /// Fills absorbed by resident-entry merging.
-    pub merges: u64,
-    /// Entries evicted by replacement.
-    pub evictions: u64,
-    /// Entries removed by invalidation.
-    pub invalidations: u64,
-}
 
 /// The fully-associative range TLB with LRU replacement.
 ///
 /// ```
 /// use colt_tlb::fully_assoc::FullyAssocTlb;
-/// use colt_tlb::entry::{CoalescedRun, RangeEntry};
+/// use colt_tlb::entry::{CoalescedRun, TlbEntry};
 /// use colt_os_mem::addr::{Pfn, Vpn};
 /// use colt_os_mem::page_table::PteFlags;
 /// let mut tlb = FullyAssocTlb::new(8);
 /// let run = CoalescedRun::new(Vpn::new(100), Pfn::new(700), 20, PteFlags::user_data());
-/// tlb.insert(RangeEntry::coalesced(run));
-/// assert_eq!(tlb.lookup(Vpn::new(119)).unwrap().pfn, Pfn::new(719));
+/// tlb.insert(TlbEntry::coalesced(run));
+/// assert_eq!(tlb.lookup(Vpn::new(119)).unwrap().0, Pfn::new(719));
 /// ```
 #[derive(Clone, Debug)]
 pub struct FullyAssocTlb {
-    entries: Vec<RangeEntry>, // MRU-first
+    entries: Vec<TlbEntry>, // MRU-first
     capacity: usize,
     policy: ReplacementPolicy,
-    stats: FaStats,
+    stats: StructureStats,
 }
 
 impl FullyAssocTlb {
@@ -76,11 +49,11 @@ impl FullyAssocTlb {
             entries: Vec::with_capacity(capacity),
             capacity,
             policy: ReplacementPolicy::Lru,
-            stats: FaStats::default(),
+            stats: StructureStats::default(),
         }
     }
 
-    /// Sets the victim-selection policy (§4.2.3 future work).
+    /// Sets the victim-selection policy (§4.1.5/§4.2.3 future work).
     #[must_use]
     pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
         self.policy = policy;
@@ -93,35 +66,32 @@ impl FullyAssocTlb {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> FaStats {
+    pub fn stats(&self) -> StructureStats {
         self.stats
     }
 
     /// Looks up `vpn` by range check against every entry, updating LRU
-    /// order and counters. Frequently accessed superpage entries thus
-    /// stay at the head of the LRU list, which is what keeps them from
-    /// being evicted by coalesced traffic (§4.2.1).
-    pub fn lookup(&mut self, vpn: Vpn) -> Option<FaHit> {
+    /// order and counters, and returns the frame with the hit entry.
+    /// Frequently accessed superpage entries thus stay at the head of
+    /// the LRU list, which is what keeps them from being evicted by
+    /// coalesced traffic (§4.2.1). Untagged entry point: matches only
+    /// ASID-0 entries, which in full-flush mode is every entry.
+    pub fn lookup(&mut self, vpn: Vpn) -> Option<(Pfn, TlbEntry)> {
         self.lookup_tagged(vpn, Asid(0))
     }
 
     /// ASID-selective lookup (SMP tagged mode): only entries tagged
-    /// `asid` can hit.
-    pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<FaHit> {
+    /// `asid` can hit, so stale translations of a descheduled address
+    /// space are invisible without a flush.
+    pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<(Pfn, TlbEntry)> {
         for (pos, &entry) in self.entries.iter().enumerate() {
             if entry.asid() != asid {
                 continue;
             }
             if let Some(pfn) = entry.lookup(vpn) {
-                let hit = FaHit {
-                    pfn,
-                    flags: entry.flags(),
-                    entry_len: entry.run().len,
-                    superpage: entry.kind() == RangeKind::Superpage,
-                };
                 promote(&mut self.entries, pos);
                 self.stats.hits += 1;
-                return Some(hit);
+                return Some((pfn, entry));
             }
         }
         self.stats.misses += 1;
@@ -133,14 +103,9 @@ impl FullyAssocTlb {
         self.entries.iter().find_map(|e| e.lookup(vpn))
     }
 
-    /// ASID-selective probe: no LRU or counter side effects.
-    pub fn probe_tagged(&self, vpn: Vpn, asid: Asid) -> Option<Pfn> {
-        self.entries.iter().filter(|e| e.asid() == asid).find_map(|e| e.lookup(vpn))
-    }
-
-    /// Inserts an entry, evicting the LRU entry when full. Returns the
-    /// evicted entry, if any.
-    pub fn insert(&mut self, entry: RangeEntry) -> Option<RangeEntry> {
+    /// Inserts an entry, evicting a victim per the policy (the LRU
+    /// entry by default) when full. Returns the evicted entry, if any.
+    pub fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
         self.stats.insertions += 1;
         if self.entries.len() < self.capacity {
             self.entries.insert(0, entry);
@@ -154,10 +119,36 @@ impl FullyAssocTlb {
         Some(evicted)
     }
 
-    /// Gracefully uncoalesces on invalidation: coalesced ranges covering
-    /// `vpn` lose only the victim translation, splitting into remnants;
-    /// superpage entries are still flushed whole (a 2MB invalidation is a
-    /// 2MB invalidation). Returns the number of entries affected.
+    /// Inserts `entry`, or merges it into the first resident of its tag
+    /// (MRU order) that it continues, if `fits` accepts their union: the
+    /// merged entry keeps the resident's slot and is promoted, and the
+    /// fill counts as an insertion and a merge. The set-associative
+    /// insertion rule, with `fits` the index-group check (§4.1.2).
+    /// Returns the evicted entry, if any.
+    pub(crate) fn insert_or_merge(
+        &mut self,
+        entry: TlbEntry,
+        fits: impl Fn(&CoalescedRun) -> bool,
+    ) -> Option<TlbEntry> {
+        let merge = self.entries.iter().enumerate().find_map(|(pos, resident)| {
+            let merged = resident.try_merge(&entry).filter(|m| fits(&m.run()))?;
+            Some((pos, merged))
+        });
+        let Some((pos, merged)) = merge else {
+            return self.insert(entry);
+        };
+        self.entries[pos] = merged;
+        promote(&mut self.entries, pos);
+        self.stats.insertions += 1;
+        self.stats.merges += 1;
+        None
+    }
+
+    /// Gracefully uncoalesces on invalidation (§4.1.5 future work):
+    /// coalesced entries covering `vpn` lose only the victim translation,
+    /// splitting into remnants that stay resident; superpage entries are
+    /// still flushed whole (a 2MB invalidation is a 2MB invalidation).
+    /// Returns the number of entries affected.
     pub fn invalidate_graceful(&mut self, vpn: Vpn) -> usize {
         self.invalidate_graceful_filtered(vpn, None)
     }
@@ -182,6 +173,7 @@ impl FullyAssocTlb {
             if entry.kind() == RangeKind::Superpage {
                 continue;
             }
+            // Remnants re-enter at the same recency position.
             let (left, right) = entry.run().split_at(vpn).expect("lookup hit");
             let mut insert_at = pos;
             for remnant in [left, right].into_iter().flatten() {
@@ -207,7 +199,7 @@ impl FullyAssocTlb {
                 }
                 self.entries.insert(
                     insert_at.min(self.entries.len()),
-                    RangeEntry::coalesced_tagged(remnant, entry.asid()),
+                    TlbEntry::coalesced_tagged(remnant, entry.asid()),
                 );
                 insert_at += 1;
             }
@@ -223,7 +215,7 @@ impl FullyAssocTlb {
     /// run can bridge two residents.
     ///
     /// Returns the evicted entry if insertion displaced one.
-    pub fn insert_coalesced_with_merge(&mut self, run: CoalescedRun) -> Option<RangeEntry> {
+    pub fn insert_coalesced_with_merge(&mut self, run: CoalescedRun) -> Option<TlbEntry> {
         self.insert_coalesced_with_merge_tagged(run, Asid(0))
     }
 
@@ -234,48 +226,37 @@ impl FullyAssocTlb {
         &mut self,
         run: CoalescedRun,
         asid: Asid,
-    ) -> Option<RangeEntry> {
-        let mut acc = run;
+    ) -> Option<TlbEntry> {
+        let mut acc = TlbEntry::coalesced_tagged(run, asid);
         loop {
-            let mut merged_any = false;
-            let mut pos = 0;
-            while pos < self.entries.len() {
-                if self.entries[pos].asid() == asid {
-                    if let Some(merged) = self.entries[pos].try_merge(&acc) {
-                        self.entries.remove(pos);
-                        acc = merged.run();
-                        self.stats.merges += 1;
-                        merged_any = true;
-                        continue;
-                    }
+            let before = self.entries.len();
+            self.entries.retain(|resident| match resident.try_merge(&acc) {
+                Some(merged) => {
+                    acc = merged;
+                    false
                 }
-                pos += 1;
-            }
-            if !merged_any {
+                None => true,
+            });
+            let merged = before - self.entries.len();
+            if merged == 0 {
                 break;
             }
+            self.stats.merges += merged as u64;
         }
-        self.insert(RangeEntry::coalesced_tagged(acc, asid))
+        self.insert(acc)
     }
 
-    /// Invalidates every entry covering `vpn` (whole ranges are flushed,
-    /// §4.2.3). Returns the number removed.
+    /// Invalidates every entry covering `vpn`. Whole entries are
+    /// flushed, losing their sibling translations (§4.1.5, §4.2.3).
+    /// Returns the number removed.
     pub fn invalidate(&mut self, vpn: Vpn) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.lookup(vpn).is_none());
-        let removed = before - self.entries.len();
-        self.stats.invalidations += removed as u64;
-        removed
+        self.remove_where(|e| e.lookup(vpn).is_some())
     }
 
     /// Invalidates entries covering `vpn` that are tagged `asid` (remote
     /// shootdown in SMP tagged mode). Returns the number removed.
     pub fn invalidate_asid(&mut self, vpn: Vpn, asid: Asid) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.asid() != asid || e.lookup(vpn).is_none());
-        let removed = before - self.entries.len();
-        self.stats.invalidations += removed as u64;
-        removed
+        self.remove_where(|e| e.asid() == asid && e.lookup(vpn).is_some())
     }
 
     /// Flushes the whole TLB.
@@ -284,10 +265,17 @@ impl FullyAssocTlb {
         self.entries.clear();
     }
 
-    /// Flushes only entries tagged `asid`. Returns the number removed.
+    /// Flushes only entries tagged `asid` (process exit or ASID
+    /// recycling). Returns the number removed.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
+        self.remove_where(|e| e.asid() == asid)
+    }
+
+    /// Removes the entries `gone` selects, counting them as
+    /// invalidations. Returns the number removed.
+    fn remove_where(&mut self, gone: impl Fn(&TlbEntry) -> bool) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|e| e.asid() != asid);
+        self.entries.retain(|e| !gone(e));
         let removed = before - self.entries.len();
         self.stats.invalidations += removed as u64;
         removed
@@ -304,7 +292,7 @@ impl FullyAssocTlb {
     }
 
     /// Iterates live entries, MRU first.
-    pub fn iter(&self) -> impl Iterator<Item = &RangeEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
         self.entries.iter()
     }
 }
@@ -313,6 +301,7 @@ impl FullyAssocTlb {
 mod tests {
     use super::*;
     use crate::replacement::reference_victim;
+    use colt_os_mem::page_table::PteFlags;
     use colt_prng::rngs::SmallRng;
     use colt_prng::{Rng, SeedableRng};
 
@@ -327,9 +316,9 @@ mod tests {
     #[test]
     fn range_lookup_hits_anywhere_in_run() {
         let mut tlb = FullyAssocTlb::new(4);
-        tlb.insert(RangeEntry::coalesced(run(100, 700, 20)));
-        assert_eq!(tlb.lookup(Vpn::new(100)).unwrap().pfn, Pfn::new(700));
-        assert_eq!(tlb.lookup(Vpn::new(119)).unwrap().pfn, Pfn::new(719));
+        tlb.insert(TlbEntry::coalesced(run(100, 700, 20)));
+        assert_eq!(tlb.lookup(Vpn::new(100)).unwrap().0, Pfn::new(700));
+        assert_eq!(tlb.lookup(Vpn::new(119)).unwrap().0, Pfn::new(719));
         assert!(tlb.lookup(Vpn::new(120)).is_none());
         assert_eq!(tlb.stats().hits, 2);
         assert_eq!(tlb.stats().misses, 1);
@@ -338,10 +327,10 @@ mod tests {
     #[test]
     fn lru_eviction_when_full() {
         let mut tlb = FullyAssocTlb::new(2);
-        tlb.insert(RangeEntry::coalesced(run(0, 0, 4)));
-        tlb.insert(RangeEntry::coalesced(run(100, 100, 4)));
+        tlb.insert(TlbEntry::coalesced(run(0, 0, 4)));
+        tlb.insert(TlbEntry::coalesced(run(100, 100, 4)));
         tlb.lookup(Vpn::new(1)); // 0-run is MRU
-        let evicted = tlb.insert(RangeEntry::coalesced(run(200, 200, 4))).unwrap();
+        let evicted = tlb.insert(TlbEntry::coalesced(run(200, 200, 4))).unwrap();
         assert_eq!(evicted.run().start_vpn, Vpn::new(100));
     }
 
@@ -350,7 +339,7 @@ mod tests {
         // §4.2.1: hot superpages stay at the LRU head even when coalesced
         // entries stream through a tiny structure.
         let mut tlb = FullyAssocTlb::new(2);
-        tlb.insert(RangeEntry::superpage(Vpn::new(512), Pfn::new(1024), flags()));
+        tlb.insert(TlbEntry::superpage(Vpn::new(512), Pfn::new(1024), flags()));
         for i in 0..10 {
             tlb.lookup(Vpn::new(512 + i)); // keep the superpage hot
             tlb.insert_coalesced_with_merge(run(10_000 + 100 * i, 5_000 + 100 * i, 8));
@@ -396,7 +385,7 @@ mod tests {
     #[test]
     fn superpages_are_not_merge_targets() {
         let mut tlb = FullyAssocTlb::new(4);
-        tlb.insert(RangeEntry::superpage(Vpn::new(512), Pfn::new(512), flags()));
+        tlb.insert(TlbEntry::superpage(Vpn::new(512), Pfn::new(512), flags()));
         // Run physically continuing the superpage still does not merge.
         tlb.insert_coalesced_with_merge(run(1024, 1024, 4));
         assert_eq!(tlb.occupancy(), 2);
@@ -405,8 +394,8 @@ mod tests {
     #[test]
     fn invalidate_removes_covering_ranges() {
         let mut tlb = FullyAssocTlb::new(4);
-        tlb.insert(RangeEntry::coalesced(run(100, 700, 20)));
-        tlb.insert(RangeEntry::coalesced(run(300, 900, 4)));
+        tlb.insert(TlbEntry::coalesced(run(100, 700, 20)));
+        tlb.insert(TlbEntry::coalesced(run(300, 900, 4)));
         assert_eq!(tlb.invalidate(Vpn::new(110)), 1);
         assert!(tlb.probe(Vpn::new(100)).is_none(), "whole range flushed");
         assert!(tlb.probe(Vpn::new(301)).is_some());
@@ -415,8 +404,8 @@ mod tests {
     #[test]
     fn flush_and_occupancy() {
         let mut tlb = FullyAssocTlb::new(4);
-        tlb.insert(RangeEntry::coalesced(run(0, 0, 4)));
-        tlb.insert(RangeEntry::coalesced(run(10, 10, 4)));
+        tlb.insert(TlbEntry::coalesced(run(0, 0, 4)));
+        tlb.insert(TlbEntry::coalesced(run(10, 10, 4)));
         assert_eq!(tlb.occupancy(), 2);
         tlb.flush();
         assert_eq!(tlb.occupancy(), 0);
@@ -432,7 +421,7 @@ mod tests {
     #[test]
     fn graceful_invalidation_splits_ranges() {
         let mut tlb = FullyAssocTlb::new(4);
-        tlb.insert(RangeEntry::coalesced(run(100, 700, 20)));
+        tlb.insert(TlbEntry::coalesced(run(100, 700, 20)));
         assert_eq!(tlb.invalidate_graceful(Vpn::new(110)), 1);
         assert_eq!(tlb.probe(Vpn::new(109)), Some(Pfn::new(709)));
         assert_eq!(tlb.probe(Vpn::new(110)), None);
@@ -445,8 +434,8 @@ mod tests {
         // Regression: a full structure used to drop the second remnant of
         // a mid-run split silently instead of evicting per policy.
         let mut tlb = FullyAssocTlb::new(2);
-        tlb.insert(RangeEntry::coalesced(run(100, 700, 3)));
-        tlb.insert(RangeEntry::coalesced(run(200, 900, 1)));
+        tlb.insert(TlbEntry::coalesced(run(100, 700, 3)));
+        tlb.insert(TlbEntry::coalesced(run(200, 900, 1)));
         assert_eq!(tlb.invalidate_graceful(Vpn::new(101)), 1);
         assert_eq!(tlb.probe(Vpn::new(100)), Some(Pfn::new(700)));
         assert_eq!(tlb.probe(Vpn::new(101)), None, "victim gone");
@@ -462,7 +451,7 @@ mod tests {
     #[test]
     fn graceful_mid_split_in_capacity_one_keeps_first_remnant_only() {
         let mut tlb = FullyAssocTlb::new(1);
-        tlb.insert(RangeEntry::coalesced(run(100, 700, 3)));
+        tlb.insert(TlbEntry::coalesced(run(100, 700, 3)));
         tlb.invalidate_graceful(Vpn::new(101));
         assert_eq!(tlb.probe(Vpn::new(100)), Some(Pfn::new(700)));
         assert_eq!(tlb.probe(Vpn::new(101)), None);
@@ -474,7 +463,7 @@ mod tests {
     #[test]
     fn graceful_invalidation_flushes_whole_superpages() {
         let mut tlb = FullyAssocTlb::new(4);
-        tlb.insert(RangeEntry::superpage(Vpn::new(512), Pfn::new(512), flags()));
+        tlb.insert(TlbEntry::superpage(Vpn::new(512), Pfn::new(512), flags()));
         assert_eq!(tlb.invalidate_graceful(Vpn::new(600)), 1);
         assert_eq!(tlb.occupancy(), 0, "superpages cannot uncoalesce");
     }
@@ -484,9 +473,9 @@ mod tests {
         use crate::replacement::ReplacementPolicy;
         let mut tlb =
             FullyAssocTlb::new(2).with_policy(ReplacementPolicy::SmallestCoalescedFirst);
-        tlb.insert(RangeEntry::coalesced(run(0, 0, 64)));
-        tlb.insert(RangeEntry::coalesced(run(200, 200, 2)));
-        tlb.insert(RangeEntry::coalesced(run(400, 400, 8)));
+        tlb.insert(TlbEntry::coalesced(run(0, 0, 64)));
+        tlb.insert(TlbEntry::coalesced(run(200, 200, 2)));
+        tlb.insert(TlbEntry::coalesced(run(400, 400, 8)));
         assert!(tlb.probe(Vpn::new(10)).is_some(), "64-page range survives");
         assert!(tlb.probe(Vpn::new(200)).is_none(), "2-page range evicted");
     }
@@ -495,29 +484,24 @@ mod tests {
     /// ran in place: `remove` + `insert` on every hit and a candidate
     /// list per victim. Kept as the reference model.
     struct ReferenceFullyAssocTlb {
-        entries: Vec<RangeEntry>,
+        entries: Vec<TlbEntry>,
         capacity: usize,
         policy: ReplacementPolicy,
-        stats: FaStats,
+        stats: StructureStats,
     }
 
     impl ReferenceFullyAssocTlb {
         fn new(capacity: usize, policy: ReplacementPolicy) -> Self {
             let entries = Vec::with_capacity(capacity);
-            Self { entries, capacity, policy, stats: FaStats::default() }
+            Self { entries, capacity, policy, stats: StructureStats::default() }
         }
 
-        fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<FaHit> {
+        fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<(Pfn, TlbEntry)> {
             if let Some(pos) =
                 self.entries.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some())
             {
                 let entry = self.entries.remove(pos);
-                let hit = FaHit {
-                    pfn: entry.lookup(vpn).expect("position found by lookup"),
-                    flags: entry.flags(),
-                    entry_len: entry.run().len,
-                    superpage: entry.kind() == RangeKind::Superpage,
-                };
+                let hit = (entry.lookup(vpn).expect("position found by lookup"), entry);
                 self.entries.insert(0, entry);
                 self.stats.hits += 1;
                 return Some(hit);
@@ -526,7 +510,7 @@ mod tests {
             None
         }
 
-        fn insert(&mut self, entry: RangeEntry) -> Option<RangeEntry> {
+        fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
             self.stats.insertions += 1;
             let evicted = if self.entries.len() == self.capacity {
                 self.stats.evictions += 1;
@@ -585,7 +569,7 @@ mod tests {
                     }
                     self.entries.insert(
                         insert_at.min(self.entries.len()),
-                        RangeEntry::coalesced_tagged(remnant, entry.asid()),
+                        TlbEntry::coalesced_tagged(remnant, entry.asid()),
                     );
                     insert_at += 1;
                 }
@@ -598,14 +582,15 @@ mod tests {
             &mut self,
             run: CoalescedRun,
             asid: Asid,
-        ) -> Option<RangeEntry> {
+        ) -> Option<TlbEntry> {
             let mut acc = run;
             loop {
                 let mut merged_any = false;
                 let mut pos = 0;
                 while pos < self.entries.len() {
                     if self.entries[pos].asid() == asid {
-                        if let Some(merged) = self.entries[pos].try_merge(&acc) {
+                        let acc_entry = TlbEntry::coalesced_tagged(acc, asid);
+                        if let Some(merged) = self.entries[pos].try_merge(&acc_entry) {
                             self.entries.remove(pos);
                             acc = merged.run();
                             self.stats.merges += 1;
@@ -619,10 +604,10 @@ mod tests {
                     break;
                 }
             }
-            self.insert(RangeEntry::coalesced_tagged(acc, asid))
+            self.insert(TlbEntry::coalesced_tagged(acc, asid))
         }
 
-        fn retain(&mut self, keep: impl Fn(&RangeEntry) -> bool) -> usize {
+        fn retain(&mut self, keep: impl Fn(&TlbEntry) -> bool) -> usize {
             let before = self.entries.len();
             self.entries.retain(keep);
             let removed = before - self.entries.len();
@@ -665,9 +650,9 @@ mod tests {
                         40..=49 => {
                             let entry = if rng.gen_bool(0.2) {
                                 let base = Vpn::new(rng.gen_range(0..2u64) * 512);
-                                RangeEntry::superpage(base, Pfn::new(base.raw() + 4_096), flags())
+                                TlbEntry::superpage(base, Pfn::new(base.raw() + 4_096), flags())
                             } else {
-                                RangeEntry::coalesced(random_run(&mut rng))
+                                TlbEntry::coalesced(random_run(&mut rng))
                             };
                             recent[step % 8] = entry.run().start_vpn;
                             assert_eq!(tlb.insert(entry), reference.insert(entry));
@@ -732,10 +717,10 @@ mod tests {
     #[test]
     fn probe_does_not_disturb_lru() {
         let mut tlb = FullyAssocTlb::new(2);
-        tlb.insert(RangeEntry::coalesced(run(0, 0, 4)));
-        tlb.insert(RangeEntry::coalesced(run(100, 100, 4)));
+        tlb.insert(TlbEntry::coalesced(run(0, 0, 4)));
+        tlb.insert(TlbEntry::coalesced(run(100, 100, 4)));
         tlb.probe(Vpn::new(0));
-        let evicted = tlb.insert(RangeEntry::coalesced(run(200, 200, 4))).unwrap();
+        let evicted = tlb.insert(TlbEntry::coalesced(run(200, 200, 4))).unwrap();
         assert_eq!(evicted.run().start_vpn, Vpn::new(0), "probe must not promote");
     }
 }

@@ -12,11 +12,11 @@
 
 use crate::coalesce::coalesce_line_masked;
 use crate::config::{ColtMode, TlbConfig};
-use crate::entry::{CoalescedRun, RangeEntry};
-use crate::fully_assoc::{FaStats, FullyAssocTlb};
+use crate::entry::{CoalescedRun, TlbEntry};
+use crate::fully_assoc::FullyAssocTlb;
 use crate::prefetch::PrefetchBuffer;
-use crate::set_assoc::{SaStats, SetAssocTlb};
-use crate::stats::HierarchyStats;
+use crate::set_assoc::SetAssocTlb;
+use crate::stats::{HierarchyStats, StructureStats};
 use colt_os_mem::addr::{Asid, Pfn, Vpn};
 use colt_os_mem::page_table::{PteFlags, PteLine};
 
@@ -154,17 +154,17 @@ impl TlbHierarchy {
     }
 
     /// L1 structure counters.
-    pub fn l1_stats(&self) -> SaStats {
+    pub fn l1_stats(&self) -> StructureStats {
         self.l1.stats()
     }
 
     /// L2 structure counters.
-    pub fn l2_stats(&self) -> SaStats {
+    pub fn l2_stats(&self) -> StructureStats {
         self.l2.stats()
     }
 
     /// Superpage-TLB counters.
-    pub fn sp_stats(&self) -> FaStats {
+    pub fn sp_stats(&self) -> StructureStats {
         self.sp.stats()
     }
 
@@ -190,15 +190,12 @@ impl TlbHierarchy {
         let tag = self.tag();
         self.stats.accesses += 1;
         // L1 SA and superpage TLB are probed in parallel (§7.1.1).
+        // Both are looked up, since both LRUs move.
         let l1_hit = self.l1.lookup_tagged(vpn, tag);
         let sp_hit = self.sp.lookup_tagged(vpn, tag);
-        if let Some(h) = l1_hit {
+        if let Some((pfn, _)) = l1_hit.or(sp_hit) {
             self.stats.l1_hits += 1;
-            return Some(TlbHit { level: TlbLevel::L1, pfn: h.pfn });
-        }
-        if let Some(h) = sp_hit {
-            self.stats.l1_hits += 1;
-            return Some(TlbHit { level: TlbLevel::L1, pfn: h.pfn });
+            return Some(TlbHit { level: TlbLevel::L1, pfn });
         }
         // Prefetch buffer: probed alongside the L1 (separate structure,
         // §2 related work); a hit promotes into the L1 proper. The buffer
@@ -213,13 +210,13 @@ impl TlbHierarchy {
             }
         }
         self.stats.l1_misses += 1;
-        if let Some(h) = self.l2.lookup_tagged(vpn, tag) {
+        if let Some((pfn, entry)) = self.l2.lookup_tagged(vpn, tag) {
             self.stats.l2_hits += 1;
             // Refill L1 with the L1-group restriction of the hit entry.
-            if let Some(restricted) = h.run.restrict_to_group(vpn, self.l1.shift()) {
+            if let Some(restricted) = entry.run().restrict_to_group(vpn, self.l1.shift()) {
                 self.l1.insert_tagged(restricted, tag);
             }
-            return Some(TlbHit { level: TlbLevel::L2, pfn: h.pfn });
+            return Some(TlbHit { level: TlbLevel::L2, pfn });
         }
         self.stats.l2_misses += 1;
         if let Some(pb) = self.pb.as_mut() {
@@ -260,101 +257,49 @@ impl TlbHierarchy {
     /// Installs the result of a page walk, applying the mode's coalescing
     /// and placement policy. Must be called with the same `vpn` that
     /// missed.
+    ///
+    /// One rule places every run. A superpage goes to the
+    /// fully-associative TLB in every mode. A base-page run goes to the
+    /// L2 and L1, each keeping its part in `vpn`'s index group — one page
+    /// under conventional indexing (Baseline, CoLT-FA) — except where
+    /// the mode sends it to the fully-associative TLB: CoLT-FA's runs of
+    /// two or more pages (§4.2.1) and CoLT-All's runs over its threshold
+    /// (§4.3.1). The L1 is then left alone, and with `fill_l2_on_fa` the
+    /// L2 still takes its part of the run (§7.1.3).
     pub fn fill(&mut self, vpn: Vpn, fill: &WalkFill) {
         let tag = self.tag();
-        match fill {
+        let line = match fill {
             WalkFill::Super { base_vpn, base_pfn, flags } => {
-                // Superpages go to the fully-associative TLB in every mode.
-                self.sp.insert(RangeEntry::superpage_tagged(*base_vpn, *base_pfn, *flags, tag));
+                self.sp.insert(TlbEntry::superpage_tagged(*base_vpn, *base_pfn, *flags, tag));
                 self.stats.superpage_fills += 1;
                 self.stats.record_fill(1);
+                return;
             }
-            WalkFill::Base { line } => {
-                let Some(run) =
-                    coalesce_line_masked(line, vpn, self.config.coalesce_ignore_flags)
-                else {
-                    return;
-                };
-                match self.config.mode {
-                    ColtMode::Baseline => {
-                        let single = run
-                            .restrict_to_group(vpn, 0)
-                            .expect("run contains the requested vpn");
-                        self.stats.record_fill(1);
-                        self.l2.insert_tagged(single, tag);
-                        self.l1.insert_tagged(single, tag);
-                    }
-                    ColtMode::ColtSa => {
-                        self.stats.record_fill(
-                            run.restrict_to_group(vpn, self.l2.shift())
-                                .expect("run contains vpn")
-                                .len,
-                        );
-                        let l2_run = run
-                            .restrict_to_group(vpn, self.l2.shift())
-                            .expect("run contains vpn");
-                        self.l2.insert_tagged(l2_run, tag);
-                        let l1_run = run
-                            .restrict_to_group(vpn, self.l1.shift())
-                            .expect("run contains vpn");
-                        self.l1.insert_tagged(l1_run, tag);
-                    }
-                    ColtMode::ColtFa => {
-                        self.stats.record_fill(run.len);
-                        if run.len > 1 {
-                            // Coalescible: place the range in the superpage
-                            // TLB; L1 is left unaffected (§4.2.1), but the
-                            // requested translation also goes to the L2 so
-                            // evictions from the tiny FA structure do not
-                            // lose it (§7.1.3).
-                            if self.config.fa_resident_merge {
-                                self.sp.insert_coalesced_with_merge_tagged(run, tag);
-                            } else {
-                                self.sp.insert(RangeEntry::coalesced_tagged(run, tag));
-                            }
-                            if self.config.fill_l2_on_fa {
-                                let single = run
-                                    .restrict_to_group(vpn, 0)
-                                    .expect("run contains vpn");
-                                self.l2.insert_tagged(single, tag);
-                            }
-                        } else {
-                            self.l2.insert_tagged(run, tag);
-                            self.l1.insert_tagged(run, tag);
-                        }
-                    }
-                    ColtMode::ColtAll => {
-                        self.stats.record_fill(run.len);
-                        if run.len <= self.config.all_threshold {
-                            // Below threshold: the set-associative indexing
-                            // can accommodate it (§4.3.1).
-                            let l2_run = run
-                                .restrict_to_group(vpn, self.l2.shift())
-                                .expect("run contains vpn");
-                            self.l2.insert_tagged(l2_run, tag);
-                            let l1_run = run
-                                .restrict_to_group(vpn, self.l1.shift())
-                                .expect("run contains vpn");
-                            self.l1.insert_tagged(l1_run, tag);
-                        } else {
-                            if self.config.fa_resident_merge {
-                                self.sp.insert_coalesced_with_merge_tagged(run, tag);
-                            } else {
-                                self.sp.insert(RangeEntry::coalesced_tagged(run, tag));
-                            }
-                            if self.config.fill_l2_on_fa {
-                                // Unlike CoLT-FA, bring as much of the run
-                                // into the L2 as its indexing permits
-                                // (§4.3.1).
-                                let l2_run = run
-                                    .restrict_to_group(vpn, self.l2.shift())
-                                    .expect("run contains vpn");
-                                self.l2.insert_tagged(l2_run, tag);
-                            }
-                        }
-                    }
-                }
-            }
+            WalkFill::Base { line } => line,
+        };
+        let Some(run) = coalesce_line_masked(line, vpn, self.config.coalesce_ignore_flags) else {
+            return;
+        };
+        // The L1 and L2 share one index shift, so their parts are equal.
+        let part = run.restrict_to_group(vpn, self.l2.shift()).expect("run contains vpn");
+        let (to_fa, recorded) = match self.config.mode {
+            ColtMode::Baseline | ColtMode::ColtSa => (false, part.len),
+            ColtMode::ColtFa => (run.len > 1, run.len),
+            ColtMode::ColtAll => (run.len > self.config.all_threshold, run.len),
+        };
+        self.stats.record_fill(recorded);
+        if !to_fa {
+            self.l2.insert_tagged(part, tag);
+            self.l1.insert_tagged(part, tag);
+            return;
+        }
+        if self.config.fa_resident_merge {
+            self.sp.insert_coalesced_with_merge_tagged(run, tag);
+        } else {
+            self.sp.insert(TlbEntry::coalesced_tagged(run, tag));
+        }
+        if self.config.fill_l2_on_fa {
+            self.l2.insert_tagged(part, tag);
         }
     }
 
@@ -734,6 +679,127 @@ mod tests {
         assert_eq!(batched.l1_stats(), seq.l1_stats());
         assert_eq!(batched.l2_stats(), seq.l2_stats());
         assert_eq!(batched.sp_stats(), seq.sp_stats());
+    }
+
+    /// Where `fill` places each run, in every mode with and without
+    /// `fill_l2_on_fa` and `fa_resident_merge`. One hierarchy per
+    /// configuration takes seven fills on lines far enough apart that
+    /// nothing is evicted: runs of 1, 2 and 4 pages, 2 pages crossing
+    /// the shift-2 index group at vpn 68, 8 pages, 5 pages continuing
+    /// the 8-page run's frames (a resident-merge candidate, and over
+    /// CoLT-All's threshold of 4), then a superpage. Runs are written
+    /// `(first vpn, pages)`, in vpn order.
+    #[test]
+    fn fill_places_each_run_by_mode_and_flags() {
+        type Runs = &'static [(u64, u64)];
+        // (mode, L1, L2 always, L2 also with fill_l2_on_fa, SP with
+        // fa_resident_merge, SP without, length each fill recorded)
+        type Row = (ColtMode, Runs, Runs, Runs, Runs, Runs, [u64; 7]);
+        // (first vpn, pages, first frame, filled vpn)
+        let fills: [(u64, u64, u64, u64); 6] = [
+            (16, 1, 1_016, 16),
+            (33, 2, 2_033, 33),
+            (48, 4, 3_048, 50),
+            (67, 2, 4_067, 67),
+            (80, 8, 5_080, 82),
+            (88, 5, 5_088, 90),
+        ];
+        const SP: (u64, u64) = (512, 512); // the superpage, filled at vpn 521
+        let table: [Row; 4] = [
+            (
+                ColtMode::Baseline,
+                &[(16, 1), (33, 1), (50, 1), (67, 1), (82, 1), (90, 1)],
+                &[(16, 1), (33, 1), (50, 1), (67, 1), (82, 1), (90, 1)],
+                &[],
+                &[SP],
+                &[SP],
+                [1, 1, 1, 1, 1, 1, 1],
+            ),
+            (
+                ColtMode::ColtSa,
+                &[(16, 1), (33, 2), (48, 4), (67, 1), (80, 4), (88, 4)],
+                &[(16, 1), (33, 2), (48, 4), (67, 1), (80, 4), (88, 4)],
+                &[],
+                &[SP],
+                &[SP],
+                [1, 2, 4, 1, 4, 4, 1],
+            ),
+            (
+                ColtMode::ColtFa,
+                &[(16, 1)],
+                &[(16, 1)],
+                &[(33, 1), (50, 1), (67, 1), (82, 1), (90, 1)],
+                &[(33, 2), (48, 4), (67, 2), (80, 13), SP],
+                &[(33, 2), (48, 4), (67, 2), (80, 8), (88, 5), SP],
+                [1, 2, 4, 2, 8, 5, 1],
+            ),
+            (
+                ColtMode::ColtAll,
+                &[(16, 1), (33, 2), (48, 4), (67, 1)],
+                &[(16, 1), (33, 2), (48, 4), (67, 1)],
+                &[(80, 4), (88, 4)],
+                &[(80, 13), SP],
+                &[(80, 8), (88, 5), SP],
+                [1, 2, 4, 2, 8, 5, 1],
+            ),
+        ];
+        let mut pt = PageTable::new();
+        for &(first, pages, frame, _) in &fills {
+            for i in 0..pages {
+                pt.map_base(Vpn::new(first + i), Pte::new(Pfn::new(frame + i), flags()));
+            }
+        }
+        let held = |runs: Vec<CoalescedRun>| {
+            let mut held: Vec<(u64, u64)> =
+                runs.iter().map(|r| (r.start_vpn.raw(), r.len)).collect();
+            held.sort_unstable();
+            held
+        };
+        for (mode, l1, l2, l2_from_fa, sp_merged, sp_apart, lens) in table {
+            for fill_l2_on_fa in [false, true] {
+                for fa_resident_merge in [false, true] {
+                    let config = TlbConfig {
+                        fill_l2_on_fa,
+                        fa_resident_merge,
+                        ..TlbConfig::for_mode(mode)
+                    };
+                    let context = format!("{mode:?} {config:?}");
+                    let mut tlb = TlbHierarchy::new(config);
+                    let mut recorded = Vec::new();
+                    let walks = fills.iter().map(|&(.., vpn)| {
+                        (Vpn::new(vpn), WalkFill::Base { line: pt.pte_line(Vpn::new(vpn)) })
+                    });
+                    let super_fill = WalkFill::Super {
+                        base_vpn: Vpn::new(512),
+                        base_pfn: Pfn::new(2048),
+                        flags: flags(),
+                    };
+                    for (vpn, walk) in walks.chain([(Vpn::new(521), super_fill)]) {
+                        let before = tlb.stats().coalesce_hist;
+                        tlb.fill(vpn, &walk);
+                        let after = tlb.stats().coalesce_hist;
+                        let bumped: Vec<usize> =
+                            (0..8).filter(|&i| after[i] != before[i]).collect();
+                        assert_eq!(bumped.len(), 1, "{context}: one bucket per fill");
+                        assert_eq!(after[bumped[0]], before[bumped[0]] + 1, "{context}");
+                        recorded.push(bumped[0] as u64 + 1);
+                    }
+                    assert_eq!(recorded, lens, "{context}: recorded lengths");
+                    let mut want_l2 = l2.to_vec();
+                    if fill_l2_on_fa {
+                        want_l2.extend_from_slice(l2_from_fa);
+                        want_l2.sort_unstable();
+                    }
+                    let want_sp = if fa_resident_merge { sp_merged } else { sp_apart };
+                    let l1_held = held(tlb.l1().iter().map(|e| e.run()).collect());
+                    let l2_held = held(tlb.l2().iter().map(|e| e.run()).collect());
+                    let sp_held = held(tlb.sp().iter().map(|e| e.run()).collect());
+                    assert_eq!(l1_held, l1, "{context}: L1");
+                    assert_eq!(l2_held, want_l2, "{context}: L2");
+                    assert_eq!(sp_held, want_sp, "{context}: SP");
+                }
+            }
+        }
     }
 
     #[test]

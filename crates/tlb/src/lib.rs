@@ -6,14 +6,17 @@
 //! the intermediate page-allocation contiguity that OS buddy allocation,
 //! memory compaction, and THS naturally generate.
 //!
-//! * [`entry`] — coalesced runs, valid-bitmap SA entries, range entries,
+//! * [`entry`] — coalesced runs and the one entry type every structure
+//!   holds (a run, its kind and its ASID tag; Figures 4–5),
 //! * [`coalesce`] — the per-cache-line coalescing logic (§4.1.4),
-//! * [`set_assoc`] — set-associative TLBs with CoLT-SA's shifted
-//!   indexing (§4.1.2),
 //! * [`fully_assoc`] — the fully-associative range TLB of CoLT-FA (§4.2),
+//!   which is also the one MRU-first entry list,
+//! * [`set_assoc`] — set-associative TLBs with CoLT-SA's shifted
+//!   indexing (§4.1.2), one small fully-associative list per set,
 //! * [`config`] / [`hierarchy`] — the four hierarchy flavors: Baseline,
 //!   CoLT-SA, CoLT-FA, CoLT-All (§4, Figures 4–6),
-//! * [`stats`] — miss accounting as the paper reports it (§7.1.1).
+//! * [`stats`] — per-structure counters and miss accounting as the
+//!   paper reports it (§7.1.1).
 //!
 //! ## Quick example
 //!

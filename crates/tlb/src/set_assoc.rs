@@ -8,45 +8,16 @@
 //! baseline non-coalescing TLB; the paper's default is `shift = 2`
 //! (VPN[4-2] for the 8-set L1, VPN[6-2] for the 32-set L2).
 //!
-//! Each set is one list of at most `ways` entries in recency order, MRU
-//! first, allocated at its full size up front. A hit moves the entries
-//! ahead of it down one slot; a victim is chosen from the resident
-//! lengths in place.
+//! Each set is a small [`FullyAssocTlb`] of `ways` entries, so lookup,
+//! replacement and invalidation are the fully-associative list's; this
+//! module adds the set index and the rule that an entry stays within one
+//! index group.
 
-use crate::entry::{CoalescedRun, SaEntry};
-use crate::replacement::{promote, ReplacementPolicy};
+use crate::entry::{CoalescedRun, TlbEntry};
+use crate::fully_assoc::FullyAssocTlb;
+use crate::replacement::ReplacementPolicy;
+use crate::stats::StructureStats;
 use colt_os_mem::addr::{Asid, Pfn, Vpn};
-use colt_os_mem::page_table::PteFlags;
-
-/// A hit in a set-associative TLB.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SaHit {
-    /// The translated frame.
-    pub pfn: Pfn,
-    /// Attribute bits of the coalesced entry.
-    pub flags: PteFlags,
-    /// Coalesced length of the hit entry (1 for uncoalesced).
-    pub entry_len: u64,
-    /// The full run held by the hit entry (for refilling upper levels).
-    pub run: CoalescedRun,
-}
-
-/// Per-structure counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct SaStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
-    /// Inserts absorbed by merging into a resident entry.
-    pub merges: u64,
-    /// Entries evicted by replacement.
-    pub evictions: u64,
-    /// Entries removed by invalidation.
-    pub invalidations: u64,
-}
 
 /// The set-associative TLB.
 ///
@@ -58,16 +29,13 @@ pub struct SaStats {
 /// // 32 entries, 4-way, coalescing up to 4 translations (shift 2).
 /// let mut tlb = SetAssocTlb::new(32, 4, 2);
 /// tlb.insert(CoalescedRun::new(Vpn::new(8), Pfn::new(100), 4, PteFlags::user_data()));
-/// assert_eq!(tlb.lookup(Vpn::new(11)).unwrap().pfn, Pfn::new(103));
+/// assert_eq!(tlb.lookup(Vpn::new(11)).unwrap().0, Pfn::new(103));
 /// assert!(tlb.lookup(Vpn::new(12)).is_none());
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocTlb {
-    sets: Vec<Vec<SaEntry>>, // each set ordered MRU-first
-    ways: usize,
+    sets: Vec<FullyAssocTlb>,
     shift: u32,
-    policy: ReplacementPolicy,
-    stats: SaStats,
 }
 
 impl SetAssocTlb {
@@ -83,19 +51,13 @@ impl SetAssocTlb {
         let num_sets = entries / ways;
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         assert!(shift <= 3, "coalescing beyond one cache line is not possible");
-        Self {
-            sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(),
-            ways,
-            shift,
-            policy: ReplacementPolicy::Lru,
-            stats: SaStats::default(),
-        }
+        Self { sets: (0..num_sets).map(|_| FullyAssocTlb::new(ways)).collect(), shift }
     }
 
     /// Sets the victim-selection policy (§4.1.5 future work).
     #[must_use]
     pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
+        self.sets = self.sets.into_iter().map(|set| set.with_policy(policy)).collect();
         self
     }
 
@@ -109,63 +71,37 @@ impl SetAssocTlb {
         self.sets.len()
     }
 
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
+    /// Counter snapshot, summed over the sets.
+    pub fn stats(&self) -> StructureStats {
+        self.sets.iter().map(FullyAssocTlb::stats).sum()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> SaStats {
-        self.stats
-    }
-
+    /// The set `vpn` maps to: the index bits sit `shift` bits up.
     fn set_index(&self, vpn: Vpn) -> usize {
         ((vpn.raw() >> self.shift) as usize) & (self.sets.len() - 1)
+    }
+
+    fn set(&mut self, vpn: Vpn) -> &mut FullyAssocTlb {
+        let idx = self.set_index(vpn);
+        &mut self.sets[idx]
     }
 
     /// Looks up `vpn`, updating LRU state and hit/miss counters. Untagged
     /// entry point: matches only ASID-0 entries, which in full-flush mode
     /// is every entry — byte-identical to the pre-SMP behavior.
-    pub fn lookup(&mut self, vpn: Vpn) -> Option<SaHit> {
+    pub fn lookup(&mut self, vpn: Vpn) -> Option<(Pfn, TlbEntry)> {
         self.lookup_tagged(vpn, Asid(0))
     }
 
     /// ASID-selective lookup (SMP tagged mode): only entries tagged
-    /// `asid` can hit, so stale translations of a descheduled address
-    /// space are invisible without a flush.
-    pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<SaHit> {
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        for (pos, &entry) in set.iter().enumerate() {
-            if entry.asid() != asid {
-                continue;
-            }
-            if let Some(pfn) = entry.lookup(vpn) {
-                let hit = SaHit {
-                    pfn,
-                    flags: entry.flags(),
-                    entry_len: entry.coalesced_len(),
-                    run: entry.run(),
-                };
-                promote(set, pos);
-                self.stats.hits += 1;
-                return Some(hit);
-            }
-        }
-        self.stats.misses += 1;
-        None
+    /// `asid` can hit.
+    pub fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<(Pfn, TlbEntry)> {
+        self.set(vpn).lookup_tagged(vpn, asid)
     }
 
     /// Checks for a hit without touching LRU or counters (any ASID).
     pub fn probe(&self, vpn: Vpn) -> Option<Pfn> {
-        let idx = self.set_index(vpn);
-        self.sets[idx].iter().find_map(|e| e.lookup(vpn))
-    }
-
-    /// ASID-selective probe: no LRU or counter side effects.
-    pub fn probe_tagged(&self, vpn: Vpn, asid: Asid) -> Option<Pfn> {
-        let idx = self.set_index(vpn);
-        self.sets[idx].iter().filter(|e| e.asid() == asid).find_map(|e| e.lookup(vpn))
+        self.sets[self.set_index(vpn)].probe(vpn)
     }
 
     /// Inserts a coalesced run, which must fit the TLB's index group.
@@ -179,42 +115,23 @@ impl SetAssocTlb {
     /// Panics if `run` spans more than one `2^shift` group (the caller
     /// must restrict it first, see
     /// [`CoalescedRun::restrict_to_group`]).
-    pub fn insert(&mut self, run: CoalescedRun) -> Option<SaEntry> {
+    pub fn insert(&mut self, run: CoalescedRun) -> Option<TlbEntry> {
         self.insert_tagged(run, Asid(0))
     }
 
     /// Inserts a run tagged with `asid` (SMP tagged mode). Merging only
     /// considers resident entries with the same tag: two address spaces
     /// may map the same VPNs to different frames.
-    pub fn insert_tagged(&mut self, run: CoalescedRun, asid: Asid) -> Option<SaEntry> {
-        let entry = SaEntry::new_tagged(run, self.shift, asid);
-        let idx = self.set_index(run.start_vpn);
+    ///
+    /// # Panics
+    /// Panics if `run` spans more than one `2^shift` group.
+    pub fn insert_tagged(&mut self, run: CoalescedRun, asid: Asid) -> Option<TlbEntry> {
         let shift = self.shift;
-        let set = &mut self.sets[idx];
-        self.stats.insertions += 1;
-
-        // Try merging with a resident entry of the same group.
-        for pos in 0..set.len() {
-            if set[pos].asid() == asid && set[pos].group(shift) == entry.group(shift) {
-                if let Some(union) = set[pos].run().try_union(&run) {
-                    set[pos] = SaEntry::new_tagged(union, shift, asid);
-                    promote(set, pos);
-                    self.stats.merges += 1;
-                    return None;
-                }
-            }
-        }
-
-        if set.len() < self.ways {
-            set.insert(0, entry);
-            return None;
-        }
-        self.stats.evictions += 1;
-        let victim = self.policy.choose_victim(set.iter().map(SaEntry::coalesced_len), 0..0);
-        let evicted = set[victim];
-        set[victim] = entry;
-        promote(set, victim);
-        Some(evicted)
+        assert!(run.fits_group(shift), "run {run:?} does not fit one 2^{shift} group");
+        // A union that fits the group is a merge with a resident of the
+        // same group.
+        let entry = TlbEntry::coalesced_tagged(run, asid);
+        self.set(run.start_vpn).insert_or_merge(entry, |union| union.fits_group(shift))
     }
 
     /// Gracefully uncoalesces on invalidation (§4.1.5 future work):
@@ -222,130 +139,51 @@ impl SetAssocTlb {
     /// the victim translation is dropped — the remnant runs stay
     /// resident. Returns the number of entries affected.
     pub fn invalidate_graceful(&mut self, vpn: Vpn) -> usize {
-        self.invalidate_graceful_filtered(vpn, None)
+        self.set(vpn).invalidate_graceful(vpn)
     }
 
     /// Graceful invalidation restricted to entries tagged `asid`.
     pub fn invalidate_graceful_asid(&mut self, vpn: Vpn, asid: Asid) -> usize {
-        self.invalidate_graceful_filtered(vpn, Some(asid))
-    }
-
-    fn invalidate_graceful_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
-        let idx = self.set_index(vpn);
-        let shift = self.shift;
-        let ways = self.ways;
-        let set = &mut self.sets[idx];
-        let mut affected = 0;
-        let mut pos = 0;
-        while pos < set.len() {
-            if filter.is_some_and(|a| set[pos].asid() != a) {
-                pos += 1;
-                continue;
-            }
-            let entry_asid = set[pos].asid();
-            if let Some((left, right)) = set[pos].run().split_at(vpn) {
-                affected += 1;
-                set.remove(pos);
-                // Remnants re-enter at the same recency position; both
-                // stay within the original entry's index group.
-                let mut insert_at = pos;
-                for remnant in [left, right].into_iter().flatten() {
-                    if set.len() >= ways {
-                        // Splitting one entry into two can overflow the
-                        // set: make room through the replacement policy
-                        // instead of silently dropping a still-valid
-                        // remnant — but never victimise a remnant just
-                        // re-inserted (ranks `pos..insert_at`).
-                        if set.len() == insert_at - pos {
-                            continue; // one-way set already holds a remnant
-                        }
-                        let victim = self.policy.choose_victim(
-                            set.iter().map(SaEntry::coalesced_len),
-                            pos..insert_at,
-                        );
-                        self.stats.evictions += 1;
-                        set.remove(victim);
-                        if victim < insert_at {
-                            insert_at -= 1;
-                            if victim < pos {
-                                pos -= 1;
-                            }
-                        }
-                    }
-                    set.insert(insert_at.min(set.len()), SaEntry::new_tagged(remnant, shift, entry_asid));
-                    insert_at += 1;
-                }
-            } else {
-                pos += 1;
-            }
-        }
-        self.stats.invalidations += affected as u64;
-        affected
+        self.set(vpn).invalidate_graceful_asid(vpn, asid)
     }
 
     /// Invalidates every entry whose range covers `vpn`. Whole coalesced
     /// entries are flushed, losing their sibling translations (§4.1.5).
     /// Returns the number of entries removed.
     pub fn invalidate(&mut self, vpn: Vpn) -> usize {
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        let before = set.len();
-        set.retain(|e| e.lookup(vpn).is_none());
-        let removed = before - set.len();
-        self.stats.invalidations += removed as u64;
-        removed
+        self.set(vpn).invalidate(vpn)
     }
 
     /// Invalidates entries covering `vpn` that are tagged `asid` (remote
     /// shootdown in SMP tagged mode). Returns the number removed.
     pub fn invalidate_asid(&mut self, vpn: Vpn, asid: Asid) -> usize {
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        let before = set.len();
-        set.retain(|e| e.asid() != asid || e.lookup(vpn).is_none());
-        let removed = before - set.len();
-        self.stats.invalidations += removed as u64;
-        removed
+        self.set(vpn).invalidate_asid(vpn, asid)
     }
 
     /// Flushes the whole TLB.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            self.stats.invalidations += set.len() as u64;
-            set.clear();
-        }
+        self.sets.iter_mut().for_each(FullyAssocTlb::flush);
     }
 
     /// Flushes only entries tagged `asid` (process exit or ASID
     /// recycling). Returns the number removed.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
-        let mut removed = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|e| e.asid() != asid);
-            removed += before - set.len();
-        }
-        self.stats.invalidations += removed as u64;
-        removed
+        self.sets.iter_mut().map(|set| set.flush_asid(asid)).sum()
     }
 
     /// Number of live entries.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.sets.iter().map(FullyAssocTlb::occupancy).sum()
     }
 
     /// Total translations covered by live entries (reach in pages).
     pub fn covered_pages(&self) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(SaEntry::coalesced_len)
-            .sum()
+        self.sets.iter().map(FullyAssocTlb::covered_pages).sum()
     }
 
     /// Iterates live entries (MRU-first within each set).
-    pub fn iter(&self) -> impl Iterator<Item = &SaEntry> {
-        self.sets.iter().flatten()
+    pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
+        self.sets.iter().flat_map(FullyAssocTlb::iter)
     }
 }
 
@@ -353,6 +191,7 @@ impl SetAssocTlb {
 mod tests {
     use super::*;
     use crate::replacement::reference_victim;
+    use colt_os_mem::page_table::PteFlags;
     use colt_prng::rngs::SmallRng;
     use colt_prng::{Rng, SeedableRng};
 
@@ -370,8 +209,8 @@ mod tests {
         assert_eq!(tlb.num_sets(), 8);
         tlb.insert(run(0, 100, 1));
         tlb.insert(run(1, 101, 1));
-        assert_eq!(tlb.lookup(Vpn::new(0)).unwrap().pfn, Pfn::new(100));
-        assert_eq!(tlb.lookup(Vpn::new(1)).unwrap().pfn, Pfn::new(101));
+        assert_eq!(tlb.lookup(Vpn::new(0)).unwrap().0, Pfn::new(100));
+        assert_eq!(tlb.lookup(Vpn::new(1)).unwrap().0, Pfn::new(101));
         // Different sets: both live despite 4-way sets.
         assert_eq!(tlb.occupancy(), 2);
     }
@@ -572,36 +411,31 @@ mod tests {
     /// in place: a `Vec` per set, `remove` + `insert` on every hit, and
     /// a candidate list per victim. Kept as the reference model.
     struct ReferenceSetAssocTlb {
-        sets: Vec<Vec<SaEntry>>,
+        sets: Vec<Vec<TlbEntry>>,
         ways: usize,
         shift: u32,
         policy: ReplacementPolicy,
-        stats: SaStats,
+        stats: StructureStats,
     }
 
     impl ReferenceSetAssocTlb {
         fn new(entries: usize, ways: usize, shift: u32, policy: ReplacementPolicy) -> Self {
             let sets = vec![Vec::with_capacity(ways); entries / ways];
-            Self { sets, ways, shift, policy, stats: SaStats::default() }
+            Self { sets, ways, shift, policy, stats: StructureStats::default() }
         }
 
         fn set_index(&self, vpn: Vpn) -> usize {
             ((vpn.raw() >> self.shift) as usize) & (self.sets.len() - 1)
         }
 
-        fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<SaHit> {
+        fn lookup_tagged(&mut self, vpn: Vpn, asid: Asid) -> Option<(Pfn, TlbEntry)> {
             let idx = self.set_index(vpn);
             let set = &mut self.sets[idx];
             if let Some(pos) =
                 set.iter().position(|e| e.asid() == asid && e.lookup(vpn).is_some())
             {
                 let entry = set.remove(pos);
-                let hit = SaHit {
-                    pfn: entry.lookup(vpn).expect("position found by lookup"),
-                    flags: entry.flags(),
-                    entry_len: entry.coalesced_len(),
-                    run: entry.run(),
-                };
+                let hit = (entry.lookup(vpn).expect("position found by lookup"), entry);
                 set.insert(0, entry);
                 self.stats.hits += 1;
                 return Some(hit);
@@ -610,17 +444,17 @@ mod tests {
             None
         }
 
-        fn insert_tagged(&mut self, run: CoalescedRun, asid: Asid) -> Option<SaEntry> {
-            let entry = SaEntry::new_tagged(run, self.shift, asid);
+        fn insert_tagged(&mut self, run: CoalescedRun, asid: Asid) -> Option<TlbEntry> {
+            let entry = TlbEntry::coalesced_tagged(run, asid);
             let idx = self.set_index(run.start_vpn);
             let shift = self.shift;
             let set = &mut self.sets[idx];
             self.stats.insertions += 1;
             for pos in 0..set.len() {
-                if set[pos].asid() == asid && set[pos].group(shift) == entry.group(shift) {
+                if set[pos].asid() == asid && set[pos].run().group(shift) == run.group(shift) {
                     if let Some(union) = set[pos].run().try_union(&run) {
                         set.remove(pos);
-                        set.insert(0, SaEntry::new_tagged(union, shift, asid));
+                        set.insert(0, TlbEntry::coalesced_tagged(union, asid));
                         self.stats.merges += 1;
                         return None;
                     }
@@ -629,7 +463,7 @@ mod tests {
             let evicted = if set.len() == self.ways {
                 self.stats.evictions += 1;
                 let candidates: Vec<(usize, u64)> =
-                    set.iter().enumerate().map(|(rank, e)| (rank, e.coalesced_len())).collect();
+                    set.iter().enumerate().map(|(rank, e)| (rank, e.run().len)).collect();
                 Some(set.remove(reference_victim(self.policy, &candidates)))
             } else {
                 None
@@ -640,7 +474,7 @@ mod tests {
 
         fn invalidate_graceful_filtered(&mut self, vpn: Vpn, filter: Option<Asid>) -> usize {
             let idx = self.set_index(vpn);
-            let (shift, ways) = (self.shift, self.ways);
+            let ways = self.ways;
             let set = &mut self.sets[idx];
             let mut affected = 0;
             let mut pos = 0;
@@ -660,7 +494,7 @@ mod tests {
                                 .iter()
                                 .enumerate()
                                 .filter(|(rank, _)| !(pos..insert_at).contains(rank))
-                                .map(|(rank, e)| (rank, e.coalesced_len()))
+                                .map(|(rank, e)| (rank, e.run().len))
                                 .collect();
                             if candidates.is_empty() {
                                 continue;
@@ -675,7 +509,7 @@ mod tests {
                                 }
                             }
                         }
-                        let remnant = SaEntry::new_tagged(remnant, shift, entry_asid);
+                        let remnant = TlbEntry::coalesced_tagged(remnant, entry_asid);
                         set.insert(insert_at.min(set.len()), remnant);
                         insert_at += 1;
                     }

@@ -1,9 +1,40 @@
-//! Hierarchy-level TLB statistics.
+//! TLB statistics: the counters of one structure, and the hierarchy's.
 //!
 //! Miss accounting follows the paper (§7.1.1): the set-associative L1 and
 //! the superpage TLB are probed in parallel and share one hit time, so a
 //! *L1 miss* means both missed; a *L2 miss* means every structure missed
 //! and a page walk is required.
+
+/// Counters of one TLB structure. A set-associative TLB's are the sum
+/// over its sets.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StructureStats {
+    /// Lookups that hit.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+    /// Entries inserted (a fill merged into a resident entry counts).
+    pub insertions: u64,
+    /// Fills absorbed by merging with a resident entry.
+    pub merges: u64,
+    /// Entries evicted by replacement.
+    pub evictions: u64,
+    /// Entries removed by invalidation.
+    pub invalidations: u64,
+}
+
+impl std::iter::Sum for StructureStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |s, x| Self {
+            hits: s.hits + x.hits,
+            misses: s.misses + x.misses,
+            insertions: s.insertions + x.insertions,
+            merges: s.merges + x.merges,
+            evictions: s.evictions + x.evictions,
+            invalidations: s.invalidations + x.invalidations,
+        })
+    }
+}
 
 /// Counters for one run of a TLB hierarchy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]

@@ -4,7 +4,7 @@ use colt_os_mem::addr::{Pfn, Vpn};
 use colt_os_mem::page_table::{PageTable, Pte, PteFlags};
 use colt_tlb::coalesce::coalesce_line;
 use colt_tlb::config::TlbConfig;
-use colt_tlb::entry::{CoalescedRun, RangeEntry};
+use colt_tlb::entry::{CoalescedRun, TlbEntry};
 use colt_tlb::fully_assoc::FullyAssocTlb;
 use colt_tlb::hierarchy::{TlbHierarchy, WalkFill};
 use colt_tlb::set_assoc::SetAssocTlb;
@@ -167,7 +167,7 @@ proptest! {
             }
         }
         // Entries never overlap.
-        let entries: Vec<_> = tlb.iter().map(RangeEntry::run).collect();
+        let entries: Vec<_> = tlb.iter().map(TlbEntry::run).collect();
         for (i, a) in entries.iter().enumerate() {
             for b in &entries[i + 1..] {
                 prop_assert!(
@@ -275,7 +275,7 @@ proptest! {
         sa.insert(run);
         sa.invalidate_graceful(victim);
         let mut fa = FullyAssocTlb::new(8);
-        fa.insert(RangeEntry::coalesced(run));
+        fa.insert(TlbEntry::coalesced(run));
         fa.invalidate_graceful(victim);
 
         for v in run.start_vpn.raw()..run.end_vpn().raw() {

@@ -177,6 +177,24 @@ for counter in faults_injected thp_fallbacks; do
     fi
 done
 same_as_committed BENCH_pressure.json "$FAULT_DIR"
+# With --cores N the SMP leg runs in the single-core grid's sweep and
+# loads its mix on copies of the default machine the clean cells share:
+# the three distinct machines (clean, half rate, full rate) are aged
+# once each. Two sweeps read 4.
+FAULT_SMP_ARGS=(--quick --jobs "$(nproc)" --cores 2 --bench Gobmk
+                --faults rate=0.05,window=0,seed=7 pressure)
+echo "== fault-injection SMP leg: repro ${FAULT_SMP_ARGS[*]} =="
+mkdir "$FAULT_DIR/smp"
+(cd "$FAULT_DIR/smp" && "$REPRO" "${FAULT_SMP_ARGS[@]}" > /dev/null)
+if ! grep -q '"failures": \[\]' "$FAULT_DIR/smp/results/BENCH_pressure.json"; then
+    echo "FAIL: the pressure SMP-leg smoke reports failed sweep cells" >&2
+    exit 1
+fi
+pressure_aged=$(json_field machines_aged "$FAULT_DIR/smp/results/BENCH_sweep.json")
+if [[ "$pressure_aged" != "3" ]]; then
+    echo "FAIL: the pressure SMP-leg smoke aged ${pressure_aged:-no} machine(s), expected 3 (one per distinct machine)" >&2
+    exit 1
+fi
 echo "== fault-injection oracle fuzz: repro pressure --check =="
 ./target/release/repro pressure --check --seeds 2 --events 120 \
     --jobs "$(nproc)" --faults rate=0.05,window=0,seed=7
